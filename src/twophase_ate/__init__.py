@@ -23,9 +23,12 @@ from .estimators import (
     EstimateResult,
     EstimatorError,
     EstimatorOptions,
+    FittedContext,
     RakeSolution,
+    fit_context,
     rake_weights,
     run_estimator,
+    run_roster,
 )
 from .nuisance import NuisanceConfig, NuisanceError, NuisanceSet, Predictor, fit_nuisances
 from .sim import DgpSpec, SimReport, StudyEstimator, StudySpec, generate, run_study
@@ -46,9 +49,12 @@ __all__ = [
     "EstimateResult",
     "EstimatorError",
     "EstimatorOptions",
+    "FittedContext",
     "RakeSolution",
+    "fit_context",
     "rake_weights",
     "run_estimator",
+    "run_roster",
     "NuisanceConfig",
     "NuisanceError",
     "NuisanceSet",

@@ -20,9 +20,15 @@ import numpy as np
 
 from . import __version__
 from .data_model import CsvSchema, DataError, load_csv
-from .estimators import ESTIMATOR_IDS, EstimatorError, run_estimator
+from .estimators import ESTIMATOR_IDS, EstimatorError, run_roster
 from .glm import GlmError
-from .nuisance import TRUNC_G_DEFAULT, TRUNC_PI_DEFAULT, NuisanceConfig, NuisanceError
+from .nuisance import (
+    TRUNC_G_DEFAULT,
+    TRUNC_PI_DEFAULT,
+    NuisanceConfig,
+    NuisanceError,
+    check_truncation,
+)
 from .sim import (
     DgpSpec,
     StudyEstimator,
@@ -106,14 +112,17 @@ def _get_float(cfg, key, default=None) -> float | None:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
 
 
-def _get_int(cfg, key, default=None) -> int | None:
+def _get_int(cfg, key, default=None, minimum=None) -> int | None:
     raw = cfg.get(key)
     if raw is None:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key}: expected an integer >= {minimum}, got {value}")
+    return value
 
 
 def _split_list(raw: str) -> list[str]:
@@ -127,7 +136,24 @@ def _get_pair(cfg, key, default) -> tuple[float, float]:
     parts = _split_list(raw)
     if len(parts) != 2:
         raise ConfigError(f"{key}: expected 'lo, hi', got {raw!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        return float(parts[0]), float(parts[1])
+    except ValueError:
+        raise ConfigError(f"{key}: expected two numbers 'lo, hi', got {raw!r}") from None
+
+
+def _env_threads() -> int:
+    """TWOPHASE_THREADS: default worker count; unset or 0 means one per CPU."""
+    raw = os.environ.get("TWOPHASE_THREADS", "").strip()
+    if not raw:
+        return 0
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ConfigError(f"TWOPHASE_THREADS: expected an integer, got {raw!r}") from None
+    if value < 0:
+        raise ConfigError(f"TWOPHASE_THREADS: expected an integer >= 0, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -150,16 +176,20 @@ def _estimator_list(cfg) -> list[StudyEstimator]:
         mode = cfg.get(f"estimator.{est_id}.mode", "refit")
         if mode not in ("refit", "linearized"):
             raise ConfigError(f"estimator.{est_id}.mode: expected refit|linearized")
-        max_outer = _get_int(cfg, f"estimator.{est_id}.max_outer_iter", 50)
+        max_outer = _get_int(cfg, f"estimator.{est_id}.max_outer_iter", 50, minimum=0)
         out.append(StudyEstimator(estimator_id=est_id, mode=mode, max_outer_iter=max_outer))
     return out
 
 
-def _nuisance_config(cfg) -> NuisanceConfig:
-    return NuisanceConfig(
-        trunc_pi=_get_pair(cfg, "nuisance.trunc_pi", TRUNC_PI_DEFAULT),
-        trunc_g=_get_pair(cfg, "nuisance.trunc_g", TRUNC_G_DEFAULT),
-    )
+def _truncation(cfg) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The validated (trunc_pi, trunc_g) pairs of either mode."""
+    trunc_pi = _get_pair(cfg, "nuisance.trunc_pi", TRUNC_PI_DEFAULT)
+    trunc_g = _get_pair(cfg, "nuisance.trunc_g", TRUNC_G_DEFAULT)
+    try:
+        check_truncation(trunc_pi, trunc_g)
+    except ValueError as exc:
+        raise ConfigError(f"nuisance.{exc}") from None
+    return trunc_pi, trunc_g
 
 
 # ---------------------------------------------------------------------------
@@ -209,26 +239,27 @@ def cmd_estimate(rc: RunConfig) -> int:
             raise ConfigError(f"{key}: a probability in (0, 1] is required")
         return lambda X, v=v: np.full(X.shape[0], v)
 
-    ncfg = _nuisance_config(cfg)
+    trunc_pi, trunc_g = _truncation(cfg)
     ncfg = NuisanceConfig(
-        trunc_pi=ncfg.trunc_pi, trunc_g=ncfg.trunc_g,
+        trunc_pi=trunc_pi, trunc_g=trunc_g,
         known_pi=_known_const("nuisance.known_pi"),
         known_g=_known_const("nuisance.known_g"),
     )
+    estimators = _estimator_list(cfg)
+    _, results = run_roster(ds, [(e.estimator_id, e.options) for e in estimators], ncfg)
     rows = []
     all_converged = True
-    for est in _estimator_list(cfg):
-        try:
-            r = run_estimator(ds, est.estimator_id, ncfg, est.options)
-            rows.append([est.label, f"{r.psi_hat:.10g}", f"{r.se:.10g}",
-                         f"{r.ci95[0]:.10g}", f"{r.ci95[1]:.10g}",
-                         f"{r.eic_mean_abs:.6g}", str(r.n_outer_iterations),
-                         str(r.converged).lower()])
-            all_converged &= r.converged
-        except EstimatorError as exc:
+    for est, (r, _) in zip(estimators, results):
+        if isinstance(r, EstimatorError):
             rows.append([est.label, "", "", "", "", "", "", "false"])
             all_converged = False
-            print(f"estimator {est.label} failed: {exc}", file=sys.stderr)
+            print(f"estimator {est.label} failed: {r}", file=sys.stderr)
+            continue
+        rows.append([est.label, f"{r.psi_hat:.10g}", f"{r.se:.10g}",
+                     f"{r.ci95[0]:.10g}", f"{r.ci95[1]:.10g}",
+                     f"{r.eic_mean_abs:.6g}", str(r.n_outer_iterations),
+                     str(r.converged).lower()])
+        all_converged &= r.converged
 
     rc.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = rc.out_dir / "estimates.csv"
@@ -269,6 +300,7 @@ def cmd_simulate(rc: RunConfig) -> int:
     reference = cfg.get("sim.reference", "truth")
     if reference not in ("truth", "census"):
         raise ConfigError(f"sim.reference: expected truth|census, got {reference!r}")
+    trunc_pi, trunc_g = _truncation(cfg)
     study = StudySpec(
         dgp=dgp,
         estimators=tuple(_estimator_list(cfg)),
@@ -276,8 +308,8 @@ def cmd_simulate(rc: RunConfig) -> int:
         base_seed=rc.seed,
         known_pi=_get_bool(cfg, "nuisance.known_pi"),
         known_g=_get_bool(cfg, "nuisance.known_g"),
-        trunc_pi=_get_pair(cfg, "nuisance.trunc_pi", TRUNC_PI_DEFAULT),
-        trunc_g=_get_pair(cfg, "nuisance.trunc_g", TRUNC_G_DEFAULT),
+        trunc_pi=trunc_pi,
+        trunc_g=trunc_g,
         reference=reference,
         parallelism=rc.parallelism,
     )
@@ -336,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         if parallelism is None:
             parallelism = _get_int(cfg, "parallelism", 0)
         if not parallelism:
-            parallelism = int(os.environ.get("TWOPHASE_THREADS", "0")) or (os.cpu_count() or 1)
+            parallelism = _env_threads() or (os.cpu_count() or 1)
         rc = RunConfig(
             mode=mode,
             cfg=cfg,

@@ -4,8 +4,10 @@ Every estimator consumes a Dataset whose outcome already lives in [0, 1]
 (binary, or scaled) together with a fitted NuisanceSet, and reports a
 point estimate, influence-curve standard error, Wald interval, and
 score-solving diagnostics. `run_estimator` is the scale-aware front door:
-it scales a continuous outcome, fits nuisances, runs the estimator, and
-maps the estimate back to the raw outcome scale.
+it runs the estimator on a `FittedContext` (the outcome scaled onto [0, 1],
+the nuisances fitted and evaluated once) and maps the estimate back to the
+raw outcome scale. `fit_context` builds that context once per dataset and
+`run_roster` runs several estimators against it.
 
 Conventions shared by all routines here:
   * weighted plug-in means over the covariate distribution use normalized
@@ -17,8 +19,9 @@ Conventions shared by all routines here:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,13 +29,12 @@ from .data_model import Dataset, OutcomeScale, scale_outcome
 from .eic import clever_covariate, eic_variance, evaluate_nuisances, linearized_slope_values
 from .glm import P_MIN, GlmError, expit, fit_fluctuation, fit_glm, logit
 from .nuisance import (
+    MbarDesign,
     NuisanceConfig,
     NuisanceError,
     NuisanceSet,
     fit_mbar,
     fit_nuisances,
-    predict_on,
-    v_features,
 )
 from .roots import RootResult, bisect, secant
 
@@ -50,7 +52,10 @@ __all__ = [
     "estimate_eee",
     "estimate_quasi_tmle",
     "estimate_tmle_alt",
+    "FittedContext",
+    "fit_context",
     "run_estimator",
+    "run_roster",
     "ESTIMATOR_IDS",
     "FULL_EIC_SOLVERS",
 ]
@@ -86,6 +91,10 @@ class EstimatorOptions:
     fluct_tol: float = 1e-10
     root_tol: float = 1e-10  # plug-in root solve (quasi_tmle)
     rake_tol: float = 1e-8
+
+    def __post_init__(self):
+        if self.max_outer_iter < 0:
+            raise ValueError(f"max_outer_iter must be >= 0, got {self.max_outer_iter}")
 
 
 DEFAULT_OPTIONS = EstimatorOptions()
@@ -129,7 +138,11 @@ def _threshold(d_obs: np.ndarray, n: int) -> float:
 
 
 class _Work:
-    """Evaluated nuisances and the recurring per-row algebra for one dataset."""
+    """Evaluated nuisances and the recurring per-row algebra for one dataset.
+
+    One instance is shared by every estimator run with the same nuisance
+    set on the same dataset (see `_work`), so its arrays are read-only.
+    """
 
     def __init__(self, ds: Dataset, ns: NuisanceSet):
         if ds.n < 3:
@@ -138,7 +151,6 @@ class _Work:
             raise EstimatorError("outcome must be in [0, 1]; use run_estimator for raw scales")
         vals = evaluate_nuisances(ds, ns)
         self.ds = ds
-        self.ns = ns
         self.n = ds.n
         self.p2 = ds.phase2
         self.delta = ds.delta.astype(float)
@@ -150,7 +162,10 @@ class _Work:
         self.h1 = 1.0 / self.g1
         self.h0 = -1.0 / (1.0 - self.g1)
         self.q_a0, self.q10, self.q00 = vals.q_a, vals.q1, vals.q0
-        self.v_all = v_features(ds)
+        self.design = MbarDesign(ds)
+        shared = [v for v in vars(self).values() if isinstance(v, np.ndarray)]
+        for arr in shared + [self.design.x_all, self.design.x2]:
+            arr.flags.writeable = False
 
     def dbar(self, q_a, q1, q0) -> np.ndarray:
         return self.h2 * (self.y2 - q_a) + q1 - q0
@@ -161,8 +176,9 @@ class _Work:
 
     def mbar_all(self, values2: np.ndarray) -> np.ndarray:
         """Regression of phase-2 values on phase-1 features, predicted on all rows."""
-        pred = fit_mbar(self.ds, values2)
-        return predict_on(pred, self.v_all)
+        pred = fit_mbar(self.ds, values2, design=self.design)
+        # pred.predict(v_features(ds)) without rebuilding the intercept column
+        return pred.fit.predict(self.design.x_all)
 
     def fluctuate_q(self, q_a, q1, q0, pi, tol):
         """One weighted logistic targeting step of the outcome regression."""
@@ -180,6 +196,18 @@ class _Work:
         d = -(mbar_all - psi) / pi * (self.delta - pi)
         d[self.p2] += (dbar2 - psi) / pi[self.p2]
         return d
+
+
+def _work(ds: Dataset, ns: NuisanceSet) -> _Work:
+    """The working state of ns on ds: built on first use, then kept on the
+    (immutable) nuisance set and reused while it is asked for the same
+    dataset object."""
+    memo = getattr(ns, "_evaluated", None)
+    if memo is not None and memo.ds is ds:
+        return memo
+    w = _Work(ds, ns)
+    object.__setattr__(ns, "_evaluated", w)
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +306,7 @@ def rake_weights(mbar: np.ndarray, pi: np.ndarray, delta: np.ndarray,
 def estimate_aipcw(ds: Dataset, ns: NuisanceSet,
                    options: EstimatorOptions = DEFAULT_OPTIONS) -> EstimateResult:
     """Augmented IPCW: the closed-form solution of 0 = P_n D at the initial fit."""
-    w = _Work(ds, ns)
+    w = _work(ds, ns)
     dbar2 = w.dbar(w.q_a0, w.q10, w.q00)
     mbar = w.mbar_all(dbar2)
     pi = w.pi0
@@ -295,7 +323,7 @@ def estimate_eee(ds: Dataset, ns: NuisanceSet,
                  options: EstimatorOptions = DEFAULT_OPTIONS) -> EstimateResult:
     """Targets the conditional-EIC regression with a weighted intercept shift,
     then averages the targeted regression over all records."""
-    w = _Work(ds, ns)
+    w = _work(ds, ns)
     dbar2 = w.dbar(w.q_a0, w.q10, w.q00)
     mbar = w.mbar_all(dbar2)
     wts2 = 1.0 / w.pi0[w.p2]
@@ -316,7 +344,7 @@ def estimate_eee(ds: Dataset, ns: NuisanceSet,
 def estimate_ipcw_tmle(ds: Dataset, ns: NuisanceSet,
                        options: EstimatorOptions = DEFAULT_OPTIONS) -> EstimateResult:
     """Single weighted logistic targeting of the outcome regression."""
-    w = _Work(ds, ns)
+    w = _work(ds, ns)
     q_a, q1, q0, fit = w.fluctuate_q(w.q_a0, w.q10, w.q00, w.pi0, options.fluct_tol)
     psi = w.hajek_plugin(q1, q0, w.pi0)
     dbar2 = w.dbar(q_a, q1, q0)
@@ -355,7 +383,7 @@ def _iterative_ipcw_tmle(ds, ns, options, use_raking: bool, estimator_id: str) -
     options.mode == "linearized" reuses two regressions (level and slope of
     the fluctuated full-data EIC) per outer iteration instead of refitting.
     """
-    w = _Work(ds, ns)
+    w = _work(ds, ns)
     pi = w.pi0.copy()
     q_a, q1, q0 = w.q_a0.copy(), w.q10.copy(), w.q00.copy()
     linearized = options.mode == "linearized"
@@ -470,14 +498,11 @@ class _ImputationModel:
 
 def _fit_imputation(w: _Work) -> _ImputationModel:
     ds = w.ds
-    X2 = np.column_stack([np.ones(len(w.p2)), v_features(ds, w.p2)])
-    X_all = np.column_stack([np.ones(ds.n), w.v_all])
     mean = np.zeros((ds.n, ds.d_w2))
     sd = np.zeros(ds.d_w2)
-    dof = max(1, len(w.p2) - X2.shape[1])
+    dof = max(1, len(w.p2) - w.design.x2.shape[1])
     for j in range(ds.d_w2):
-        fit = fit_glm(X2, ds.w2[w.p2, j], family="gaussian")
-        mean[:, j] = fit.predict(X_all)
+        mean[:, j] = w.design.fit(ds.w2[w.p2, j]).predict(w.design.x_all)
         resid = ds.w2[w.p2, j] - mean[w.p2, j]
         sd[j] = float(np.sqrt(resid @ resid / dof))
     return _ImputationModel(mean=mean, sd=sd)
@@ -555,7 +580,7 @@ def estimate_raking(ds: Dataset, ns: NuisanceSet,
     the census (working-model) parameter; the reported interval is honest
     for that parameter only.
     """
-    w = _Work(ds, ns)
+    w = _work(ds, ns)
     family = "bernoulli" if ds.y_kind == "binary" else "gaussian"
     pi = w.pi0
     wts0 = 1.0 / pi[w.p2]
@@ -593,7 +618,7 @@ def estimate_quasi_tmle(ds: Dataset, ns: NuisanceSet,
     a one-dimensional root problem in the fluctuation coefficient, solved
     by the secant method with a bracketed bisection fallback.
     """
-    w = _Work(ds, ns)
+    w = _work(ds, ns)
     pi = w.pi0
     pi2 = pi[w.p2]
     wts2 = 1.0 / pi2
@@ -669,11 +694,9 @@ def _fit_bounded_regression(w: _Work, values2: np.ndarray) -> np.ndarray:
     """Bernoulli-family regression of (0,1)-valued phase-2 values on phase-1
     features, predicted on all rows; keeps predictions inside (0,1) for the
     subsequent logit-offset fluctuation."""
-    X2 = np.column_stack([np.ones(len(w.p2)), v_features(w.ds, w.p2)])
     resp = np.clip(values2, P_MIN, 1.0 - P_MIN)
-    fit = fit_glm(X2, resp, family="bernoulli")
-    X_all = np.column_stack([np.ones(w.n), w.v_all])
-    return fit.predict(X_all)
+    fit = fit_glm(w.design.x2, resp, family="bernoulli")
+    return fit.predict(w.design.x_all)
 
 
 def estimate_tmle_alt(ds: Dataset, ns: NuisanceSet,
@@ -688,7 +711,7 @@ def estimate_tmle_alt(ds: Dataset, ns: NuisanceSet,
     components, so the full EIC mean is checked (and re-looped, at most
     twice) before declaring convergence.
     """
-    w = _Work(ds, ns)
+    w = _work(ds, ns)
     pi = w.pi0.copy()
     q_a, q1, q0 = w.q_a0.copy(), w.q10.copy(), w.q00.copy()
     n_outer = 0
@@ -778,19 +801,27 @@ def _unscale(res: EstimateResult, scale: OutcomeScale) -> EstimateResult:
     )
 
 
-def run_estimator(
-    ds: Dataset,
-    estimator_id: str,
-    nuisance: NuisanceConfig | NuisanceSet | None = None,
-    options: EstimatorOptions = DEFAULT_OPTIONS,
-) -> EstimateResult:
-    """Scale the outcome, fit (or accept) nuisances, estimate, unscale.
+@dataclass(frozen=True)
+class FittedContext:
+    """One dataset made ready for any number of estimators.
 
-    The ATE is a difference of outcome means, so only the outcome span
-    enters the back-transformation.
+    Holds the outcome mapped onto [0, 1] and the nuisance set fitted on it;
+    the set also carries its evaluation on the scaled data, so estimators
+    run against this context share one fit and one evaluation.
     """
-    if estimator_id not in _DISPATCH:
-        raise EstimatorError(f"unknown estimator {estimator_id!r}")
+
+    raw: Dataset
+    scaled: Dataset
+    scale: OutcomeScale
+    nuisances: NuisanceSet
+
+
+def fit_context(ds: Dataset,
+                nuisance: NuisanceConfig | NuisanceSet | None = None) -> FittedContext:
+    """Scale the outcome, fit (or accept) the nuisances and evaluate them.
+
+    A failed fit raises EstimatorError("nuisance fitting failed: ...").
+    """
     scaled, scale = scale_outcome(ds)
     if isinstance(nuisance, NuisanceSet):
         ns = nuisance
@@ -800,7 +831,64 @@ def run_estimator(
         except (NuisanceError, GlmError) as exc:
             raise EstimatorError(f"nuisance fitting failed: {exc}") from exc
     try:
-        res = _DISPATCH[estimator_id](scaled, ns, options)
+        _work(scaled, ns)
+    except (NuisanceError, GlmError) as exc:
+        raise EstimatorError(f"nuisance evaluation failed: {exc}") from exc
+    return FittedContext(raw=ds, scaled=scaled, scale=scale, nuisances=ns)
+
+
+def run_estimator(
+    ds: Dataset,
+    estimator_id: str,
+    nuisance: NuisanceConfig | NuisanceSet | FittedContext | None = None,
+    options: EstimatorOptions = DEFAULT_OPTIONS,
+) -> EstimateResult:
+    """Scale the outcome, fit (or accept) nuisances, estimate, unscale.
+
+    Pass a FittedContext from `fit_context(ds)` to reuse its scaling and
+    nuisance fit; anything else is handed to `fit_context` first. The ATE
+    is a difference of outcome means, so only the outcome span enters the
+    back-transformation.
+    """
+    if estimator_id not in _DISPATCH:
+        raise EstimatorError(f"unknown estimator {estimator_id!r}")
+    if isinstance(nuisance, FittedContext):
+        ctx = nuisance
+        if ctx.raw is not ds:
+            raise EstimatorError("the fitted context belongs to another dataset")
+    else:
+        ctx = fit_context(ds, nuisance)
+    try:
+        res = _DISPATCH[estimator_id](ctx.scaled, ctx.nuisances, options)
     except (NuisanceError, GlmError) as exc:
         raise EstimatorError(f"{estimator_id} failed: {exc}") from exc
-    return _unscale(res, scale)
+    return _unscale(res, ctx.scale)
+
+
+def run_roster(
+    ds: Dataset,
+    roster: Sequence[tuple[str, EstimatorOptions]],
+    nuisance: NuisanceConfig | NuisanceSet | None = None,
+) -> tuple[float, list[tuple[EstimateResult | EstimatorError, float]]]:
+    """Run every (estimator_id, options) of the roster on one dataset.
+
+    The context is fitted once and shared. Returns the seconds the shared
+    fit took and, per roster entry, its result or the EstimatorError it
+    raised, with the seconds it took. When the shared fit fails, every
+    entry carries that error.
+    """
+    t0 = time.perf_counter()
+    try:
+        ctx = fit_context(ds, nuisance)
+    except EstimatorError as exc:
+        return time.perf_counter() - t0, [(exc, 0.0)] * len(roster)
+    fit_s = time.perf_counter() - t0
+    out = []
+    for estimator_id, options in roster:
+        t0 = time.perf_counter()
+        try:
+            res = run_estimator(ds, estimator_id, ctx, options)
+        except EstimatorError as exc:
+            res = exc
+        out.append((res, time.perf_counter() - t0))
+    return fit_s, out

@@ -21,6 +21,7 @@ from .roots import bisect as _bisect
 __all__ = [
     "GlmError",
     "GlmFit",
+    "GramFactor",
     "FluctuationFit",
     "expit",
     "logit",
@@ -56,15 +57,14 @@ def logit(p, eps: float = LOGIT_CLIP):
     return np.log(p) - np.log1p(-p)
 
 
-def _solve_spd(H: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Solve H x = b for symmetric positive definite H, with a ridge retry.
+def _factor_spd(H: np.ndarray) -> tuple[tuple, bool]:
+    """Cholesky factor of symmetric positive definite H, with a ridge retry.
 
-    Returns (solution, ridge_used). Raises GlmError when even the ridged
-    system is singular.
+    Returns (factor, ridge_used), the factor in scipy's cho_factor form.
+    Raises GlmError when even the ridged matrix is singular.
     """
     try:
-        c, low = scipy.linalg.cho_factor(H, check_finite=False)
-        return scipy.linalg.cho_solve((c, low), b, check_finite=False), False
+        return scipy.linalg.cho_factor(H, check_finite=False), False
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
         pass
     dim = H.shape[0]
@@ -72,10 +72,19 @@ def _solve_spd(H: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
     if lam <= 0 or not np.isfinite(lam):
         raise GlmError("singular weighted Gram matrix (zero trace)")
     try:
-        c, low = scipy.linalg.cho_factor(H + lam * np.eye(dim), check_finite=False)
-        return scipy.linalg.cho_solve((c, low), b, check_finite=False), True
+        return scipy.linalg.cho_factor(H + lam * np.eye(dim), check_finite=False), True
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
         raise GlmError("singular weighted Gram matrix even after ridge retry") from None
+
+
+def _solve_spd(H: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Solve H x = b for symmetric positive definite H, with a ridge retry.
+
+    Returns (solution, ridge_used). Raises GlmError when even the ridged
+    system is singular.
+    """
+    factor, ridge_used = _factor_spd(H)
+    return scipy.linalg.cho_solve(factor, b, check_finite=False), ridge_used
 
 
 @dataclass(frozen=True)
@@ -142,11 +151,8 @@ def fit_glm(X, y, w=None, family: str = "gaussian",
 
     if family == "gaussian":
         Xw = X * w[:, None]
-        H = Xw.T @ X
-        beta, _ = _solve_spd(H, Xw.T @ y)
-        score = X.T @ (w * (y - X @ beta))
-        converged = bool(np.max(np.abs(score)) <= SCORE_TOL) if p_dim else True
-        return GlmFit(beta, "gaussian", converged, 1, p_dim)
+        factor, _ = _factor_spd(Xw.T @ X)
+        return _least_squares(X, Xw, y, w, factor)
 
     if family != "bernoulli":
         raise GlmError(f"unknown family {family!r}")
@@ -171,6 +177,40 @@ def fit_glm(X, y, w=None, family: str = "gaussian",
             break
     converged = score_norm <= SCORE_TOL
     return GlmFit(beta, "bernoulli", bool(converged), n_iter, p_dim)
+
+
+def _least_squares(X, Xw, y, w, factor) -> GlmFit:
+    """Weighted least squares given Xw = X * w and the factor of Xw'X."""
+    beta = scipy.linalg.cho_solve(factor, Xw.T @ y, check_finite=False)
+    score = X.T @ (w * (y - X @ beta))
+    converged = bool(np.max(np.abs(score)) <= SCORE_TOL) if X.shape[1] else True
+    return GlmFit(beta, "gaussian", converged, 1, X.shape[1])
+
+
+class GramFactor:
+    """Unweighted least squares on one fixed design, factored once.
+
+    The Cholesky factor of X'X (with fit_glm's ridge retry) is computed on
+    construction; each `fit(y)` then costs one triangular solve and gives
+    the coefficients fit_glm(X, y, family="gaussian") would.
+    """
+
+    def __init__(self, X: np.ndarray):
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[0] == 0:
+            raise GlmError("design matrix must be 2-d and non-empty")
+        if np.any(~np.isfinite(X)):
+            raise GlmError("non-finite values in X, y or w")
+        self.X = X
+        self.factor, _ = _factor_spd(X.T @ X)
+
+    def fit(self, y) -> GlmFit:
+        y = np.asarray(y, dtype=float).ravel()
+        if len(y) != self.X.shape[0]:
+            raise GlmError("X, y, w lengths disagree")
+        if np.any(~np.isfinite(y)):
+            raise GlmError("non-finite values in X, y or w")
+        return _least_squares(self.X, self.X, y, 1.0, self.factor)
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,13 @@ An intercept is added internally by the GLM-backed predictors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .data_model import Dataset
-from .glm import GlmError, GlmFit, fit_glm
+from .glm import GlmError, GlmFit, GramFactor, fit_glm
 
 __all__ = [
     "NuisanceError",
@@ -31,11 +31,13 @@ __all__ = [
     "PinnedPredictor",
     "NuisanceSet",
     "NuisanceConfig",
+    "check_truncation",
     "TRUNC_PI_DEFAULT",
     "TRUNC_G_DEFAULT",
     "v_features",
     "w_features",
     "aw_features",
+    "MbarDesign",
     "fit_pi",
     "fit_g_ipcw",
     "fit_q_ipcw",
@@ -232,20 +234,43 @@ def fit_g_ipcw(ds: Dataset, pi: Predictor,
     return GlmPredictor(fit=fit, output="probability", bounds=trunc)
 
 
-def fit_mbar(ds: Dataset, values: np.ndarray, weights: np.ndarray | None = None) -> Predictor:
+class MbarDesign:
+    """The design [1, w1, a, y] of the conditional regressions, for one dataset.
+
+    x_all covers every record (where the regressions are predicted) and x2
+    the phase-2 rows (where they are fit). The Cholesky factor of x2'x2 is
+    built on the first unweighted fit and reused by every later one.
+    """
+
+    def __init__(self, ds: Dataset):
+        self.x_all = _add_intercept(v_features(ds))
+        self.x2 = self.x_all[ds.phase2]
+        self._gram: GramFactor | None = None
+
+    def fit(self, values: np.ndarray, weights: np.ndarray | None = None) -> GlmFit:
+        if weights is not None:
+            return fit_glm(self.x2, values, w=weights, family="gaussian")
+        if self._gram is None:
+            self._gram = GramFactor(self.x2)
+        return self._gram.fit(values)
+
+
+def fit_mbar(ds: Dataset, values: np.ndarray, weights: np.ndarray | None = None,
+             design: MbarDesign | None = None) -> Predictor:
     """Gaussian regression of per-phase-2-row values on (w1, a, y).
 
     The prediction is defined for every record since the features are
     phase-1 measurable. Rank-deficient designs fall back to the GLM ridge;
-    only total singularity raises.
+    only total singularity raises. Pass the dataset's `design` to reuse its
+    factored Gram matrix across regressions.
     """
-    p2 = ds.phase2
+    if design is None:
+        design = MbarDesign(ds)
     values = np.asarray(values, dtype=float).ravel()
-    if len(values) != len(p2):
+    if len(values) != design.x2.shape[0]:
         raise NuisanceError("values must align with the phase-2 rows")
-    X = _add_intercept(v_features(ds, p2))
     try:
-        fit = fit_glm(X, values, w=weights, family="gaussian")
+        fit = design.fit(values, weights)
     except GlmError as exc:
         raise NuisanceError(f"regression of influence values failed: {exc}") from exc
     return GlmPredictor(fit=fit, output="real", bounds=None)
@@ -256,16 +281,35 @@ def fit_mbar(ds: Dataset, values: np.ndarray, weights: np.ndarray | None = None)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class NuisanceSet:
-    """Fitted nuisance functions plus their truncation policy."""
+    """Fitted nuisance functions plus their truncation policy.
+
+    The set is immutable, so its evaluation on a dataset can be memoised:
+    the estimators keep their per-dataset working state in `_evaluated`
+    (keyed by the dataset it was evaluated on) and share it.
+    """
 
     pi: Predictor
     g: Predictor
     q: Predictor
-    mbar: Predictor | None = None
     trunc_pi: tuple[float, float] = TRUNC_PI_DEFAULT
     trunc_g: tuple[float, float] = TRUNC_G_DEFAULT
+    _evaluated: object = field(default=None, init=False, repr=False, compare=False)
+
+
+def check_truncation(trunc_pi: tuple[float, float], trunc_g: tuple[float, float]) -> None:
+    """Require 0 < lo < hi <= 1 for pi and 0 < lo < hi < 1 for g.
+
+    np.clip with lo > hi silently maps every value to hi, so a reversed
+    pair would otherwise give a wrong answer without any error.
+    """
+    lo, hi = trunc_pi
+    if not 0.0 < lo < hi <= 1.0:
+        raise ValueError(f"trunc_pi must satisfy 0 < lo < hi <= 1, got ({lo}, {hi})")
+    lo, hi = trunc_g
+    if not 0.0 < lo < hi < 1.0:
+        raise ValueError(f"trunc_g must satisfy 0 < lo < hi < 1, got ({lo}, {hi})")
 
 
 @dataclass
@@ -280,6 +324,9 @@ class NuisanceConfig:
     trunc_g: tuple[float, float] = TRUNC_G_DEFAULT
     known_pi: np.ndarray | Callable | None = None
     known_g: np.ndarray | Callable | None = None
+
+    def __post_init__(self):
+        check_truncation(self.trunc_pi, self.trunc_g)
 
 
 def _known_predictor(spec, bounds, n_expected=None) -> Predictor:
@@ -306,4 +353,4 @@ def fit_nuisances(ds: Dataset, config: NuisanceConfig | None = None) -> Nuisance
     else:
         g = fit_g_ipcw(ds, pi, trunc=cfg.trunc_g)
     q = fit_q_ipcw(ds, pi)
-    return NuisanceSet(pi=pi, g=g, q=q, mbar=None, trunc_pi=cfg.trunc_pi, trunc_g=cfg.trunc_g)
+    return NuisanceSet(pi=pi, g=g, q=q, trunc_pi=cfg.trunc_pi, trunc_g=cfg.trunc_g)

@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 import subprocess
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
@@ -36,14 +35,8 @@ from scipy.special import expit
 from scipy.stats import norm
 
 from .data_model import Dataset
-from .estimators import (
-    ESTIMATOR_IDS,
-    EstimateResult,
-    EstimatorError,
-    EstimatorOptions,
-    run_estimator,
-)
-from .nuisance import TRUNC_G_DEFAULT, TRUNC_PI_DEFAULT, NuisanceConfig
+from .estimators import ESTIMATOR_IDS, EstimateResult, EstimatorOptions, run_roster
+from .nuisance import TRUNC_G_DEFAULT, TRUNC_PI_DEFAULT, NuisanceConfig, check_truncation
 
 __all__ = [
     "DgpSpec",
@@ -331,6 +324,7 @@ class StudyEstimator:
     def __post_init__(self):
         if self.estimator_id not in ESTIMATOR_IDS:
             raise ValueError(f"unknown estimator {self.estimator_id!r}")
+        self.options  # EstimatorOptions rejects a negative max_outer_iter
         if not self.label:
             label = self.estimator_id
             if self.mode != "refit":
@@ -357,6 +351,9 @@ class StudySpec:
     reference: str = "truth"  # or "census"
     parallelism: int = 1
 
+    def __post_init__(self):
+        check_truncation(self.trunc_pi, self.trunc_g)
+
 
 @dataclass(frozen=True)
 class _RunOutcome:
@@ -369,7 +366,9 @@ class _RunOutcome:
     error: str = ""
 
 
-def _run_single(study: StudySpec, run_idx: int) -> list[_RunOutcome]:
+def _run_single(study: StudySpec, run_idx: int) -> tuple[float, list[_RunOutcome]]:
+    """One Monte-Carlo run: the seconds of its shared nuisance fit, and one
+    outcome per estimator."""
     dspec = replace(study.dgp, seed=study.base_seed + run_idx)
     ds, truth = generate(dspec)
     ncfg = NuisanceConfig(
@@ -378,16 +377,14 @@ def _run_single(study: StudySpec, run_idx: int) -> list[_RunOutcome]:
         known_pi=truth.pi0 if study.known_pi else None,
         known_g=truth.g0 if study.known_g else None,
     )
+    fit_s, results = run_roster(ds, [(e.estimator_id, e.options) for e in study.estimators], ncfg)
     out = []
-    for est in study.estimators:
-        t0 = time.perf_counter()
-        try:
-            r: EstimateResult = run_estimator(ds, est.estimator_id, ncfg, est.options)
-            out.append(_RunOutcome(r.psi_hat, r.se, r.ci95[0], r.ci95[1],
-                                   r.converged, time.perf_counter() - t0))
-        except EstimatorError as exc:
-            out.append(_RunOutcome(error=str(exc), runtime=time.perf_counter() - t0))
-    return out
+    for r, seconds in results:
+        if isinstance(r, EstimateResult):
+            out.append(_RunOutcome(r.psi_hat, r.se, r.ci95[0], r.ci95[1], r.converged, seconds))
+        else:
+            out.append(_RunOutcome(error=str(r), runtime=seconds))
+    return fit_s, out
 
 
 @dataclass(frozen=True)
@@ -416,6 +413,7 @@ class SimReport:
     n_runs: int
     dgp: DgpSpec
     base_seed: int
+    mean_nuisance_fit: float = math.nan  # seconds per run, shared by its estimators
 
     def row(self, label: str) -> EstimatorRow:
         for r in self.rows:
@@ -470,11 +468,14 @@ def run_study(study: StudySpec) -> SimReport:
     indices = range(study.n_runs)
     if study.parallelism > 1:
         with ProcessPoolExecutor(max_workers=study.parallelism) as pool:
-            outcomes = list(pool.map(_run_single, [study] * study.n_runs, indices,
-                                     chunksize=max(1, study.n_runs // (8 * study.parallelism))))
+            runs = list(pool.map(_run_single, [study] * study.n_runs, indices,
+                                 chunksize=max(1, study.n_runs // (8 * study.parallelism))))
     else:
-        outcomes = [_run_single(study, r) for r in indices]
-    return _aggregate(study, outcomes, psi_ref)
+        runs = [_run_single(study, r) for r in indices]
+    report = _aggregate(study, [outcomes for _, outcomes in runs], psi_ref)
+    if runs:
+        report = replace(report, mean_nuisance_fit=float(np.mean([fit_s for fit_s, _ in runs])))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +534,7 @@ def write_sidecar(report: SimReport, study: StudySpec, path, wall_time: float) -
         "trunc_g": list(study.trunc_g),
         "reference": {"kind": report.reference, "value": report.psi_ref},
         "mean_runtime_s": {r.label: r.mean_runtime for r in report.rows},
+        "mean_nuisance_fit_s": report.mean_nuisance_fit,
         "git_hash": _git_hash(),
         "wall_time_s": wall_time,
     }

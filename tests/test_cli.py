@@ -194,6 +194,73 @@ class TestConfigParsing:
         assert (out / "report.csv").exists()
 
 
+class TestConfigHardening:
+    """Malformed values exit 2 with a message, never a traceback or a silent answer."""
+
+    def simulate_cfg(self, tmp_path, *extra):
+        return write_cfg(tmp_path / "run.cfg", [
+            "mode = simulate",
+            "sim.dgp = missing_rate",
+            "sim.n = 200",
+            "sim.n_runs = 1",
+            "estimators = aipcw, ipcw_tmle_target_pi",
+            *extra,
+        ])
+
+    def run(self, cfg, tmp_path, capsys):
+        code = main(["--config", cfg, "--out", str(tmp_path / "out"), "--parallelism", "1"])
+        return code, capsys.readouterr().err
+
+    def test_non_numeric_truncation(self, tmp_path, capsys):
+        cfg = self.simulate_cfg(tmp_path, "nuisance.trunc_pi = abc, 1")
+        code, err = self.run(cfg, tmp_path, capsys)
+        assert code == EXIT_CONFIG_ERROR
+        assert "nuisance.trunc_pi" in err and "abc" in err
+
+    @pytest.mark.parametrize("key, pair", [
+        ("trunc_pi", "0.9, 0.1"),  # reversed: np.clip would set every pi to 0.1
+        ("trunc_pi", "0, 1"),
+        ("trunc_pi", "0.1, 1.5"),
+        ("trunc_g", "0.1, 1"),
+        ("trunc_g", "0.5, 0.5"),
+    ])
+    def test_truncation_out_of_order_or_range(self, tmp_path, capsys, key, pair):
+        cfg = self.simulate_cfg(tmp_path, f"nuisance.{key} = {pair}")
+        code, err = self.run(cfg, tmp_path, capsys)
+        assert code == EXIT_CONFIG_ERROR
+        assert f"nuisance.{key}" in err
+        assert not (tmp_path / "out" / "report.csv").exists()
+
+    def test_truncation_checked_in_estimate_mode(self, tmp_path, capsys):
+        ds = make_twophase_dataset(np.random.default_rng(5), n=60)
+        data = tmp_path / "toy.csv"
+        write_csv(ds, data, SCHEMA)
+        cfg = write_cfg(tmp_path / "run.cfg", [
+            "mode = estimate", f"data.path = {data}", *SCHEMA_LINES,
+            "nuisance.trunc_pi = 0.9, 0.1",
+        ])
+        code, _ = self.run(cfg, tmp_path, capsys)
+        assert code == EXIT_CONFIG_ERROR
+
+    def test_non_integer_thread_variable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TWOPHASE_THREADS", "x")
+        cfg = self.simulate_cfg(tmp_path)
+        code = main(["--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG_ERROR
+        assert "TWOPHASE_THREADS" in capsys.readouterr().err
+
+    def test_negative_max_outer_iter(self, tmp_path, capsys):
+        cfg = self.simulate_cfg(tmp_path, "estimator.ipcw_tmle_target_pi.max_outer_iter = -3")
+        code, err = self.run(cfg, tmp_path, capsys)
+        assert code == EXIT_CONFIG_ERROR
+        assert "max_outer_iter" in err
+
+    def test_zero_max_outer_iter_still_runs(self, tmp_path, capsys):
+        cfg = self.simulate_cfg(tmp_path, "estimator.ipcw_tmle_target_pi.max_outer_iter = 0")
+        code, _ = self.run(cfg, tmp_path, capsys)
+        assert code == EXIT_OK
+
+
 @pytest.fixture()
 def repro_dir():
     from pathlib import Path

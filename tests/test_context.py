@@ -1,0 +1,154 @@
+"""The per-dataset fitted context that every estimator on a dataset shares.
+
+Covers: one nuisance fit and one evaluation per dataset in studies and in
+estimate mode, equality with independent per-estimator runs whatever the
+order, read-only shared state, and shared-fit failures reported against
+every estimator.
+"""
+
+import numpy as np
+import pytest
+
+import twophase_ate.estimators as est_mod
+from twophase_ate.cli import EXIT_ESTIMATOR_FAILURE, main
+from twophase_ate.data_model import CsvSchema, write_csv
+from twophase_ate.estimators import (
+    ESTIMATOR_IDS,
+    EstimatorError,
+    EstimatorOptions,
+    fit_context,
+    run_estimator,
+    run_roster,
+)
+from twophase_ate.nuisance import NuisanceConfig, NuisanceError
+from twophase_ate.sim import DgpSpec, StudyEstimator, StudySpec, generate, run_study
+
+from util import make_twophase_dataset
+
+SCHEMA = CsvSchema(treatment="a", outcome="y", delta="d", w1=("u1",), w2=("v1", "v2"))
+SCHEMA_LINES = ["schema.treatment = a", "schema.outcome = y", "schema.delta = d",
+                "schema.w1 = u1", "schema.w2 = v1, v2"]
+
+
+@pytest.fixture()
+def counted(monkeypatch):
+    """Count fit_nuisances and evaluate_nuisances calls made by the estimators."""
+    counts = {"fit": 0, "evaluate": 0}
+    fit, evaluate = est_mod.fit_nuisances, est_mod.evaluate_nuisances
+
+    def counting_fit(*args, **kwargs):
+        counts["fit"] += 1
+        return fit(*args, **kwargs)
+
+    def counting_evaluate(*args, **kwargs):
+        counts["evaluate"] += 1
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(est_mod, "fit_nuisances", counting_fit)
+    monkeypatch.setattr(est_mod, "evaluate_nuisances", counting_evaluate)
+    return counts
+
+
+def _write_cohort(tmp_path, ds, estimators):
+    data = tmp_path / "cohort.csv"
+    write_csv(ds, data, SCHEMA)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(["mode = estimate", f"data.path = {data}", *SCHEMA_LINES,
+                              f"estimators = {', '.join(estimators)}"]) + "\n")
+    return str(cfg)
+
+
+class TestFitOncePerDataset:
+    def test_study_fits_and_evaluates_once_per_run(self, counted):
+        study = StudySpec(dgp=DgpSpec("missing_rate", n=300, seed=0),
+                          estimators=tuple(StudyEstimator(e) for e in ESTIMATOR_IDS),
+                          n_runs=3, base_seed=11, parallelism=1)
+        report = run_study(study)
+        assert all(row.n_ok == 3 for row in report.rows)
+        assert counted == {"fit": 3, "evaluate": 3}
+
+    def test_estimate_mode_fits_and_evaluates_once(self, counted, tmp_path):
+        ds = make_twophase_dataset(np.random.default_rng(0), n=200)
+        cfg = _write_cohort(tmp_path, ds, ESTIMATOR_IDS)
+        main(["--config", cfg, "--out", str(tmp_path / "out")])
+        assert counted == {"fit": 1, "evaluate": 1}
+
+
+class TestSharedEqualsFresh:
+    @pytest.mark.parametrize("dgp, known", [("missing_rate", False), ("raking_gap", False),
+                                            ("kang_dr", True)])
+    def test_any_order_matches_per_estimator_runs(self, dgp, known):
+        ds, truth = generate(DgpSpec(dgp, n=400, seed=5))
+
+        def config():
+            return NuisanceConfig(known_pi=truth.pi0 if known else None,
+                                  known_g=truth.g0 if known else None)
+
+        options = {e: EstimatorOptions() for e in ESTIMATOR_IDS}
+        options["quasi_tmle"] = EstimatorOptions(mode="linearized")
+        fresh = {e: run_estimator(ds, e, config(), options[e]) for e in ESTIMATOR_IDS}
+        for order in (ESTIMATOR_IDS, ESTIMATOR_IDS[::-1]):
+            _, results = run_roster(ds, [(e, options[e]) for e in order], config())
+            for e, (res, _) in zip(order, results):
+                assert res == fresh[e], e
+
+    def test_context_is_bound_to_its_dataset(self):
+        ds = make_twophase_dataset(np.random.default_rng(1))
+        other = make_twophase_dataset(np.random.default_rng(2))
+        ctx = fit_context(ds)
+        with pytest.raises(EstimatorError, match="another dataset"):
+            run_estimator(other, "aipcw", ctx)
+
+
+class TestSharedStateIsReadOnly:
+    def test_every_shared_array_rejects_writes(self):
+        ds, _ = generate(DgpSpec("raking_gap", n=300, seed=2))
+        ctx = fit_context(ds)
+        work = est_mod._work(ctx.scaled, ctx.nuisances)
+        arrays = [v for v in vars(work).values() if isinstance(v, np.ndarray)]
+        arrays += [work.design.x_all, work.design.x2]
+        assert len(arrays) >= 12
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+    def test_estimators_leave_the_context_unchanged(self):
+        ds = make_twophase_dataset(np.random.default_rng(3))
+        ctx = fit_context(ds)
+        work = est_mod._work(ctx.scaled, ctx.nuisances)
+        before = {k: v.copy() for k, v in vars(work).items() if isinstance(v, np.ndarray)}
+        for e in ESTIMATOR_IDS:
+            run_estimator(ds, e, ctx)
+        assert est_mod._work(ctx.scaled, ctx.nuisances) is work
+        for k, v in before.items():
+            assert np.array_equal(getattr(work, k), v), k
+
+
+class TestSharedFitFailure:
+    def test_study_counts_every_estimator_failed(self, monkeypatch):
+        def failing_fit(*args, **kwargs):
+            raise NuisanceError("phase-2 indicator is constant")
+
+        monkeypatch.setattr(est_mod, "fit_nuisances", failing_fit)
+        study = StudySpec(dgp=DgpSpec("missing_rate", n=200, seed=0),
+                          estimators=(StudyEstimator("aipcw"), StudyEstimator("raking"),
+                                      StudyEstimator("tmle_alt")),
+                          n_runs=2, base_seed=3, parallelism=1)
+        report = run_study(study)
+        for row in report.rows:
+            assert (row.n_ok, row.n_failed) == (0, 2)
+            assert row.first_error == "nuisance fitting failed: phase-2 indicator is constant"
+
+    def test_estimate_mode_writes_blank_rows_and_exits_one(self, tmp_path, capsys):
+        ds = make_twophase_dataset(np.random.default_rng(4), n=120)
+        # every record in phase 2: the sampling mechanism is unidentifiable
+        full = type(ds)(w1=ds.w1, a=ds.a, y=ds.y, delta=np.ones(ds.n, dtype=int),
+                        w2=np.nan_to_num(ds.w2), y_kind="binary")
+        cfg = _write_cohort(tmp_path, full, ("aipcw", "eee"))
+        assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_ESTIMATOR_FAILURE
+        rows = (tmp_path / "out" / "estimates.csv").read_text().splitlines()
+        assert rows[1:] == ["aipcw,,,,,,,false", "eee,,,,,,,false"]
+        err = capsys.readouterr().err
+        for e in ("aipcw", "eee"):
+            assert f"estimator {e} failed: nuisance fitting failed: phase-2 indicator is constant" in err

@@ -270,6 +270,11 @@ class TestResultContract:
             assert r.ci95[0] == pytest.approx(r.psi_hat - 1.96 * r.se, abs=1e-12)
             assert r.ci95[1] == pytest.approx(r.psi_hat + 1.96 * r.se, abs=1e-12)
 
+    def test_negative_max_outer_iter_rejected(self):
+        # a negative cap used to skip the outer loop and crash on an unbound state
+        with pytest.raises(ValueError, match="max_outer_iter"):
+            EstimatorOptions(max_outer_iter=-3)
+
     def test_unknown_estimator_rejected(self):
         ds = make_twophase_dataset(np.random.default_rng(18))
         with pytest.raises(EstimatorError, match="unknown"):

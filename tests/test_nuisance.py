@@ -4,6 +4,10 @@ import pytest
 from twophase_ate.data_model import Dataset
 from twophase_ate.glm import expit, fit_glm
 from twophase_ate.nuisance import (
+    TRUNC_G_DEFAULT,
+    TRUNC_PI_DEFAULT,
+    GlmPredictor,
+    MbarDesign,
     NuisanceConfig,
     NuisanceError,
     aw_features,
@@ -156,6 +160,37 @@ class TestFitMbar:
         pred = fit_mbar(ds, np.array([1.0, 2.0]))
         assert np.all(np.isfinite(pred.predict(v_features(ds))))
 
+    def test_shared_design_matches_fresh_fit_exactly(self):
+        ds = make_twophase_dataset(np.random.default_rng(14))
+        design = MbarDesign(ds)
+        rng = np.random.default_rng(15)
+        for _ in range(3):
+            vals = rng.normal(size=ds.n_phase2)
+            fresh = fit_mbar(ds, vals).fit
+            shared = fit_mbar(ds, vals, design=design).fit
+            assert np.array_equal(fresh.coefficients, shared.coefficients)
+            assert fresh.converged == shared.converged
+
+    def test_shared_design_keeps_the_checks(self):
+        ds = make_twophase_dataset(np.random.default_rng(16))
+        design = MbarDesign(ds)
+        with pytest.raises(NuisanceError, match="align"):
+            fit_mbar(ds, np.ones(ds.n_phase2 + 1), design=design)
+        vals = np.ones(ds.n_phase2)
+        vals[3] = np.nan
+        with pytest.raises(NuisanceError, match="non-finite"):
+            fit_mbar(ds, vals, design=design)
+
+    def test_weighted_fit_matches_glm(self):
+        ds = make_twophase_dataset(np.random.default_rng(17))
+        p2 = ds.phase2
+        vals = ds.w1[p2, 0] ** 2
+        w = np.linspace(0.5, 2.0, len(p2))
+        X = np.column_stack([np.ones(len(p2)), v_features(ds, p2)])
+        ref = fit_glm(X, vals, w=w, family="gaussian")
+        got = fit_mbar(ds, vals, weights=w, design=MbarDesign(ds)).fit
+        assert np.array_equal(got.coefficients, ref.coefficients)
+
 
 class TestFitNuisances:
     def test_bundle_with_known_mechanisms(self):
@@ -168,9 +203,16 @@ class TestFitNuisances:
         g_vals = predict_on(ns.g, w_features(ds, ds.phase2), rows=ds.phase2)
         assert np.all(g_vals == 0.5)
 
+    @pytest.mark.parametrize("trunc", [{"trunc_pi": (0.9, 0.1)}, {"trunc_pi": (0.0, 1.0)},
+                                       {"trunc_g": (0.2, 1.0)}, {"trunc_g": (0.6, 0.4)}])
+    def test_invalid_truncation_rejected(self, trunc):
+        with pytest.raises(ValueError, match="trunc_"):
+            NuisanceConfig(**trunc)
+
     def test_default_bundle_fits_everything(self):
         ds = make_twophase_dataset(np.random.default_rng(13))
         ns = fit_nuisances(ds)
-        assert ns.mbar is None
+        assert isinstance(ns.pi, GlmPredictor) and isinstance(ns.g, GlmPredictor)
+        assert (ns.trunc_pi, ns.trunc_g) == (TRUNC_PI_DEFAULT, TRUNC_G_DEFAULT)
         q_vals = ns.q.predict(aw_features(ds, ds.phase2))
         assert np.all((q_vals > 0) & (q_vals < 1))

@@ -191,3 +191,32 @@ class TestRunStudy:
             assert row.n_ok == 6 and row.n_failed == 0
             assert 0.0 <= row.coverage <= 1.0
             assert row.mse >= 0.0
+
+
+class TestSpecValidation:
+    def test_negative_max_outer_iter_rejected(self):
+        with pytest.raises(ValueError, match="max_outer_iter"):
+            StudyEstimator("ipcw_tmle_target_pi", max_outer_iter=-3)
+
+    @pytest.mark.parametrize("trunc", [{"trunc_pi": (0.9, 0.1)}, {"trunc_g": (0.01, 1.0)}])
+    def test_bad_truncation_rejected(self, trunc):
+        with pytest.raises(ValueError, match="trunc_"):
+            StudySpec(dgp=DgpSpec("missing_rate", n=100, seed=0),
+                      estimators=(StudyEstimator("aipcw"),), n_runs=1, base_seed=0, **trunc)
+
+
+class TestSidecar:
+    def test_nuisance_fit_time_reported_beside_estimator_times(self, tmp_path):
+        import json
+
+        from twophase_ate.sim import write_sidecar
+
+        study = StudySpec(dgp=DgpSpec("missing_rate", n=300, seed=0),
+                          estimators=(StudyEstimator("aipcw"), StudyEstimator("eee")),
+                          n_runs=2, base_seed=7)
+        report = run_study(study)
+        path = tmp_path / "report.meta.json"
+        write_sidecar(report, study, path, wall_time=1.0)
+        meta = json.loads(path.read_text())
+        assert meta["mean_nuisance_fit_s"] == report.mean_nuisance_fit > 0
+        assert set(meta["mean_runtime_s"]) == {"aipcw", "eee"}
