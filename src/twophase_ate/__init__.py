@@ -11,7 +11,6 @@ from .data_model import (
     CsvSchema,
     DataError,
     Dataset,
-    ObservedRecord,
     OutcomeScale,
     load_csv,
     scale_outcome,
@@ -39,7 +38,6 @@ __all__ = [
     "CsvSchema",
     "DataError",
     "Dataset",
-    "ObservedRecord",
     "OutcomeScale",
     "load_csv",
     "scale_outcome",

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "DataError",
-    "ObservedRecord",
     "Dataset",
     "CsvSchema",
     "OutcomeScale",
@@ -32,27 +30,6 @@ BOUNDS_MARGIN = 1e-6
 
 class DataError(ValueError):
     """A dataset or CSV file violates the two-phase data contract."""
-
-
-@dataclass(frozen=True)
-class ObservedRecord:
-    """One subject: phase-1 variables, phase-2 flag, optional phase-2 covariates."""
-
-    w1: tuple[float, ...]
-    a: int
-    y: float
-    delta: int
-    w2: tuple[float, ...] | None
-
-    def __post_init__(self):
-        if self.a not in (0, 1):
-            raise DataError(f"treatment must be 0/1, got {self.a!r}")
-        if self.delta not in (0, 1):
-            raise DataError(f"phase-2 indicator must be 0/1, got {self.delta!r}")
-        if self.delta == 0 and self.w2 is not None:
-            raise DataError("record with delta=0 must not carry w2")
-        if self.delta == 1 and self.w2 is None:
-            raise DataError("record with delta=1 must carry w2")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -146,59 +123,6 @@ class Dataset:
     @property
     def n_phase2(self) -> int:
         return int(self.delta.sum())
-
-    @property
-    def records(self) -> list[ObservedRecord]:
-        out = []
-        for i in range(self.n):
-            w2 = tuple(self.w2[i]) if self.delta[i] == 1 else None
-            if self.d_w2 == 0:
-                w2 = () if self.delta[i] == 1 else None
-            out.append(
-                ObservedRecord(
-                    w1=tuple(self.w1[i]),
-                    a=int(self.a[i]),
-                    y=float(self.y[i]),
-                    delta=int(self.delta[i]),
-                    w2=w2,
-                )
-            )
-        return out
-
-    @classmethod
-    def from_records(
-        cls,
-        records: Iterable[ObservedRecord],
-        y_kind: str = "binary",
-        y_bounds: tuple[float, float] | None = None,
-    ) -> "Dataset":
-        recs = list(records)
-        if not recs:
-            raise DataError("dataset is empty")
-        d1 = len(recs[0].w1)
-        d2 = None
-        for r in recs:
-            if len(r.w1) != d1:
-                raise DataError("records disagree on w1 dimension")
-            if r.delta == 1:
-                if d2 is None:
-                    d2 = len(r.w2)
-                elif len(r.w2) != d2:
-                    raise DataError("records disagree on w2 dimension")
-        d2 = 0 if d2 is None else d2
-        n = len(recs)
-        w1 = np.array([r.w1 for r in recs], dtype=float).reshape(n, d1)
-        a = np.array([r.a for r in recs])
-        y = np.array([r.y for r in recs], dtype=float)
-        delta = np.array([r.delta for r in recs])
-        w2 = np.full((n, d2), np.nan)
-        for i, r in enumerate(recs):
-            if r.delta == 1 and d2:
-                w2[i] = r.w2
-        if y_kind == "continuous" and y_bounds is None:
-            y_bounds = default_bounds(y)
-        return cls(w1=w1, a=a, y=y, delta=delta, w2=w2, y_kind=y_kind,
-                   y_bounds=y_bounds if y_bounds is not None else (0.0, 1.0))
 
     def replace_y(self, y: np.ndarray, y_kind: str, y_bounds: tuple[float, float]) -> "Dataset":
         return Dataset(w1=self.w1, a=self.a, y=y, delta=self.delta, w2=self.w2,

@@ -1,11 +1,11 @@
 """Efficient-influence-curve evaluation for the two-phase ATE problem.
 
-The observed-data influence curve is computed in two algebraically equal
-representations: the weighted-full-data-minus-projection form, and the
-four-component decomposition (outcome score, sampling score, conditional
-full-data distribution, and marginal phase-1 part). Their pointwise
-equality is the single best wiring check in this code base, so it runs by
-default whenever both are materialized.
+The observed-data influence curve is built in two algebraically equal
+representations: the weighted-full-data-minus-projection form
+(`observed_eic`), and the four-component decomposition into outcome
+score, sampling score, conditional full-data distribution, and marginal
+phase-1 part (`eic_components`). The estimators use both, so their
+pointwise equality is the single best wiring check in this code base.
 """
 
 from __future__ import annotations
@@ -15,37 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import Dataset
-from .nuisance import (
-    NuisanceSet,
-    Predictor,
-    aw_features,
-    fit_mbar,
-    predict_on,
-    v_features,
-    w_features,
-)
+from .nuisance import NuisanceSet, aw_features, v_features, w_features
 
 __all__ = [
-    "EicConsistencyError",
     "NuisanceValues",
-    "EicEvaluation",
-    "LinearizedEic",
     "EicVariance",
     "evaluate_nuisances",
     "clever_covariate",
     "fulldata_eic_values",
-    "fulldata_eic",
     "observed_eic",
+    "eic_components",
     "linearized_slope_values",
-    "linearized_slope",
     "eic_variance",
 ]
-
-REPRESENTATION_TOL = 1e-8
-
-
-class EicConsistencyError(RuntimeError):
-    """The two influence-curve representations disagree: a wiring bug."""
 
 
 @dataclass(frozen=True)
@@ -65,13 +47,13 @@ class NuisanceValues:
 
 def evaluate_nuisances(ds: Dataset, ns: NuisanceSet) -> NuisanceValues:
     p2 = ds.phase2
-    pi = predict_on(ns.pi, v_features(ds), rows=np.arange(ds.n))
+    pi = ns.pi.predict(v_features(ds), rows=np.arange(ds.n))
     pi = np.clip(pi, ns.trunc_pi[0], ns.trunc_pi[1])
-    g1 = predict_on(ns.g, w_features(ds, p2), rows=p2)
+    g1 = ns.g.predict(w_features(ds, p2), rows=p2)
     g1 = np.clip(g1, ns.trunc_g[0], ns.trunc_g[1])
-    q_a = predict_on(ns.q, aw_features(ds, p2), rows=p2)
-    q1 = predict_on(ns.q, aw_features(ds, p2, a_value=1), rows=p2)
-    q0 = predict_on(ns.q, aw_features(ds, p2, a_value=0), rows=p2)
+    q_a = ns.q.predict(aw_features(ds, p2), rows=p2)
+    q1 = ns.q.predict(aw_features(ds, p2, a_value=1), rows=p2)
+    q0 = ns.q.predict(aw_features(ds, p2, a_value=0), rows=p2)
     return NuisanceValues(pi=pi, g1=g1, q_a=q_a, q1=q1, q0=q0)
 
 
@@ -82,142 +64,48 @@ def clever_covariate(a, g1):
     return a / g1 - (1.0 - a) / (1.0 - g1)
 
 
-def fulldata_eic_values(y, a, q_a, q1, q0, g1, psi: float):
-    """Uncentered and centered full-data influence values on full-data rows."""
-    h = clever_covariate(a, g1)
-    dbar = h * (np.asarray(y, dtype=float) - q_a) + q1 - q0
-    return dbar, dbar - psi
+def fulldata_eic_values(y, h, q_a, q1, q0) -> np.ndarray:
+    """Uncentered full-data influence values h*(y - Q(a,w)) + Q(1,w) - Q(0,w)
+    on full-data rows, where h = clever_covariate(a, g1)."""
+    return h * (np.asarray(y, dtype=float) - q_a) + q1 - q0
 
 
-def fulldata_eic(ds: Dataset, q: Predictor, g: Predictor, psi: float,
-                 rows: np.ndarray | None = None,
-                 trunc_g: tuple[float, float] | None = None):
-    """Dataset-level full-data influence values; defined on phase-2 rows only."""
-    p2 = ds.phase2
-    if rows is None:
-        rows = p2
-    else:
-        rows = np.asarray(rows)
-        if np.any(ds.delta[rows] == 0):
-            raise ValueError("full-data influence values requested on a delta=0 row")
-    g1 = predict_on(g, w_features(ds, rows), rows=rows)
-    if trunc_g is not None:
-        g1 = np.clip(g1, trunc_g[0], trunc_g[1])
-    q_a = predict_on(q, aw_features(ds, rows), rows=rows)
-    q1 = predict_on(q, aw_features(ds, rows, a_value=1), rows=rows)
-    q0 = predict_on(q, aw_features(ds, rows, a_value=0), rows=rows)
-    return fulldata_eic_values(ds.y[rows], ds.a[rows], q_a, q1, q0, g1, psi)
+def observed_eic(dbar2, mbar_all, pi, psi: float, phase2, delta) -> np.ndarray:
+    """Observed-data influence values on all rows, weighted-projection form:
+    delta/pi * (dbar - psi) - (delta - pi)/pi * (mbar - psi).
 
-
-@dataclass(frozen=True)
-class EicEvaluation:
-    """Per-record influence values at one nuisance configuration.
-
-    Arrays are full length n. Full-data quantities (h, dbar_f, d_f) are NaN
-    on delta=0 records; the decomposition components are zero there except
-    the sampling and marginal parts, which are phase-1 measurable.
+    dbar2 holds the uncentered full-data values on the phase-2 rows (in
+    `phase2` order); mbar_all is their regression on phase-1 features,
+    predicted on every row.
     """
-
-    psi: float
-    h: np.ndarray
-    dbar_f: np.ndarray
-    d_f: np.ndarray
-    d_obs: np.ndarray
-    q_comp: np.ndarray
-    pi_comp: np.ndarray
-    gamma_comp: np.ndarray
-    pv_comp: np.ndarray
-
-    @property
-    def components_sum(self) -> np.ndarray:
-        return self.q_comp + self.pi_comp + self.gamma_comp + self.pv_comp
+    d = -(mbar_all - psi) / pi * (delta - pi)
+    d[phase2] += (dbar2 - psi) / pi[phase2]
+    return d
 
 
-def observed_eic(
-    ds: Dataset,
-    ns: NuisanceSet,
-    psi: float,
-    mbar_resid: Predictor | None = None,
-    mbar_contrast: Predictor | None = None,
-    values: NuisanceValues | None = None,
-    check: str = "full",
-) -> EicEvaluation:
-    """Observed-data influence values in both representations.
+def eic_components(resid2, r_all, contrast2, c_all, pi, psi: float, phase2, delta):
+    """The four components of the observed-data influence values on all rows.
 
-    The conditional regression of the uncentered full-data influence values
-    is carried as two pieces, the residual part E[H(Y-Q)|phase 2, V] and the
-    contrast part E[Q(1,W)-Q(0,W)|phase 2, V]; their sum is the regression
-    the weighted-projection form needs, and the pieces feed the decomposition.
-    Both are fit here (phase-2 rows, gaussian main terms) when not supplied.
-
-    check: "full" verifies pointwise equality of the representations on all
-    rows, "sample" on ~1% of rows, "off" skips it.
+    The full-data values split into the residual part resid2 = h*(y - Q(a,w))
+    and the contrast part contrast2 = Q(1,w) - Q(0,w), with phase-1
+    regressions r_all and c_all. Returns (outcome score, sampling score,
+    conditional full-data part, marginal phase-1 part); their sum is
+    observed_eic(resid2 + contrast2, r_all + c_all, pi, psi, phase2, delta).
+    The outcome and conditional parts are zero on delta=0 rows.
     """
-    if values is None:
-        values = evaluate_nuisances(ds, ns)
-    n = ds.n
-    p2 = ds.phase2
-    delta = ds.delta.astype(float)
-    pi = values.pi
-    h2 = clever_covariate(ds.a[p2], values.g1)
-    resid2 = h2 * (ds.y[p2] - values.q_a)
-    contrast2 = values.q1 - values.q0
-    dbar2 = resid2 + contrast2
-
-    if mbar_resid is None:
-        mbar_resid = fit_mbar(ds, resid2)
-    if mbar_contrast is None:
-        mbar_contrast = fit_mbar(ds, contrast2)
-    r_all = predict_on(mbar_resid, v_features(ds), rows=np.arange(n))
-    c_all = predict_on(mbar_contrast, v_features(ds), rows=np.arange(n))
-    mbar_all = r_all + c_all
-
-    # weighted full-data form minus its phase-2 tangent-space projection
-    d_aipcw = np.zeros(n)
-    d_aipcw[p2] = (dbar2 - psi) / pi[p2]
-    d_aipcw -= (mbar_all - psi) / pi * (delta - pi)
-
-    # four-component decomposition
-    q_comp = np.zeros(n)
-    q_comp[p2] = resid2 / pi[p2]
-    pi_comp = -(delta - pi) / pi * r_all
-    gamma_comp = np.zeros(n)
-    gamma_comp[p2] = (contrast2 - c_all[p2]) / pi[p2]
-    pv_comp = c_all - psi
-    d_obs = q_comp + pi_comp + gamma_comp + pv_comp
-
-    if check != "off":
-        idx = np.arange(0, n, 100) if check == "sample" else slice(None)
-        gap = np.max(np.abs(d_obs[idx] - d_aipcw[idx])) if n else 0.0
-        if gap > REPRESENTATION_TOL:
-            raise EicConsistencyError(
-                f"influence-curve representations disagree by {gap:.3e} "
-                f"(> {REPRESENTATION_TOL:.0e}); nuisance wiring is inconsistent"
-            )
-
-    h = np.full(n, np.nan)
-    dbar_f = np.full(n, np.nan)
-    d_f = np.full(n, np.nan)
-    h[p2] = h2
-    dbar_f[p2] = dbar2
-    d_f[p2] = dbar2 - psi
-    return EicEvaluation(
-        psi=float(psi), h=h, dbar_f=dbar_f, d_f=d_f, d_obs=d_obs,
-        q_comp=q_comp, pi_comp=pi_comp, gamma_comp=gamma_comp, pv_comp=pv_comp,
-    )
+    n = len(pi)
+    d_q = np.zeros(n)
+    d_q[phase2] = resid2 / pi[phase2]
+    d_pi = -(delta - pi) / pi * r_all
+    d_gamma = np.zeros(n)
+    d_gamma[phase2] = (contrast2 - c_all[phase2]) / pi[phase2]
+    d_pv = c_all - psi
+    return d_q, d_pi, d_gamma, d_pv
 
 
-@dataclass(frozen=True)
-class LinearizedEic:
-    """Slope of the uncentered full-data influence values in the fluctuation
-    coefficient at zero, under a linear or logistic outcome submodel."""
-
-    slope: np.ndarray
-    submodel: str
-    j: np.ndarray | None = None  # Q(1-Q) at the observed arm (logistic only)
-
-
-def linearized_slope_values(a, g1, q_a, q1, q0, submodel: str = "logistic") -> LinearizedEic:
+def linearized_slope_values(a, g1, q_a, q1, q0) -> np.ndarray:
+    """Slope at zero of the uncentered full-data influence values in the
+    coefficient of the logistic outcome fluctuation."""
     a = np.asarray(a, dtype=float)
     g1 = np.asarray(g1, dtype=float)
     q_a = np.asarray(q_a, dtype=float)
@@ -226,27 +114,10 @@ def linearized_slope_values(a, g1, q_a, q1, q0, submodel: str = "logistic") -> L
     h_a = clever_covariate(a, g1)
     h1 = 1.0 / g1
     h0 = -1.0 / (1.0 - g1)
-    if submodel == "linear":
-        return LinearizedEic(slope=h1 - h0 - h_a**2, submodel="linear")
-    if submodel != "logistic":
-        raise ValueError(f"unknown submodel {submodel!r}")
     j_a = q_a * (1.0 - q_a)
     j1 = q1 * (1.0 - q1)
     j0 = q0 * (1.0 - q0)
-    return LinearizedEic(slope=j1 * h1 - j0 * h0 - j_a * h_a**2, submodel="logistic", j=j_a)
-
-
-def linearized_slope(ds: Dataset, q: Predictor, g: Predictor,
-                     submodel: str = "logistic",
-                     trunc_g: tuple[float, float] | None = None) -> LinearizedEic:
-    p2 = ds.phase2
-    g1 = predict_on(g, w_features(ds, p2), rows=p2)
-    if trunc_g is not None:
-        g1 = np.clip(g1, trunc_g[0], trunc_g[1])
-    q_a = predict_on(q, aw_features(ds, p2), rows=p2)
-    q1 = predict_on(q, aw_features(ds, p2, a_value=1), rows=p2)
-    q0 = predict_on(q, aw_features(ds, p2, a_value=0), rows=p2)
-    return linearized_slope_values(ds.a[p2], g1, q_a, q1, q0, submodel=submodel)
+    return j1 * h1 - j0 * h0 - j_a * h_a**2
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data_model import Dataset, OutcomeScale, scale_outcome
-from .eic import clever_covariate, eic_variance, evaluate_nuisances, linearized_slope_values
+from .eic import (
+    clever_covariate,
+    eic_components,
+    eic_variance,
+    evaluate_nuisances,
+    fulldata_eic_values,
+    linearized_slope_values,
+    observed_eic,
+)
 from .glm import P_MIN, GlmError, expit, fit_fluctuation, fit_glm, logit
 from .nuisance import (
     MbarDesign,
@@ -36,7 +44,7 @@ from .nuisance import (
     fit_mbar,
     fit_nuisances,
 )
-from .roots import RootResult, bisect, secant
+from .roots import bisect, newton, secant
 
 __all__ = [
     "EstimatorError",
@@ -168,7 +176,7 @@ class _Work:
             arr.flags.writeable = False
 
     def dbar(self, q_a, q1, q0) -> np.ndarray:
-        return self.h2 * (self.y2 - q_a) + q1 - q0
+        return fulldata_eic_values(self.y2, self.h2, q_a, q1, q0)
 
     def hajek_plugin(self, q1, q0, pi) -> float:
         w = 1.0 / pi[self.p2]
@@ -190,12 +198,6 @@ class _Work:
             q1 = expit(logit(q1, P_MIN) + eps * self.h1)
             q0 = expit(logit(q0, P_MIN) + eps * self.h0)
         return q_a, q1, q0, fit
-
-    def d_obs(self, dbar2, mbar_all, pi, psi) -> np.ndarray:
-        """Observed-data EIC, weighted-projection form, on all rows."""
-        d = -(mbar_all - psi) / pi * (self.delta - pi)
-        d[self.p2] += (dbar2 - psi) / pi[self.p2]
-        return d
 
 
 def _work(ds: Dataset, ns: NuisanceSet) -> _Work:
@@ -257,7 +259,12 @@ def rake_weights(mbar: np.ndarray, pi: np.ndarray, delta: np.ndarray,
         return float(w0 @ (tilt(lam) * m2) - target)
 
     def dF(lam: float) -> float:
-        return float(-(w0 * m2**2) @ tilt(lam))
+        g = float(-(w0 * m2**2) @ tilt(lam))
+        if abs(g) < 1e-14:
+            raise EstimatorError(
+                "raking solver stalled: vanishing gradient with unsatisfied constraint"
+            )
+        return g
 
     def solution(lam: float, n_iter: int, converged: bool) -> RakeSolution:
         a = np.exp(np.clip(-lam * m, -700.0, 700.0))
@@ -274,28 +281,16 @@ def rake_weights(mbar: np.ndarray, pi: np.ndarray, delta: np.ndarray,
             "phase-2 rows but the full-sample total is nonzero"
         )
 
-    lam, f = 0.0, f0
-    for it in range(1, max_iter + 1):
-        g = dF(lam)
-        if abs(g) < 1e-14:
-            raise EstimatorError(
-                "raking solver stalled: vanishing gradient with unsatisfied constraint"
-            )
-        lam = lam - f / g
-        f = F(lam)
-        if abs(f) <= tol:
-            return solution(lam, it, True)
-
-    # F is strictly decreasing; recover any sign change by bisection
-    span = max(1.0, abs(lam))
-    lo, hi = -span, span
-    for _ in range(60):
-        if F(lo) > 0 > F(hi):
-            res = bisect(F, lo, hi, tol)
-            return solution(res.x, max_iter + res.n_iter, res.converged)
-        lo *= 2.0
-        hi *= 2.0
-    return solution(lam, max_iter, False)
+    res = newton(F, dF, f0, tol, max_iter)
+    if res.converged:
+        return solution(res.x, res.n_iter, True)
+    # F is strictly decreasing, so its root is the one sign change on a
+    # symmetric doubling grid wide enough to hold it
+    steps = max(1.0, abs(res.x)) * 2.0 ** np.arange(60)
+    fallback = bisect(F, np.concatenate([-steps[::-1], steps]), tol)
+    if fallback is None:
+        return solution(res.x, res.n_iter, False)
+    return solution(fallback.x, res.n_iter + fallback.n_iter, fallback.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +309,7 @@ def estimate_aipcw(ds: Dataset, ns: NuisanceSet,
         np.sum(dbar2 / pi[w.p2]) / w.n
         - np.sum(mbar * (w.delta - pi) / pi) / w.n
     )
-    d = w.d_obs(dbar2, mbar, pi, psi)
+    d = observed_eic(dbar2, mbar, pi, psi, w.p2, w.delta)
     return _result("aipcw", psi, d, w.n, 0, True,
                    details={"mbar": mbar, "dbar2": dbar2})
 
@@ -330,8 +325,7 @@ def estimate_eee(ds: Dataset, ns: NuisanceSet,
     zeta = float((wts2 @ (dbar2 - mbar[w.p2])) / wts2.sum())
     mbar_star = mbar + zeta
     psi = float(np.mean(mbar_star))
-    d = (mbar_star - psi).copy()
-    d[w.p2] += wts2 * (dbar2 - mbar_star[w.p2])
+    d = observed_eic(dbar2, mbar_star, w.pi0, psi, w.p2, w.delta)
     return _result("eee", psi, d, w.n, 0, True,
                    details={"zeta": zeta, "mbar_star": mbar_star, "dbar2": dbar2})
 
@@ -349,7 +343,7 @@ def estimate_ipcw_tmle(ds: Dataset, ns: NuisanceSet,
     psi = w.hajek_plugin(q1, q0, w.pi0)
     dbar2 = w.dbar(q_a, q1, q0)
     mbar = w.mbar_all(dbar2)
-    d = w.d_obs(dbar2, mbar, w.pi0, psi)
+    d = observed_eic(dbar2, mbar, w.pi0, psi, w.p2, w.delta)
     wts2 = 1.0 / w.pi0[w.p2]
     weighted_fulldata_score = float(np.sum((dbar2 - psi) * wts2) / w.n)
     return _result(
@@ -398,9 +392,8 @@ def _iterative_ipcw_tmle(ds, ns, options, use_raking: bool, estimator_id: str) -
         psi = w.hajek_plugin(q1, q0, pi)
         m_level = w.mbar_all(dbar2)
         if linearized:
-            slope = linearized_slope_values(w.a2, w.g1, q_a, q1, q0, submodel="logistic")
-            m_slope = w.mbar_all(slope.slope)
-        d = w.d_obs(dbar2, m_level, pi, psi)
+            m_slope = w.mbar_all(linearized_slope_values(w.a2, w.g1, q_a, q1, q0))
+        d = observed_eic(dbar2, m_level, pi, psi, w.p2, w.delta)
         pnd = float(abs(np.mean(d)))
         s_n = _threshold(d, w.n)
         state = _LoopState(psi=psi, d=d, pnd=pnd, s_n=s_n, q1=q1, q0=q0, pi=pi)
@@ -427,6 +420,9 @@ def _iterative_ipcw_tmle(ds, ns, options, use_raking: bool, estimator_id: str) -
         # sampling-mechanism targeting
         if use_raking:
             rake_last = rake_weights(m_centered, pi, w.delta, tol=options.rake_tol)
+            if not rake_last.converged:
+                # uncalibrated weights would leave the score equation unsolved
+                break
             pi = rake_last.pi_star
         else:
             cov = m_centered / pi
@@ -521,45 +517,42 @@ class _CensusModel:
                  wts2: np.ndarray, family: str):
         ds = w.ds
 
-        def design(rows, w2mat, a_value=None):
-            a_col = ds.a[rows].astype(float) if a_value is None else np.full(
-                len(rows), float(a_value))
-            return np.column_stack([np.ones(len(rows)), a_col, ds.w1[rows], w2mat])
+        def designs(rows, w2mat):
+            """The design [1, a, w1, w2] at the observed arm, a=1 and a=0."""
+            X = np.column_stack([np.ones(len(rows)), ds.a[rows].astype(float),
+                                 ds.w1[rows], w2mat])
+            X1, X0 = X.copy(), X.copy()
+            X1[:, 1] = 1.0
+            X0[:, 1] = 0.0
+            return X, X1, X0
 
-        Xp = design(w.p2, ds.w2[w.p2])
-        self.fit = fit_glm(Xp, w.y2, w=wts2, family=family)
-
-        def pieces(rows, w2mat, alpha):
-            X = design(rows, w2mat)
-            q_a = self.fit.predict(X)
-            q1 = self.fit.predict(design(rows, w2mat, a_value=1))
-            q0 = self.fit.predict(design(rows, w2mat, a_value=0))
+        def pieces(rows, X, X1, X0, alpha):
+            q_a, q1, q0 = (self.fit.predict(Z) for Z in (X, X1, X0))
             return (X @ alpha) * (ds.y[rows] - q_a) + (q1 - q0)
 
-        q_a2 = self.fit.predict(Xp)
-        q12 = self.fit.predict(design(w.p2, ds.w2[w.p2], a_value=1))
-        q02 = self.fit.predict(design(w.p2, ds.w2[w.p2], a_value=0))
+        Xp, Xp1, Xp0 = designs(w.p2, ds.w2[w.p2])
+        self.fit = fit_glm(Xp, w.y2, w=wts2, family=family)
+        q_a2, q12, q02 = (self.fit.predict(Z) for Z in (Xp, Xp1, Xp0))
         if family == "bernoulli":
             j_a, j1, j0 = q_a2 * (1 - q_a2), q12 * (1 - q12), q02 * (1 - q02)
         else:
             j_a = j1 = j0 = np.ones(len(w.p2))
         wn = wts2 / wts2.sum()
         info = (Xp * (wn * j_a)[:, None]).T @ Xp
-        grad = (j1[:, None] * design(w.p2, ds.w2[w.p2], a_value=1)
-                - j0[:, None] * design(w.p2, ds.w2[w.p2], a_value=0)).T @ wn
+        grad = (j1[:, None] * Xp1 - j0[:, None] * Xp0).T @ wn
         alpha = np.linalg.solve(info, grad)
         self.psi_plugin = float(wn @ (q12 - q02))
 
         u = np.empty(ds.n)
-        u[w.p2] = pieces(w.p2, ds.w2[w.p2], alpha)
+        u[w.p2] = pieces(w.p2, Xp, Xp1, Xp0, alpha)
         censored = np.flatnonzero(ds.delta == 0)
         if len(censored):
             if imputation is None:  # no phase-2 covariates: nothing to impute
-                u[censored] = pieces(censored, ds.w2[censored], alpha)
+                u[censored] = pieces(censored, *designs(censored, ds.w2[censored]), alpha)
             else:
                 acc = np.zeros(len(censored))
                 for weight, w2mat in imputation.grid(censored):
-                    acc += weight * pieces(censored, w2mat, alpha)
+                    acc += weight * pieces(censored, *designs(censored, w2mat), alpha)
                 u[censored] = acc
         self.u_uncentered = u
 
@@ -630,8 +623,7 @@ def estimate_quasi_tmle(ds: Dataset, ns: NuisanceSet,
     linearized = options.mode == "linearized"
     if linearized:
         m_level = w.mbar_all(w.dbar(w.q_a0, w.q10, w.q00))
-        slope = linearized_slope_values(w.a2, w.g1, w.q_a0, w.q10, w.q00, "logistic")
-        m_slope = w.mbar_all(slope.slope)
+        m_slope = w.mbar_all(linearized_slope_values(w.a2, w.g1, w.q_a0, w.q10, w.q00))
     n_evals = 0
 
     def model_at(eps: float):
@@ -658,16 +650,7 @@ def estimate_quasi_tmle(ds: Dataset, ns: NuisanceSet,
     x1 = warm.epsilon if warm.epsilon != 0.0 else 1e-3
     res = secant(score_fn, 0.0, x1, options.root_tol, max_iter=100)
     if not res.converged:
-        grid = np.linspace(-10.0, 10.0, 81)
-        vals = [score_fn(g) for g in grid]
-        res = None
-        for i in range(len(grid) - 1):
-            if vals[i] == 0.0:
-                res = RootResult(float(grid[i]), 0.0, 0, True)
-                break
-            if vals[i] * vals[i + 1] < 0:
-                res = bisect(score_fn, grid[i], grid[i + 1], options.root_tol)
-                break
+        res = bisect(score_fn, np.linspace(-10.0, 10.0, 81), options.root_tol)
         if res is None or not res.converged:
             raise EstimatorError("plug-in fluctuation solve failed: no root in [-10, 10]")
 
@@ -676,8 +659,7 @@ def estimate_quasi_tmle(ds: Dataset, ns: NuisanceSet,
     psi = psi_plug  # plug-in identity: P_n targeted regression equals this
     mbar_star = m_all.copy()
     mbar_star[w.p2] += gamma * wts2
-    d = (mbar_star - psi).copy()
-    d[w.p2] += wts2 * (dbar2 - mbar_star[w.p2])
+    d = observed_eic(dbar2, mbar_star, pi, psi, w.p2, w.delta)
     return _result(
         "quasi_tmle", psi, d, w.n, n_evals, True,
         details={"epsilon": eps, "gamma": gamma, "q1": q1, "q0": q0,
@@ -724,10 +706,8 @@ def estimate_tmle_alt(ds: Dataset, ns: NuisanceSet,
         for k in range(options.max_outer_iter + 1):
             resid2 = w.h2 * (w.y2 - q_a)
             r_all = w.mbar_all(resid2)
-            d_q = np.zeros(w.n)
-            d_q[w.p2] = resid2 / pi[w.p2]
-            d_pi = -(w.delta - pi) / pi * r_all
-            d_qpi = d_q + d_pi
+            # outcome + sampling components: the EIC of the residual part alone
+            d_qpi = observed_eic(resid2, r_all, pi, 0.0, w.p2, w.delta)
             pnd = float(abs(np.mean(d_qpi)))
             s_n_loop = _threshold(d_qpi, w.n)
             first_pass = k == 0 and _round == 0 and n_outer == 0
@@ -754,10 +734,9 @@ def estimate_tmle_alt(ds: Dataset, ns: NuisanceSet,
         contrast_all = m_star[1] - m_star[0]
         psi = float(np.mean(contrast_all))
 
-        d_gamma = np.zeros(w.n)
-        d_gamma[w.p2] = (q1 - q0 - contrast_all[w.p2]) / pi[w.p2]
-        d_pv = contrast_all - psi
-        d = d_qpi + d_gamma + d_pv
+        d_q, d_pi, d_gamma, d_pv = eic_components(resid2, r_all, q1 - q0, contrast_all,
+                                                  pi, psi, w.p2, w.delta)
+        d = d_q + d_pi + d_gamma + d_pv
         final = (psi, d, m_star)
         if abs(np.mean(d)) <= _threshold(d, w.n):
             converged = True

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit as _expit
 
-from .roots import bisect as _bisect
+from .roots import bisect, newton
 
 __all__ = [
     "GlmError",
@@ -255,28 +255,12 @@ def fit_fluctuation(y, offset_logit, h, w=None, tol: float = 1e-10,
     if abs(s0) <= tol:
         return FluctuationFit(0.0, s0, 0, True)
 
-    # plain Newton from zero; fall back to bracketed solve if it stalls
-    eps, s = 0.0, s0
-    for it in range(1, 31):
-        d = dscore(eps)
-        if d == 0.0 or not np.isfinite(d):
-            break
-        eps_new = eps - s / d
-        if not np.isfinite(eps_new) or abs(eps_new) > bracket:
-            break
-        eps, s = eps_new, score(eps_new)
-        if abs(s) <= tol:
-            return FluctuationFit(eps, s, it, True)
-
-    s_lo, s_hi = score(-bracket), score(bracket)
-    if s_lo == 0.0:
-        return FluctuationFit(-bracket, 0.0, 0, True)
-    if s_hi == 0.0:
-        return FluctuationFit(bracket, 0.0, 0, True)
-    if s_lo * s_hi > 0:
-        raise GlmError(
-            "degenerate fluctuation: score has no sign change on "
-            f"[-{bracket}, {bracket}]"
-        )
-    res = _bisect(score, -bracket, bracket, tol)
+    res = newton(score, dscore, s0, tol, max_iter=30, bound=bracket)
+    if not res.converged:
+        res = bisect(score, (-bracket, bracket), tol)
+        if res is None:
+            raise GlmError(
+                "degenerate fluctuation: score has no sign change on "
+                f"[-{bracket}, {bracket}]"
+            )
     return FluctuationFit(res.x, res.f, res.n_iter, res.converged)

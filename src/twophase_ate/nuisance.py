@@ -44,7 +44,6 @@ __all__ = [
     "fit_mbar",
     "fix_known",
     "pin_known",
-    "predict_on",
     "fit_nuisances",
 ]
 
@@ -93,18 +92,18 @@ def _add_intercept(X: np.ndarray) -> np.ndarray:
 class Predictor:
     """Opaque fitted function over feature rows.
 
-    Subclasses implement `_raw(X)`; `predict` applies the declared
-    truncation. `output` is "probability" or "real".
+    Subclasses implement `_raw(X, rows)`; `predict` applies the declared
+    truncation. `rows` gives the dataset positions of the feature rows;
+    only predictors holding per-row values use it.
     """
 
-    output: str = "real"
     bounds: tuple[float, float] | None = None
 
-    def _raw(self, X: np.ndarray) -> np.ndarray:
+    def _raw(self, X: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
         raise NotImplementedError
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        vals = np.asarray(self._raw(np.asarray(X, dtype=float)), dtype=float)
+    def predict(self, X: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        vals = np.asarray(self._raw(np.asarray(X, dtype=float), rows), dtype=float)
         if self.bounds is not None:
             vals = np.clip(vals, self.bounds[0], self.bounds[1])
         return vals
@@ -115,10 +114,9 @@ class GlmPredictor(Predictor):
     """GLM fit plus main-term feature map (intercept added here)."""
 
     fit: GlmFit
-    output: str = "probability"
     bounds: tuple[float, float] | None = None
 
-    def _raw(self, X: np.ndarray) -> np.ndarray:
+    def _raw(self, X: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
         return self.fit.predict(_add_intercept(X))
 
 
@@ -127,10 +125,9 @@ class AnalyticPredictor(Predictor):
     """Closed-form mechanism wrapped as a predictor (known-truth injection)."""
 
     fn: Callable[[np.ndarray], np.ndarray]
-    output: str = "probability"
     bounds: tuple[float, float] | None = None
 
-    def _raw(self, X: np.ndarray) -> np.ndarray:
+    def _raw(self, X: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
         return np.asarray(self.fn(X), dtype=float)
 
 
@@ -140,43 +137,31 @@ class PinnedPredictor(Predictor):
 
     Used to inject simulation truths that depend on latent variables and
     therefore cannot be written as functions of the observed features.
+    The features are ignored: values are indexed by `rows`, or must cover
+    the whole dataset when no rows are given.
     """
 
     values: np.ndarray
-    output: str = "probability"
     bounds: tuple[float, float] | None = None
 
-    def _raw(self, X: np.ndarray) -> np.ndarray:
+    def _raw(self, X: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+        if rows is not None:
+            return self.values[rows]
         if X.shape[0] != len(self.values):
             raise NuisanceError(
                 f"pinned predictor holds {len(self.values)} rows, asked for {X.shape[0]}"
             )
-        return np.asarray(self.values, dtype=float)
+        return self.values
 
 
-def fix_known(fn: Callable[[np.ndarray], np.ndarray], output: str = "probability",
+def fix_known(fn: Callable[[np.ndarray], np.ndarray],
               bounds: tuple[float, float] | None = None) -> AnalyticPredictor:
     """Wrap an analytic mechanism; truncation (bounds) still applies."""
-    return AnalyticPredictor(fn=fn, output=output, bounds=bounds)
+    return AnalyticPredictor(fn=fn, bounds=bounds)
 
 
-def predict_on(pred: Predictor, X: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate a predictor on feature rows.
-
-    Pinned predictors ignore the features and are indexed by `rows`
-    (dataset row positions), since their values are dataset-aligned.
-    """
-    if isinstance(pred, PinnedPredictor):
-        vals = pred.values if rows is None else pred.values[rows]
-        if pred.bounds is not None:
-            vals = np.clip(vals, pred.bounds[0], pred.bounds[1])
-        return np.asarray(vals, dtype=float)
-    return pred.predict(X)
-
-
-def pin_known(values: np.ndarray, output: str = "probability",
-              bounds: tuple[float, float] | None = None) -> PinnedPredictor:
-    return PinnedPredictor(values=np.asarray(values, dtype=float), output=output, bounds=bounds)
+def pin_known(values: np.ndarray, bounds: tuple[float, float] | None = None) -> PinnedPredictor:
+    return PinnedPredictor(values=np.asarray(values, dtype=float), bounds=bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +176,12 @@ def fit_pi(ds: Dataset, trunc: tuple[float, float] = TRUNC_PI_DEFAULT) -> Predic
         raise NuisanceError("phase-2 indicator is constant: sampling mechanism unidentifiable")
     X = _add_intercept(v_features(ds))
     fit = fit_glm(X, delta.astype(float), family="bernoulli")
-    return GlmPredictor(fit=fit, output="probability", bounds=trunc)
+    return GlmPredictor(fit=fit, bounds=trunc)
 
 
 def _ipcw_weights(ds: Dataset, pi: Predictor) -> np.ndarray:
     p2 = ds.phase2
-    pi_vals = predict_on(pi, v_features(ds, p2), rows=p2)
+    pi_vals = pi.predict(v_features(ds, p2), rows=p2)
     if np.any(pi_vals <= 0):
         raise NuisanceError("nonpositive sampling probabilities after truncation")
     return 1.0 / pi_vals
@@ -218,7 +203,7 @@ def fit_q_ipcw(ds: Dataset, pi: Predictor) -> Predictor:
             raise NuisanceError(f"fewer than 2 phase-2 records with a={arm}: Q({arm},.) unidentifiable")
     X = _add_intercept(aw_features(ds, p2))
     fit = fit_glm(X, y2, w=_ipcw_weights(ds, pi), family="bernoulli")
-    return GlmPredictor(fit=fit, output="probability", bounds=None)
+    return GlmPredictor(fit=fit, bounds=None)
 
 
 def fit_g_ipcw(ds: Dataset, pi: Predictor,
@@ -231,7 +216,7 @@ def fit_g_ipcw(ds: Dataset, pi: Predictor,
             raise NuisanceError(f"fewer than 2 phase-2 records with a={arm}: g unidentifiable")
     X = _add_intercept(w_features(ds, p2))
     fit = fit_glm(X, a2, w=_ipcw_weights(ds, pi), family="bernoulli")
-    return GlmPredictor(fit=fit, output="probability", bounds=trunc)
+    return GlmPredictor(fit=fit, bounds=trunc)
 
 
 class MbarDesign:
@@ -273,7 +258,7 @@ def fit_mbar(ds: Dataset, values: np.ndarray, weights: np.ndarray | None = None,
         fit = design.fit(values, weights)
     except GlmError as exc:
         raise NuisanceError(f"regression of influence values failed: {exc}") from exc
-    return GlmPredictor(fit=fit, output="real", bounds=None)
+    return GlmPredictor(fit=fit, bounds=None)
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +316,11 @@ class NuisanceConfig:
 
 def _known_predictor(spec, bounds, n_expected=None) -> Predictor:
     if callable(spec):
-        return fix_known(spec, output="probability", bounds=bounds)
+        return fix_known(spec, bounds=bounds)
     values = np.asarray(spec, dtype=float)
     if n_expected is not None and len(values) != n_expected:
         raise NuisanceError("known mechanism values do not align with the dataset")
-    return pin_known(values, output="probability", bounds=bounds)
+    return pin_known(values, bounds=bounds)
 
 
 def fit_nuisances(ds: Dataset, config: NuisanceConfig | None = None) -> NuisanceSet:

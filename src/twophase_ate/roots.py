@@ -1,11 +1,16 @@
-"""Scalar root finding used by the fluctuation, raking, and plug-in solvers."""
+"""Scalar root finding used by the fluctuation, raking, and plug-in solvers.
+
+Every solve runs an open iteration (`newton` or `secant`) and, when that
+fails, falls back to `bisect` on a grid the caller chooses.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
-__all__ = ["RootResult", "newton_bisect", "bisect", "secant", "expand_bracket"]
+__all__ = ["RootResult", "newton", "bisect", "secant"]
 
 
 @dataclass(frozen=True)
@@ -16,59 +21,48 @@ class RootResult:
     converged: bool
 
 
-def newton_bisect(
-    f: Callable[[float], float],
-    df: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float,
-    x0: float | None = None,
-    max_iter: int = 100,
-) -> RootResult:
-    """Safeguarded Newton on a bracket [lo, hi] with f(lo), f(hi) of opposite sign.
+def newton(f: Callable[[float], float], df: Callable[[float], float], f0: float,
+           tol: float, max_iter: int, bound: float = math.inf) -> RootResult:
+    """Newton's method from x = 0, where f0 = f(0) is already known.
 
-    Newton steps that leave the current bracket (or divide by a vanishing
-    derivative) fall back to bisection, so convergence is guaranteed for
-    continuous f. Stops when |f| <= tol.
+    Stops converged once |f(x)| <= tol. Stops unconverged after max_iter
+    steps, or as soon as the derivative is zero or not finite, or a step is
+    not finite or leaves [-bound, bound]; the result then holds the last
+    iterate and the number of steps taken to reach it.
     """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return RootResult(lo, 0.0, 0, True)
-    if fhi == 0.0:
-        return RootResult(hi, 0.0, 0, True)
-    if flo * fhi > 0:
-        raise ValueError("newton_bisect requires a sign change on [lo, hi]")
-    x = x0 if x0 is not None and lo <= x0 <= hi else 0.5 * (lo + hi)
-    fx = f(x)
+    x, fx = 0.0, f0
     for it in range(1, max_iter + 1):
-        if abs(fx) <= tol:
-            return RootResult(x, fx, it - 1, True)
-        # shrink bracket around the root
-        if flo * fx <= 0:
-            hi, fhi = x, fx
-        else:
-            lo, flo = x, fx
         d = df(x)
-        if d != 0.0:
-            x_new = x - fx / d
-        else:
-            x_new = lo  # force bisection below
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
+        if d == 0.0 or not math.isfinite(d):
+            return RootResult(x, fx, it - 1, False)
+        x_new = x - fx / d
+        if not math.isfinite(x_new) or abs(x_new) > bound:
+            return RootResult(x, fx, it - 1, False)
         x, fx = x_new, f(x_new)
-    return RootResult(x, fx, max_iter, abs(fx) <= tol)
+        if abs(fx) <= tol:
+            return RootResult(x, fx, it, True)
+    return RootResult(x, fx, max_iter, False)
 
 
-def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float,
-           max_iter: int = 200) -> RootResult:
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return RootResult(lo, 0.0, 0, True)
-    if fhi == 0.0:
-        return RootResult(hi, 0.0, 0, True)
-    if flo * fhi > 0:
-        raise ValueError("bisect requires a sign change on [lo, hi]")
-    x, fx = 0.5 * (lo + hi), None
+def bisect(f: Callable[[float], float], grid: Sequence[float], tol: float,
+           max_iter: int = 200) -> RootResult | None:
+    """Bisection on the first cell of the increasing grid where f changes sign.
+
+    Grid points are scanned from the left; one where f is exactly zero is
+    returned as the root. Returns None when f has no zero and no sign change
+    on the grid. Stops when |f| <= tol, or unconverged after max_iter halvings.
+    """
+    lo, flo = grid[0], f(grid[0])
+    for hi in grid[1:]:
+        if flo == 0.0:
+            return RootResult(lo, 0.0, 0, True)
+        fhi = f(hi)
+        if flo * fhi < 0:
+            break
+        lo, flo = hi, fhi
+    else:
+        return RootResult(lo, 0.0, 0, True) if flo == 0.0 else None
+    x, fx = lo, flo
     for it in range(1, max_iter + 1):
         x = 0.5 * (lo + hi)
         fx = f(x)
@@ -96,20 +90,3 @@ def secant(f: Callable[[float], float], x0: float, x1: float, tol: float,
         x0, f0, x1 = x1, f1, x2
         f1 = f(x1)
     return RootResult(x1, f1, max_iter, abs(f1) <= tol)
-
-
-def expand_bracket(f: Callable[[float], float], x0: float = 0.0, step: float = 1.0,
-                   factor: float = 2.0, max_expand: int = 60) -> tuple[float, float] | None:
-    """Grow [x0-step, x0+step] geometrically until f changes sign; None if never."""
-    f0 = f(x0)
-    if f0 == 0.0:
-        return (x0, x0)
-    s = step
-    for _ in range(max_expand):
-        lo, hi = x0 - s, x0 + s
-        if f(lo) * f0 < 0:
-            return (lo, x0)
-        if f(hi) * f0 < 0:
-            return (x0, hi)
-        s *= factor
-    return None

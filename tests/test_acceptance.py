@@ -9,14 +9,21 @@ import numpy as np
 import pytest
 
 from twophase_ate.cli import EXIT_OK, main
-from twophase_ate.eic import clever_covariate, linearized_slope_values, observed_eic
+from twophase_ate.eic import (
+    clever_covariate,
+    eic_components,
+    evaluate_nuisances,
+    fulldata_eic_values,
+    linearized_slope_values,
+    observed_eic,
+)
 from twophase_ate.estimators import (
     EstimatorOptions,
     rake_weights,
     run_estimator,
 )
 from twophase_ate.glm import expit, logit
-from twophase_ate.nuisance import NuisanceConfig, fit_nuisances
+from twophase_ate.nuisance import NuisanceConfig, fit_mbar, fit_nuisances, v_features
 from twophase_ate.sim import DgpSpec, StudyEstimator, StudySpec, run_study
 
 from util import (
@@ -67,14 +74,24 @@ def test_c01_score_solving_suite():
 
 
 def test_c02_representation_equality():
-    """Four-component decomposition equals the weighted-projection form."""
+    """Four-component decomposition equals the weighted-projection form,
+    both built by the functions the estimators call, from the same fit."""
     total, worst = 0, 0.0
     seed = 0
     while total < 1000:
         ds = make_twophase_dataset(np.random.default_rng(2000 + seed), n=260)
-        ns = fit_nuisances(ds)
-        ev = observed_eic(ds, ns, psi=0.123, check="off")
-        gap = float(np.max(np.abs(ev.components_sum - ev.d_obs)))
+        vals = evaluate_nuisances(ds, fit_nuisances(ds))
+        p2, v = ds.phase2, v_features(ds)
+        h2 = clever_covariate(ds.a[p2], vals.g1)
+        resid2 = h2 * (ds.y[p2] - vals.q_a)
+        contrast2 = vals.q1 - vals.q0
+        dbar2 = fulldata_eic_values(ds.y[p2], h2, vals.q_a, vals.q1, vals.q0)
+        mbar = fit_mbar(ds, dbar2).predict(v)
+        r_all = fit_mbar(ds, resid2).predict(v)
+        c_all = fit_mbar(ds, contrast2).predict(v)
+        d_obs = observed_eic(dbar2, mbar, vals.pi, 0.123, p2, ds.delta)
+        parts = eic_components(resid2, r_all, contrast2, c_all, vals.pi, 0.123, p2, ds.delta)
+        gap = float(np.max(np.abs(sum(parts) - d_obs)))
         worst = max(worst, gap)
         total += ds.n
         seed += 1
@@ -104,7 +121,7 @@ def test_c03_linearization_gradient_check():
 
     step = 1e-5
     fd = (dbar(step) - dbar(-step)) / (2 * step)
-    slope = linearized_slope_values(a, g1, q_a, q1, q0, submodel="logistic").slope
+    slope = linearized_slope_values(a, g1, q_a, q1, q0)
     rel = np.abs(slope - fd) / np.maximum(np.abs(fd), 1e-8)
     report("criterion 3 (linearization gradient check)",
            float(rel.max()) <= 1e-6, f"max relative error {rel.max():.3e} on {n} records")

@@ -4,15 +4,15 @@ import pytest
 from twophase_ate.data_model import Dataset
 from twophase_ate.eic import (
     clever_covariate,
+    eic_components,
     eic_variance,
     evaluate_nuisances,
-    fulldata_eic,
     fulldata_eic_values,
     linearized_slope_values,
     observed_eic,
 )
 from twophase_ate.glm import expit, logit
-from twophase_ate.nuisance import NuisanceConfig, fit_mbar, fit_nuisances
+from twophase_ate.nuisance import NuisanceConfig, fit_mbar, fit_nuisances, v_features
 
 from util import make_twophase_dataset
 
@@ -42,20 +42,13 @@ class TestFulldataEic:
         q_a = np.where(a == 1, q1, q0)
         g1 = rng.uniform(0.2, 0.8, n)
         psi = float(np.mean(q1 - q0))
-        dbar, d_f = fulldata_eic_values(q_a, a, q_a, q1, q0, g1, psi)
-        assert abs(d_f.mean()) < 1e-12
+        dbar = fulldata_eic_values(q_a, clever_covariate(a, g1), q_a, q1, q0)
+        assert abs((dbar - psi).mean()) < 1e-12
 
     def test_single_record_arithmetic(self):
-        dbar, d_f = fulldata_eic_values(y=[1.0], a=[1], q_a=[0.5], q1=[0.5],
-                                        q0=[0.5], g1=[0.5], psi=0.0)
+        dbar = fulldata_eic_values(y=[1.0], h=clever_covariate([1], [0.5]), q_a=[0.5],
+                                   q1=[0.5], q0=[0.5])
         assert dbar[0] == pytest.approx(1.0)
-
-    def test_rejects_censored_rows(self):
-        ds = make_twophase_dataset(np.random.default_rng(2))
-        ns = fit_nuisances(ds)
-        censored = np.flatnonzero(ds.delta == 0)[:2]
-        with pytest.raises(ValueError, match="delta=0"):
-            fulldata_eic(ds, ns.q, ns.g, 0.0, rows=censored)
 
     def test_mc_mean_zero_at_truth(self):
         # linear-gaussian construction with analytic conditional regression:
@@ -71,7 +64,7 @@ class TestFulldataEic:
         y = q_a + sig * rng.standard_normal(n)
         q1 = b0 + b1 * w1 + b2 * w2 + tau
         q0 = q1 - tau
-        dbar, d_f = fulldata_eic_values(y, a, q_a, q1, q0, g1, tau)
+        d_f = fulldata_eic_values(y, clever_covariate(a, g1), q_a, q1, q0) - tau
         mc_se = d_f.std() / np.sqrt(n)
         assert abs(d_f.mean()) < 3 * mc_se
 
@@ -90,6 +83,25 @@ def _hand_observed_eic(y, a, delta, w2seen, pi, g1, q_a, q1, q0, mbar, psi):
     return np.array(out)
 
 
+def _eic_inputs(ds, ns):
+    """The per-row pieces the estimators feed to observed_eic and
+    eic_components at the initial fit: (pi, resid2, r_all, contrast2, c_all,
+    dbar2, mbar_all)."""
+    vals = evaluate_nuisances(ds, ns)
+    p2 = ds.phase2
+    v = v_features(ds)
+    h2 = clever_covariate(ds.a[p2], vals.g1)
+    resid2 = h2 * (ds.y[p2] - vals.q_a)
+    contrast2 = vals.q1 - vals.q0
+    dbar2 = fulldata_eic_values(ds.y[p2], h2, vals.q_a, vals.q1, vals.q0)
+
+    def regress(values):
+        return fit_mbar(ds, values).predict(v)
+
+    return (vals.pi, resid2, regress(resid2), contrast2, regress(contrast2),
+            dbar2, regress(dbar2))
+
+
 class TestObservedEic:
     def test_no_coarsening_reduces_to_fulldata(self):
         rng = np.random.default_rng(4)
@@ -99,47 +111,34 @@ class TestObservedEic:
         y = (rng.random(n) < 0.5).astype(float)
         ds = Dataset(w1=w[:, :1], a=a, y=y, delta=np.ones(n, dtype=int), w2=w[:, 1:])
         ns = fit_nuisances(ds, NuisanceConfig(known_pi=np.ones(n)))
+        pi, *_, dbar2, mbar = _eic_inputs(ds, ns)
         psi = 0.1
-        ev = observed_eic(ds, ns, psi)
-        np.testing.assert_allclose(ev.d_obs, ev.d_f, atol=1e-10)
+        d = observed_eic(dbar2, mbar, pi, psi, ds.phase2, ds.delta)
+        np.testing.assert_allclose(d, dbar2 - psi, atol=1e-10)
 
     def test_representations_agree_pointwise(self):
         for seed in range(12):
             ds = make_twophase_dataset(np.random.default_rng(seed), n=150)
-            ns = fit_nuisances(ds)
-            ev = observed_eic(ds, ns, psi=0.17)
-            np.testing.assert_allclose(ev.components_sum, ev.d_obs, atol=1e-10)
+            pi, resid2, r_all, contrast2, c_all, dbar2, mbar = _eic_inputs(ds, fit_nuisances(ds))
+            d = observed_eic(dbar2, mbar, pi, 0.17, ds.phase2, ds.delta)
+            d_q, d_pi, d_gamma, d_pv = eic_components(resid2, r_all, contrast2, c_all,
+                                                      pi, 0.17, ds.phase2, ds.delta)
+            np.testing.assert_allclose(d_q + d_pi + d_gamma + d_pv, d, atol=1e-10)
             # structural zeros on censored rows
             censored = ds.delta == 0
-            assert np.all(ev.q_comp[censored] == 0)
-            assert np.all(ev.gamma_comp[censored] == 0)
-            np.testing.assert_allclose(ev.d_f, ev.dbar_f - 0.17, atol=1e-12)
+            assert np.all(d_q[censored] == 0)
+            assert np.all(d_gamma[censored] == 0)
 
     def test_rearranged_form_matches(self):
-        # delta/pi*(dbar - mbar) + mbar - psi, with mbar the summed regression
+        # delta/pi*(dbar - mbar) + mbar - psi, the form eee and quasi_tmle target
         ds = make_twophase_dataset(np.random.default_rng(20), n=200)
-        ns = fit_nuisances(ds)
-        vals = evaluate_nuisances(ds, ns)
+        pi, *_, dbar2, mbar = _eic_inputs(ds, fit_nuisances(ds))
         p2 = ds.phase2
         psi = 0.05
-        h2 = clever_covariate(ds.a[p2], vals.g1)
-        resid2 = h2 * (ds.y[p2] - vals.q_a)
-        contrast2 = vals.q1 - vals.q0
-        m_resid = fit_mbar(ds, resid2)
-        m_contrast = fit_mbar(ds, contrast2)
-        ev = observed_eic(ds, ns, psi, mbar_resid=m_resid, mbar_contrast=m_contrast)
-        from twophase_ate.nuisance import v_features
-
-        mbar = m_resid.predict(v_features(ds)) + m_contrast.predict(v_features(ds))
+        d = observed_eic(dbar2, mbar, pi, psi, p2, ds.delta)
         rearranged = (mbar - psi).copy()
-        rearranged[p2] += (resid2 + contrast2 - mbar[p2]) / vals.pi[p2]
-        np.testing.assert_allclose(ev.d_obs, rearranged, atol=1e-10)
-
-    def test_sampled_consistency_check_runs(self):
-        ds = make_twophase_dataset(np.random.default_rng(30), n=250)
-        ns = fit_nuisances(ds)
-        ev = observed_eic(ds, ns, psi=0.0, check="sample")
-        assert len(ev.d_obs) == ds.n
+        rearranged[p2] += (dbar2 - mbar[p2]) / pi[p2]
+        np.testing.assert_allclose(d, rearranged, atol=1e-10)
 
     def test_hand_computed_small_instance(self):
         y = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
@@ -154,9 +153,8 @@ class TestObservedEic:
         p2 = np.flatnonzero(delta == 1)
         q_a = np.where(a == 1, q1_all, q0_all)
         h2 = clever_covariate(a[p2], g1_all[p2])
-        dbar2 = h2 * (y[p2] - q_a[p2]) + q1_all[p2] - q0_all[p2]
-        d = -(mbar - psi) / pi * (delta - pi)
-        d[p2] += (dbar2 - psi) / pi[p2]
+        dbar2 = fulldata_eic_values(y[p2], h2, q_a[p2], q1_all[p2], q0_all[p2])
+        d = observed_eic(dbar2, mbar, pi, psi, p2, delta)
         ref = _hand_observed_eic(y, a, delta, None, pi, g1_all, q_a, q1_all,
                                  q0_all, mbar, psi)
         np.testing.assert_allclose(d, ref, atol=1e-12)
@@ -164,17 +162,10 @@ class TestObservedEic:
 
 class TestLinearizedSlope:
     def test_symmetric_cancellation_logistic(self):
-        le = linearized_slope_values(a=[1], g1=[0.5], q_a=[0.5], q1=[0.5], q0=[0.5],
-                                     submodel="logistic")
-        assert le.slope[0] == pytest.approx(0.0, abs=1e-12)
+        slope = linearized_slope_values(a=[1], g1=[0.5], q_a=[0.5], q1=[0.5], q0=[0.5])
+        assert slope[0] == pytest.approx(0.0, abs=1e-12)
 
-    def test_symmetric_cancellation_linear(self):
-        le = linearized_slope_values(a=[0], g1=[0.5], q_a=[0.4], q1=[0.6], q0=[0.4],
-                                     submodel="linear")
-        assert le.slope[0] == pytest.approx(0.0, abs=1e-12)
-
-    @pytest.mark.parametrize("submodel", ["logistic", "linear"])
-    def test_matches_central_finite_differences(self, submodel):
+    def test_matches_central_finite_differences(self):
         rng = np.random.default_rng(7)
         n = 500
         g1 = rng.uniform(0.1, 0.9, n)
@@ -187,18 +178,15 @@ class TestLinearizedSlope:
         h1, h0 = 1 / g1, -1 / (1 - g1)
 
         def dbar(eps):
-            if submodel == "logistic":
-                qe_a = expit(logit(q_a) + eps * h_a)
-                qe1 = expit(logit(q1) + eps * h1)
-                qe0 = expit(logit(q0) + eps * h0)
-            else:
-                qe_a, qe1, qe0 = q_a + eps * h_a, q1 + eps * h1, q0 + eps * h0
+            qe_a = expit(logit(q_a) + eps * h_a)
+            qe1 = expit(logit(q1) + eps * h1)
+            qe0 = expit(logit(q0) + eps * h0)
             return h_a * (y - qe_a) + qe1 - qe0
 
         eps = 1e-5
         fd = (dbar(eps) - dbar(-eps)) / (2 * eps)
-        le = linearized_slope_values(a, g1, q_a, q1, q0, submodel=submodel)
-        np.testing.assert_allclose(le.slope, fd, rtol=1e-4, atol=1e-7)
+        slope = linearized_slope_values(a, g1, q_a, q1, q0)
+        np.testing.assert_allclose(slope, fd, rtol=1e-4, atol=1e-7)
 
 
 class TestEicVariance:

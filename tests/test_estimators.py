@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twophase_ate import estimators
 from twophase_ate.data_model import Dataset
+from twophase_ate.eic import evaluate_nuisances
 from twophase_ate.estimators import (
     ESTIMATOR_IDS,
     FULL_EIC_SOLVERS,
@@ -13,8 +15,10 @@ from twophase_ate.estimators import (
     estimate_eee,
     estimate_ipcw_tmle,
     estimate_quasi_tmle,
+    fit_context,
     rake_weights,
     run_estimator,
+    run_roster,
 )
 from twophase_ate.nuisance import NuisanceConfig
 from twophase_ate.sim import DgpSpec, generate
@@ -97,6 +101,19 @@ class TestRakeWeights:
             hi *= 2
         lam_ref = bisect_oracle(F, lo, hi)
         assert sol.lam == pytest.approx(lam_ref, abs=1e-8)
+
+    def test_grid_fallback_matches_newton(self):
+        rng = np.random.default_rng(43)
+        m = rng.normal(size=40)
+        pi = rng.uniform(0.2, 0.9, size=40)
+        delta = (rng.random(40) < 0.5).astype(int)
+        delta[[np.argmax(m), np.argmin(m)]] = 1
+        newton_only = rake_weights(m, pi, delta)
+        # one Newton step cannot meet the tolerance, so the bracket fallback runs
+        fallback = rake_weights(m, pi, delta, max_iter=1)
+        assert newton_only.converged and fallback.converged
+        assert fallback.n_iter > 1
+        assert fallback.lam == pytest.approx(newton_only.lam, abs=1e-8)
 
     def test_equation_rescaling_leaves_lambda_unchanged(self):
         rng = np.random.default_rng(42)
@@ -195,6 +212,22 @@ class TestFixedPoints:
         r = run_estimator(ds, "ipcw_tmle_rake_pi")
         rake: RakeSolution = r.details["rake"]
         np.testing.assert_allclose(rake.a, 1.0, atol=1e-6)
+
+    def test_unconverged_raking_keeps_previous_pi(self, monkeypatch):
+        ds = make_twophase_dataset(np.random.default_rng(12))
+        ctx = fit_context(ds)
+        pi0 = evaluate_nuisances(ctx.scaled, ctx.nuisances).pi
+
+        def stalled(mbar, pi, delta, tol):
+            a = np.full_like(pi, 0.5)
+            return RakeSolution(lam=1.0, a=a, pi_star=pi / a, constraint_residual=1.0,
+                                n_iter=100, converged=False)
+
+        monkeypatch.setattr(estimators, "rake_weights", stalled)
+        r = run_estimator(ds, "ipcw_tmle_rake_pi", ctx)
+        assert not r.converged
+        assert r.n_outer_iterations == 0
+        np.testing.assert_array_equal(r.details["pi_final"], pi0)
 
 
 class TestPlugInProperty:
@@ -315,3 +348,35 @@ class TestAsymptoticAgreement:
         gaps = [abs(psis[i] - psis[j]) for i in range(len(psis))
                 for j in range(i + 1, len(psis))]
         assert np.median(gaps) < 0.5 * se
+
+
+def _roster_results(ds):
+    _, out = run_roster(ds, [(e, EstimatorOptions()) for e in ESTIMATOR_IDS])
+    results = [res for res, _ in out]
+    assert all(not isinstance(res, EstimatorError) for res in results), results
+    return results
+
+
+def _with_columns(ds, rows, a):
+    return Dataset(w1=ds.w1[rows], a=a[rows], y=ds.y[rows], delta=ds.delta[rows],
+                   w2=ds.w2[rows], y_kind=ds.y_kind, y_bounds=ds.y_bounds)
+
+
+class TestInvariances:
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 100_000))
+    def test_row_permutation_leaves_estimates_unchanged(self, seed):
+        rng = np.random.default_rng(seed)
+        ds = make_twophase_dataset(rng)
+        shuffled = _with_columns(ds, rng.permutation(ds.n), ds.a)
+        for base, moved in zip(_roster_results(ds), _roster_results(shuffled)):
+            assert moved.psi_hat == pytest.approx(base.psi_hat, abs=1e-8), base.estimator_id
+            assert moved.se == pytest.approx(base.se, abs=1e-8), base.estimator_id
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 100_000))
+    def test_treatment_label_swap_negates_estimates(self, seed):
+        ds = make_twophase_dataset(np.random.default_rng(seed))
+        swapped = _with_columns(ds, np.arange(ds.n), 1 - ds.a)
+        for base, flipped in zip(_roster_results(ds), _roster_results(swapped)):
+            assert flipped.psi_hat == pytest.approx(-base.psi_hat, abs=1e-8), base.estimator_id

@@ -18,7 +18,6 @@ from twophase_ate.nuisance import (
     fit_q_ipcw,
     fix_known,
     pin_known,
-    predict_on,
     v_features,
     w_features,
 )
@@ -73,7 +72,7 @@ class TestKnownMechanisms:
         vals = np.linspace(0.1, 0.9, 10)
         pred = pin_known(vals)
         rows = np.array([2, 5])
-        got = predict_on(pred, np.zeros((2, 4)), rows=rows)
+        got = pred.predict(np.zeros((2, 4)), rows=rows)
         np.testing.assert_array_equal(got, vals[rows])
 
     def test_pinned_misalignment_raises(self):
@@ -149,7 +148,7 @@ class TestFitMbar:
         p2 = ds.phase2
         pred = fit_mbar(ds, ds.w1[p2, 0].copy())
         censored = np.flatnonzero(ds.delta == 0)
-        got = predict_on(pred, v_features(ds, censored), rows=censored)
+        got = pred.predict(v_features(ds, censored), rows=censored)
         np.testing.assert_allclose(got, ds.w1[censored, 0], atol=1e-8)
 
     def test_underdetermined_uses_ridge(self):
@@ -198,9 +197,9 @@ class TestFitNuisances:
         ds = make_twophase_dataset(rng)
         ns = fit_nuisances(ds, NuisanceConfig(known_pi=np.full(ds.n, 0.7),
                                               known_g=np.full(ds.n, 0.5)))
-        pi_vals = predict_on(ns.pi, v_features(ds), rows=np.arange(ds.n))
+        pi_vals = ns.pi.predict(v_features(ds), rows=np.arange(ds.n))
         assert np.all(pi_vals == 0.7)
-        g_vals = predict_on(ns.g, w_features(ds, ds.phase2), rows=ds.phase2)
+        g_vals = ns.g.predict(w_features(ds, ds.phase2), rows=ds.phase2)
         assert np.all(g_vals == 0.5)
 
     @pytest.mark.parametrize("trunc", [{"trunc_pi": (0.9, 0.1)}, {"trunc_pi": (0.0, 1.0)},
