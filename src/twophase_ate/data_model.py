@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import compress
+from typing import NoReturn
 
 import numpy as np
 
@@ -223,70 +225,121 @@ def _parse_binary(cell: str, row: int, col: str) -> int:
     return int(v)
 
 
-def load_csv(path, schema: CsvSchema) -> Dataset:
-    """Read a two-phase dataset from a headed CSV file.
+def _raise_first_row_error(rows: list[list[str]], width: int, col_idx: dict[str, int],
+                           schema: CsvSchema) -> NoReturn:
+    """Check rows in file order and raise the DataError of the first bad one.
 
-    Missing phase-2 values must be empty cells. A delta=0 row with a filled
-    w2 cell is rejected: over-observation signals a schema mistake, not data.
-    Row numbers in error messages are 1-based data rows (header excluded).
+    load_csv checks whole columns at once; it calls this only after one of
+    those checks failed, so that the message names the first bad row and,
+    within it, the first bad cell in the order delta, treatment, outcome,
+    w1, w2. Row numbers are 1-based data rows (header excluded).
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty CSV file") from None
-        col_idx = {name: i for i, name in enumerate(header)}
-        for name in schema.columns:
-            if name not in col_idx:
-                raise DataError(f"CSV is missing required column {name!r}")
-        w1_rows, w2_rows, a_col, y_col, d_col = [], [], [], [], []
-        for rownum, cells in enumerate(reader, start=1):
-            if len(cells) != len(header):
-                raise DataError(f"row {rownum}: expected {len(header)} cells, got {len(cells)}")
-
-            def cell(name: str) -> str:
-                return cells[col_idx[name]].strip()
-
-            delta = _parse_binary(cell(schema.delta), rownum, schema.delta)
-            a = _parse_binary(cell(schema.treatment), rownum, schema.treatment)
-            y = _parse_float(cell(schema.outcome), rownum, schema.outcome)
-            w1 = []
-            for name in schema.w1:
-                c = cell(name)
+    for rownum, cells in enumerate(rows, start=1):
+        if len(cells) != width:
+            raise DataError(f"row {rownum}: expected {width} cells, got {len(cells)}")
+        cell = {name: cells[col_idx[name]].strip() for name in schema.columns}
+        delta = _parse_binary(cell[schema.delta], rownum, schema.delta)
+        _parse_binary(cell[schema.treatment], rownum, schema.treatment)
+        _parse_float(cell[schema.outcome], rownum, schema.outcome)
+        for name in schema.w1:
+            c = cell[name]
+            if c == "":
+                raise DataError(f"row {rownum}: phase-1 column {name} is empty")
+            _parse_float(c, rownum, name)
+        for name in schema.w2:
+            c = cell[name]
+            if delta == 1:
                 if c == "":
-                    raise DataError(f"row {rownum}: phase-1 column {name} is empty")
-                w1.append(_parse_float(c, rownum, name))
-            w2 = []
-            for name in schema.w2:
-                c = cell(name)
-                if delta == 1:
-                    if c == "":
-                        raise DataError(f"row {rownum}: delta=1 but {name} is missing")
-                    w2.append(_parse_float(c, rownum, name))
-                else:
-                    if c != "":
-                        raise DataError(
-                            f"row {rownum}: delta=0 row has a value in phase-2 column {name}"
-                        )
-                    w2.append(np.nan)
-            w1_rows.append(w1)
-            w2_rows.append(w2)
-            a_col.append(a)
-            y_col.append(y)
-            d_col.append(delta)
-    if not a_col:
+                    raise DataError(f"row {rownum}: delta=1 but {name} is missing")
+                _parse_float(c, rownum, name)
+            elif c != "":
+                raise DataError(f"row {rownum}: delta=0 row has a value in phase-2 column {name}")
+    raise RuntimeError("CSV column checks rejected rows that the row checks accept")
+
+
+def _floats(cells) -> np.ndarray:
+    """float(cell.strip()) of every cell; ValueError if one is not a number."""
+    return np.array(list(map(str.strip, cells)), dtype=float)
+
+
+def _parse_columns(rows: list[list[str]], width: int, col_idx: dict[str, int],
+                   schema: CsvSchema):
+    """Parse the schema columns of all rows at once.
+
+    Returns (w1, a, y, delta, w2), or None if any row fails a check that
+    _raise_first_row_error makes: a row of the wrong width, a number that
+    does not parse, a non-0/1 treatment or delta, an empty w1 cell (which
+    does not parse), or a w2 cell blank on a delta=1 row or filled on a
+    delta=0 row.
+    """
+    if set(map(len, rows)) != {width}:
+        return None
+    columns = list(zip(*rows))
+    cols = {name: columns[col_idx[name]] for name in schema.columns}
+    try:
+        delta = _floats(cols[schema.delta])
+        a = _floats(cols[schema.treatment])
+        if not (np.isin(delta, (0.0, 1.0)).all() and np.isin(a, (0.0, 1.0)).all()):
+            return None
+        y = _floats(cols[schema.outcome])
+        w1 = np.empty((len(rows), len(schema.w1)))
+        for j, name in enumerate(schema.w1):
+            w1[:, j] = _floats(cols[name])
+        p2 = delta == 1.0
+        in_p2, out_p2 = p2.tolist(), (~p2).tolist()
+        w2 = np.full((len(rows), len(schema.w2)), np.nan)
+        for j, name in enumerate(schema.w2):
+            if "".join(map(str.strip, compress(cols[name], out_p2))):
+                return None
+            w2[p2, j] = _floats(compress(cols[name], in_p2))
+    except ValueError:
+        return None
+    return w1, a.astype(np.int64), y, delta.astype(np.int64), w2
+
+
+def load_csv(path, schema: CsvSchema) -> Dataset:
+    """Read a two-phase dataset from a headed UTF-8 CSV file.
+
+    Cells are trimmed of surrounding whitespace and must then parse with
+    Python's float(); a treatment or delta cell must read 0 or 1. Missing
+    phase-2 values must be empty cells. A delta=0 row with a filled w2 cell
+    is rejected: over-observation signals a schema mistake, not data. Each
+    schema column must appear exactly once in the header. A row or cell error
+    names the first bad row, counted 1-based over data rows (header
+    excluded).
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                rows = list(reader)
+            except csv.Error as exc:
+                raise DataError(f"cannot parse CSV line {reader.line_num}: {exc}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read CSV file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"CSV file is not valid UTF-8: {exc}") from None
+    if not rows:
+        raise DataError("empty CSV file")
+    header, rows = rows[0], rows[1:]
+    col_idx = {name: i for i, name in enumerate(header)}
+    for name in schema.columns:
+        if name not in col_idx:
+            raise DataError(f"CSV is missing required column {name!r}")
+    for name in schema.columns:
+        if header.count(name) > 1:
+            raise DataError(f"CSV header names column {name!r} more than once")
+    if not rows:
         raise DataError("CSV contains a header but no data rows")
-    y_arr = np.array(y_col, dtype=float)
+    parsed = _parse_columns(rows, len(header), col_idx, schema)
+    if parsed is None:
+        _raise_first_row_error(rows, len(header), col_idx, schema)
+    w1, a, y, delta, w2 = parsed
     y_bounds = schema.y_bounds
     if schema.y_kind == "continuous" and y_bounds is None:
-        y_bounds = default_bounds(y_arr)
+        y_bounds = default_bounds(y)
     return Dataset(
-        w1=np.array(w1_rows, dtype=float).reshape(len(a_col), len(schema.w1)),
-        a=np.array(a_col),
-        y=y_arr,
-        delta=np.array(d_col),
-        w2=np.array(w2_rows, dtype=float).reshape(len(a_col), len(schema.w2)),
+        w1=w1, a=a, y=y, delta=delta, w2=w2,
         y_kind=schema.y_kind,
         y_bounds=y_bounds if y_bounds is not None else (0.0, 1.0),
     )

@@ -699,13 +699,15 @@ def estimate_tmle_alt(ds: Dataset, ns: NuisanceSet,
     n_outer = 0
     converged = False
     final = None
+    # resid2 and its regression r_all depend only on q_a, so they are
+    # refitted only after the Q fluctuation moves it
+    resid2 = w.h2 * (w.y2 - q_a)
+    r_all = w.mbar_all(resid2)
 
     for _round in range(3):
         # alternate Q / sampling-mechanism targeting; the first pass is
         # mandatory (the threshold governs iteration, not whether to target)
         for k in range(options.max_outer_iter + 1):
-            resid2 = w.h2 * (w.y2 - q_a)
-            r_all = w.mbar_all(resid2)
             # outcome + sampling components: the EIC of the residual part alone
             d_qpi = observed_eic(resid2, r_all, pi, 0.0, w.p2, w.delta)
             pnd = float(abs(np.mean(d_qpi)))

@@ -261,6 +261,57 @@ class TestConfigHardening:
         assert code == EXIT_OK
 
 
+class TestCsvHardening:
+    """Unreadable or ambiguous CSV input exits 2 with a message."""
+
+    def run(self, data, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "run.cfg",
+                        ["mode = estimate", f"data.path = {data}", *SCHEMA_LINES])
+        code = main(["--config", cfg, "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    def good_text(self, tmp_path):
+        data = tmp_path / "good.csv"
+        write_csv(make_twophase_dataset(np.random.default_rng(6), n=60), data, SCHEMA)
+        return data.read_text(encoding="utf-8")
+
+    def test_missing_file(self, tmp_path, capsys):
+        code, err = self.run(tmp_path / "absent.csv", tmp_path, capsys)
+        assert code == EXIT_CONFIG_ERROR
+        assert "absent.csv" in err
+
+    def test_directory(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, tmp_path, capsys)
+        assert code == EXIT_CONFIG_ERROR
+        assert "cannot read CSV file" in err
+
+    def test_invalid_utf8_byte(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(self.good_text(tmp_path).encode("utf-8").replace(b"\n", b"\xff\n", 3))
+        code, err = self.run(data, tmp_path, capsys)
+        assert code == EXIT_CONFIG_ERROR
+        assert "UTF-8" in err
+
+    def test_field_over_csv_limit(self, tmp_path, capsys):
+        text = self.good_text(tmp_path)
+        data = tmp_path / "long.csv"
+        data.write_text(text.replace("\n", "\n" + "1" * 200_000, 2), encoding="utf-8")
+        code, err = self.run(data, tmp_path, capsys)
+        assert code == EXIT_CONFIG_ERROR
+        assert "line 2" in err and "field limit" in err
+
+    def test_duplicated_schema_column(self, tmp_path, capsys):
+        # the row loop read the last u1 column and estimated from it
+        rows = self.good_text(tmp_path).splitlines()
+        data = tmp_path / "dup.csv"
+        data.write_text("\n".join(["u1," + rows[0]] + ["0.5," + r for r in rows[1:]]) + "\n",
+                        encoding="utf-8")
+        code, err = self.run(data, tmp_path, capsys)
+        assert code == EXIT_CONFIG_ERROR
+        assert "'u1'" in err and "more than once" in err
+        assert not (tmp_path / "out" / "estimates.csv").exists()
+
+
 @pytest.fixture()
 def repro_dir():
     from pathlib import Path

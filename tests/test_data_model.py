@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twophase_ate.data_model import (
@@ -13,7 +13,7 @@ from twophase_ate.data_model import (
     write_csv,
 )
 
-from util import make_twophase_dataset
+from util import make_twophase_dataset, reference_load_csv
 
 
 def toy_dataset():
@@ -188,3 +188,83 @@ class TestCsv:
         path2 = tmp_path_factory.mktemp("csv") / "rt2.csv"
         write_csv(back, path2, schema)
         assert path.read_bytes() == path2.read_bytes()
+
+
+FUZZ_HEADER = ("x1", "x2", "z1", "z2", "a", "y", "delta", "note")
+FUZZ_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["1_0", "-0", "+1.5", " 2 ", "\u0661\u0662", "\x1c3\x1c", "\xa04"]),
+)
+FUZZ_BLANKS = st.sampled_from(["", "", " ", "\t", "\x1c", "\u2003 "])
+# blank cells, non-finite and out-of-range numbers, non-0/1 binaries, garbage
+FUZZ_MUTANTS = st.one_of(FUZZ_NUMBERS, st.sampled_from([
+    "", " ", "0", "1", "2", "0.5", "-0", "1.0", " 1 ",
+    "nan", "inf", "-inf", "1e400", "abc", "1 2", "1\x00", '" 1 "', '"1,5"', "0x1", "_1",
+]))
+
+
+@st.composite
+def csv_cases(draw):
+    """CSV text with valid rows plus a few mutations, and a schema."""
+    header = list(draw(st.permutations(FUZZ_HEADER)))
+    y_kind = draw(st.sampled_from(["binary", "continuous"]))
+    bounds = draw(st.sampled_from([None, (-1e300, 1e300)])) if y_kind == "continuous" else None
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        delta = draw(st.sampled_from("011"))
+        cells = {
+            "x1": draw(FUZZ_NUMBERS), "x2": draw(FUZZ_NUMBERS),
+            "z1": draw(FUZZ_NUMBERS if delta == "1" else FUZZ_BLANKS),
+            "z2": draw(FUZZ_NUMBERS if delta == "1" else FUZZ_BLANKS),
+            "a": draw(st.sampled_from("01")), "delta": delta, "note": "n",
+            "y": draw(st.sampled_from("01") if y_kind == "binary" else FUZZ_NUMBERS),
+        }
+        rows.append([cells[c] for c in header])
+    for _ in range(draw(st.integers(0, 3))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        kind = draw(st.sampled_from(["cell"] * 6 + ["short", "long"]))
+        if not row:
+            row.append(draw(FUZZ_MUTANTS))
+        elif kind == "cell":
+            row[draw(st.integers(0, len(row) - 1))] = draw(FUZZ_MUTANTS)
+        elif kind == "short":
+            del row[draw(st.integers(0, len(row) - 1)):]
+        else:
+            row.append(draw(FUZZ_MUTANTS))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(",".join(r) for r in [header, *rows]) + eol
+    return text, y_kind, bounds
+
+
+def _load_or_message(loader, path, schema):
+    try:
+        return loader(path, schema)
+    except DataError as exc:
+        return str(exc)
+
+
+class TestCsvMatchesReference:
+    """The columnar load_csv against the former row-by-row loader."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=csv_cases())
+    @example(case=("", "binary", None))
+    @example(case=(",".join(FUZZ_HEADER) + "\n", "continuous", None))
+    def test_same_dataset_or_same_error(self, case, tmp_path_factory):
+        text, y_kind, bounds = case
+        schema = CsvSchema(treatment="a", outcome="y", delta="delta", w1=("x1", "x2"),
+                           w2=("z1", "z2"), y_kind=y_kind, y_bounds=bounds)
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = _load_or_message(load_csv, path, schema)
+        want = _load_or_message(reference_load_csv, path, schema)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert isinstance(got, Dataset), got
+        for name in ("w1", "a", "y", "delta", "w2"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes(), name  # NaN positions and signed zeros too
+        assert got.y_kind == want.y_kind and got.y_bounds == want.y_bounds

@@ -20,7 +20,7 @@ from twophase_ate.estimators import (
     run_estimator,
     run_roster,
 )
-from twophase_ate.nuisance import NuisanceConfig
+from twophase_ate.nuisance import NuisanceConfig, fit_mbar
 from twophase_ate.sim import DgpSpec, generate
 
 from util import (
@@ -228,6 +228,26 @@ class TestFixedPoints:
         assert not r.converged
         assert r.n_outer_iterations == 0
         np.testing.assert_array_equal(r.details["pi_final"], pi0)
+
+    def test_tmle_alt_never_refits_the_same_values(self, monkeypatch):
+        # resid2 changes only with q_a, so its regression is fitted once
+        # per Q fluctuation, never twice in a row on identical values
+        fitted = []
+
+        def spy(ds, values2, **kw):
+            fitted.append(np.array(values2))
+            return fit_mbar(ds, values2, **kw)
+
+        monkeypatch.setattr(estimators, "fit_mbar", spy)
+        for seed in range(5):
+            ds, _ = generate(DgpSpec("missing_rate", n=1000, seed=seed))
+            ctx = fit_context(ds)
+            fitted.clear()
+            r = run_estimator(ds, "tmle_alt", ctx)
+            assert r.n_outer_iterations >= 1
+            assert len(fitted) == r.n_outer_iterations + 1
+            for before, after in zip(fitted, fitted[1:]):
+                assert not np.array_equal(before, after)
 
 
 class TestPlugInProperty:

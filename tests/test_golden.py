@@ -26,11 +26,21 @@ def test_study_report_matches_golden(case, tmp_path):
     assert (out / "report.csv").read_bytes() == (GOLDEN / f"{case}.report.csv").read_bytes()
 
 
-def test_example_estimate_matches_golden(tmp_path, monkeypatch):
-    monkeypatch.chdir(ROOT)  # the config names its data file relative to the repo root
+def _estimate(cfg, golden, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)  # the configs name their data files relative to the repo root
     out = tmp_path / "out"
-    code = main(["--config", str(ROOT / "repro" / "example_estimate.cfg"), "--out", str(out),
-                 "--parallelism", "1"])
+    code = main(["--config", str(cfg), "--out", str(out), "--parallelism", "1"])
     assert code == EXIT_OK
-    golden = GOLDEN / "example_estimate.estimates.csv"
-    assert (out / "estimates.csv").read_bytes() == golden.read_bytes()
+    assert (out / "estimates.csv").read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_example_estimate_matches_golden(tmp_path, monkeypatch):
+    _estimate(ROOT / "repro" / "example_estimate.cfg", "example_estimate.estimates.csv",
+              tmp_path, monkeypatch)
+
+
+def test_continuous_estimate_matches_golden(tmp_path, monkeypatch):
+    # raking_gap cohort (n=500, written by write_csv), continuous outcome with
+    # bounds taken from the data, all eight estimators
+    _estimate(GOLDEN / "raking_gap_estimate.cfg", "raking_gap_estimate.estimates.csv",
+              tmp_path, monkeypatch)

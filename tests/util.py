@@ -1,4 +1,5 @@
-"""Shared builders and independent reference estimators for the test suite.
+"""Shared builders, independent reference estimators and a reference CSV
+loader for the test suite.
 
 The reference implementations here deliberately re-derive the full-data
 estimators from first principles (sharing only the GLM engine) so that the
@@ -7,9 +8,11 @@ no-coarsening equivalence tests compare two separately-written paths.
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
-from twophase_ate.data_model import Dataset
+from twophase_ate.data_model import CsvSchema, DataError, Dataset, default_bounds
 from twophase_ate.glm import P_MIN, expit, fit_fluctuation, fit_glm, logit
 
 
@@ -94,3 +97,89 @@ def bisect_oracle(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 3
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# row-by-row CSV reference loader
+# ---------------------------------------------------------------------------
+
+
+def _ref_parse_float(cell: str, row: int, col: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise DataError(f"row {row}: cannot parse {col}={cell!r} as a number") from None
+
+
+def _ref_parse_binary(cell: str, row: int, col: str) -> int:
+    v = _ref_parse_float(cell, row, col)
+    if v not in (0.0, 1.0):
+        raise DataError(f"row {row}: column {col} must be 0/1, got {cell!r}")
+    return int(v)
+
+
+def reference_load_csv(path, schema: CsvSchema) -> Dataset:
+    """The former row-by-row load_csv, kept as the reference that the
+    columnar loader must match: same Dataset, or the same DataError message.
+    It reads a header with duplicated names from the last such column,
+    which load_csv now rejects."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError("empty CSV file") from None
+        col_idx = {name: i for i, name in enumerate(header)}
+        for name in schema.columns:
+            if name not in col_idx:
+                raise DataError(f"CSV is missing required column {name!r}")
+        w1_rows, w2_rows, a_col, y_col, d_col = [], [], [], [], []
+        for rownum, cells in enumerate(reader, start=1):
+            if len(cells) != len(header):
+                raise DataError(f"row {rownum}: expected {len(header)} cells, got {len(cells)}")
+
+            def cell(name: str) -> str:
+                return cells[col_idx[name]].strip()
+
+            delta = _ref_parse_binary(cell(schema.delta), rownum, schema.delta)
+            a = _ref_parse_binary(cell(schema.treatment), rownum, schema.treatment)
+            y = _ref_parse_float(cell(schema.outcome), rownum, schema.outcome)
+            w1 = []
+            for name in schema.w1:
+                c = cell(name)
+                if c == "":
+                    raise DataError(f"row {rownum}: phase-1 column {name} is empty")
+                w1.append(_ref_parse_float(c, rownum, name))
+            w2 = []
+            for name in schema.w2:
+                c = cell(name)
+                if delta == 1:
+                    if c == "":
+                        raise DataError(f"row {rownum}: delta=1 but {name} is missing")
+                    w2.append(_ref_parse_float(c, rownum, name))
+                else:
+                    if c != "":
+                        raise DataError(
+                            f"row {rownum}: delta=0 row has a value in phase-2 column {name}"
+                        )
+                    w2.append(np.nan)
+            w1_rows.append(w1)
+            w2_rows.append(w2)
+            a_col.append(a)
+            y_col.append(y)
+            d_col.append(delta)
+    if not a_col:
+        raise DataError("CSV contains a header but no data rows")
+    y_arr = np.array(y_col, dtype=float)
+    y_bounds = schema.y_bounds
+    if schema.y_kind == "continuous" and y_bounds is None:
+        y_bounds = default_bounds(y_arr)
+    return Dataset(
+        w1=np.array(w1_rows, dtype=float).reshape(len(a_col), len(schema.w1)),
+        a=np.array(a_col),
+        y=y_arr,
+        delta=np.array(d_col),
+        w2=np.array(w2_rows, dtype=float).reshape(len(a_col), len(schema.w2)),
+        y_kind=schema.y_kind,
+        y_bounds=y_bounds if y_bounds is not None else (0.0, 1.0),
+    )
