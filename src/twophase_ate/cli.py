@@ -225,8 +225,8 @@ def cmd_estimate(rc: RunConfig) -> int:
     if rc.verbose:
         print(f"loaded {ds.n} records ({ds.n_phase2} phase-2) from {path}")
 
-    # in estimate mode, known mechanisms are numeric constants (e.g. a
-    # design-fixed sampling fraction); per-row truths exist only in simulate
+    # in estimate mode, a known mechanism is a numeric constant (e.g. a
+    # design-fixed sampling fraction), given to the estimators on every row
     def _known_const(key):
         raw = cfg.get(key)
         if raw is None:
@@ -237,7 +237,7 @@ def cmd_estimate(rc: RunConfig) -> int:
             raise ConfigError(f"{key}: estimate mode needs a numeric constant, got {raw!r}") from None
         if not 0.0 < v <= 1.0:
             raise ConfigError(f"{key}: a probability in (0, 1] is required")
-        return lambda X, v=v: np.full(X.shape[0], v)
+        return np.full(ds.n, v)
 
     trunc_pi, trunc_g = _truncation(cfg)
     ncfg = NuisanceConfig(

@@ -218,6 +218,13 @@ def _parse_float(cell: str, row: int, col: str) -> float:
         raise DataError(f"row {row}: cannot parse {col}={cell!r} as a number") from None
 
 
+def _parse_finite(cell: str, row: int, col: str) -> float:
+    v = _parse_float(cell, row, col)
+    if not np.isfinite(v):
+        raise DataError(f"row {row}: column {col} must be finite, got {cell!r}")
+    return v
+
+
 def _parse_binary(cell: str, row: int, col: str) -> int:
     v = _parse_float(cell, row, col)
     if v not in (0.0, 1.0):
@@ -240,18 +247,18 @@ def _raise_first_row_error(rows: list[list[str]], width: int, col_idx: dict[str,
         cell = {name: cells[col_idx[name]].strip() for name in schema.columns}
         delta = _parse_binary(cell[schema.delta], rownum, schema.delta)
         _parse_binary(cell[schema.treatment], rownum, schema.treatment)
-        _parse_float(cell[schema.outcome], rownum, schema.outcome)
+        _parse_finite(cell[schema.outcome], rownum, schema.outcome)
         for name in schema.w1:
             c = cell[name]
             if c == "":
                 raise DataError(f"row {rownum}: phase-1 column {name} is empty")
-            _parse_float(c, rownum, name)
+            _parse_finite(c, rownum, name)
         for name in schema.w2:
             c = cell[name]
             if delta == 1:
                 if c == "":
                     raise DataError(f"row {rownum}: delta=1 but {name} is missing")
-                _parse_float(c, rownum, name)
+                _parse_finite(c, rownum, name)
             elif c != "":
                 raise DataError(f"row {rownum}: delta=0 row has a value in phase-2 column {name}")
     raise RuntimeError("CSV column checks rejected rows that the row checks accept")
@@ -269,8 +276,8 @@ def _parse_columns(rows: list[list[str]], width: int, col_idx: dict[str, int],
     Returns (w1, a, y, delta, w2), or None if any row fails a check that
     _raise_first_row_error makes: a row of the wrong width, a number that
     does not parse, a non-0/1 treatment or delta, an empty w1 cell (which
-    does not parse), or a w2 cell blank on a delta=1 row or filled on a
-    delta=0 row.
+    does not parse), a w2 cell blank on a delta=1 row or filled on a
+    delta=0 row, or a non-finite outcome, w1 or phase-2 w2 value.
     """
     if set(map(len, rows)) != {width}:
         return None
@@ -294,22 +301,25 @@ def _parse_columns(rows: list[list[str]], width: int, col_idx: dict[str, int],
             w2[p2, j] = _floats(compress(cols[name], in_p2))
     except ValueError:
         return None
+    if not (np.isfinite(y).all() and np.isfinite(w1).all() and np.isfinite(w2[p2]).all()):
+        return None
     return w1, a.astype(np.int64), y, delta.astype(np.int64), w2
 
 
 def load_csv(path, schema: CsvSchema) -> Dataset:
-    """Read a two-phase dataset from a headed UTF-8 CSV file.
+    """Read a two-phase dataset from a headed UTF-8 CSV file; a leading
+    byte-order mark is skipped.
 
     Cells are trimmed of surrounding whitespace and must then parse with
-    Python's float(); a treatment or delta cell must read 0 or 1. Missing
-    phase-2 values must be empty cells. A delta=0 row with a filled w2 cell
-    is rejected: over-observation signals a schema mistake, not data. Each
-    schema column must appear exactly once in the header. A row or cell error
-    names the first bad row, counted 1-based over data rows (header
-    excluded).
+    Python's float() to a finite number; a treatment or delta cell must
+    read 0 or 1. Missing phase-2 values must be empty cells. A delta=0 row
+    with a filled w2 cell is rejected: over-observation signals a schema
+    mistake, not data. Each schema column must appear exactly once in the
+    header. A row or cell error names the first bad row, counted 1-based
+    over data rows (header excluded).
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 rows = list(reader)

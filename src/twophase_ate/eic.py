@@ -48,9 +48,7 @@ class NuisanceValues:
 def evaluate_nuisances(ds: Dataset, ns: NuisanceSet) -> NuisanceValues:
     p2 = ds.phase2
     pi = ns.pi.predict(v_features(ds), rows=np.arange(ds.n))
-    pi = np.clip(pi, ns.trunc_pi[0], ns.trunc_pi[1])
     g1 = ns.g.predict(w_features(ds, p2), rows=p2)
-    g1 = np.clip(g1, ns.trunc_g[0], ns.trunc_g[1])
     q_a = ns.q.predict(aw_features(ds, p2), rows=p2)
     q1 = ns.q.predict(aw_features(ds, p2, a_value=1), rows=p2)
     q0 = ns.q.predict(aw_features(ds, p2, a_value=0), rows=p2)

@@ -1,13 +1,12 @@
 """Eight ATE estimators for two-phase designs, plus the raking calibration solver.
 
-Every estimator consumes a Dataset whose outcome already lives in [0, 1]
-(binary, or scaled) together with a fitted NuisanceSet, and reports a
-point estimate, influence-curve standard error, Wald interval, and
-score-solving diagnostics. `run_estimator` is the scale-aware front door:
-it runs the estimator on a `FittedContext` (the outcome scaled onto [0, 1],
-the nuisances fitted and evaluated once) and maps the estimate back to the
-raw outcome scale. `fit_context` builds that context once per dataset and
-`run_roster` runs several estimators against it.
+Every estimator takes a `FittedContext` (one dataset with its outcome
+scaled onto [0, 1] and its nuisances fitted and evaluated on it) and
+reports a point estimate, influence-curve standard error, Wald interval,
+and score-solving diagnostics on the scaled outcome. `fit_context` builds
+the context once per dataset; `run_estimator` runs one estimator on it and
+maps the estimate back to the raw outcome scale, and `run_roster` runs
+several estimators against one context.
 
 Conventions shared by all routines here:
   * weighted plug-in means over the covariate distribution use normalized
@@ -88,6 +87,9 @@ FULL_EIC_SOLVERS = frozenset(
 )
 
 
+ROOT_TOL = 1e-10  # quasi_tmle's plug-in root solve
+
+
 class EstimatorError(RuntimeError):
     """An estimator could not produce a usable estimate."""
 
@@ -96,9 +98,6 @@ class EstimatorError(RuntimeError):
 class EstimatorOptions:
     max_outer_iter: int = 50
     mode: str = "refit"  # "refit" | "linearized" handling of the EIC regression
-    fluct_tol: float = 1e-10
-    root_tol: float = 1e-10  # plug-in root solve (quasi_tmle)
-    rake_tol: float = 1e-8
 
     def __post_init__(self):
         if self.max_outer_iter < 0:
@@ -141,36 +140,39 @@ def _threshold(d_obs: np.ndarray, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# shared per-dataset working state
+# shared per-dataset state
 # ---------------------------------------------------------------------------
 
 
-class _Work:
-    """Evaluated nuisances and the recurring per-row algebra for one dataset.
+class FittedContext:
+    """One dataset made ready for any number of estimators, by `fit_context`.
 
-    One instance is shared by every estimator run with the same nuisance
-    set on the same dataset (see `_work`), so its arrays are read-only.
+    `raw` is the dataset as given, `scaled` the same records with the outcome
+    mapped onto [0, 1] by `scale`, and `nuisances` the set fitted on `scaled`.
+    The arrays hold that set evaluated on `scaled` (pi0 on every record, the
+    rest on the phase-2 rows; wts0 = 1/pi0 there). Every estimator on the
+    dataset shares them, so they are read-only.
     """
 
-    def __init__(self, ds: Dataset, ns: NuisanceSet):
-        if ds.n < 3:
+    def __init__(self, raw: Dataset, scaled: Dataset, scale: OutcomeScale,
+                 nuisances: NuisanceSet):
+        if scaled.n < 3:
             raise EstimatorError("need at least 3 records")
-        if ds.y.min() < 0.0 or ds.y.max() > 1.0:
-            raise EstimatorError("outcome must be in [0, 1]; use run_estimator for raw scales")
-        vals = evaluate_nuisances(ds, ns)
-        self.ds = ds
-        self.n = ds.n
-        self.p2 = ds.phase2
-        self.delta = ds.delta.astype(float)
-        self.y2 = ds.y[self.p2]
-        self.a2 = ds.a[self.p2]
+        vals = evaluate_nuisances(scaled, nuisances)
+        self.raw, self.scaled, self.scale, self.nuisances = raw, scaled, scale, nuisances
+        self.n = scaled.n
+        self.p2 = scaled.phase2
+        self.delta = scaled.delta.astype(float)
+        self.y2 = scaled.y[self.p2]
+        self.a2 = scaled.a[self.p2]
         self.pi0 = vals.pi
+        self.wts0 = 1.0 / self.pi0[self.p2]
         self.g1 = vals.g1
         self.h2 = clever_covariate(self.a2, self.g1)
         self.h1 = 1.0 / self.g1
         self.h0 = -1.0 / (1.0 - self.g1)
         self.q_a0, self.q10, self.q00 = vals.q_a, vals.q1, vals.q0
-        self.design = MbarDesign(ds)
+        self.design = MbarDesign(scaled)
         shared = [v for v in vars(self).values() if isinstance(v, np.ndarray)]
         for arr in shared + [self.design.x_all, self.design.x2]:
             arr.flags.writeable = False
@@ -184,14 +186,13 @@ class _Work:
 
     def mbar_all(self, values2: np.ndarray) -> np.ndarray:
         """Regression of phase-2 values on phase-1 features, predicted on all rows."""
-        pred = fit_mbar(self.ds, values2, design=self.design)
+        pred = fit_mbar(self.scaled, values2, design=self.design)
         # pred.predict(v_features(ds)) without rebuilding the intercept column
         return pred.fit.predict(self.design.x_all)
 
-    def fluctuate_q(self, q_a, q1, q0, pi, tol):
+    def fluctuate_q(self, q_a, q1, q0, pi):
         """One weighted logistic targeting step of the outcome regression."""
-        fit = fit_fluctuation(self.y2, logit(q_a, P_MIN), self.h2,
-                              w=1.0 / pi[self.p2], tol=tol)
+        fit = fit_fluctuation(self.y2, logit(q_a, P_MIN), self.h2, w=1.0 / pi[self.p2])
         eps = fit.epsilon
         if eps != 0.0:
             q_a = expit(logit(q_a, P_MIN) + eps * self.h2)
@@ -199,17 +200,13 @@ class _Work:
             q0 = expit(logit(q0, P_MIN) + eps * self.h0)
         return q_a, q1, q0, fit
 
-
-def _work(ds: Dataset, ns: NuisanceSet) -> _Work:
-    """The working state of ns on ds: built on first use, then kept on the
-    (immutable) nuisance set and reused while it is asked for the same
-    dataset object."""
-    memo = getattr(ns, "_evaluated", None)
-    if memo is not None and memo.ds is ds:
-        return memo
-    w = _Work(ds, ns)
-    object.__setattr__(ns, "_evaluated", w)
-    return w
+    def fluctuate_pi(self, pi, m):
+        """One logistic targeting step of the sampling mechanism along m/pi,
+        truncated to the nuisance set's bounds."""
+        cov = m / pi
+        fit = fit_fluctuation(self.delta, logit(pi, P_MIN), cov)
+        lo, hi = self.nuisances.trunc_pi
+        return np.clip(expit(logit(pi, P_MIN) + fit.epsilon * cov), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -298,35 +295,32 @@ def rake_weights(mbar: np.ndarray, pi: np.ndarray, delta: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def estimate_aipcw(ds: Dataset, ns: NuisanceSet,
+def estimate_aipcw(ctx: FittedContext,
                    options: EstimatorOptions = DEFAULT_OPTIONS) -> EstimateResult:
     """Augmented IPCW: the closed-form solution of 0 = P_n D at the initial fit."""
-    w = _work(ds, ns)
-    dbar2 = w.dbar(w.q_a0, w.q10, w.q00)
-    mbar = w.mbar_all(dbar2)
-    pi = w.pi0
+    dbar2 = ctx.dbar(ctx.q_a0, ctx.q10, ctx.q00)
+    mbar = ctx.mbar_all(dbar2)
+    pi = ctx.pi0
     psi = float(
-        np.sum(dbar2 / pi[w.p2]) / w.n
-        - np.sum(mbar * (w.delta - pi) / pi) / w.n
+        np.sum(dbar2 / pi[ctx.p2]) / ctx.n
+        - np.sum(mbar * (ctx.delta - pi) / pi) / ctx.n
     )
-    d = observed_eic(dbar2, mbar, pi, psi, w.p2, w.delta)
-    return _result("aipcw", psi, d, w.n, 0, True,
+    d = observed_eic(dbar2, mbar, pi, psi, ctx.p2, ctx.delta)
+    return _result("aipcw", psi, d, ctx.n, 0, True,
                    details={"mbar": mbar, "dbar2": dbar2})
 
 
-def estimate_eee(ds: Dataset, ns: NuisanceSet,
+def estimate_eee(ctx: FittedContext,
                  options: EstimatorOptions = DEFAULT_OPTIONS) -> EstimateResult:
     """Targets the conditional-EIC regression with a weighted intercept shift,
     then averages the targeted regression over all records."""
-    w = _work(ds, ns)
-    dbar2 = w.dbar(w.q_a0, w.q10, w.q00)
-    mbar = w.mbar_all(dbar2)
-    wts2 = 1.0 / w.pi0[w.p2]
-    zeta = float((wts2 @ (dbar2 - mbar[w.p2])) / wts2.sum())
+    dbar2 = ctx.dbar(ctx.q_a0, ctx.q10, ctx.q00)
+    mbar = ctx.mbar_all(dbar2)
+    zeta = float((ctx.wts0 @ (dbar2 - mbar[ctx.p2])) / ctx.wts0.sum())
     mbar_star = mbar + zeta
     psi = float(np.mean(mbar_star))
-    d = observed_eic(dbar2, mbar_star, w.pi0, psi, w.p2, w.delta)
-    return _result("eee", psi, d, w.n, 0, True,
+    d = observed_eic(dbar2, mbar_star, ctx.pi0, psi, ctx.p2, ctx.delta)
+    return _result("eee", psi, d, ctx.n, 0, True,
                    details={"zeta": zeta, "mbar_star": mbar_star, "dbar2": dbar2})
 
 
@@ -335,19 +329,17 @@ def estimate_eee(ds: Dataset, ns: NuisanceSet,
 # ---------------------------------------------------------------------------
 
 
-def estimate_ipcw_tmle(ds: Dataset, ns: NuisanceSet,
+def estimate_ipcw_tmle(ctx: FittedContext,
                        options: EstimatorOptions = DEFAULT_OPTIONS) -> EstimateResult:
     """Single weighted logistic targeting of the outcome regression."""
-    w = _work(ds, ns)
-    q_a, q1, q0, fit = w.fluctuate_q(w.q_a0, w.q10, w.q00, w.pi0, options.fluct_tol)
-    psi = w.hajek_plugin(q1, q0, w.pi0)
-    dbar2 = w.dbar(q_a, q1, q0)
-    mbar = w.mbar_all(dbar2)
-    d = observed_eic(dbar2, mbar, w.pi0, psi, w.p2, w.delta)
-    wts2 = 1.0 / w.pi0[w.p2]
-    weighted_fulldata_score = float(np.sum((dbar2 - psi) * wts2) / w.n)
+    q_a, q1, q0, fit = ctx.fluctuate_q(ctx.q_a0, ctx.q10, ctx.q00, ctx.pi0)
+    psi = ctx.hajek_plugin(q1, q0, ctx.pi0)
+    dbar2 = ctx.dbar(q_a, q1, q0)
+    mbar = ctx.mbar_all(dbar2)
+    d = observed_eic(dbar2, mbar, ctx.pi0, psi, ctx.p2, ctx.delta)
+    weighted_fulldata_score = float(np.sum((dbar2 - psi) * ctx.wts0) / ctx.n)
     return _result(
-        "ipcw_tmle", psi, d, w.n, 1, fit.converged,
+        "ipcw_tmle", psi, d, ctx.n, 1, fit.converged,
         details={
             "epsilon": fit.epsilon,
             "q1": q1, "q0": q0,
@@ -367,7 +359,7 @@ class _LoopState:
     pi: np.ndarray
 
 
-def _iterative_ipcw_tmle(ds, ns, options, use_raking: bool, estimator_id: str) -> EstimateResult:
+def _iterative_ipcw_tmle(ctx, options, use_raking: bool, estimator_id: str) -> EstimateResult:
     """Alternate outcome targeting and sampling-mechanism targeting until the
     empirical EIC mean is below threshold.
 
@@ -377,9 +369,8 @@ def _iterative_ipcw_tmle(ds, ns, options, use_raking: bool, estimator_id: str) -
     options.mode == "linearized" reuses two regressions (level and slope of
     the fluctuated full-data EIC) per outer iteration instead of refitting.
     """
-    w = _work(ds, ns)
-    pi = w.pi0.copy()
-    q_a, q1, q0 = w.q_a0.copy(), w.q10.copy(), w.q00.copy()
+    pi = ctx.pi0.copy()
+    q_a, q1, q0 = ctx.q_a0.copy(), ctx.q10.copy(), ctx.q00.copy()
     linearized = options.mode == "linearized"
     best: _LoopState | None = None
     n_outer = 0
@@ -388,14 +379,14 @@ def _iterative_ipcw_tmle(ds, ns, options, use_raking: bool, estimator_id: str) -
     rake_last: RakeSolution | None = None
 
     for k in range(options.max_outer_iter + 1):
-        dbar2 = w.dbar(q_a, q1, q0)
-        psi = w.hajek_plugin(q1, q0, pi)
-        m_level = w.mbar_all(dbar2)
+        dbar2 = ctx.dbar(q_a, q1, q0)
+        psi = ctx.hajek_plugin(q1, q0, pi)
+        m_level = ctx.mbar_all(dbar2)
         if linearized:
-            m_slope = w.mbar_all(linearized_slope_values(w.a2, w.g1, q_a, q1, q0))
-        d = observed_eic(dbar2, m_level, pi, psi, w.p2, w.delta)
+            m_slope = ctx.mbar_all(linearized_slope_values(ctx.a2, ctx.g1, q_a, q1, q0))
+        d = observed_eic(dbar2, m_level, pi, psi, ctx.p2, ctx.delta)
         pnd = float(abs(np.mean(d)))
-        s_n = _threshold(d, w.n)
+        s_n = _threshold(d, ctx.n)
         state = _LoopState(psi=psi, d=d, pnd=pnd, s_n=s_n, q1=q1, q0=q0, pi=pi)
         # the first targeting pass is mandatory: the threshold governs
         # iteration, not whether to target at all
@@ -408,27 +399,24 @@ def _iterative_ipcw_tmle(ds, ns, options, use_raking: bool, estimator_id: str) -
             break
 
         # outcome targeting at the current weights
-        q_a, q1, q0, fit = w.fluctuate_q(q_a, q1, q0, pi, options.fluct_tol)
+        q_a, q1, q0, fit = ctx.fluctuate_q(q_a, q1, q0, pi)
         epsilons.append(fit.epsilon)
-        psi_new = w.hajek_plugin(q1, q0, pi)
+        psi_new = ctx.hajek_plugin(q1, q0, pi)
         if linearized:
             m_new = m_level + fit.epsilon * m_slope
         else:
-            m_new = w.mbar_all(w.dbar(q_a, q1, q0))
+            m_new = ctx.mbar_all(ctx.dbar(q_a, q1, q0))
         m_centered = m_new - psi_new
 
         # sampling-mechanism targeting
         if use_raking:
-            rake_last = rake_weights(m_centered, pi, w.delta, tol=options.rake_tol)
+            rake_last = rake_weights(m_centered, pi, ctx.delta)
             if not rake_last.converged:
                 # uncalibrated weights would leave the score equation unsolved
                 break
             pi = rake_last.pi_star
         else:
-            cov = m_centered / pi
-            dfit = fit_fluctuation(w.delta, logit(pi, P_MIN), cov, tol=options.fluct_tol)
-            pi = np.clip(expit(logit(pi, P_MIN) + dfit.epsilon * cov),
-                         ns.trunc_pi[0], ns.trunc_pi[1])
+            pi = ctx.fluctuate_pi(pi, m_centered)
         n_outer += 1
 
     final = state if converged else (best if best is not None else state)
@@ -440,20 +428,20 @@ def _iterative_ipcw_tmle(ds, ns, options, use_raking: bool, estimator_id: str) -
     }
     if rake_last is not None:
         details["rake"] = rake_last
-    res = _result(estimator_id, final.psi, final.d, w.n, n_outer, converged, details)
+    res = _result(estimator_id, final.psi, final.d, ctx.n, n_outer, converged, details)
     # keep the threshold the loop actually used
     return replace(res, s_n=final.s_n)
 
 
-def estimate_ipcw_tmle_target_pi(ds: Dataset, ns: NuisanceSet,
+def estimate_ipcw_tmle_target_pi(ctx: FittedContext,
                                  options: EstimatorOptions = DEFAULT_OPTIONS) -> EstimateResult:
-    return _iterative_ipcw_tmle(ds, ns, options, use_raking=False,
+    return _iterative_ipcw_tmle(ctx, options, use_raking=False,
                                 estimator_id="ipcw_tmle_target_pi")
 
 
-def estimate_ipcw_tmle_rake_pi(ds: Dataset, ns: NuisanceSet,
+def estimate_ipcw_tmle_rake_pi(ctx: FittedContext,
                                options: EstimatorOptions = DEFAULT_OPTIONS) -> EstimateResult:
-    return _iterative_ipcw_tmle(ds, ns, options, use_raking=True,
+    return _iterative_ipcw_tmle(ctx, options, use_raking=True,
                                 estimator_id="ipcw_tmle_rake_pi")
 
 
@@ -492,14 +480,14 @@ class _ImputationModel:
             yield weight, base + shift
 
 
-def _fit_imputation(w: _Work) -> _ImputationModel:
-    ds = w.ds
+def _fit_imputation(ctx: FittedContext) -> _ImputationModel:
+    ds, p2, design = ctx.scaled, ctx.p2, ctx.design
     mean = np.zeros((ds.n, ds.d_w2))
     sd = np.zeros(ds.d_w2)
-    dof = max(1, len(w.p2) - w.design.x2.shape[1])
+    dof = max(1, len(p2) - design.x2.shape[1])
     for j in range(ds.d_w2):
-        mean[:, j] = w.design.fit(ds.w2[w.p2, j]).predict(w.design.x_all)
-        resid = ds.w2[w.p2, j] - mean[w.p2, j]
+        mean[:, j] = design.fit(ds.w2[p2, j]).predict(design.x_all)
+        resid = ds.w2[p2, j] - mean[p2, j]
         sd[j] = float(np.sqrt(resid @ resid / dof))
     return _ImputationModel(mean=mean, sd=sd)
 
@@ -513,9 +501,9 @@ class _CensusModel:
     computed by Gauss-Hermite quadrature (the deterministic counterpart of
     averaging over imputation draws)."""
 
-    def __init__(self, w: _Work, imputation: _ImputationModel | None,
+    def __init__(self, ctx: FittedContext, imputation: _ImputationModel | None,
                  wts2: np.ndarray, family: str):
-        ds = w.ds
+        ds, p2 = ctx.scaled, ctx.p2
 
         def designs(rows, w2mat):
             """The design [1, a, w1, w2] at the observed arm, a=1 and a=0."""
@@ -530,13 +518,13 @@ class _CensusModel:
             q_a, q1, q0 = (self.fit.predict(Z) for Z in (X, X1, X0))
             return (X @ alpha) * (ds.y[rows] - q_a) + (q1 - q0)
 
-        Xp, Xp1, Xp0 = designs(w.p2, ds.w2[w.p2])
-        self.fit = fit_glm(Xp, w.y2, w=wts2, family=family)
+        Xp, Xp1, Xp0 = designs(p2, ds.w2[p2])
+        self.fit = fit_glm(Xp, ctx.y2, w=wts2, family=family)
         q_a2, q12, q02 = (self.fit.predict(Z) for Z in (Xp, Xp1, Xp0))
         if family == "bernoulli":
             j_a, j1, j0 = q_a2 * (1 - q_a2), q12 * (1 - q12), q02 * (1 - q02)
         else:
-            j_a = j1 = j0 = np.ones(len(w.p2))
+            j_a = j1 = j0 = np.ones(len(p2))
         wn = wts2 / wts2.sum()
         info = (Xp * (wn * j_a)[:, None]).T @ Xp
         grad = (j1[:, None] * Xp1 - j0[:, None] * Xp0).T @ wn
@@ -544,7 +532,7 @@ class _CensusModel:
         self.psi_plugin = float(wn @ (q12 - q02))
 
         u = np.empty(ds.n)
-        u[w.p2] = pieces(w.p2, Xp, Xp1, Xp0, alpha)
+        u[p2] = pieces(p2, Xp, Xp1, Xp0, alpha)
         censored = np.flatnonzero(ds.delta == 0)
         if len(censored):
             if imputation is None:  # no phase-2 covariates: nothing to impute
@@ -560,7 +548,7 @@ class _CensusModel:
         return self.u_uncentered - psi
 
 
-def estimate_raking(ds: Dataset, ns: NuisanceSet,
+def estimate_raking(ctx: FittedContext,
                     options: EstimatorOptions = DEFAULT_OPTIONS) -> EstimateResult:
     """Classic generalized raking: calibrate the inverse-probability weights
     against working-model influence values, refit the working model with
@@ -573,24 +561,22 @@ def estimate_raking(ds: Dataset, ns: NuisanceSet,
     the census (working-model) parameter; the reported interval is honest
     for that parameter only.
     """
-    w = _work(ds, ns)
+    ds = ctx.scaled
     family = "bernoulli" if ds.y_kind == "binary" else "gaussian"
-    pi = w.pi0
-    wts0 = 1.0 / pi[w.p2]
-    has_censored = len(w.p2) < ds.n and ds.d_w2 > 0
-    imputation = _fit_imputation(w) if has_censored else None
+    has_censored = len(ctx.p2) < ds.n and ds.d_w2 > 0
+    imputation = _fit_imputation(ctx) if has_censored else None
 
-    prelim = _CensusModel(w, imputation, wts0, family)
+    prelim = _CensusModel(ctx, imputation, ctx.wts0, family)
     h = prelim.influence(prelim.psi_plugin)
-    rake = rake_weights(h, pi, w.delta, tol=options.rake_tol)
-    wts1 = 1.0 / rake.pi_star[w.p2]
+    rake = rake_weights(h, ctx.pi0, ctx.delta)
+    wts1 = 1.0 / rake.pi_star[ctx.p2]
 
-    final = _CensusModel(w, imputation, wts1, family)
+    final = _CensusModel(ctx, imputation, wts1, family)
     psi = final.psi_plugin
     infl = final.influence(psi)
     converged = rake.converged and final.fit.converged
     return _result(
-        "raking", psi, infl, w.n, rake.n_iter, converged,
+        "raking", psi, infl, ctx.n, rake.n_iter, converged,
         details={"rake": rake, "pi_star": rake.pi_star, "psi_prelim": prelim.psi_plugin,
                  "calibration_values": h, "working_fit": final.fit},
     )
@@ -601,7 +587,7 @@ def estimate_raking(ds: Dataset, ns: NuisanceSet,
 # ---------------------------------------------------------------------------
 
 
-def estimate_quasi_tmle(ds: Dataset, ns: NuisanceSet,
+def estimate_quasi_tmle(ctx: FittedContext,
                         options: EstimatorOptions = DEFAULT_OPTIONS) -> EstimateResult:
     """Joint solve of the outcome fluctuation and a weighted shift of the
     conditional-EIC regression, constrained so the reported value is the
@@ -611,46 +597,43 @@ def estimate_quasi_tmle(ds: Dataset, ns: NuisanceSet,
     a one-dimensional root problem in the fluctuation coefficient, solved
     by the secant method with a bracketed bisection fallback.
     """
-    w = _work(ds, ns)
-    pi = w.pi0
-    pi2 = pi[w.p2]
-    wts2 = 1.0 / pi2
-    pn_dpi = float(wts2.sum() / w.n)  # P_n{delta/pi}
-    pn_dpi2 = float((wts2**2).sum() / w.n)  # P_n{delta/pi^2}
-    lq_a = logit(w.q_a0, P_MIN)
-    lq1 = logit(w.q10, P_MIN)
-    lq0 = logit(w.q00, P_MIN)
+    pn_dpi = float(ctx.wts0.sum() / ctx.n)  # P_n{delta/pi}
+    pn_dpi2 = float((ctx.wts0**2).sum() / ctx.n)  # P_n{delta/pi^2}
+    lq_a = logit(ctx.q_a0, P_MIN)
+    lq1 = logit(ctx.q10, P_MIN)
+    lq0 = logit(ctx.q00, P_MIN)
     linearized = options.mode == "linearized"
     if linearized:
-        m_level = w.mbar_all(w.dbar(w.q_a0, w.q10, w.q00))
-        m_slope = w.mbar_all(linearized_slope_values(w.a2, w.g1, w.q_a0, w.q10, w.q00))
+        m_level = ctx.mbar_all(ctx.dbar(ctx.q_a0, ctx.q10, ctx.q00))
+        m_slope = ctx.mbar_all(
+            linearized_slope_values(ctx.a2, ctx.g1, ctx.q_a0, ctx.q10, ctx.q00))
     n_evals = 0
 
     def model_at(eps: float):
         nonlocal n_evals
         n_evals += 1
-        q_a = expit(lq_a + eps * w.h2)
-        q1 = expit(lq1 + eps * w.h1)
-        q0 = expit(lq0 + eps * w.h0)
-        dbar2 = w.dbar(q_a, q1, q0)
+        q_a = expit(lq_a + eps * ctx.h2)
+        q1 = expit(lq1 + eps * ctx.h1)
+        q0 = expit(lq0 + eps * ctx.h0)
+        dbar2 = ctx.dbar(q_a, q1, q0)
         if linearized:
             m_all = m_level + eps * m_slope
         else:
-            m_all = w.mbar_all(dbar2)
-        psi_plug = float((wts2 @ (q1 - q0)) / wts2.sum())
+            m_all = ctx.mbar_all(dbar2)
+        psi_plug = ctx.hajek_plugin(q1, q0, ctx.pi0)
         gamma = (psi_plug - float(np.mean(m_all))) / pn_dpi
-        score = float(wts2 @ (dbar2 - m_all[w.p2]) / w.n) - gamma * pn_dpi2
+        score = float(ctx.wts0 @ (dbar2 - m_all[ctx.p2]) / ctx.n) - gamma * pn_dpi2
         return score, (q1, q0, dbar2, m_all, psi_plug, gamma)
 
     def score_fn(eps: float) -> float:
         return model_at(eps)[0]
 
     # warm start from the plain weighted fluctuation
-    warm = fit_fluctuation(w.y2, lq_a, w.h2, w=wts2, tol=options.fluct_tol)
+    warm = fit_fluctuation(ctx.y2, lq_a, ctx.h2, w=ctx.wts0)
     x1 = warm.epsilon if warm.epsilon != 0.0 else 1e-3
-    res = secant(score_fn, 0.0, x1, options.root_tol, max_iter=100)
+    res = secant(score_fn, 0.0, x1, ROOT_TOL)
     if not res.converged:
-        res = bisect(score_fn, np.linspace(-10.0, 10.0, 81), options.root_tol)
+        res = bisect(score_fn, np.linspace(-10.0, 10.0, 81), ROOT_TOL)
         if res is None or not res.converged:
             raise EstimatorError("plug-in fluctuation solve failed: no root in [-10, 10]")
 
@@ -658,10 +641,10 @@ def estimate_quasi_tmle(ds: Dataset, ns: NuisanceSet,
     score, (q1, q0, dbar2, m_all, psi_plug, gamma) = model_at(eps)
     psi = psi_plug  # plug-in identity: P_n targeted regression equals this
     mbar_star = m_all.copy()
-    mbar_star[w.p2] += gamma * wts2
-    d = observed_eic(dbar2, mbar_star, pi, psi, w.p2, w.delta)
+    mbar_star[ctx.p2] += gamma * ctx.wts0
+    d = observed_eic(dbar2, mbar_star, ctx.pi0, psi, ctx.p2, ctx.delta)
     return _result(
-        "quasi_tmle", psi, d, w.n, n_evals, True,
+        "quasi_tmle", psi, d, ctx.n, n_evals, True,
         details={"epsilon": eps, "gamma": gamma, "q1": q1, "q0": q0,
                  "psi_plug": psi_plug, "mbar_star": mbar_star},
     )
@@ -672,16 +655,16 @@ def estimate_quasi_tmle(ds: Dataset, ns: NuisanceSet,
 # ---------------------------------------------------------------------------
 
 
-def _fit_bounded_regression(w: _Work, values2: np.ndarray) -> np.ndarray:
+def _fit_bounded_regression(ctx: FittedContext, values2: np.ndarray) -> np.ndarray:
     """Bernoulli-family regression of (0,1)-valued phase-2 values on phase-1
     features, predicted on all rows; keeps predictions inside (0,1) for the
     subsequent logit-offset fluctuation."""
     resp = np.clip(values2, P_MIN, 1.0 - P_MIN)
-    fit = fit_glm(w.design.x2, resp, family="bernoulli")
-    return fit.predict(w.design.x_all)
+    fit = fit_glm(ctx.design.x2, resp, family="bernoulli")
+    return fit.predict(ctx.design.x_all)
 
 
-def estimate_tmle_alt(ds: Dataset, ns: NuisanceSet,
+def estimate_tmle_alt(ctx: FittedContext,
                       options: EstimatorOptions = DEFAULT_OPTIONS) -> EstimateResult:
     """Targets, in turn: the outcome regression, the sampling mechanism
     (clever covariate from the conditional residual score), and the two
@@ -693,60 +676,55 @@ def estimate_tmle_alt(ds: Dataset, ns: NuisanceSet,
     components, so the full EIC mean is checked (and re-looped, at most
     twice) before declaring convergence.
     """
-    w = _work(ds, ns)
-    pi = w.pi0.copy()
-    q_a, q1, q0 = w.q_a0.copy(), w.q10.copy(), w.q00.copy()
+    pi = ctx.pi0.copy()
+    q_a, q1, q0 = ctx.q_a0.copy(), ctx.q10.copy(), ctx.q00.copy()
     n_outer = 0
     converged = False
     final = None
     # resid2 and its regression r_all depend only on q_a, so they are
     # refitted only after the Q fluctuation moves it
-    resid2 = w.h2 * (w.y2 - q_a)
-    r_all = w.mbar_all(resid2)
+    resid2 = ctx.h2 * (ctx.y2 - q_a)
+    r_all = ctx.mbar_all(resid2)
 
     for _round in range(3):
         # alternate Q / sampling-mechanism targeting; the first pass is
         # mandatory (the threshold governs iteration, not whether to target)
         for k in range(options.max_outer_iter + 1):
             # outcome + sampling components: the EIC of the residual part alone
-            d_qpi = observed_eic(resid2, r_all, pi, 0.0, w.p2, w.delta)
+            d_qpi = observed_eic(resid2, r_all, pi, 0.0, ctx.p2, ctx.delta)
             pnd = float(abs(np.mean(d_qpi)))
-            s_n_loop = _threshold(d_qpi, w.n)
+            s_n_loop = _threshold(d_qpi, ctx.n)
             first_pass = k == 0 and _round == 0 and n_outer == 0
             if (pnd <= s_n_loop and not first_pass) or k == options.max_outer_iter:
                 break
-            q_a, q1, q0, _fit = w.fluctuate_q(q_a, q1, q0, pi, options.fluct_tol)
-            resid2 = w.h2 * (w.y2 - q_a)
-            r_all = w.mbar_all(resid2)
-            cov = r_all / pi
-            dfit = fit_fluctuation(w.delta, logit(pi, P_MIN), cov, tol=options.fluct_tol)
-            pi = np.clip(expit(logit(pi, P_MIN) + dfit.epsilon * cov),
-                         ns.trunc_pi[0], ns.trunc_pi[1])
+            q_a, q1, q0, _fit = ctx.fluctuate_q(q_a, q1, q0, pi)
+            resid2 = ctx.h2 * (ctx.y2 - q_a)
+            r_all = ctx.mbar_all(resid2)
+            pi = ctx.fluctuate_pi(pi, r_all)
             n_outer += 1
 
         # conditional arm-regression targeting (phase-2 fit, covariate 1/pi)
         inv_pi = 1.0 / pi
         m_star = {}
         for arm, q_arm in ((1, q1), (0, q0)):
-            m_all = _fit_bounded_regression(w, q_arm)
+            m_all = _fit_bounded_regression(ctx, q_arm)
             gfit = fit_fluctuation(np.clip(q_arm, P_MIN, 1.0 - P_MIN),
-                                   logit(m_all[w.p2], P_MIN), inv_pi[w.p2],
-                                   tol=options.fluct_tol)
+                                   logit(m_all[ctx.p2], P_MIN), inv_pi[ctx.p2])
             m_star[arm] = expit(logit(m_all, P_MIN) + gfit.epsilon * inv_pi)
         contrast_all = m_star[1] - m_star[0]
         psi = float(np.mean(contrast_all))
 
         d_q, d_pi, d_gamma, d_pv = eic_components(resid2, r_all, q1 - q0, contrast_all,
-                                                  pi, psi, w.p2, w.delta)
+                                                  pi, psi, ctx.p2, ctx.delta)
         d = d_q + d_pi + d_gamma + d_pv
         final = (psi, d, m_star)
-        if abs(np.mean(d)) <= _threshold(d, w.n):
+        if abs(np.mean(d)) <= _threshold(d, ctx.n):
             converged = True
             break
 
     psi, d, m_star = final
     return _result(
-        "tmle_alt", psi, d, w.n, n_outer, converged,
+        "tmle_alt", psi, d, ctx.n, n_outer, converged,
         details={"pi_final": pi, "q1": q1, "q0": q0,
                  "m1_star": m_star[1], "m0_star": m_star[0]},
     )
@@ -782,49 +760,30 @@ def _unscale(res: EstimateResult, scale: OutcomeScale) -> EstimateResult:
     )
 
 
-@dataclass(frozen=True)
-class FittedContext:
-    """One dataset made ready for any number of estimators.
-
-    Holds the outcome mapped onto [0, 1] and the nuisance set fitted on it;
-    the set also carries its evaluation on the scaled data, so estimators
-    run against this context share one fit and one evaluation.
-    """
-
-    raw: Dataset
-    scaled: Dataset
-    scale: OutcomeScale
-    nuisances: NuisanceSet
-
-
-def fit_context(ds: Dataset,
-                nuisance: NuisanceConfig | NuisanceSet | None = None) -> FittedContext:
-    """Scale the outcome, fit (or accept) the nuisances and evaluate them.
+def fit_context(ds: Dataset, nuisance: NuisanceConfig | None = None) -> FittedContext:
+    """Scale the outcome, fit the nuisances, evaluate them and build the
+    phase-1 design, once for every estimator run on ds.
 
     A failed fit raises EstimatorError("nuisance fitting failed: ...").
     """
     scaled, scale = scale_outcome(ds)
-    if isinstance(nuisance, NuisanceSet):
-        ns = nuisance
-    else:
-        try:
-            ns = fit_nuisances(scaled, nuisance)
-        except (NuisanceError, GlmError) as exc:
-            raise EstimatorError(f"nuisance fitting failed: {exc}") from exc
     try:
-        _work(scaled, ns)
+        ns = fit_nuisances(scaled, nuisance)
+    except (NuisanceError, GlmError) as exc:
+        raise EstimatorError(f"nuisance fitting failed: {exc}") from exc
+    try:
+        return FittedContext(ds, scaled, scale, ns)
     except (NuisanceError, GlmError) as exc:
         raise EstimatorError(f"nuisance evaluation failed: {exc}") from exc
-    return FittedContext(raw=ds, scaled=scaled, scale=scale, nuisances=ns)
 
 
 def run_estimator(
     ds: Dataset,
     estimator_id: str,
-    nuisance: NuisanceConfig | NuisanceSet | FittedContext | None = None,
+    nuisance: NuisanceConfig | FittedContext | None = None,
     options: EstimatorOptions = DEFAULT_OPTIONS,
 ) -> EstimateResult:
-    """Scale the outcome, fit (or accept) nuisances, estimate, unscale.
+    """Scale the outcome, fit nuisances, estimate, unscale.
 
     Pass a FittedContext from `fit_context(ds)` to reuse its scaling and
     nuisance fit; anything else is handed to `fit_context` first. The ATE
@@ -840,7 +799,7 @@ def run_estimator(
     else:
         ctx = fit_context(ds, nuisance)
     try:
-        res = _DISPATCH[estimator_id](ctx.scaled, ctx.nuisances, options)
+        res = _DISPATCH[estimator_id](ctx, options)
     except (NuisanceError, GlmError) as exc:
         raise EstimatorError(f"{estimator_id} failed: {exc}") from exc
     return _unscale(res, ctx.scale)
@@ -849,7 +808,7 @@ def run_estimator(
 def run_roster(
     ds: Dataset,
     roster: Sequence[tuple[str, EstimatorOptions]],
-    nuisance: NuisanceConfig | NuisanceSet | None = None,
+    nuisance: NuisanceConfig | None = None,
 ) -> tuple[float, list[tuple[EstimateResult | EstimatorError, float]]]:
     """Run every (estimator_id, options) of the roster on one dataset.
 

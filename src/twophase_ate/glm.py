@@ -41,6 +41,7 @@ MAX_ITER = 100
 COEF_TOL = 1e-10
 SCORE_TOL = 1e-8
 RIDGE_SCALE = 1e-8
+FLUCT_TOL = 1e-10
 FLUCT_BRACKET = 20.0
 
 
@@ -136,8 +137,7 @@ def _validate_inputs(X, y, w):
     return X, y, w
 
 
-def fit_glm(X, y, w=None, family: str = "gaussian",
-            max_iter: int = MAX_ITER, tol: float = COEF_TOL) -> GlmFit:
+def fit_glm(X, y, w=None, family: str = "gaussian") -> GlmFit:
     """Weighted GLM via IRLS on the design X (caller supplies the intercept).
 
     gaussian: closed-form weighted least squares. bernoulli: Newton/IRLS with
@@ -162,7 +162,7 @@ def fit_glm(X, y, w=None, family: str = "gaussian",
     beta = np.zeros(p_dim)
     n_iter = 0
     score_norm = np.inf
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, MAX_ITER + 1):
         p = np.clip(expit(X @ beta), P_MIN, 1.0 - P_MIN)
         score = X.T @ (w * (y - p))
         score_norm = float(np.max(np.abs(score)))
@@ -171,7 +171,7 @@ def fit_glm(X, y, w=None, family: str = "gaussian",
         H = (X * (w * p * (1.0 - p))[:, None]).T @ X
         step, _ = _solve_spd(H, score)
         beta = beta + step
-        if np.max(np.abs(step)) <= tol:
+        if np.max(np.abs(step)) <= COEF_TOL:
             p = np.clip(expit(X @ beta), P_MIN, 1.0 - P_MIN)
             score_norm = float(np.max(np.abs(X.T @ (w * (y - p)))))
             break
@@ -223,12 +223,11 @@ class FluctuationFit:
     converged: bool
 
 
-def fit_fluctuation(y, offset_logit, h, w=None, tol: float = 1e-10,
-                    bracket: float = FLUCT_BRACKET) -> FluctuationFit:
+def fit_fluctuation(y, offset_logit, h, w=None, tol: float = FLUCT_TOL) -> FluctuationFit:
     """Solve sum_i w_i h_i (y_i - expit(offset_i + eps * h_i)) = 0 for eps.
 
-    The score is monotone non-increasing in eps, so a safeguarded Newton
-    iteration with a bisection fallback on [-bracket, bracket] is used.
+    The score is monotone non-increasing in eps: Newton's method within
+    +-FLUCT_BRACKET solves it, with a bisection fallback on that interval.
     Returns eps=0 immediately when the score at zero is already below tol
     (this covers h identically zero).
     """
@@ -255,12 +254,12 @@ def fit_fluctuation(y, offset_logit, h, w=None, tol: float = 1e-10,
     if abs(s0) <= tol:
         return FluctuationFit(0.0, s0, 0, True)
 
-    res = newton(score, dscore, s0, tol, max_iter=30, bound=bracket)
+    res = newton(score, dscore, s0, tol, max_iter=30, bound=FLUCT_BRACKET)
     if not res.converged:
-        res = bisect(score, (-bracket, bracket), tol)
+        res = bisect(score, (-FLUCT_BRACKET, FLUCT_BRACKET), tol)
         if res is None:
             raise GlmError(
                 "degenerate fluctuation: score has no sign change on "
-                f"[-{bracket}, {bracket}]"
+                f"[-{FLUCT_BRACKET}, {FLUCT_BRACKET}]"
             )
     return FluctuationFit(res.x, res.f, res.n_iter, res.converged)

@@ -2,9 +2,9 @@
 
 Pi (phase-2 sampling mechanism), g (treatment mechanism), Q (outcome
 regression) and the conditional regression of full-data influence values
-on phase-1 variables are all exposed through one small Predictor protocol
-so that alternative learners can be plugged in later. Everything shipped
-here is a main-term GLM; probability outputs are truncated.
+on phase-1 variables are all fitted as main-term GLMs and wrapped as
+Predictors; probability outputs are truncated. A known Pi or g is given
+as one value per record and wrapped the same way.
 
 Feature conventions (columns, in order):
   V-features : w1 columns, a, y          (all rows)
@@ -15,8 +15,7 @@ An intercept is added internally by the GLM-backed predictors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "NuisanceError",
     "Predictor",
     "GlmPredictor",
-    "AnalyticPredictor",
     "PinnedPredictor",
     "NuisanceSet",
     "NuisanceConfig",
@@ -42,7 +40,6 @@ __all__ = [
     "fit_g_ipcw",
     "fit_q_ipcw",
     "fit_mbar",
-    "fix_known",
     "pin_known",
     "fit_nuisances",
 ]
@@ -121,17 +118,6 @@ class GlmPredictor(Predictor):
 
 
 @dataclass
-class AnalyticPredictor(Predictor):
-    """Closed-form mechanism wrapped as a predictor (known-truth injection)."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    bounds: tuple[float, float] | None = None
-
-    def _raw(self, X: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-        return np.asarray(self.fn(X), dtype=float)
-
-
-@dataclass
 class PinnedPredictor(Predictor):
     """Per-row known values aligned with one specific dataset.
 
@@ -152,12 +138,6 @@ class PinnedPredictor(Predictor):
                 f"pinned predictor holds {len(self.values)} rows, asked for {X.shape[0]}"
             )
         return self.values
-
-
-def fix_known(fn: Callable[[np.ndarray], np.ndarray],
-              bounds: tuple[float, float] | None = None) -> AnalyticPredictor:
-    """Wrap an analytic mechanism; truncation (bounds) still applies."""
-    return AnalyticPredictor(fn=fn, bounds=bounds)
 
 
 def pin_known(values: np.ndarray, bounds: tuple[float, float] | None = None) -> PinnedPredictor:
@@ -224,7 +204,7 @@ class MbarDesign:
 
     x_all covers every record (where the regressions are predicted) and x2
     the phase-2 rows (where they are fit). The Cholesky factor of x2'x2 is
-    built on the first unweighted fit and reused by every later one.
+    built on the first fit and reused by every later one.
     """
 
     def __init__(self, ds: Dataset):
@@ -232,16 +212,13 @@ class MbarDesign:
         self.x2 = self.x_all[ds.phase2]
         self._gram: GramFactor | None = None
 
-    def fit(self, values: np.ndarray, weights: np.ndarray | None = None) -> GlmFit:
-        if weights is not None:
-            return fit_glm(self.x2, values, w=weights, family="gaussian")
+    def fit(self, values: np.ndarray) -> GlmFit:
         if self._gram is None:
             self._gram = GramFactor(self.x2)
         return self._gram.fit(values)
 
 
-def fit_mbar(ds: Dataset, values: np.ndarray, weights: np.ndarray | None = None,
-             design: MbarDesign | None = None) -> Predictor:
+def fit_mbar(ds: Dataset, values: np.ndarray, design: MbarDesign | None = None) -> Predictor:
     """Gaussian regression of per-phase-2-row values on (w1, a, y).
 
     The prediction is defined for every record since the features are
@@ -255,7 +232,7 @@ def fit_mbar(ds: Dataset, values: np.ndarray, weights: np.ndarray | None = None,
     if len(values) != design.x2.shape[0]:
         raise NuisanceError("values must align with the phase-2 rows")
     try:
-        fit = design.fit(values, weights)
+        fit = design.fit(values)
     except GlmError as exc:
         raise NuisanceError(f"regression of influence values failed: {exc}") from exc
     return GlmPredictor(fit=fit, bounds=None)
@@ -268,19 +245,13 @@ def fit_mbar(ds: Dataset, values: np.ndarray, weights: np.ndarray | None = None,
 
 @dataclass(frozen=True)
 class NuisanceSet:
-    """Fitted nuisance functions plus their truncation policy.
-
-    The set is immutable, so its evaluation on a dataset can be memoised:
-    the estimators keep their per-dataset working state in `_evaluated`
-    (keyed by the dataset it was evaluated on) and share it.
-    """
+    """Fitted nuisance functions. pi and g already truncate their outputs;
+    trunc_pi bounds the sampling mechanism again after it is targeted."""
 
     pi: Predictor
     g: Predictor
     q: Predictor
     trunc_pi: tuple[float, float] = TRUNC_PI_DEFAULT
-    trunc_g: tuple[float, float] = TRUNC_G_DEFAULT
-    _evaluated: object = field(default=None, init=False, repr=False, compare=False)
 
 
 def check_truncation(trunc_pi: tuple[float, float], trunc_g: tuple[float, float]) -> None:
@@ -301,24 +272,23 @@ def check_truncation(trunc_pi: tuple[float, float], trunc_g: tuple[float, float]
 class NuisanceConfig:
     """How to obtain the nuisance set for one dataset.
 
-    known_pi / known_g may be per-row value arrays (aligned with the
-    dataset; e.g. simulation truths) or callables over the V-/W-features.
+    known_pi / known_g, when given, are per-row values aligned with the
+    dataset (simulation truths, or a design-fixed constant repeated); they
+    replace the fitted mechanism and are truncated like it.
     """
 
     trunc_pi: tuple[float, float] = TRUNC_PI_DEFAULT
     trunc_g: tuple[float, float] = TRUNC_G_DEFAULT
-    known_pi: np.ndarray | Callable | None = None
-    known_g: np.ndarray | Callable | None = None
+    known_pi: np.ndarray | None = None
+    known_g: np.ndarray | None = None
 
     def __post_init__(self):
         check_truncation(self.trunc_pi, self.trunc_g)
 
 
-def _known_predictor(spec, bounds, n_expected=None) -> Predictor:
-    if callable(spec):
-        return fix_known(spec, bounds=bounds)
-    values = np.asarray(spec, dtype=float)
-    if n_expected is not None and len(values) != n_expected:
+def _known_predictor(values, bounds, n: int) -> Predictor:
+    values = np.asarray(values, dtype=float)
+    if len(values) != n:
         raise NuisanceError("known mechanism values do not align with the dataset")
     return pin_known(values, bounds=bounds)
 
@@ -331,11 +301,8 @@ def fit_nuisances(ds: Dataset, config: NuisanceConfig | None = None) -> Nuisance
     else:
         pi = fit_pi(ds, trunc=cfg.trunc_pi)
     if cfg.known_g is not None:
-        # pinned g values are aligned with the full dataset; phase-2 slices
-        # are taken by the evaluator
-        g = _known_predictor(cfg.known_g, cfg.trunc_g,
-                             ds.n if not callable(cfg.known_g) else None)
+        g = _known_predictor(cfg.known_g, cfg.trunc_g, ds.n)
     else:
         g = fit_g_ipcw(ds, pi, trunc=cfg.trunc_g)
     q = fit_q_ipcw(ds, pi)
-    return NuisanceSet(pi=pi, g=g, q=q, trunc_pi=cfg.trunc_pi, trunc_g=cfg.trunc_g)
+    return NuisanceSet(pi=pi, g=g, q=q, trunc_pi=cfg.trunc_pi)

@@ -12,6 +12,9 @@ from typing import Callable, Sequence
 
 __all__ = ["RootResult", "newton", "bisect", "secant"]
 
+BISECT_MAX_ITER = 200
+SECANT_MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class RootResult:
@@ -44,13 +47,13 @@ def newton(f: Callable[[float], float], df: Callable[[float], float], f0: float,
     return RootResult(x, fx, max_iter, False)
 
 
-def bisect(f: Callable[[float], float], grid: Sequence[float], tol: float,
-           max_iter: int = 200) -> RootResult | None:
+def bisect(f: Callable[[float], float], grid: Sequence[float], tol: float) -> RootResult | None:
     """Bisection on the first cell of the increasing grid where f changes sign.
 
     Grid points are scanned from the left; one where f is exactly zero is
     returned as the root. Returns None when f has no zero and no sign change
-    on the grid. Stops when |f| <= tol, or unconverged after max_iter halvings.
+    on the grid. Stops when |f| <= tol, or unconverged after BISECT_MAX_ITER
+    halvings.
     """
     lo, flo = grid[0], f(grid[0])
     for hi in grid[1:]:
@@ -63,7 +66,7 @@ def bisect(f: Callable[[float], float], grid: Sequence[float], tol: float,
     else:
         return RootResult(lo, 0.0, 0, True) if flo == 0.0 else None
     x, fx = lo, flo
-    for it in range(1, max_iter + 1):
+    for it in range(1, BISECT_MAX_ITER + 1):
         x = 0.5 * (lo + hi)
         fx = f(x)
         if abs(fx) <= tol:
@@ -72,15 +75,14 @@ def bisect(f: Callable[[float], float], grid: Sequence[float], tol: float,
             hi = x
         else:
             lo, flo = x, fx
-    return RootResult(x, fx, max_iter, False)
+    return RootResult(x, fx, BISECT_MAX_ITER, False)
 
 
-def secant(f: Callable[[float], float], x0: float, x1: float, tol: float,
-           max_iter: int = 100) -> RootResult:
+def secant(f: Callable[[float], float], x0: float, x1: float, tol: float) -> RootResult:
     f0, f1 = f(x0), f(x1)
     if abs(f0) <= tol:
         return RootResult(x0, f0, 0, True)
-    for it in range(1, max_iter + 1):
+    for it in range(1, SECANT_MAX_ITER + 1):
         if abs(f1) <= tol:
             return RootResult(x1, f1, it - 1, True)
         denom = f1 - f0
@@ -89,4 +91,4 @@ def secant(f: Callable[[float], float], x0: float, x1: float, tol: float,
         x2 = x1 - f1 * (x1 - x0) / denom
         x0, f0, x1 = x1, f1, x2
         f1 = f(x1)
-    return RootResult(x1, f1, max_iter, abs(f1) <= tol)
+    return RootResult(x1, f1, SECANT_MAX_ITER, abs(f1) <= tol)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from twophase_ate.cli import EXIT_CONFIG_ERROR, EXIT_ESTIMATOR_FAILURE, EXIT_OK, main
-from twophase_ate.data_model import CsvSchema, write_csv
+from twophase_ate.data_model import CsvSchema, load_csv, write_csv
+from twophase_ate.estimators import ESTIMATOR_IDS, EstimatorOptions, run_roster
+from twophase_ate.nuisance import NuisanceConfig
 
 from util import fulldata_tmle, make_full_dataset, make_twophase_dataset
 
@@ -64,6 +66,30 @@ class TestEstimateMode:
         assert code == EXIT_OK
         row = read_rows(tmp_path / "out" / "estimates.csv")[0]
         assert float(row["psi_hat"]) == pytest.approx(fulldata_tmle(ds), abs=1e-8)
+
+    def test_known_constants_match_per_row_values(self, tmp_path):
+        data = tmp_path / "toy.csv"
+        write_csv(make_twophase_dataset(np.random.default_rng(8), n=200), data, SCHEMA)
+        cfg = write_cfg(tmp_path / "run.cfg", [
+            "mode = estimate",
+            f"data.path = {data}",
+            *SCHEMA_LINES,
+            "nuisance.known_pi = 0.4",
+            "nuisance.known_g = 0.5",
+        ])
+        code = main(["--config", cfg, "--out", str(tmp_path / "out")])
+        rows = read_rows(tmp_path / "out" / "estimates.csv")
+        ds = load_csv(data, SCHEMA)
+        ncfg = NuisanceConfig(known_pi=np.full(ds.n, 0.4), known_g=np.full(ds.n, 0.5))
+        _, results = run_roster(ds, [(e, EstimatorOptions()) for e in ESTIMATOR_IDS], ncfg)
+        assert [row["estimator"] for row in rows] == list(ESTIMATOR_IDS)
+        for row, (res, _) in zip(rows, results):
+            assert [row[k] for k in ("psi_hat", "se", "ci_lo", "ci_hi")] == [
+                f"{v:.10g}" for v in (res.psi_hat, res.se, *res.ci95)], row["estimator"]
+            assert (row["n_iter"], row["converged"]) == (
+                str(res.n_outer_iterations), str(res.converged).lower())
+        assert code == (EXIT_OK if all(res.converged for res, _ in results)
+                        else EXIT_ESTIMATOR_FAILURE)
 
     def test_missing_delta_column_is_config_error(self, tmp_path):
         ds = make_twophase_dataset(np.random.default_rng(2), n=60)
@@ -299,6 +325,28 @@ class TestCsvHardening:
         code, err = self.run(data, tmp_path, capsys)
         assert code == EXIT_CONFIG_ERROR
         assert "line 2" in err and "field limit" in err
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        text = self.good_text(tmp_path)
+        code, _ = self.run(tmp_path / "good.csv", tmp_path, capsys)
+        plain = (tmp_path / "out" / "estimates.csv").read_bytes()
+        data = tmp_path / "bom.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert (code, self.run(data, tmp_path, capsys)[0]) == (EXIT_OK, EXIT_OK)
+        assert (tmp_path / "out" / "estimates.csv").read_bytes() == plain
+
+    @pytest.mark.parametrize("column, cell", [("u1", "nan"), ("y", "inf"), ("v2", "-1e400")])
+    def test_non_finite_cell_names_its_row(self, column, cell, tmp_path, capsys):
+        rows = [line.split(",") for line in self.good_text(tmp_path).splitlines()]
+        header = rows[0]
+        # the first phase-2 row after the second, so that v2 is filled there
+        k = next(i for i in range(3, len(rows)) if rows[i][header.index("d")] == "1")
+        rows[k][header.index(column)] = cell
+        data = tmp_path / "bad.csv"
+        data.write_text("\n".join(map(",".join, rows)) + "\n", encoding="utf-8")
+        code, err = self.run(data, tmp_path, capsys)
+        assert code == EXIT_CONFIG_ERROR
+        assert f"row {k}: column {column} must be finite, got '{cell}'" in err
 
     def test_duplicated_schema_column(self, tmp_path, capsys):
         # the row loop read the last u1 column and estimated from it

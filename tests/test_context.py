@@ -104,9 +104,8 @@ class TestSharedStateIsReadOnly:
     def test_every_shared_array_rejects_writes(self):
         ds, _ = generate(DgpSpec("raking_gap", n=300, seed=2))
         ctx = fit_context(ds)
-        work = est_mod._work(ctx.scaled, ctx.nuisances)
-        arrays = [v for v in vars(work).values() if isinstance(v, np.ndarray)]
-        arrays += [work.design.x_all, work.design.x2]
+        arrays = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
+        arrays += [ctx.design.x_all, ctx.design.x2]
         assert len(arrays) >= 12
         for arr in arrays:
             assert not arr.flags.writeable
@@ -116,13 +115,11 @@ class TestSharedStateIsReadOnly:
     def test_estimators_leave_the_context_unchanged(self):
         ds = make_twophase_dataset(np.random.default_rng(3))
         ctx = fit_context(ds)
-        work = est_mod._work(ctx.scaled, ctx.nuisances)
-        before = {k: v.copy() for k, v in vars(work).items() if isinstance(v, np.ndarray)}
+        before = {k: v.copy() for k, v in vars(ctx).items() if isinstance(v, np.ndarray)}
         for e in ESTIMATOR_IDS:
             run_estimator(ds, e, ctx)
-        assert est_mod._work(ctx.scaled, ctx.nuisances) is work
         for k, v in before.items():
-            assert np.array_equal(getattr(work, k), v), k
+            assert np.array_equal(getattr(ctx, k), v), k
 
 
 class TestSharedFitFailure:

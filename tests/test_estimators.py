@@ -12,9 +12,6 @@ from twophase_ate.estimators import (
     EstimatorError,
     EstimatorOptions,
     RakeSolution,
-    estimate_eee,
-    estimate_ipcw_tmle,
-    estimate_quasi_tmle,
     fit_context,
     rake_weights,
     run_estimator,
@@ -218,7 +215,7 @@ class TestFixedPoints:
         ctx = fit_context(ds)
         pi0 = evaluate_nuisances(ctx.scaled, ctx.nuisances).pi
 
-        def stalled(mbar, pi, delta, tol):
+        def stalled(mbar, pi, delta):
             a = np.full_like(pi, 0.5)
             return RakeSolution(lam=1.0, a=a, pi_star=pi / a, constraint_residual=1.0,
                                 n_iter=100, converged=False)
@@ -347,15 +344,6 @@ class TestResultContract:
             r_pre = run_estimator(pre, est)
             assert r_raw.psi_hat == pytest.approx(r_pre.psi_hat * (hi - lo), abs=1e-10)
 
-    def test_estimators_require_unit_interval_outcome(self):
-        spec = DgpSpec("raking_gap", n=200, seed=4)
-        ds, _ = generate(spec)
-        from twophase_ate.estimators import estimate_aipcw
-        from twophase_ate.nuisance import fit_nuisances
-
-        with pytest.raises(EstimatorError, match="outcome"):
-            estimate_aipcw(ds, None)
-
 
 class TestAsymptoticAgreement:
     def test_estimates_cluster_within_half_se(self):
@@ -392,6 +380,23 @@ class TestInvariances:
         for base, moved in zip(_roster_results(ds), _roster_results(shuffled)):
             assert moved.psi_hat == pytest.approx(base.psi_hat, abs=1e-8), base.estimator_id
             assert moved.se == pytest.approx(base.se, abs=1e-8), base.estimator_id
+
+    @settings(max_examples=24, deadline=None)
+    @given(seed=st.integers(0, 100_000), c=st.floats(1e-2, 1e3), b=st.floats(-1e3, 1e3))
+    def test_affine_outcome_map_scales_estimates(self, seed, c, b):
+        # y -> c*y + b with the bounds mapped alike: the scaled outcome is the
+        # same up to rounding, so estimates and SEs scale by c
+        ds, _ = generate(DgpSpec("raking_gap", n=300, seed=seed))
+        lo, hi = ds.y_bounds
+        moved = Dataset(w1=ds.w1, a=ds.a, y=c * ds.y + b, delta=ds.delta, w2=ds.w2,
+                        y_kind="continuous", y_bounds=(c * lo + b, c * hi + b))
+        for base, mapped in zip(_roster_results(ds), _roster_results(moved)):
+            tol = 1e-8 * c * base.se
+            assert mapped.psi_hat == pytest.approx(c * base.psi_hat, rel=0, abs=tol), \
+                base.estimator_id
+            assert mapped.se == pytest.approx(c * base.se, rel=0, abs=tol), base.estimator_id
+            assert (mapped.n_outer_iterations, mapped.converged) == (
+                base.n_outer_iterations, base.converged), base.estimator_id
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 100_000))

@@ -1,9 +1,12 @@
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import twophase_ate
+from twophase_ate import estimators
 
 MODULES = ["twophase_ate"] + [f"twophase_ate.{m.name}"
                               for m in pkgutil.iter_modules(twophase_ate.__path__)]
@@ -14,3 +17,28 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+def _bench_tracing():
+    """bench/tracing.py, loaded from its file without touching sys.modules."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_resolves():
+    # the tracer looks each name up when it installs: a renamed function
+    # would crash a traced benchmark run
+    tracing = _bench_tracing()
+    missing = [f"{module}.{attr}" for module, attr in tracing.TRACED
+               if not callable(getattr(importlib.import_module(f"twophase_ate.{module}"),
+                                       attr, None))]
+    assert missing == []
+
+
+def test_dispatch_holds_the_module_level_estimators():
+    # the tracer patches estimate_<id> by identity, in the module and in _DISPATCH
+    for est_id in estimators.ESTIMATOR_IDS:
+        assert estimators._DISPATCH[est_id] is getattr(estimators, f"estimate_{est_id}")

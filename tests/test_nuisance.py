@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from twophase_ate.data_model import Dataset
-from twophase_ate.glm import expit, fit_glm
+from twophase_ate.glm import fit_glm
 from twophase_ate.nuisance import (
     TRUNC_G_DEFAULT,
     TRUNC_PI_DEFAULT,
@@ -16,7 +16,6 @@ from twophase_ate.nuisance import (
     fit_nuisances,
     fit_pi,
     fit_q_ipcw,
-    fix_known,
     pin_known,
     v_features,
     w_features,
@@ -56,16 +55,8 @@ class TestFitPi:
 
 
 class TestKnownMechanisms:
-    def test_constant_mechanism(self):
-        pred = fix_known(lambda X: np.full(X.shape[0], 0.5))
-        assert np.all(pred.predict(np.zeros((7, 3))) == 0.5)
-
-    def test_logistic_mechanism_at_origin(self):
-        pred = fix_known(lambda X: expit(-0.1 * X[:, 0] + 0.1 * X[:, 1]))
-        assert pred.predict(np.zeros((1, 2)))[0] == 0.5
-
     def test_truncation_still_applies(self):
-        pred = fix_known(lambda X: np.full(X.shape[0], 0.001), bounds=(0.01, 0.99))
+        pred = pin_known(np.full(3, 0.001), bounds=(0.01, 0.99))
         assert np.all(pred.predict(np.zeros((3, 1))) == 0.01)
 
     def test_pinned_values_slice_by_rows(self):
@@ -84,7 +75,7 @@ class TestKnownMechanisms:
 class TestFitQIpcw:
     def test_pi_one_equals_unweighted_fit(self):
         ds = make_twophase_dataset(np.random.default_rng(3))
-        pi = fix_known(lambda X: np.ones(X.shape[0]))
+        pi = pin_known(np.ones(ds.n))
         q = fit_q_ipcw(ds, pi)
         p2 = ds.phase2
         X = np.column_stack([np.ones(len(p2)), aw_features(ds, p2)])
@@ -93,7 +84,7 @@ class TestFitQIpcw:
 
     def test_independent_outcome_recovers_marginal(self):
         ds = coinflip_dataset(np.random.default_rng(4))
-        pi = fix_known(lambda X: np.full(X.shape[0], 0.5))
+        pi = pin_known(np.full(ds.n, 0.5))
         q = fit_q_ipcw(ds, pi)
         p2 = ds.phase2
         vals = q.predict(aw_features(ds, p2))
@@ -101,8 +92,8 @@ class TestFitQIpcw:
 
     def test_weight_rescaling_invariance(self):
         ds = make_twophase_dataset(np.random.default_rng(5))
-        q1 = fit_q_ipcw(ds, fix_known(lambda X: np.full(X.shape[0], 0.8)))
-        q2 = fit_q_ipcw(ds, fix_known(lambda X: np.full(X.shape[0], 0.4)))
+        q1 = fit_q_ipcw(ds, pin_known(np.full(ds.n, 0.8)))
+        q2 = fit_q_ipcw(ds, pin_known(np.full(ds.n, 0.4)))
         np.testing.assert_allclose(q1.fit.coefficients, q2.fit.coefficients, atol=1e-10)
 
     def test_missing_arm_rejected(self):
@@ -112,19 +103,19 @@ class TestFitQIpcw:
         a[ds0.delta == 1] = 1  # no controls in phase 2
         ds = Dataset(w1=ds0.w1, a=a, y=ds0.y, delta=ds0.delta, w2=ds0.w2)
         with pytest.raises(NuisanceError, match="a=0"):
-            fit_q_ipcw(ds, fix_known(lambda X: np.ones(X.shape[0])))
+            fit_q_ipcw(ds, pin_known(np.ones(ds.n)))
 
 
 class TestFitGIpcw:
     def test_randomized_treatment_recovers_half(self):
         ds = coinflip_dataset(np.random.default_rng(7))
-        g = fit_g_ipcw(ds, fix_known(lambda X: np.full(X.shape[0], 0.5)))
+        g = fit_g_ipcw(ds, pin_known(np.full(ds.n, 0.5)))
         vals = g.predict(w_features(ds, ds.phase2))
         assert abs(vals.mean() - 0.5) < 0.02
 
     def test_truncation_clips_exactly(self):
         ds = make_twophase_dataset(np.random.default_rng(8))
-        g = fit_g_ipcw(ds, fix_known(lambda X: np.ones(X.shape[0])), trunc=(0.45, 0.55))
+        g = fit_g_ipcw(ds, pin_known(np.ones(ds.n)), trunc=(0.45, 0.55))
         vals = g.predict(w_features(ds, ds.phase2))
         assert vals.min() >= 0.45 and vals.max() <= 0.55
 
@@ -180,16 +171,6 @@ class TestFitMbar:
         with pytest.raises(NuisanceError, match="non-finite"):
             fit_mbar(ds, vals, design=design)
 
-    def test_weighted_fit_matches_glm(self):
-        ds = make_twophase_dataset(np.random.default_rng(17))
-        p2 = ds.phase2
-        vals = ds.w1[p2, 0] ** 2
-        w = np.linspace(0.5, 2.0, len(p2))
-        X = np.column_stack([np.ones(len(p2)), v_features(ds, p2)])
-        ref = fit_glm(X, vals, w=w, family="gaussian")
-        got = fit_mbar(ds, vals, weights=w, design=MbarDesign(ds)).fit
-        assert np.array_equal(got.coefficients, ref.coefficients)
-
 
 class TestFitNuisances:
     def test_bundle_with_known_mechanisms(self):
@@ -212,6 +193,7 @@ class TestFitNuisances:
         ds = make_twophase_dataset(np.random.default_rng(13))
         ns = fit_nuisances(ds)
         assert isinstance(ns.pi, GlmPredictor) and isinstance(ns.g, GlmPredictor)
-        assert (ns.trunc_pi, ns.trunc_g) == (TRUNC_PI_DEFAULT, TRUNC_G_DEFAULT)
+        assert (ns.trunc_pi, ns.pi.bounds, ns.g.bounds) == (
+            TRUNC_PI_DEFAULT, TRUNC_PI_DEFAULT, TRUNC_G_DEFAULT)
         q_vals = ns.q.predict(aw_features(ds, ds.phase2))
         assert np.all((q_vals > 0) & (q_vals < 1))

@@ -111,6 +111,13 @@ def _ref_parse_float(cell: str, row: int, col: str) -> float:
         raise DataError(f"row {row}: cannot parse {col}={cell!r} as a number") from None
 
 
+def _ref_parse_finite(cell: str, row: int, col: str) -> float:
+    v = _ref_parse_float(cell, row, col)
+    if not np.isfinite(v):
+        raise DataError(f"row {row}: column {col} must be finite, got {cell!r}")
+    return v
+
+
 def _ref_parse_binary(cell: str, row: int, col: str) -> int:
     v = _ref_parse_float(cell, row, col)
     if v not in (0.0, 1.0):
@@ -122,8 +129,9 @@ def reference_load_csv(path, schema: CsvSchema) -> Dataset:
     """The former row-by-row load_csv, kept as the reference that the
     columnar loader must match: same Dataset, or the same DataError message.
     It reads a header with duplicated names from the last such column,
-    which load_csv now rejects."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    which load_csv now rejects. Like load_csv, it skips a leading byte-order
+    mark and names the row of a non-finite outcome, w1 or phase-2 w2 cell."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -143,20 +151,20 @@ def reference_load_csv(path, schema: CsvSchema) -> Dataset:
 
             delta = _ref_parse_binary(cell(schema.delta), rownum, schema.delta)
             a = _ref_parse_binary(cell(schema.treatment), rownum, schema.treatment)
-            y = _ref_parse_float(cell(schema.outcome), rownum, schema.outcome)
+            y = _ref_parse_finite(cell(schema.outcome), rownum, schema.outcome)
             w1 = []
             for name in schema.w1:
                 c = cell(name)
                 if c == "":
                     raise DataError(f"row {rownum}: phase-1 column {name} is empty")
-                w1.append(_ref_parse_float(c, rownum, name))
+                w1.append(_ref_parse_finite(c, rownum, name))
             w2 = []
             for name in schema.w2:
                 c = cell(name)
                 if delta == 1:
                     if c == "":
                         raise DataError(f"row {rownum}: delta=1 but {name} is missing")
-                    w2.append(_ref_parse_float(c, rownum, name))
+                    w2.append(_ref_parse_finite(c, rownum, name))
                 else:
                     if c != "":
                         raise DataError(
