@@ -202,7 +202,7 @@ def cmd_estimate(rc: RunConfig) -> int:
     path = cfg.get("data.path")
     if not path:
         raise ConfigError("estimate mode requires data.path")
-    if "sim.dgp" in cfg:
+    if any(key.startswith("sim.") for key in cfg):
         raise ConfigError("estimate mode must not define sim.* keys")
     for key in ("schema.treatment", "schema.outcome", "schema.delta", "schema.w1"):
         if key not in cfg:
@@ -211,7 +211,12 @@ def cmd_estimate(rc: RunConfig) -> int:
     if y_kind not in ("binary", "continuous"):
         raise ConfigError(f"data.y_kind: expected binary|continuous, got {y_kind!r}")
     y_lo, y_hi = _get_float(cfg, "data.y_lo"), _get_float(cfg, "data.y_hi")
-    bounds = (y_lo, y_hi) if y_lo is not None and y_hi is not None else None
+    if (y_lo is None) != (y_hi is None):
+        raise ConfigError("data.y_lo and data.y_hi must be given together")
+    if y_lo is not None and y_kind == "binary":
+        raise ConfigError("data.y_lo/data.y_hi apply to continuous outcomes only; "
+                          "a binary outcome lies in [0, 1]")
+    bounds = (y_lo, y_hi) if y_lo is not None else None
     schema = CsvSchema(
         treatment=cfg["schema.treatment"],
         outcome=cfg["schema.outcome"],
@@ -280,15 +285,19 @@ def cmd_estimate(rc: RunConfig) -> int:
 
 def cmd_simulate(rc: RunConfig) -> int:
     cfg = rc.cfg
-    if "data.path" in cfg:
+    if any(key.startswith("data.") for key in cfg):
         raise ConfigError("simulate mode must not define data.* keys")
     dgp_id = cfg.get("sim.dgp")
     if not dgp_id:
         raise ConfigError("simulate mode requires sim.dgp")
     n = _get_int(cfg, "sim.n")
-    n_runs = _get_int(cfg, "sim.n_runs")
+    n_runs = _get_int(cfg, "sim.n_runs", minimum=1)
     if n is None or n_runs is None:
         raise ConfigError("simulate mode requires sim.n and sim.n_runs")
+    last_seed = rc.seed + n_runs - 1
+    if rc.seed < 0 or last_seed >= 2**64:  # each run's seed keys a Philox stream
+        raise ConfigError(f"seed: the runs would use seeds {rc.seed}..{last_seed}; "
+                          "run seeds must lie in [0, 2^64 - 1]")
     try:
         dgp = DgpSpec(
             dgp_id=dgp_id, n=n, seed=rc.seed,
@@ -354,8 +363,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:

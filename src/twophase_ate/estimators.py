@@ -18,6 +18,7 @@ Conventions shared by all routines here:
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -464,20 +465,17 @@ class _ImputationModel:
     mean: np.ndarray  # (n, d2) fitted conditional means, every record
     sd: np.ndarray  # (d2,) residual scales
 
-    def grid(self, rows: np.ndarray):
-        """Quadrature draws (weight, covariate matrix) approximating the
-        conditional law of the phase-2 covariates on the given rows."""
+    def grid(self):
+        """Quadrature nodes (weight, shift) approximating the conditional law
+        of the phase-2 covariates: each node draws mean + shift, the same
+        shift on every row."""
         d2 = self.mean.shape[1]
-        base = self.mean[rows]
         if d2 > _GH_MAX_DIM:
-            yield 1.0, base
+            yield 1.0, np.zeros(d2)
             return
-        import itertools
-
         for combo in itertools.product(range(len(_GH_NODES)), repeat=d2):
             weight = float(np.prod(_GH_WEIGHTS[list(combo)]))
-            shift = self.sd * _GH_NODES[list(combo)]
-            yield weight, base + shift
+            yield weight, self.sd * _GH_NODES[list(combo)]
 
 
 def _fit_imputation(ctx: FittedContext) -> _ImputationModel:
@@ -514,10 +512,6 @@ class _CensusModel:
             X0[:, 1] = 0.0
             return X, X1, X0
 
-        def pieces(rows, X, X1, X0, alpha):
-            q_a, q1, q0 = (self.fit.predict(Z) for Z in (X, X1, X0))
-            return (X @ alpha) * (ds.y[rows] - q_a) + (q1 - q0)
-
         Xp, Xp1, Xp0 = designs(p2, ds.w2[p2])
         self.fit = fit_glm(Xp, ctx.y2, w=wts2, family=family)
         q_a2, q12, q02 = (self.fit.predict(Z) for Z in (Xp, Xp1, Xp0))
@@ -532,16 +526,28 @@ class _CensusModel:
         self.psi_plugin = float(wn @ (q12 - q02))
 
         u = np.empty(ds.n)
-        u[p2] = pieces(p2, Xp, Xp1, Xp0, alpha)
+        u[p2] = (Xp @ alpha) * (ctx.y2 - q_a2) + (q12 - q02)
         censored = np.flatnonzero(ds.delta == 0)
         if len(censored):
+            # a node moves w2 by one shift on every censored row, so it moves
+            # each linear predictor by one scalar: build the design once, at
+            # the imputation mean, and add the scalars node by node
+            beta = self.fit.coefficients
+            w2 = slice(2 + ds.d_w1, None)
             if imputation is None:  # no phase-2 covariates: nothing to impute
-                u[censored] = pieces(censored, *designs(censored, ds.w2[censored]), alpha)
+                X, X1, X0 = designs(censored, ds.w2[censored])
+                nodes = [(1.0, np.zeros(ds.d_w2))]
             else:
-                acc = np.zeros(len(censored))
-                for weight, w2mat in imputation.grid(censored):
-                    acc += weight * pieces(censored, *designs(censored, w2mat), alpha)
-                u[censored] = acc
+                X, X1, X0 = designs(censored, imputation.mean[censored])
+                nodes = imputation.grid()
+            eta, eta1, eta0 = X @ beta, X1 @ beta, X0 @ beta
+            xa, y = X @ alpha, ds.y[censored]
+            acc = np.zeros(len(censored))
+            for weight, shift in nodes:
+                sb, sa = shift @ beta[w2], shift @ alpha[w2]
+                q_a, q1, q0 = (self.fit.mean(e + sb) for e in (eta, eta1, eta0))
+                acc += weight * ((xa + sa) * (y - q_a) + (q1 - q0))
+            u[censored] = acc
         self.u_uncentered = u
 
     def influence(self, psi: float) -> np.ndarray:

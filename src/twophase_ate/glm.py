@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import expit as _expit
 
 from .roots import bisect, newton
@@ -58,24 +58,32 @@ def logit(p, eps: float = LOGIT_CLIP):
     return np.log(p) - np.log1p(-p)
 
 
-def _factor_spd(H: np.ndarray) -> tuple[tuple, bool]:
+def _factor_spd(H: np.ndarray) -> tuple[np.ndarray, bool]:
     """Cholesky factor of symmetric positive definite H, with a ridge retry.
 
-    Returns (factor, ridge_used), the factor in scipy's cho_factor form.
-    Raises GlmError when even the ridged matrix is singular.
+    Returns (factor, ridge_used), the factor as LAPACK dpotrf leaves it:
+    upper triangle U with U'U = H, lower triangle untouched (scipy's
+    cho_factor form, without that wrapper's per-call checks). Raises
+    GlmError when even the ridged matrix is not positive definite.
     """
-    try:
-        return scipy.linalg.cho_factor(H, check_finite=False), False
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-        pass
+    factor, info = dpotrf(H, lower=0, clean=0)
+    if info == 0:
+        return factor, False
     dim = H.shape[0]
     lam = RIDGE_SCALE * np.trace(H) / dim
     if lam <= 0 or not np.isfinite(lam):
         raise GlmError("singular weighted Gram matrix (zero trace)")
-    try:
-        return scipy.linalg.cho_factor(H + lam * np.eye(dim), check_finite=False), True
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-        raise GlmError("singular weighted Gram matrix even after ridge retry") from None
+    factor, info = dpotrf(H + lam * np.eye(dim), lower=0, clean=0)
+    if info != 0:
+        raise GlmError("singular weighted Gram matrix even after ridge retry")
+    return factor, True
+
+
+def _cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve H x = b given the `_factor_spd` factor of H."""
+    if factor.size == 0:
+        return np.zeros(0)
+    return dpotrs(factor, b, lower=0)[0]
 
 
 def _solve_spd(H: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -85,7 +93,7 @@ def _solve_spd(H: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
     system is singular.
     """
     factor, ridge_used = _factor_spd(H)
-    return scipy.linalg.cho_solve(factor, b, check_finite=False), ridge_used
+    return _cho_solve(factor, b), ridge_used
 
 
 @dataclass(frozen=True)
@@ -111,11 +119,14 @@ class GlmFit:
             )
         return X @ self.coefficients
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        eta = self.linear_predictor(X)
+    def mean(self, eta: np.ndarray) -> np.ndarray:
+        """The fitted mean at linear predictor eta (inverse link, clipped)."""
         if self.family == "gaussian":
             return eta
         return np.clip(expit(eta), PRED_CLIP, 1.0 - PRED_CLIP)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return self.mean(self.linear_predictor(X))
 
 
 def _validate_inputs(X, y, w):
@@ -181,7 +192,7 @@ def fit_glm(X, y, w=None, family: str = "gaussian") -> GlmFit:
 
 def _least_squares(X, Xw, y, w, factor) -> GlmFit:
     """Weighted least squares given Xw = X * w and the factor of Xw'X."""
-    beta = scipy.linalg.cho_solve(factor, Xw.T @ y, check_finite=False)
+    beta = _cho_solve(factor, Xw.T @ y)
     score = X.T @ (w * (y - X @ beta))
     converged = bool(np.max(np.abs(score)) <= SCORE_TOL) if X.shape[1] else True
     return GlmFit(beta, "gaussian", converged, 1, X.shape[1])

@@ -34,8 +34,9 @@ import numpy as np
 from scipy.special import expit
 from scipy.stats import norm
 
-from .data_model import Dataset
+from .data_model import Dataset, default_bounds
 from .estimators import ESTIMATOR_IDS, EstimateResult, EstimatorOptions, run_roster
+from .glm import fit_glm
 from .nuisance import TRUNC_G_DEFAULT, TRUNC_PI_DEFAULT, NuisanceConfig, check_truncation
 
 __all__ = [
@@ -212,8 +213,6 @@ def generate(spec: DgpSpec) -> tuple[Dataset, TruthRecord]:
         delta = (rng.random(n) < pi0).astype(int)
         truth = TruthRecord(reference_psi(spec), pi0, g0, q1, q0)
         y_kind = "continuous"
-        from .data_model import default_bounds
-
         y_bounds = default_bounds(y)
 
     elif spec.dgp_id == "raking_gap":
@@ -228,8 +227,6 @@ def generate(spec: DgpSpec) -> tuple[Dataset, TruthRecord]:
         delta = (rng.random(n) < pi0).astype(int)
         truth = TruthRecord(reference_psi(spec), pi0, g0, q1, q0)
         y_kind = "continuous"
-        from .data_model import default_bounds
-
         y_bounds = default_bounds(y)
     else:  # pragma: no cover - guarded by DgpSpec
         raise ValueError(spec.dgp_id)
@@ -256,15 +253,10 @@ def true_psi(spec: DgpSpec, n_mc: int = 1_000_000, seed: int = 77_000_001) -> fl
     return float(spec.gamma * np.mean(_rg_het(w)))
 
 
-def census_psi(spec: DgpSpec, n_mc: int = 1_000_000, seed: int = 77_000_002) -> float:
-    """Contrast of the main-term working model fit at population scale.
-
-    Full data are drawn without censoring, the working model (logistic for
-    binary outcomes, linear otherwise) is fit unweighted, and the fitted
-    contrast is averaged over the draw.
-    """
-    from .glm import fit_glm
-
+def _census_draw(spec: DgpSpec, n_mc: int, seed: int) -> tuple[np.ndarray, np.ndarray, str]:
+    """The uncensored population behind census_psi: the main-term design
+    [1, a, w], the outcome and the working-model family. Only these outlive
+    the call; the latents and per-row truths are freed on return."""
     rng = _rng(seed)
     if spec.dgp_id == "kang_dr":
         z, w = _kang_latents(rng, n_mc)
@@ -291,13 +283,32 @@ def census_psi(spec: DgpSpec, n_mc: int = 1_000_000, seed: int = 77_000_002) -> 
         y = (rng.random(n_mc) < qfn(a)).astype(float)
     else:
         y = qfn(a) + rng.standard_normal(n_mc)
-    X = np.column_stack([np.ones(n_mc), a, w])
+    return np.column_stack([np.ones(n_mc), a, w]), y, family
+
+
+# rows per block when census_psi predicts the treatment contrast
+_CENSUS_CHUNK = 1 << 16
+
+
+def census_psi(spec: DgpSpec, n_mc: int = 1_000_000, seed: int = 77_000_002) -> float:
+    """Contrast of the main-term working model fit at population scale.
+
+    Full data are drawn without censoring, the working model (logistic for
+    binary outcomes, linear otherwise) is fit unweighted, and the fitted
+    contrast is averaged over the draw. The a=1 and a=0 predictions are made
+    block by block, so beyond the fit itself the call holds one extra
+    n_mc-vector, not two more copies of the design.
+    """
+    X, y, family = _census_draw(spec, n_mc, seed)
     fit = fit_glm(X, y, family=family)
-    X1 = X.copy()
-    X0 = X.copy()
-    X1[:, 1] = 1.0
-    X0[:, 1] = 0.0
-    return float(np.mean(fit.predict(X1) - fit.predict(X0)))
+    contrast = np.empty(n_mc)
+    for lo in range(0, n_mc, _CENSUS_CHUNK):
+        block = X[lo:lo + _CENSUS_CHUNK].copy()
+        block[:, 1] = 1.0
+        q1 = fit.predict(block)
+        block[:, 1] = 0.0
+        contrast[lo:lo + _CENSUS_CHUNK] = q1 - fit.predict(block)
+    return float(np.mean(contrast))
 
 
 def reference_psi(spec: DgpSpec) -> float:

@@ -287,6 +287,77 @@ class TestConfigHardening:
         assert code == EXIT_OK
 
 
+    def test_non_utf8_config_byte(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"mode = simulate\n# caf\xe9\nsim.dgp = missing_rate\n")
+        code, err = self.run(str(cfg), tmp_path, capsys)
+        assert code == EXIT_CONFIG_ERROR
+        assert "cannot read config" in err and "utf-8" in err
+
+    @pytest.mark.parametrize("seed, n_runs", [(-1, 1), (2**64 - 1, 2), (2**64, 1)])
+    def test_seed_outside_philox_key_range(self, tmp_path, capsys, seed, n_runs):
+        cfg = write_cfg(tmp_path / "run.cfg", [
+            "mode = simulate", "sim.dgp = missing_rate", "sim.n = 200",
+            f"sim.n_runs = {n_runs}", "estimators = aipcw",
+        ])
+        code = main(["--config", cfg, "--out", str(tmp_path / "out"), "--parallelism", "1",
+                     "--seed", str(seed)])
+        assert code == EXIT_CONFIG_ERROR
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.csv").exists()
+
+    def test_largest_seed_still_runs(self, tmp_path, capsys):
+        cfg = self.simulate_cfg(tmp_path, f"seed = {2**64 - 1}")
+        code, _ = self.run(cfg, tmp_path, capsys)
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("n_runs", [0, -2])
+    def test_empty_study(self, tmp_path, capsys, n_runs):
+        cfg = write_cfg(tmp_path / "run.cfg", [
+            "mode = simulate", "sim.dgp = missing_rate", "sim.n = 200",
+            f"sim.n_runs = {n_runs}", "estimators = aipcw",
+        ])
+        code, err = self.run(cfg, tmp_path, capsys)
+        assert code == EXIT_CONFIG_ERROR
+        assert "sim.n_runs" in err
+        assert not (tmp_path / "out" / "report.csv").exists()
+
+    @pytest.mark.parametrize("y_kind, bounds", [
+        ("binary", ["data.y_lo = 0", "data.y_hi = 1"]),
+        ("continuous", ["data.y_lo = -5"]),
+        ("continuous", ["data.y_hi = 5"]),
+    ])
+    def test_outcome_bounds_that_would_be_ignored(self, tmp_path, capsys, y_kind, bounds):
+        ds = make_twophase_dataset(np.random.default_rng(5), n=60)
+        data = tmp_path / "toy.csv"
+        write_csv(ds, data, SCHEMA)
+        cfg = write_cfg(tmp_path / "run.cfg", [
+            "mode = estimate", f"data.path = {data}", *SCHEMA_LINES,
+            f"data.y_kind = {y_kind}", *bounds,
+        ])
+        code, err = self.run(cfg, tmp_path, capsys)
+        assert code == EXIT_CONFIG_ERROR
+        assert "data.y_" in err
+        assert not (tmp_path / "out" / "estimates.csv").exists()
+
+    def test_data_keys_in_simulate_mode(self, tmp_path, capsys):
+        cfg = self.simulate_cfg(tmp_path, "data.y_lo = 0", "data.y_hi = 1")
+        code, err = self.run(cfg, tmp_path, capsys)
+        assert code == EXIT_CONFIG_ERROR
+        assert "data.*" in err
+
+    def test_sim_keys_in_estimate_mode(self, tmp_path, capsys):
+        ds = make_twophase_dataset(np.random.default_rng(5), n=60)
+        data = tmp_path / "toy.csv"
+        write_csv(ds, data, SCHEMA)
+        cfg = write_cfg(tmp_path / "run.cfg", [
+            "mode = estimate", f"data.path = {data}", *SCHEMA_LINES, "sim.n_runs = 5",
+        ])
+        code, err = self.run(cfg, tmp_path, capsys)
+        assert code == EXIT_CONFIG_ERROR
+        assert "sim.*" in err
+
+
 class TestCsvHardening:
     """Unreadable or ambiguous CSV input exits 2 with a message."""
 

@@ -17,6 +17,7 @@ from twophase_ate.estimators import (
     run_estimator,
     run_roster,
 )
+from twophase_ate.glm import expit
 from twophase_ate.nuisance import NuisanceConfig, fit_mbar
 from twophase_ate.sim import DgpSpec, generate
 
@@ -27,6 +28,7 @@ from util import (
     fulldata_tmle,
     make_full_dataset,
     make_twophase_dataset,
+    reference_census_influence,
 )
 
 PI_ONE = lambda ds: NuisanceConfig(known_pi=np.ones(ds.n))
@@ -310,6 +312,44 @@ class TestRakingEstimator:
         X0[:, 1] = 0.0
         plug = float(wts1 @ (fit.predict(X1) - fit.predict(X0)) / wts1.sum())
         assert r.psi_hat == pytest.approx(plug, abs=1e-10)
+
+
+def _census_dataset(rng, y_kind: str, d2: int, n: int = 400) -> Dataset:
+    """Two-phase data with d2 phase-2 covariates and about 40% censored."""
+    w = rng.normal(size=(n, 2 + d2))
+    a = (rng.random(n) < expit(0.4 * w[:, 0] - 0.3 * w[:, 1])).astype(int)
+    lin = 0.2 + 0.6 * a - 0.5 * w[:, 0] + 0.3 * w[:, 2:].sum(axis=1)
+    if y_kind == "binary":
+        y = (rng.random(n) < expit(lin)).astype(float)
+        bounds = (0.0, 1.0)
+    else:
+        y = 3.0 * lin + rng.normal(size=n)
+        bounds = (float(y.min()) - 1.0, float(y.max()) + 1.0)
+    delta = (rng.random(n) < expit(0.4 + 0.5 * w[:, 0])).astype(int)
+    w2 = w[:, 2:].copy()
+    w2[delta == 0] = np.nan
+    return Dataset(w1=w[:, :2], a=a, y=y, delta=delta, w2=w2, y_kind=y_kind, y_bounds=bounds)
+
+
+class TestCensusQuadrature:
+    """The offset quadrature of the raking working model matches the
+    full-design quadrature it replaced."""
+
+    @pytest.mark.parametrize("y_kind", ["binary", "continuous"])
+    @pytest.mark.parametrize("d2", [0, 2, estimators._GH_MAX_DIM + 1])
+    def test_offset_form_matches_full_design(self, y_kind, d2):
+        ctx = fit_context(_census_dataset(np.random.default_rng(10 + d2), y_kind, d2))
+        family = "bernoulli" if y_kind == "binary" else "gaussian"
+        imputation = estimators._fit_imputation(ctx) if d2 else None
+        tilt = np.random.default_rng(3).uniform(0.5, 2.0, size=len(ctx.p2))
+        for wts2 in (ctx.wts0, ctx.wts0 * tilt):
+            model = estimators._CensusModel(ctx, imputation, wts2, family)
+            ref = reference_census_influence(ctx, imputation, wts2, family)
+            censored = ctx.scaled.delta == 0
+            assert censored.sum() > 50
+            np.testing.assert_array_equal(model.u_uncentered[~censored], ref[~censored])
+            err = np.max(np.abs(model.u_uncentered - ref))
+            assert err <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestResultContract:

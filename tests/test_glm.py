@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from twophase_ate.glm import (
     GlmError,
     P_MIN,
+    _factor_spd,
+    _solve_spd,
     expit,
     fit_fluctuation,
     fit_glm,
@@ -117,6 +121,49 @@ class TestFitGlm:
     def test_nan_rejected(self):
         with pytest.raises(GlmError):
             fit_glm(np.array([[1.0], [np.nan]]), [0.0, 1.0], family="gaussian")
+
+
+@st.composite
+def spd_systems(draw):
+    """A random symmetric positive definite matrix of size 1..8 and a right-hand side."""
+    dim = draw(st.integers(1, 8))
+    entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    B = draw(arrays(float, (dim, dim + draw(st.integers(0, 4))), elements=entries))
+    H = B @ B.T + draw(st.floats(1e-3, 10.0)) * np.eye(dim)
+    return H, draw(arrays(float, dim, elements=entries))
+
+
+class TestCholeskyKernels:
+    """The raw LAPACK kernels behind every regression fit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(system=spd_systems())
+    def test_matches_scipy_cho_factor_bit_for_bit(self, system):
+        H, b = system
+        factor, ridge_used = _factor_spd(H)
+        ref = scipy.linalg.cho_factor(H, check_finite=False)
+        assert not ridge_used and ref[1] is False
+        assert np.array_equal(factor, ref[0])
+        x, ridge_used = _solve_spd(H, b)
+        assert not ridge_used
+        assert np.array_equal(x, scipy.linalg.cho_solve(ref, b, check_finite=False))
+
+    def test_rank_deficient_gram_uses_ridge(self):
+        # a treatment column that is zero on every record: the Gram matrix
+        # has a zero row and column, so the plain factorisation must fail
+        rng = np.random.default_rng(8)
+        X = np.column_stack([np.ones(40), np.zeros(40), rng.normal(size=40)])
+        H = X.T @ X
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.cho_factor(H)
+        _, ridge_used = _factor_spd(H)
+        assert ridge_used
+        x, ridge_used = _solve_spd(H, X.T @ rng.normal(size=40))
+        assert ridge_used and np.all(np.isfinite(x)) and x[1] == 0.0
+
+    def test_empty_design_gives_empty_fit(self):
+        fit = fit_glm(np.zeros((3, 0)), [1.0, 2.0, 3.0], family="gaussian")
+        assert fit.coefficients.shape == (0,) and fit.converged
 
 
 class TestFitFluctuation:

@@ -17,7 +17,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 ROOT = GOLDEN.parent.parent
 
 
-@pytest.mark.parametrize("case", ["missing50_all8", "kang_dr_known", "raking_gap_linearized"])
+@pytest.mark.parametrize("case", ["missing50_all8", "kang_dr_known", "raking_gap_linearized",
+                                  "raking_gap_census", "missing_rate_census"])
 def test_study_report_matches_golden(case, tmp_path):
     out = tmp_path / "out"
     code = main(["--config", str(GOLDEN / f"{case}.cfg"), "--out", str(out),

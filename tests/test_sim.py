@@ -1,16 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from twophase_ate.glm import expit
+from twophase_ate.glm import expit, fit_glm
 from twophase_ate.sim import (
+    _CENSUS_CHUNK,
+    DGP_IDS,
     PINNED_PSI,
     RAKING_GAP_HET_MEAN,
     DgpSpec,
     StudyEstimator,
     StudySpec,
     _aggregate,
+    _census_draw,
     _RunOutcome,
     census_psi,
     generate,
@@ -109,6 +113,37 @@ class TestTruths:
     def test_missing_rate_census_value(self):
         v = census_psi(DgpSpec("missing_rate", n=1, seed=0), n_mc=1_000_000)
         assert v == pytest.approx(0.2413, abs=0.003)
+
+
+class TestCensusInBoundedMemory:
+    @pytest.mark.parametrize("dgp", DGP_IDS)
+    def test_block_contrast_equals_full_design_contrast(self, dgp):
+        n_mc = 2 * _CENSUS_CHUNK + 123
+        spec = DgpSpec(dgp, n=1, seed=0)
+        X, y, family = _census_draw(spec, n_mc, 5)
+        fit = fit_glm(X, y, family=family)
+        X1, X0 = X.copy(), X.copy()
+        X1[:, 1], X0[:, 1] = 1.0, 0.0
+        full = float(np.mean(fit.predict(X1) - fit.predict(X0)))
+        assert census_psi(spec, n_mc=n_mc, seed=5) == full
+
+    @pytest.mark.parametrize("dgp", DGP_IDS)
+    def test_peak_traced_memory_per_row(self, dgp):
+        # the draw, the fit and the contrast together stay under 160 bytes
+        # a row; two full copies of the 6-column design would add 96
+        n_mc = 200_000
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            census_psi(DgpSpec(dgp, n=1, seed=0), n_mc=n_mc)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak / n_mc <= 160
 
 
 def synthetic_outcomes(rng, n_runs, ref, sd):

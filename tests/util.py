@@ -9,10 +9,12 @@ no-coarsening equivalence tests compare two separately-written paths.
 from __future__ import annotations
 
 import csv
+import itertools
 
 import numpy as np
 
 from twophase_ate.data_model import CsvSchema, DataError, Dataset, default_bounds
+from twophase_ate.estimators import _GH_MAX_DIM, _GH_NODES, _GH_WEIGHTS
 from twophase_ate.glm import P_MIN, expit, fit_fluctuation, fit_glm, logit
 
 
@@ -97,6 +99,63 @@ def bisect_oracle(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 3
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# full-design raking quadrature
+# ---------------------------------------------------------------------------
+
+
+def reference_census_influence(ctx, imputation, wts2: np.ndarray, family: str) -> np.ndarray:
+    """The former `_CensusModel` quadrature, kept as the reference that the
+    offset form must match: uncentered working-model influence values, with
+    the design [1, a, w1, w2] rebuilt and predicted at every Gauss-Hermite
+    node on the censored rows."""
+    ds, p2 = ctx.scaled, ctx.p2
+
+    def designs(rows, w2mat):
+        X = np.column_stack([np.ones(len(rows)), ds.a[rows].astype(float),
+                             ds.w1[rows], w2mat])
+        X1, X0 = X.copy(), X.copy()
+        X1[:, 1] = 1.0
+        X0[:, 1] = 0.0
+        return X, X1, X0
+
+    def pieces(rows, X, X1, X0, alpha):
+        q_a, q1, q0 = (fit.predict(Z) for Z in (X, X1, X0))
+        return (X @ alpha) * (ds.y[rows] - q_a) + (q1 - q0)
+
+    Xp, Xp1, Xp0 = designs(p2, ds.w2[p2])
+    fit = fit_glm(Xp, ctx.y2, w=wts2, family=family)
+    q_a2, q12, q02 = (fit.predict(Z) for Z in (Xp, Xp1, Xp0))
+    if family == "bernoulli":
+        j_a, j1, j0 = q_a2 * (1 - q_a2), q12 * (1 - q12), q02 * (1 - q02)
+    else:
+        j_a = j1 = j0 = np.ones(len(p2))
+    wn = wts2 / wts2.sum()
+    info = (Xp * (wn * j_a)[:, None]).T @ Xp
+    grad = (j1[:, None] * Xp1 - j0[:, None] * Xp0).T @ wn
+    alpha = np.linalg.solve(info, grad)
+
+    u = np.empty(ds.n)
+    u[p2] = pieces(p2, Xp, Xp1, Xp0, alpha)
+    censored = np.flatnonzero(ds.delta == 0)
+    if len(censored) and imputation is None:
+        u[censored] = pieces(censored, *designs(censored, ds.w2[censored]), alpha)
+    elif len(censored):
+        d2 = imputation.mean.shape[1]
+        base = imputation.mean[censored]
+        if d2 > _GH_MAX_DIM:  # mean-only imputation
+            draws = [(1.0, base)]
+        else:
+            draws = [(float(np.prod(_GH_WEIGHTS[list(c)])),
+                      base + imputation.sd * _GH_NODES[list(c)])
+                     for c in itertools.product(range(len(_GH_NODES)), repeat=d2)]
+        acc = np.zeros(len(censored))
+        for weight, w2mat in draws:
+            acc += weight * pieces(censored, *designs(censored, w2mat), alpha)
+        u[censored] = acc
+    return u
 
 
 # ---------------------------------------------------------------------------
