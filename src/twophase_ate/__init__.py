@@ -29,7 +29,7 @@ from .estimators import (
     run_estimator,
     run_roster,
 )
-from .nuisance import NuisanceConfig, NuisanceError, NuisanceSet, Predictor, fit_nuisances
+from .nuisance import NuisanceConfig, NuisanceError, NuisanceSet, fit_nuisances
 from .sim import DgpSpec, SimReport, StudyEstimator, StudySpec, generate, run_study
 
 __version__ = "0.1.0"
@@ -56,7 +56,6 @@ __all__ = [
     "NuisanceConfig",
     "NuisanceError",
     "NuisanceSet",
-    "Predictor",
     "fit_nuisances",
     "DgpSpec",
     "SimReport",

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import Dataset
-from .nuisance import NuisanceSet, aw_features, v_features, w_features
+from .nuisance import NuisanceSet, aw_designs
 
 __all__ = [
-    "NuisanceValues",
     "EicVariance",
     "evaluate_nuisances",
     "clever_covariate",
@@ -30,29 +29,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NuisanceValues:
-    """Per-row nuisance evaluations for one dataset.
-
-    pi covers every record; g1 and the outcome predictions are phase-2
-    slices (aligned with ds.phase2) since they need w2.
-    """
-
-    pi: np.ndarray
-    g1: np.ndarray
-    q_a: np.ndarray
-    q1: np.ndarray
-    q0: np.ndarray
-
-
-def evaluate_nuisances(ds: Dataset, ns: NuisanceSet) -> NuisanceValues:
-    p2 = ds.phase2
-    pi = ns.pi.predict(v_features(ds), rows=np.arange(ds.n))
-    g1 = ns.g.predict(w_features(ds, p2), rows=p2)
-    q_a = ns.q.predict(aw_features(ds, p2), rows=p2)
-    q1 = ns.q.predict(aw_features(ds, p2, a_value=1), rows=p2)
-    q0 = ns.q.predict(aw_features(ds, p2, a_value=0), rows=p2)
-    return NuisanceValues(pi=pi, g1=g1, q_a=q_a, q1=q1, q0=q0)
+def evaluate_nuisances(ds: Dataset, ns: NuisanceSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The outcome regression (q_a, q1, q0) on the phase-2 rows: at the
+    observed arm, at a=1 and at a=0."""
+    return tuple(ns.q.predict(X) for X in aw_designs(ds, ds.phase2))
 
 
 def clever_covariate(a, g1):

@@ -41,6 +41,7 @@ from .nuisance import (
     NuisanceConfig,
     NuisanceError,
     NuisanceSet,
+    aw_designs,
     fit_mbar,
     fit_nuisances,
 )
@@ -159,20 +160,20 @@ class FittedContext:
                  nuisances: NuisanceSet):
         if scaled.n < 3:
             raise EstimatorError("need at least 3 records")
-        vals = evaluate_nuisances(scaled, nuisances)
+        q_a, q1, q0 = evaluate_nuisances(scaled, nuisances)
         self.raw, self.scaled, self.scale, self.nuisances = raw, scaled, scale, nuisances
         self.n = scaled.n
         self.p2 = scaled.phase2
         self.delta = scaled.delta.astype(float)
         self.y2 = scaled.y[self.p2]
         self.a2 = scaled.a[self.p2]
-        self.pi0 = vals.pi
+        self.pi0 = nuisances.pi
         self.wts0 = 1.0 / self.pi0[self.p2]
-        self.g1 = vals.g1
+        self.g1 = nuisances.g1
         self.h2 = clever_covariate(self.a2, self.g1)
         self.h1 = 1.0 / self.g1
         self.h0 = -1.0 / (1.0 - self.g1)
-        self.q_a0, self.q10, self.q00 = vals.q_a, vals.q1, vals.q0
+        self.q_a0, self.q10, self.q00 = q_a, q1, q0
         self.design = MbarDesign(scaled)
         shared = [v for v in vars(self).values() if isinstance(v, np.ndarray)]
         for arr in shared + [self.design.x_all, self.design.x2]:
@@ -187,9 +188,7 @@ class FittedContext:
 
     def mbar_all(self, values2: np.ndarray) -> np.ndarray:
         """Regression of phase-2 values on phase-1 features, predicted on all rows."""
-        pred = fit_mbar(self.scaled, values2, design=self.design)
-        # pred.predict(v_features(ds)) without rebuilding the intercept column
-        return pred.fit.predict(self.design.x_all)
+        return fit_mbar(self.scaled, values2, design=self.design)
 
     def fluctuate_q(self, q_a, q1, q0, pi):
         """One weighted logistic targeting step of the outcome regression."""
@@ -484,7 +483,7 @@ def _fit_imputation(ctx: FittedContext) -> _ImputationModel:
     sd = np.zeros(ds.d_w2)
     dof = max(1, len(p2) - design.x2.shape[1])
     for j in range(ds.d_w2):
-        mean[:, j] = design.fit(ds.w2[p2, j]).predict(design.x_all)
+        mean[:, j] = design.fit(ds.w2[p2, j])
         resid = ds.w2[p2, j] - mean[p2, j]
         sd[j] = float(np.sqrt(resid @ resid / dof))
     return _ImputationModel(mean=mean, sd=sd)
@@ -502,17 +501,7 @@ class _CensusModel:
     def __init__(self, ctx: FittedContext, imputation: _ImputationModel | None,
                  wts2: np.ndarray, family: str):
         ds, p2 = ctx.scaled, ctx.p2
-
-        def designs(rows, w2mat):
-            """The design [1, a, w1, w2] at the observed arm, a=1 and a=0."""
-            X = np.column_stack([np.ones(len(rows)), ds.a[rows].astype(float),
-                                 ds.w1[rows], w2mat])
-            X1, X0 = X.copy(), X.copy()
-            X1[:, 1] = 1.0
-            X0[:, 1] = 0.0
-            return X, X1, X0
-
-        Xp, Xp1, Xp0 = designs(p2, ds.w2[p2])
+        Xp, Xp1, Xp0 = aw_designs(ds, p2)
         self.fit = fit_glm(Xp, ctx.y2, w=wts2, family=family)
         q_a2, q12, q02 = (self.fit.predict(Z) for Z in (Xp, Xp1, Xp0))
         if family == "bernoulli":
@@ -535,10 +524,10 @@ class _CensusModel:
             beta = self.fit.coefficients
             w2 = slice(2 + ds.d_w1, None)
             if imputation is None:  # no phase-2 covariates: nothing to impute
-                X, X1, X0 = designs(censored, ds.w2[censored])
+                X, X1, X0 = aw_designs(ds, censored)
                 nodes = [(1.0, np.zeros(ds.d_w2))]
             else:
-                X, X1, X0 = designs(censored, imputation.mean[censored])
+                X, X1, X0 = aw_designs(ds, censored, imputation.mean[censored])
                 nodes = imputation.grid()
             eta, eta1, eta0 = X @ beta, X1 @ beta, X0 @ beta
             xa, y = X @ alpha, ds.y[censored]

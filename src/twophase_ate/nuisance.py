@@ -1,16 +1,16 @@
-"""Fitting and wrapping of the four nuisance functions.
+"""Fitting of the four nuisance functions, evaluated on the dataset they fit.
 
 Pi (phase-2 sampling mechanism), g (treatment mechanism), Q (outcome
 regression) and the conditional regression of full-data influence values
-on phase-1 variables are all fitted as main-term GLMs and wrapped as
-Predictors; probability outputs are truncated. A known Pi or g is given
-as one value per record and wrapped the same way.
+on phase-1 variables are all fitted as main-term GLMs. Nothing is
+predicted out of sample, so each fit returns its values on the records it
+was fitted to; probability outputs are truncated. A known Pi or g is given
+as one value per record and truncated the same way.
 
-Feature conventions (columns, in order):
-  V-features : w1 columns, a, y          (all rows)
-  W-features : w1 columns, w2 columns    (phase-2 rows only)
-  AW-features: a, w1 columns, w2 columns (phase-2 rows only)
-An intercept is added internally by the GLM-backed predictors.
+Design conventions (columns, in order):
+  V-design : 1, w1 columns, a, y          (all rows)
+  W-design : 1, w1 columns, w2 columns    (phase-2 rows only)
+  AW-design: 1, a, w1 columns, w2 columns (phase-2 rows only)
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ from .glm import GlmError, GlmFit, GramFactor, fit_glm
 
 __all__ = [
     "NuisanceError",
-    "Predictor",
-    "GlmPredictor",
-    "PinnedPredictor",
     "NuisanceSet",
     "NuisanceConfig",
     "check_truncation",
@@ -34,13 +31,12 @@ __all__ = [
     "TRUNC_G_DEFAULT",
     "v_features",
     "w_features",
-    "aw_features",
+    "aw_designs",
     "MbarDesign",
     "fit_pi",
     "fit_g_ipcw",
     "fit_q_ipcw",
     "fit_mbar",
-    "pin_known",
     "fit_nuisances",
 ]
 
@@ -59,11 +55,9 @@ class NuisanceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def v_features(ds: Dataset, rows: np.ndarray | None = None) -> np.ndarray:
-    """Phase-1 feature rows (w1, a, y); defined for every record."""
-    if rows is None:
-        rows = slice(None)
-    return np.column_stack([ds.w1[rows], ds.a[rows].astype(float), ds.y[rows]])
+def v_features(ds: Dataset) -> np.ndarray:
+    """Phase-1 feature rows (w1, a, y) of every record."""
+    return np.column_stack([ds.w1, ds.a.astype(float), ds.y])
 
 
 def w_features(ds: Dataset, rows: np.ndarray) -> np.ndarray:
@@ -71,10 +65,16 @@ def w_features(ds: Dataset, rows: np.ndarray) -> np.ndarray:
     return np.column_stack([ds.w1[rows], ds.w2[rows]])
 
 
-def aw_features(ds: Dataset, rows: np.ndarray, a_value: int | None = None) -> np.ndarray:
-    """Treatment-plus-covariate rows; a_value overrides the observed arm."""
-    a = ds.a[rows].astype(float) if a_value is None else np.full(len(rows), float(a_value))
-    return np.column_stack([a, ds.w1[rows], ds.w2[rows]])
+def aw_designs(ds: Dataset, rows: np.ndarray,
+               w2: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The outcome design [1, a, w1, w2] of `rows` at the observed arm, at
+    a=1 and at a=0. `w2` replaces the rows' phase-2 covariates when given."""
+    X = np.column_stack([np.ones(len(rows)), ds.a[rows].astype(float), ds.w1[rows],
+                         ds.w2[rows] if w2 is None else w2])
+    X1, X0 = X.copy(), X.copy()
+    X1[:, 1] = 1.0
+    X0[:, 1] = 0.0
+    return X, X1, X0
 
 
 def _add_intercept(X: np.ndarray) -> np.ndarray:
@@ -82,93 +82,31 @@ def _add_intercept(X: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# predictors
-# ---------------------------------------------------------------------------
-
-
-class Predictor:
-    """Opaque fitted function over feature rows.
-
-    Subclasses implement `_raw(X, rows)`; `predict` applies the declared
-    truncation. `rows` gives the dataset positions of the feature rows;
-    only predictors holding per-row values use it.
-    """
-
-    bounds: tuple[float, float] | None = None
-
-    def _raw(self, X: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-        raise NotImplementedError
-
-    def predict(self, X: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        vals = np.asarray(self._raw(np.asarray(X, dtype=float), rows), dtype=float)
-        if self.bounds is not None:
-            vals = np.clip(vals, self.bounds[0], self.bounds[1])
-        return vals
-
-
-@dataclass
-class GlmPredictor(Predictor):
-    """GLM fit plus main-term feature map (intercept added here)."""
-
-    fit: GlmFit
-    bounds: tuple[float, float] | None = None
-
-    def _raw(self, X: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-        return self.fit.predict(_add_intercept(X))
-
-
-@dataclass
-class PinnedPredictor(Predictor):
-    """Per-row known values aligned with one specific dataset.
-
-    Used to inject simulation truths that depend on latent variables and
-    therefore cannot be written as functions of the observed features.
-    The features are ignored: values are indexed by `rows`, or must cover
-    the whole dataset when no rows are given.
-    """
-
-    values: np.ndarray
-    bounds: tuple[float, float] | None = None
-
-    def _raw(self, X: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-        if rows is not None:
-            return self.values[rows]
-        if X.shape[0] != len(self.values):
-            raise NuisanceError(
-                f"pinned predictor holds {len(self.values)} rows, asked for {X.shape[0]}"
-            )
-        return self.values
-
-
-def pin_known(values: np.ndarray, bounds: tuple[float, float] | None = None) -> PinnedPredictor:
-    return PinnedPredictor(values=np.asarray(values, dtype=float), bounds=bounds)
-
-
-# ---------------------------------------------------------------------------
 # nuisance fits
 # ---------------------------------------------------------------------------
 
 
-def fit_pi(ds: Dataset, trunc: tuple[float, float] = TRUNC_PI_DEFAULT) -> Predictor:
-    """Logistic regression of the phase-2 indicator on (w1, a, y), all rows."""
+def fit_pi(ds: Dataset, trunc: tuple[float, float] = TRUNC_PI_DEFAULT) -> np.ndarray:
+    """Logistic regression of the phase-2 indicator on (w1, a, y), all rows;
+    returns the truncated fitted probabilities of every record."""
     delta = ds.delta
     if delta.min() == delta.max():
         raise NuisanceError("phase-2 indicator is constant: sampling mechanism unidentifiable")
     X = _add_intercept(v_features(ds))
     fit = fit_glm(X, delta.astype(float), family="bernoulli")
-    return GlmPredictor(fit=fit, bounds=trunc)
+    return np.clip(fit.predict(X), trunc[0], trunc[1])
 
 
-def _ipcw_weights(ds: Dataset, pi: Predictor) -> np.ndarray:
-    p2 = ds.phase2
-    pi_vals = pi.predict(v_features(ds, p2), rows=p2)
-    if np.any(pi_vals <= 0):
+def _ipcw_weights(ds: Dataset, pi: np.ndarray) -> np.ndarray:
+    pi2 = pi[ds.phase2]
+    if np.any(pi2 <= 0):
         raise NuisanceError("nonpositive sampling probabilities after truncation")
-    return 1.0 / pi_vals
+    return 1.0 / pi2
 
 
-def fit_q_ipcw(ds: Dataset, pi: Predictor) -> Predictor:
-    """Outcome regression on (a, w1, w2) over phase-2 rows, weights 1/Pi.
+def fit_q_ipcw(ds: Dataset, pi: np.ndarray) -> GlmFit:
+    """Outcome regression on (a, w1, w2) over phase-2 rows, weights 1/Pi,
+    with pi the sampling probabilities of every record.
 
     The outcome must already live in [0, 1] (binary, or scaled); the fit is
     bernoulli-family so predictions respect the outcome bounds.
@@ -181,14 +119,14 @@ def fit_q_ipcw(ds: Dataset, pi: Predictor) -> Predictor:
     for arm in (0, 1):
         if np.sum(a2 == arm) < 2:
             raise NuisanceError(f"fewer than 2 phase-2 records with a={arm}: Q({arm},.) unidentifiable")
-    X = _add_intercept(aw_features(ds, p2))
-    fit = fit_glm(X, y2, w=_ipcw_weights(ds, pi), family="bernoulli")
-    return GlmPredictor(fit=fit, bounds=None)
+    X, _, _ = aw_designs(ds, p2)
+    return fit_glm(X, y2, w=_ipcw_weights(ds, pi), family="bernoulli")
 
 
-def fit_g_ipcw(ds: Dataset, pi: Predictor,
-               trunc: tuple[float, float] = TRUNC_G_DEFAULT) -> Predictor:
-    """Propensity regression of a on (w1, w2) over phase-2 rows, weights 1/Pi."""
+def fit_g_ipcw(ds: Dataset, pi: np.ndarray,
+               trunc: tuple[float, float] = TRUNC_G_DEFAULT) -> np.ndarray:
+    """Propensity regression of a on (w1, w2) over phase-2 rows, weights 1/Pi;
+    returns the truncated g(1|w) of the phase-2 rows."""
     p2 = ds.phase2
     a2 = ds.a[p2].astype(float)
     for arm in (0, 1):
@@ -196,7 +134,7 @@ def fit_g_ipcw(ds: Dataset, pi: Predictor,
             raise NuisanceError(f"fewer than 2 phase-2 records with a={arm}: g unidentifiable")
     X = _add_intercept(w_features(ds, p2))
     fit = fit_glm(X, a2, w=_ipcw_weights(ds, pi), family="bernoulli")
-    return GlmPredictor(fit=fit, bounds=trunc)
+    return np.clip(fit.predict(X), trunc[0], trunc[1])
 
 
 class MbarDesign:
@@ -212,19 +150,20 @@ class MbarDesign:
         self.x2 = self.x_all[ds.phase2]
         self._gram: GramFactor | None = None
 
-    def fit(self, values: np.ndarray) -> GlmFit:
+    def fit(self, values: np.ndarray) -> np.ndarray:
+        """Least-squares fit of phase-2 values, predicted on every record."""
         if self._gram is None:
             self._gram = GramFactor(self.x2)
-        return self._gram.fit(values)
+        return self._gram.fit(values).predict(self.x_all)
 
 
-def fit_mbar(ds: Dataset, values: np.ndarray, design: MbarDesign | None = None) -> Predictor:
-    """Gaussian regression of per-phase-2-row values on (w1, a, y).
+def fit_mbar(ds: Dataset, values: np.ndarray, design: MbarDesign | None = None) -> np.ndarray:
+    """Gaussian regression of per-phase-2-row values on (w1, a, y),
+    predicted on every record (the features are phase-1 measurable).
 
-    The prediction is defined for every record since the features are
-    phase-1 measurable. Rank-deficient designs fall back to the GLM ridge;
-    only total singularity raises. Pass the dataset's `design` to reuse its
-    factored Gram matrix across regressions.
+    Rank-deficient designs fall back to the GLM ridge; only total
+    singularity raises. Pass the dataset's `design` to reuse its factored
+    Gram matrix across regressions.
     """
     if design is None:
         design = MbarDesign(ds)
@@ -232,10 +171,9 @@ def fit_mbar(ds: Dataset, values: np.ndarray, design: MbarDesign | None = None) 
     if len(values) != design.x2.shape[0]:
         raise NuisanceError("values must align with the phase-2 rows")
     try:
-        fit = design.fit(values)
+        return design.fit(values)
     except GlmError as exc:
         raise NuisanceError(f"regression of influence values failed: {exc}") from exc
-    return GlmPredictor(fit=fit, bounds=None)
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +183,14 @@ def fit_mbar(ds: Dataset, values: np.ndarray, design: MbarDesign | None = None) 
 
 @dataclass(frozen=True)
 class NuisanceSet:
-    """Fitted nuisance functions. pi and g already truncate their outputs;
-    trunc_pi bounds the sampling mechanism again after it is targeted."""
+    """The nuisances evaluated on the dataset they were fitted to: pi on
+    every record and g1 = g(1|w) on the phase-2 rows, both truncated, and
+    the outcome regression's fit on the `aw_designs` columns. trunc_pi
+    bounds the sampling mechanism again after it is targeted."""
 
-    pi: Predictor
-    g: Predictor
-    q: Predictor
+    pi: np.ndarray
+    g1: np.ndarray
+    q: GlmFit
     trunc_pi: tuple[float, float] = TRUNC_PI_DEFAULT
 
 
@@ -286,23 +226,27 @@ class NuisanceConfig:
         check_truncation(self.trunc_pi, self.trunc_g)
 
 
-def _known_predictor(values, bounds, n: int) -> Predictor:
-    values = np.asarray(values, dtype=float)
-    if len(values) != n:
-        raise NuisanceError("known mechanism values do not align with the dataset")
-    return pin_known(values, bounds=bounds)
+def _known(values, bounds: tuple[float, float], n: int, name: str) -> np.ndarray:
+    """A known mechanism's per-record values, checked and truncated."""
+    try:
+        values = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or values.shape != (n,) or not np.all(np.isfinite(values)):
+        raise NuisanceError(f"{name} must be a finite 1-D array with one value per record ({n})")
+    return np.clip(values, bounds[0], bounds[1])
 
 
 def fit_nuisances(ds: Dataset, config: NuisanceConfig | None = None) -> NuisanceSet:
     """Fit (or inject) Pi and g, then the IPCW-weighted outcome regression."""
     cfg = config or NuisanceConfig()
     if cfg.known_pi is not None:
-        pi = _known_predictor(cfg.known_pi, cfg.trunc_pi, ds.n)
+        pi = _known(cfg.known_pi, cfg.trunc_pi, ds.n, "known_pi")
     else:
         pi = fit_pi(ds, trunc=cfg.trunc_pi)
     if cfg.known_g is not None:
-        g = _known_predictor(cfg.known_g, cfg.trunc_g, ds.n)
+        g1 = _known(cfg.known_g, cfg.trunc_g, ds.n, "known_g")[ds.phase2]
     else:
-        g = fit_g_ipcw(ds, pi, trunc=cfg.trunc_g)
+        g1 = fit_g_ipcw(ds, pi, trunc=cfg.trunc_g)
     q = fit_q_ipcw(ds, pi)
-    return NuisanceSet(pi=pi, g=g, q=q, trunc_pi=cfg.trunc_pi)
+    return NuisanceSet(pi=pi, g1=g1, q=q, trunc_pi=cfg.trunc_pi)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -477,10 +478,13 @@ def run_study(study: StudySpec) -> SimReport:
     else:
         psi_ref = reference_psi(study.dgp)
     indices = range(study.n_runs)
-    if study.parallelism > 1:
-        with ProcessPoolExecutor(max_workers=study.parallelism) as pool:
+    # the executor starts every worker at the first submit, so never ask
+    # for more than there are runs or processors
+    workers = min(study.parallelism, study.n_runs, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(_run_single, [study] * study.n_runs, indices,
-                                 chunksize=max(1, study.n_runs // (8 * study.parallelism))))
+                                 chunksize=max(1, study.n_runs // (8 * workers))))
     else:
         runs = [_run_single(study, r) for r in indices]
     report = _aggregate(study, [outcomes for _, outcomes in runs], psi_ref)

@@ -23,7 +23,7 @@ from twophase_ate.estimators import (
     run_estimator,
 )
 from twophase_ate.glm import expit, logit
-from twophase_ate.nuisance import NuisanceConfig, fit_mbar, fit_nuisances, v_features
+from twophase_ate.nuisance import NuisanceConfig, fit_mbar, fit_nuisances
 from twophase_ate.sim import DgpSpec, StudyEstimator, StudySpec, run_study
 
 from util import (
@@ -80,17 +80,18 @@ def test_c02_representation_equality():
     seed = 0
     while total < 1000:
         ds = make_twophase_dataset(np.random.default_rng(2000 + seed), n=260)
-        vals = evaluate_nuisances(ds, fit_nuisances(ds))
-        p2, v = ds.phase2, v_features(ds)
-        h2 = clever_covariate(ds.a[p2], vals.g1)
-        resid2 = h2 * (ds.y[p2] - vals.q_a)
-        contrast2 = vals.q1 - vals.q0
-        dbar2 = fulldata_eic_values(ds.y[p2], h2, vals.q_a, vals.q1, vals.q0)
-        mbar = fit_mbar(ds, dbar2).predict(v)
-        r_all = fit_mbar(ds, resid2).predict(v)
-        c_all = fit_mbar(ds, contrast2).predict(v)
-        d_obs = observed_eic(dbar2, mbar, vals.pi, 0.123, p2, ds.delta)
-        parts = eic_components(resid2, r_all, contrast2, c_all, vals.pi, 0.123, p2, ds.delta)
+        ns = fit_nuisances(ds)
+        q_a, q1, q0 = evaluate_nuisances(ds, ns)
+        p2 = ds.phase2
+        h2 = clever_covariate(ds.a[p2], ns.g1)
+        resid2 = h2 * (ds.y[p2] - q_a)
+        contrast2 = q1 - q0
+        dbar2 = fulldata_eic_values(ds.y[p2], h2, q_a, q1, q0)
+        mbar = fit_mbar(ds, dbar2)
+        r_all = fit_mbar(ds, resid2)
+        c_all = fit_mbar(ds, contrast2)
+        d_obs = observed_eic(dbar2, mbar, ns.pi, 0.123, p2, ds.delta)
+        parts = eic_components(resid2, r_all, contrast2, c_all, ns.pi, 0.123, p2, ds.delta)
         gap = float(np.max(np.abs(sum(parts) - d_obs)))
         worst = max(worst, gap)
         total += ds.n

@@ -1,7 +1,20 @@
+import os
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
-from twophase_ate.cli import EXIT_CONFIG_ERROR, EXIT_ESTIMATOR_FAILURE, EXIT_OK, main
+from twophase_ate.cli import (
+    _ESTIMATOR_OPTION_KEYS,
+    _KNOWN_KEYS,
+    EXIT_CONFIG_ERROR,
+    EXIT_ESTIMATOR_FAILURE,
+    EXIT_OK,
+    main,
+)
 from twophase_ate.data_model import CsvSchema, load_csv, write_csv
 from twophase_ate.estimators import ESTIMATOR_IDS, EstimatorOptions, run_roster
 from twophase_ate.nuisance import NuisanceConfig
@@ -436,3 +449,58 @@ def repro_dir():
     from pathlib import Path
 
     return Path(__file__).resolve().parent.parent / "repro"
+
+
+# every config key main accepts, plus one it must reject
+_FUZZ_KEYS = sorted(_KNOWN_KEYS) + [
+    f"estimator.{est}.{opt}" for est in ESTIMATOR_IDS for opt in _ESTIMATOR_OPTION_KEYS
+] + ["sim.banana"]
+_EDGE_VALUES = ("nan", "1e400", "0.9, 0.1", "18446744073709551615", "")
+_BASE = {
+    "simulate": {"mode": "simulate", "sim.dgp": "missing_rate", "sim.n": "60",
+                 "sim.n_runs": "1", "estimators": "aipcw, raking"},
+    "estimate": {"mode": "estimate", "data.path": "toy.csv", "estimators": "aipcw, eee",
+                 **dict(line.split(" = ") for line in SCHEMA_LINES)},
+}
+
+
+def _one_line(text):
+    return " ".join(text.splitlines())
+
+
+def _small(key, value):
+    """Cap the study size keys, so a drawn integer cannot ask for a huge study;
+    the value is read as the config parser reads it, up to any comment."""
+    if key not in ("sim.n", "sim.n_runs"):
+        return value
+    try:
+        return "40" if int(value.split("#", 1)[0]) > 40 else value
+    except ValueError:
+        return value
+
+
+class TestFuzzMain:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(base=st.sampled_from(sorted(_BASE)),
+           dropped=st.sets(st.sampled_from(sorted(set().union(*_BASE.values()))),
+                           max_size=2),
+           lines=st.dictionaries(
+               st.sampled_from(_FUZZ_KEYS),
+               st.one_of(st.sampled_from(_EDGE_VALUES), st.text(max_size=20).map(_one_line)),
+               max_size=4))
+    def test_any_config_exits_with_a_contract_code(self, base, dropped, lines):
+        cfg = {k: v for k, v in _BASE[base].items() if k not in dropped}
+        cfg.update(lines)
+        text = "".join(f"{key} = {_small(key, value)}\n" for key, value in cfg.items())
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)  # relative data paths stay inside the scratch directory
+            try:
+                write_csv(make_twophase_dataset(np.random.default_rng(0), n=80),
+                          Path("toy.csv"), SCHEMA)
+                Path("run.cfg").write_text(text, encoding="utf-8")
+                code = main(["--config", "run.cfg", "--out", "out", "--parallelism", "1"])
+            finally:
+                os.chdir(cwd)
+        event(f"{base} exit {code}")
+        assert code in (EXIT_OK, EXIT_ESTIMATOR_FAILURE, EXIT_CONFIG_ERROR), text

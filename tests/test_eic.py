@@ -12,7 +12,7 @@ from twophase_ate.eic import (
     observed_eic,
 )
 from twophase_ate.glm import expit, logit
-from twophase_ate.nuisance import NuisanceConfig, fit_mbar, fit_nuisances, v_features
+from twophase_ate.nuisance import NuisanceConfig, fit_mbar, fit_nuisances
 
 from util import make_twophase_dataset
 
@@ -87,19 +87,14 @@ def _eic_inputs(ds, ns):
     """The per-row pieces the estimators feed to observed_eic and
     eic_components at the initial fit: (pi, resid2, r_all, contrast2, c_all,
     dbar2, mbar_all)."""
-    vals = evaluate_nuisances(ds, ns)
+    q_a, q1, q0 = evaluate_nuisances(ds, ns)
     p2 = ds.phase2
-    v = v_features(ds)
-    h2 = clever_covariate(ds.a[p2], vals.g1)
-    resid2 = h2 * (ds.y[p2] - vals.q_a)
-    contrast2 = vals.q1 - vals.q0
-    dbar2 = fulldata_eic_values(ds.y[p2], h2, vals.q_a, vals.q1, vals.q0)
-
-    def regress(values):
-        return fit_mbar(ds, values).predict(v)
-
-    return (vals.pi, resid2, regress(resid2), contrast2, regress(contrast2),
-            dbar2, regress(dbar2))
+    h2 = clever_covariate(ds.a[p2], ns.g1)
+    resid2 = h2 * (ds.y[p2] - q_a)
+    contrast2 = q1 - q0
+    dbar2 = fulldata_eic_values(ds.y[p2], h2, q_a, q1, q0)
+    return (ns.pi, resid2, fit_mbar(ds, resid2), contrast2, fit_mbar(ds, contrast2),
+            dbar2, fit_mbar(ds, dbar2))
 
 
 class TestObservedEic:

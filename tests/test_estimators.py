@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from twophase_ate import estimators
 from twophase_ate.data_model import Dataset
-from twophase_ate.eic import evaluate_nuisances
 from twophase_ate.estimators import (
     ESTIMATOR_IDS,
     FULL_EIC_SOLVERS,
@@ -18,7 +17,7 @@ from twophase_ate.estimators import (
     run_roster,
 )
 from twophase_ate.glm import expit
-from twophase_ate.nuisance import NuisanceConfig, fit_mbar
+from twophase_ate.nuisance import NuisanceConfig, fit_mbar, fit_nuisances
 from twophase_ate.sim import DgpSpec, generate
 
 from util import (
@@ -215,7 +214,7 @@ class TestFixedPoints:
     def test_unconverged_raking_keeps_previous_pi(self, monkeypatch):
         ds = make_twophase_dataset(np.random.default_rng(12))
         ctx = fit_context(ds)
-        pi0 = evaluate_nuisances(ctx.scaled, ctx.nuisances).pi
+        pi0 = ctx.nuisances.pi
 
         def stalled(mbar, pi, delta):
             a = np.full_like(pi, 0.5)
@@ -260,11 +259,7 @@ class TestPlugInProperty:
         ds = make_twophase_dataset(np.random.default_rng(12))
         r = run_estimator(ds, "ipcw_tmle")
         # recompute the weighted plug-in from the targeted outcome fits
-        from twophase_ate.eic import evaluate_nuisances
-        from twophase_ate.nuisance import fit_nuisances
-
-        vals = evaluate_nuisances(ds, fit_nuisances(ds))
-        wts2 = 1.0 / vals.pi[ds.phase2]
+        wts2 = 1.0 / fit_nuisances(ds).pi[ds.phase2]
         plug = float(wts2 @ (r.details["q1"] - r.details["q0"]) / wts2.sum())
         assert r.psi_hat == pytest.approx(plug, abs=1e-8)
 
@@ -437,6 +432,25 @@ class TestInvariances:
             assert mapped.se == pytest.approx(c * base.se, rel=0, abs=tol), base.estimator_id
             assert (mapped.n_outer_iterations, mapped.converged) == (
                 base.n_outer_iterations, base.converged), base.estimator_id
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 100_000))
+    def test_duplicated_records_keep_psi_and_shrink_se(self, seed):
+        # every fit and influence value repeats, so psi is unchanged and the
+        # ddof=1 variance gives SE * sqrt((n-1)/(2n-1)); the estimators left
+        # out stop at a threshold, or integrate on a grid, that depends on n
+        ds = make_twophase_dataset(np.random.default_rng(seed))
+        doubled = _with_columns(ds, np.tile(np.arange(ds.n), 2), ds.a)
+        roster = [(e, EstimatorOptions()) for e in
+                  ("aipcw", "eee", "ipcw_tmle", "ipcw_tmle_rake_pi", "quasi_tmle")]
+        shrink = np.sqrt((ds.n - 1) / (2 * ds.n - 1))
+        for (base, _), (twice, _) in zip(run_roster(ds, roster)[1],
+                                         run_roster(doubled, roster)[1]):
+            tol = 1e-8 * base.se
+            assert twice.psi_hat == pytest.approx(base.psi_hat, rel=0, abs=tol), \
+                base.estimator_id
+            assert twice.se == pytest.approx(shrink * base.se, rel=0, abs=tol), \
+                base.estimator_id
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 100_000))

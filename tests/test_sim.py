@@ -1,9 +1,11 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from twophase_ate import sim
 from twophase_ate.glm import expit, fit_glm
 from twophase_ate.sim import (
     _CENSUS_CHUNK,
@@ -219,6 +221,40 @@ class TestRunStudy:
         write_report_csv(r1, p1)
         write_report_csv(r2, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("parallelism, cpus, workers", [
+        (100_000, 8, 6),  # no more workers than runs
+        (64, 4, 4),  # no more workers than processors
+        (3, None, None),  # processor count unknown: serial, no pool
+        (1, 8, None),
+    ])
+    def test_pool_is_bounded_by_runs_and_processors(self, tmp_path, monkeypatch,
+                                                    parallelism, cpus, workers):
+        serial = tmp_path / "serial.csv"
+        write_report_csv(run_study(self.small_study()), serial)
+        opened = []
+
+        class RecordingPool:
+            """Records its size and runs `map` serially in this process."""
+
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        pooled = tmp_path / "pooled.csv"
+        write_report_csv(run_study(self.small_study(parallelism=parallelism)), pooled)
+        assert opened == ([] if workers is None else [workers])
+        assert pooled.read_bytes() == serial.read_bytes()
 
     def test_rows_carry_sane_metrics(self):
         rep = run_study(self.small_study())
