@@ -28,8 +28,10 @@ import json
 import math
 import os
 import subprocess
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -80,17 +82,11 @@ class DgpSpec:
 
 @dataclass(frozen=True)
 class TruthRecord:
-    """Per-row generating truths for one dataset, plus the target value.
+    """Per-row generating mechanisms of one dataset, for known-mechanism
+    injection: the sampling probability pi0 and the treatment probability g0."""
 
-    pi0/g0 support known-mechanism injection; the outcome means support
-    oracle influence-curve checks.
-    """
-
-    psi_true: float
     pi0: np.ndarray
     g0: np.ndarray
-    q0_1: np.ndarray
-    q0_0: np.ndarray
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -145,113 +141,82 @@ def _kang_pi(z):
     return expit(-0.1 * z[:, 0] + 0.1 * z[:, 1])
 
 
-def _mr_covariates(rng, n):
-    return rng.standard_normal((n, 4)) + 1.0
-
-
 def _mr_g(w, strength=1.0):
     return expit(strength * (-0.2 * w[:, 0] - 0.6 * w[:, 1] + 0.2 * w[:, 3]))
 
 
-def _mr_q(w, a):
-    return expit(0.1 * w[:, 0] ** 2 - 0.01 * w[:, 1] ** 3 + 0.2 * w[:, 2]
-                 - 0.1 * w[:, 3] + 0.6 * a + 0.5 * a * w[:, 1] ** 2)
+class _Law(NamedTuple):
+    """One DGP drawn on n units: covariates w = [w1 | w2], treatment
+    probability g0, outcome mean q(a), sampling probability pi(y) and the
+    outcome kind."""
+
+    w: np.ndarray
+    g0: np.ndarray
+    q: Callable[[np.ndarray | int], np.ndarray]
+    pi: Callable[[np.ndarray], np.ndarray]
+    y_kind: str
 
 
-def _mr_pi(w1col, y, intercept):
-    # phase-1 measurable: first covariate and the outcome only
-    return expit(intercept + 0.2 * w1col + 0.2 * y)
+def _law(spec: DgpSpec, rng: np.random.Generator, n: int) -> _Law:
+    """Draw spec's covariates for n units from rng. The only place where
+    the four DGPs differ; the datasets, the census population and the
+    Monte-Carlo truth all draw through it."""
+    if spec.dgp_id == "kang_dr":
+        z, w = _kang_latents(rng, n)
+        return _Law(w, _kang_g(z), lambda a: _kang_q(z, a), lambda y: _kang_pi(z), "binary")
+    w = rng.standard_normal((n, 4)) + 1.0
+    if spec.dgp_id == "missing_rate":
+        def q(a):
+            return expit(0.1 * w[:, 0] ** 2 - 0.01 * w[:, 1] ** 3 + 0.2 * w[:, 2]
+                         - 0.1 * w[:, 3] + 0.6 * a + 0.5 * a * w[:, 1] ** 2)
+
+        # phase-1 measurable: first covariate and the outcome only
+        def pi(y):
+            return expit(spec.missing_intercept + 0.2 * w[:, 0] + 0.2 * y)
+
+        return _Law(w, _mr_g(w), q, pi, "binary")
+    qlin = -0.3 + 0.4 * w[:, 0] - 0.4 * w[:, 1] + 0.2 * w[:, 2] - 0.1 * w[:, 3]
+
+    def pi(y):
+        return expit(0.5 * w[:, 0])
+
+    if spec.dgp_id == "near_positivity":
+        return _Law(w, _mr_g(w, strength=3.0),
+                    lambda a: qlin + NEAR_POSITIVITY_EFFECT * a, pi, "continuous")
+    het = 2.5 * (w[:, 1] > 1.0) - 2.5 * (w[:, 1] < 0.0) + 2.0 * np.sin(w[:, 0])
+    return _Law(w, _mr_g(w), lambda a: qlin + spec.gamma * a * het, pi, "continuous")
 
 
-def _rg_het(w):
-    return (2.5 * (w[:, 1] > 1.0) - 2.5 * (w[:, 1] < 0.0) + 2.0 * np.sin(w[:, 0]))
-
-
-def _rg_qlin(w):
-    return -0.3 + 0.4 * w[:, 0] - 0.4 * w[:, 1] + 0.2 * w[:, 2] - 0.1 * w[:, 3]
-
-
-def _rg_pi(w1col):
-    return expit(0.5 * w1col)
+def _treat_and_respond(law: _Law, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the treatment from g0, then the outcome around q(a)."""
+    n = len(law.g0)
+    a = (rng.random(n) < law.g0).astype(int)
+    q_a = law.q(a)
+    if law.y_kind == "binary":
+        return a, (rng.random(n) < q_a).astype(float)
+    return a, q_a + rng.standard_normal(n)
 
 
 def generate(spec: DgpSpec) -> tuple[Dataset, TruthRecord]:
     """Draw one dataset. Draw order is fixed (covariates, treatment, outcome,
     phase-2 flag) so that a given spec is byte-reproducible."""
     rng = _rng(spec.seed)
-    n = spec.n
-
-    if spec.dgp_id == "kang_dr":
-        z, w = _kang_latents(rng, n)
-        g0 = _kang_g(z)
-        a = (rng.random(n) < g0).astype(int)
-        q_a = _kang_q(z, a)
-        y = (rng.random(n) < q_a).astype(float)
-        pi0 = _kang_pi(z)
-        delta = (rng.random(n) < pi0).astype(int)
-        truth = TruthRecord(reference_psi(spec), pi0, g0, _kang_q(z, 1), _kang_q(z, 0))
-        y_kind, y_bounds = "binary", (0.0, 1.0)
-
-    elif spec.dgp_id == "missing_rate":
-        w = _mr_covariates(rng, n)
-        g0 = _mr_g(w)
-        a = (rng.random(n) < g0).astype(int)
-        q_a = _mr_q(w, a)
-        y = (rng.random(n) < q_a).astype(float)
-        pi0 = _mr_pi(w[:, 0], y, spec.missing_intercept)
-        delta = (rng.random(n) < pi0).astype(int)
-        truth = TruthRecord(reference_psi(spec), pi0, g0, _mr_q(w, 1), _mr_q(w, 0))
-        y_kind, y_bounds = "binary", (0.0, 1.0)
-
-    elif spec.dgp_id == "near_positivity":
-        w = _mr_covariates(rng, n)
-        g0 = _mr_g(w, strength=3.0)
-        a = (rng.random(n) < g0).astype(int)
-        q1 = _rg_qlin(w) + NEAR_POSITIVITY_EFFECT
-        q0 = _rg_qlin(w)
-        y = np.where(a == 1, q1, q0) + rng.standard_normal(n)
-        pi0 = _rg_pi(w[:, 0])
-        delta = (rng.random(n) < pi0).astype(int)
-        truth = TruthRecord(reference_psi(spec), pi0, g0, q1, q0)
-        y_kind = "continuous"
-        y_bounds = default_bounds(y)
-
-    elif spec.dgp_id == "raking_gap":
-        w = _mr_covariates(rng, n)
-        g0 = _mr_g(w)
-        a = (rng.random(n) < g0).astype(int)
-        het = _rg_het(w)
-        q1 = _rg_qlin(w) + spec.gamma * het
-        q0 = _rg_qlin(w)
-        y = np.where(a == 1, q1, q0) + rng.standard_normal(n)
-        pi0 = _rg_pi(w[:, 0])
-        delta = (rng.random(n) < pi0).astype(int)
-        truth = TruthRecord(reference_psi(spec), pi0, g0, q1, q0)
-        y_kind = "continuous"
-        y_bounds = default_bounds(y)
-    else:  # pragma: no cover - guarded by DgpSpec
-        raise ValueError(spec.dgp_id)
-
-    w2 = w[:, 2:].copy()
+    law = _law(spec, rng, spec.n)
+    a, y = _treat_and_respond(law, rng)
+    pi0 = law.pi(y)
+    delta = (rng.random(spec.n) < pi0).astype(int)
+    w2 = law.w[:, 2:].copy()
     w2[delta == 0] = np.nan
-    ds = Dataset(w1=w[:, :2], a=a, y=y, delta=delta, w2=w2,
-                 y_kind=y_kind, y_bounds=y_bounds)
-    return ds, truth
+    bounds = (0.0, 1.0) if law.y_kind == "binary" else default_bounds(y)
+    ds = Dataset(w1=law.w[:, :2], a=a, y=y, delta=delta, w2=w2,
+                 y_kind=law.y_kind, y_bounds=bounds)
+    return ds, TruthRecord(pi0, law.g0)
 
 
 def true_psi(spec: DgpSpec, n_mc: int = 1_000_000, seed: int = 77_000_001) -> float:
     """Monte-Carlo mean of the true outcome contrast under the covariate law."""
-    rng = _rng(seed)
-    if spec.dgp_id == "kang_dr":
-        z, _ = _kang_latents(rng, n_mc)
-        return float(np.mean(_kang_q(z, 1) - _kang_q(z, 0)))
-    if spec.dgp_id == "missing_rate":
-        w = _mr_covariates(rng, n_mc)
-        return float(np.mean(_mr_q(w, 1) - _mr_q(w, 0)))
-    if spec.dgp_id == "near_positivity":
-        return NEAR_POSITIVITY_EFFECT  # homogeneous additive effect
-    w = _mr_covariates(rng, n_mc)
-    return float(spec.gamma * np.mean(_rg_het(w)))
+    law = _law(spec, _rng(seed), n_mc)
+    return float(np.mean(law.q(1) - law.q(0)))
 
 
 def _census_draw(spec: DgpSpec, n_mc: int, seed: int) -> tuple[np.ndarray, np.ndarray, str]:
@@ -259,32 +224,10 @@ def _census_draw(spec: DgpSpec, n_mc: int, seed: int) -> tuple[np.ndarray, np.nd
     [1, a, w], the outcome and the working-model family. Only these outlive
     the call; the latents and per-row truths are freed on return."""
     rng = _rng(seed)
-    if spec.dgp_id == "kang_dr":
-        z, w = _kang_latents(rng, n_mc)
-        g0, qfn = _kang_g(z), lambda a: _kang_q(z, a)
-        family = "bernoulli"
-    elif spec.dgp_id == "missing_rate":
-        w = _mr_covariates(rng, n_mc)
-        g0, qfn = _mr_g(w), lambda a: _mr_q(w, a)
-        family = "bernoulli"
-    elif spec.dgp_id == "near_positivity":
-        w = _mr_covariates(rng, n_mc)
-        g0 = _mr_g(w, strength=3.0)
-        qlin = _rg_qlin(w)
-        qfn = lambda a: qlin + NEAR_POSITIVITY_EFFECT * a
-        family = "gaussian"
-    else:
-        w = _mr_covariates(rng, n_mc)
-        g0 = _mr_g(w)
-        qlin, het = _rg_qlin(w), _rg_het(w)
-        qfn = lambda a: qlin + spec.gamma * a * het
-        family = "gaussian"
-    a = (rng.random(n_mc) < g0).astype(float)
-    if family == "bernoulli":
-        y = (rng.random(n_mc) < qfn(a)).astype(float)
-    else:
-        y = qfn(a) + rng.standard_normal(n_mc)
-    return np.column_stack([np.ones(n_mc), a, w]), y, family
+    law = _law(spec, rng, n_mc)
+    a, y = _treat_and_respond(law, rng)
+    family = "bernoulli" if law.y_kind == "binary" else "gaussian"
+    return np.column_stack([np.ones(n_mc), a, law.w]), y, family
 
 
 # rows per block when census_psi predicts the treatment contrast
