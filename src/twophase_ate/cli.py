@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .data_model import CsvSchema, DataError, load_csv
-from .estimators import ESTIMATOR_IDS, EstimatorError, run_roster
+from .estimators import ESTIMATOR_IDS, OPTIONS_READ, EstimatorError, run_roster
 from .glm import GlmError
 from .nuisance import (
     TRUNC_G_DEFAULT,
@@ -87,7 +87,12 @@ def _reject_unknown(cfg: dict[str, str], source: str) -> None:
         parts = key.split(".")
         if (len(parts) == 3 and parts[0] == "estimator"
                 and parts[1] in ESTIMATOR_IDS and parts[2] in _ESTIMATOR_OPTION_KEYS):
-            continue
+            est_id, option = parts[1:]
+            if option in OPTIONS_READ[est_id]:
+                continue
+            readers = ", ".join(e for e in ESTIMATOR_IDS if option in OPTIONS_READ[e])
+            raise ConfigError(f"{source}: {key}: {est_id} has no {option!r} option "
+                              f"(read by {readers})")
         raise ConfigError(f"{source}: unknown config key {key!r}")
 
 

@@ -9,6 +9,7 @@ of such records; estimators and the simulation harness all consume it.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from itertools import compress
 from typing import NoReturn
@@ -89,9 +90,11 @@ class Dataset:
             if not np.all(np.isin(y, (0.0, 1.0))):
                 raise DataError("binary outcome column must contain only 0/1")
         elif self.y_kind == "continuous":
-            lo, hi = self.y_bounds
-            if not lo < hi:
-                raise DataError(f"invalid outcome bounds ({lo}, {hi})")
+            lo, hi = float(self.y_bounds[0]), float(self.y_bounds[1])
+            # the span rescales the outcome, so it must be finite too
+            if not (lo < hi and math.isfinite(hi - lo)):
+                raise DataError(f"invalid outcome bounds ({lo}, {hi}): need finite "
+                                "lo < hi with a finite span hi - lo")
             if y.min() < lo or y.max() > hi:
                 raise DataError("outcome outside declared bounds")
         else:

@@ -67,6 +67,7 @@ __all__ = [
     "run_roster",
     "ESTIMATOR_IDS",
     "FULL_EIC_SOLVERS",
+    "OPTIONS_READ",
 ]
 
 ESTIMATOR_IDS = (
@@ -104,6 +105,8 @@ class EstimatorOptions:
     def __post_init__(self):
         if self.max_outer_iter < 0:
             raise ValueError(f"max_outer_iter must be >= 0, got {self.max_outer_iter}")
+        if self.mode not in ("refit", "linearized"):
+            raise ValueError(f"mode must be refit|linearized, got {self.mode!r}")
 
 
 DEFAULT_OPTIONS = EstimatorOptions()
@@ -738,6 +741,18 @@ _DISPATCH: dict[str, Callable] = {
     "eee": estimate_eee,
     "quasi_tmle": estimate_quasi_tmle,
     "tmle_alt": estimate_tmle_alt,
+}
+
+# the EstimatorOptions fields each estimator reads; the others ignore them
+OPTIONS_READ: dict[str, frozenset[str]] = {
+    "aipcw": frozenset(),
+    "ipcw_tmle": frozenset(),
+    "ipcw_tmle_target_pi": frozenset({"mode", "max_outer_iter"}),
+    "ipcw_tmle_rake_pi": frozenset({"mode", "max_outer_iter"}),
+    "raking": frozenset(),
+    "eee": frozenset(),
+    "quasi_tmle": frozenset({"mode"}),
+    "tmle_alt": frozenset({"max_outer_iter"}),
 }
 
 

@@ -37,8 +37,8 @@ import numpy as np
 from scipy.special import expit
 from scipy.stats import norm
 
-from .data_model import Dataset, default_bounds
-from .estimators import ESTIMATOR_IDS, EstimateResult, EstimatorOptions, run_roster
+from .data_model import DataError, Dataset, default_bounds
+from .estimators import ESTIMATOR_IDS, OPTIONS_READ, EstimateResult, EstimatorOptions, run_roster
 from .glm import fit_glm
 from .nuisance import TRUNC_G_DEFAULT, TRUNC_PI_DEFAULT, NuisanceConfig, check_truncation
 
@@ -279,7 +279,12 @@ class StudyEstimator:
     def __post_init__(self):
         if self.estimator_id not in ESTIMATOR_IDS:
             raise ValueError(f"unknown estimator {self.estimator_id!r}")
-        self.options  # EstimatorOptions rejects a negative max_outer_iter
+        # EstimatorOptions rejects a negative max_outer_iter or an unknown mode
+        options, default = self.options, EstimatorOptions()
+        for field in ("mode", "max_outer_iter"):
+            if (getattr(options, field) != getattr(default, field)
+                    and field not in OPTIONS_READ[self.estimator_id]):
+                raise ValueError(f"{self.estimator_id} has no {field!r} option")
         if not self.label:
             label = self.estimator_id
             if self.mode != "refit":
@@ -323,9 +328,13 @@ class _RunOutcome:
 
 def _run_single(study: StudySpec, run_idx: int) -> tuple[float, list[_RunOutcome]]:
     """One Monte-Carlo run: the seconds of its shared nuisance fit, and one
-    outcome per estimator."""
+    outcome per estimator. An unusable draw (no phase-2 record, say) is
+    that run's error for every estimator."""
     dspec = replace(study.dgp, seed=study.base_seed + run_idx)
-    ds, truth = generate(dspec)
+    try:
+        ds, truth = generate(dspec)
+    except DataError as exc:
+        return 0.0, [_RunOutcome(error=f"unusable draw: {exc}")] * len(study.estimators)
     ncfg = NuisanceConfig(
         trunc_pi=study.trunc_pi,
         trunc_g=study.trunc_g,

@@ -14,9 +14,10 @@ from twophase_ate.cli import (
     EXIT_ESTIMATOR_FAILURE,
     EXIT_OK,
     main,
+    parse_config_text,
 )
 from twophase_ate.data_model import CsvSchema, load_csv, write_csv
-from twophase_ate.estimators import ESTIMATOR_IDS, EstimatorOptions, run_roster
+from twophase_ate.estimators import ESTIMATOR_IDS, OPTIONS_READ, EstimatorOptions, run_roster
 from twophase_ate.nuisance import NuisanceConfig
 
 from util import fulldata_tmle, make_full_dataset, make_twophase_dataset
@@ -299,6 +300,56 @@ class TestConfigHardening:
         code, _ = self.run(cfg, tmp_path, capsys)
         assert code == EXIT_OK
 
+
+    @pytest.mark.parametrize("key", [
+        f"estimator.{est}.{opt}" for est in ESTIMATOR_IDS for opt in _ESTIMATOR_OPTION_KEYS
+        if opt not in OPTIONS_READ[est]])
+    def test_option_the_estimator_never_reads(self, tmp_path, capsys, key):
+        # estimator.aipcw.mode = linearized once wrote an aipcw:linearized
+        # row holding the refit numbers
+        value = "linearized" if key.endswith(".mode") else "3"
+        cfg = write_cfg(tmp_path / "run.cfg", [
+            "mode = simulate", "sim.dgp = missing_rate", "sim.n = 200", "sim.n_runs = 1",
+            f"estimators = {key.split('.')[1]}", f"{key} = {value}",
+        ])
+        code, err = self.run(cfg, tmp_path, capsys)
+        assert code == EXIT_CONFIG_ERROR
+        assert key in err
+        assert not (tmp_path / "out" / "report.csv").exists()
+
+    @pytest.mark.parametrize("key", [
+        f"estimator.{est}.{opt}" for est in ESTIMATOR_IDS for opt in sorted(OPTIONS_READ[est])])
+    def test_option_the_estimator_reads(self, key):
+        value = "refit" if key.endswith(".mode") else "0"
+        assert parse_config_text(f"{key} = {value}") == {key: value}
+
+    def test_study_with_an_unusable_draw_reports_it(self, tmp_path, capsys):
+        # seed 42 of this law draws no phase-2 record; it used to abort the
+        # whole study with exit 2 and no report
+        cfg = write_cfg(tmp_path / "run.cfg", [
+            "mode = simulate", "seed = 37", "sim.dgp = missing_rate", "sim.n = 40",
+            "sim.n_runs = 6", "sim.missing_intercept = -2.5", "estimators = aipcw",
+        ])
+        code, err = self.run(cfg, tmp_path, capsys)
+        assert code == EXIT_ESTIMATOR_FAILURE  # 5 of 6 runs failed
+        rows = read_rows(tmp_path / "out" / "report.csv")
+        assert (rows[0]["n_ok"], rows[0]["n_failed"]) == ("1", "5")
+
+    @pytest.mark.parametrize("lo, hi", [("-1e308", "1e308"), ("-inf", "inf"), ("0", "inf")])
+    def test_outcome_bounds_must_be_finite(self, tmp_path, capsys, lo, hi, monkeypatch):
+        # +-1e308 once overflowed the span to inf and reported psi_hat = -inf
+        # with converged = true
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+        cfg = write_cfg(tmp_path / "run.cfg", [
+            "mode = estimate", "data.path = tests/golden/raking_gap_cohort.csv",
+            "data.y_kind = continuous", f"data.y_lo = {lo}", f"data.y_hi = {hi}",
+            "schema.treatment = a", "schema.outcome = y", "schema.delta = delta",
+            "schema.w1 = x1, x2", "schema.w2 = z1, z2", "estimators = aipcw, eee",
+        ])
+        code, err = self.run(cfg, tmp_path, capsys)
+        assert code == EXIT_CONFIG_ERROR
+        assert "outcome bounds" in err
+        assert not (tmp_path / "out" / "estimates.csv").exists()
 
     def test_non_utf8_config_byte(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -79,6 +79,14 @@ class TestDatasetValidation:
             Dataset(w1=np.zeros((2, 1)), a=[0, 1], y=[0.0, 11.0], delta=[1, 1],
                     w2=np.ones((2, 1)), y_kind="continuous", y_bounds=(0.0, 10.0))
 
+    @pytest.mark.parametrize("bounds", [(-1e308, 1e308), (-np.inf, np.inf), (0.0, np.inf),
+                                        (np.nan, 1.0), (np.float64(-1e308), np.float64(1e308))])
+    def test_outcome_bounds_must_be_finite_with_a_finite_span(self, bounds):
+        # the span rescales the outcome: an infinite one turned psi_hat into -inf
+        with pytest.raises(DataError, match="outcome bounds"):
+            Dataset(w1=np.zeros((2, 1)), a=[0, 1], y=[0.0, 1.0], delta=[1, 1],
+                    w2=np.ones((2, 1)), y_kind="continuous", y_bounds=bounds)
+
     def test_arrays_are_write_protected(self):
         ds = toy_dataset()
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -359,6 +361,17 @@ class TestResultContract:
         # a negative cap used to skip the outer loop and crash on an unbound state
         with pytest.raises(ValueError, match="max_outer_iter"):
             EstimatorOptions(max_outer_iter=-3)
+
+    @pytest.mark.parametrize("mode", ["linearised", "", "Linearized"])
+    def test_unknown_mode_rejected(self, mode):
+        # a misspelt mode used to run refit silently
+        with pytest.raises(ValueError, match="refit|linearized"):
+            EstimatorOptions(mode=mode)
+
+    def test_options_table_names_every_estimator(self):
+        assert set(estimators.OPTIONS_READ) == set(ESTIMATOR_IDS)
+        fields = {f.name for f in dataclasses.fields(EstimatorOptions)}
+        assert set().union(*estimators.OPTIONS_READ.values()) == fields
 
     def test_unknown_estimator_rejected(self):
         ds = make_twophase_dataset(np.random.default_rng(18))

@@ -264,10 +264,53 @@ class TestRunStudy:
             assert row.mse >= 0.0
 
 
+class TestUnusableDraw:
+    # missing_rate at n=40 with sampling intercept -2.5: run 41 of base seed 1
+    # (seed 42) draws no phase-2 record at all
+    def study(self, estimators=("aipcw", "eee"), base_seed=42, n_runs=1):
+        return StudySpec(dgp=DgpSpec("missing_rate", n=40, seed=0, missing_intercept=-2.5),
+                         estimators=tuple(StudyEstimator(e) for e in estimators),
+                         n_runs=n_runs, base_seed=base_seed)
+
+    def test_draw_has_no_phase2_record(self):
+        from twophase_ate.data_model import DataError
+
+        with pytest.raises(DataError, match="no phase-2 records"):
+            generate(DgpSpec("missing_rate", n=40, seed=42, missing_intercept=-2.5))
+
+    def test_counts_as_a_failed_run_for_every_estimator(self):
+        report = run_study(self.study())
+        for row in report.rows:
+            assert (row.n_ok, row.n_failed) == (0, 1)
+            assert "no phase-2 records" in row.first_error
+
+    def test_study_with_an_unusable_draw_completes(self):
+        # seeds 37..42: seed 37 estimates, 38..41 fail at the nuisance fit
+        # and 42 draws no phase-2 record
+        row = run_study(self.study(estimators=("aipcw",), base_seed=37, n_runs=6)).rows[0]
+        assert (row.n_ok, row.n_failed) == (1, 5)
+
+
 class TestSpecValidation:
     def test_negative_max_outer_iter_rejected(self):
         with pytest.raises(ValueError, match="max_outer_iter"):
             StudyEstimator("ipcw_tmle_target_pi", max_outer_iter=-3)
+
+    @pytest.mark.parametrize("estimator_id, options", [
+        ("aipcw", {"mode": "linearized"}),
+        ("raking", {"mode": "linearized"}),
+        ("tmle_alt", {"mode": "linearized"}),
+        ("quasi_tmle", {"max_outer_iter": 3}),
+        ("eee", {"max_outer_iter": 0}),
+    ])
+    def test_option_the_estimator_never_reads_rejected(self, estimator_id, options):
+        # aipcw:linearized would label a report row that holds refit numbers
+        with pytest.raises(ValueError, match=f"{estimator_id} has no '{next(iter(options))}'"):
+            StudyEstimator(estimator_id, **options)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="refit|linearized"):
+            StudyEstimator("quasi_tmle", mode="linearised")
 
     @pytest.mark.parametrize("trunc", [{"trunc_pi": (0.9, 0.1)}, {"trunc_g": (0.01, 1.0)}])
     def test_bad_truncation_rejected(self, trunc):
