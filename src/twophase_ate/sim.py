@@ -78,6 +78,9 @@ class DgpSpec:
             raise ValueError(f"unknown dgp_id {self.dgp_id!r}; known: {DGP_IDS}")
         if self.n < 1:
             raise ValueError("n must be positive")
+        # a non-finite parameter would make every draw unusable
+        if not (math.isfinite(self.gamma) and math.isfinite(self.missing_intercept)):
+            raise ValueError("gamma and missing_intercept must be finite")
 
 
 @dataclass(frozen=True)

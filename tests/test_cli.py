@@ -335,6 +335,15 @@ class TestConfigHardening:
         rows = read_rows(tmp_path / "out" / "report.csv")
         assert (rows[0]["n_ok"], rows[0]["n_failed"]) == ("1", "5")
 
+    @pytest.mark.parametrize("line", ["sim.gamma = nan", "sim.gamma = -inf",
+                                      "sim.missing_intercept = 1e400"])
+    def test_non_finite_dgp_parameter(self, tmp_path, capsys, line):
+        # not a run failure of every draw: the study is misconfigured
+        code, err = self.run(self.simulate_cfg(tmp_path, line), tmp_path, capsys)
+        assert code == EXIT_CONFIG_ERROR
+        assert "must be finite" in err
+        assert not (tmp_path / "out" / "report.csv").exists()
+
     @pytest.mark.parametrize("lo, hi", [("-1e308", "1e308"), ("-inf", "inf"), ("0", "inf")])
     def test_outcome_bounds_must_be_finite(self, tmp_path, capsys, lo, hi, monkeypatch):
         # +-1e308 once overflowed the span to inf and reported psi_hat = -inf
