@@ -178,11 +178,17 @@ def _estimator_list(cfg) -> list[StudyEstimator]:
     for est_id in ids:
         if est_id not in ESTIMATOR_IDS:
             raise ConfigError(f"estimators: unknown estimator {est_id!r}")
+        if ids.count(est_id) > 1:  # the report rows and runtimes are keyed by label
+            raise ConfigError(f"estimators: {est_id} is listed more than once")
         mode = cfg.get(f"estimator.{est_id}.mode", "refit")
         if mode not in ("refit", "linearized"):
             raise ConfigError(f"estimator.{est_id}.mode: expected refit|linearized")
         max_outer = _get_int(cfg, f"estimator.{est_id}.max_outer_iter", 50, minimum=0)
         out.append(StudyEstimator(estimator_id=est_id, mode=mode, max_outer_iter=max_outer))
+    for key in cfg:
+        if key.startswith("estimator.") and key.split(".")[1] not in ids:
+            raise ConfigError(f"{key}: {key.split('.')[1]} is not in estimators, "
+                              "so the run would ignore it")
     return out
 
 
@@ -209,6 +215,7 @@ def cmd_estimate(rc: RunConfig) -> int:
         raise ConfigError("estimate mode requires data.path")
     if any(key.startswith("sim.") for key in cfg):
         raise ConfigError("estimate mode must not define sim.* keys")
+    estimators = _estimator_list(cfg)
     for key in ("schema.treatment", "schema.outcome", "schema.delta", "schema.w1"):
         if key not in cfg:
             raise ConfigError(f"estimate mode requires {key}")
@@ -255,7 +262,6 @@ def cmd_estimate(rc: RunConfig) -> int:
         known_pi=_known_const("nuisance.known_pi"),
         known_g=_known_const("nuisance.known_g"),
     )
-    estimators = _estimator_list(cfg)
     _, results = run_roster(ds, [(e.estimator_id, e.options) for e in estimators], ncfg)
     rows = []
     all_converged = True
@@ -290,8 +296,8 @@ def cmd_estimate(rc: RunConfig) -> int:
 
 def cmd_simulate(rc: RunConfig) -> int:
     cfg = rc.cfg
-    if any(key.startswith("data.") for key in cfg):
-        raise ConfigError("simulate mode must not define data.* keys")
+    if any(key.startswith(("data.", "schema.")) for key in cfg):
+        raise ConfigError("simulate mode must not define data.* or schema.* keys")
     dgp_id = cfg.get("sim.dgp")
     if not dgp_id:
         raise ConfigError("simulate mode requires sim.dgp")
@@ -380,7 +386,9 @@ def main(argv: list[str] | None = None) -> int:
         seed = args.seed if args.seed is not None else _get_int(cfg, "seed", 1)
         parallelism = args.parallelism
         if parallelism is None:
-            parallelism = _get_int(cfg, "parallelism", 0)
+            parallelism = _get_int(cfg, "parallelism", 0, minimum=0)
+        elif parallelism < 0:
+            raise ConfigError(f"--parallelism: expected an integer >= 0, got {parallelism}")
         if not parallelism:
             parallelism = _env_threads() or (os.cpu_count() or 1)
         rc = RunConfig(
@@ -388,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg=cfg,
             out_dir=Path(args.out or cfg.get("out", ".")),
             seed=seed,
-            parallelism=max(1, parallelism),
+            parallelism=parallelism,
             verbose=args.verbose,
         )
         if mode == "estimate":

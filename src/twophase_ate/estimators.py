@@ -35,7 +35,7 @@ from .eic import (
     linearized_slope_values,
     observed_eic,
 )
-from .glm import P_MIN, GlmError, expit, fit_fluctuation, fit_glm, logit
+from .glm import P_MIN, GlmError, _cho_solve, _factor_spd, expit, fit_fluctuation, fit_glm, logit
 from .nuisance import (
     MbarDesign,
     NuisanceConfig,
@@ -356,7 +356,6 @@ class _LoopState:
     psi: float
     d: np.ndarray
     pnd: float
-    s_n: float
     q1: np.ndarray
     q0: np.ndarray
     pi: np.ndarray
@@ -380,17 +379,17 @@ def _iterative_ipcw_tmle(ctx, options, use_raking: bool, estimator_id: str) -> E
     converged = False
     epsilons: list[float] = []
     rake_last: RakeSolution | None = None
+    dbar2 = ctx.dbar(q_a, q1, q0)
+    m_level = ctx.mbar_all(dbar2)
 
     for k in range(options.max_outer_iter + 1):
-        dbar2 = ctx.dbar(q_a, q1, q0)
         psi = ctx.hajek_plugin(q1, q0, pi)
-        m_level = ctx.mbar_all(dbar2)
         if linearized:
             m_slope = ctx.mbar_all(linearized_slope_values(ctx.a2, ctx.g1, q_a, q1, q0))
         d = observed_eic(dbar2, m_level, pi, psi, ctx.p2, ctx.delta)
         pnd = float(abs(np.mean(d)))
         s_n = _threshold(d, ctx.n)
-        state = _LoopState(psi=psi, d=d, pnd=pnd, s_n=s_n, q1=q1, q0=q0, pi=pi)
+        state = _LoopState(psi=psi, d=d, pnd=pnd, q1=q1, q0=q0, pi=pi)
         # the first targeting pass is mandatory: the threshold governs
         # iteration, not whether to target at all
         if k > 0 and (best is None or pnd < best.pnd):
@@ -405,10 +404,11 @@ def _iterative_ipcw_tmle(ctx, options, use_raking: bool, estimator_id: str) -> E
         q_a, q1, q0, fit = ctx.fluctuate_q(q_a, q1, q0, pi)
         epsilons.append(fit.epsilon)
         psi_new = ctx.hajek_plugin(q1, q0, pi)
+        dbar2 = ctx.dbar(q_a, q1, q0)
         if linearized:
             m_new = m_level + fit.epsilon * m_slope
         else:
-            m_new = ctx.mbar_all(ctx.dbar(q_a, q1, q0))
+            m_new = ctx.mbar_all(dbar2)
         m_centered = m_new - psi_new
 
         # sampling-mechanism targeting
@@ -421,6 +421,9 @@ def _iterative_ipcw_tmle(ctx, options, use_raking: bool, estimator_id: str) -> E
         else:
             pi = ctx.fluctuate_pi(pi, m_centered)
         n_outer += 1
+        # the next pass needs the regression of dbar2, which refit mode has
+        # just fitted and the linearized step only approximates
+        m_level = ctx.mbar_all(dbar2) if linearized else m_new
 
     final = state if converged else (best if best is not None else state)
     details = {
@@ -431,9 +434,7 @@ def _iterative_ipcw_tmle(ctx, options, use_raking: bool, estimator_id: str) -> E
     }
     if rake_last is not None:
         details["rake"] = rake_last
-    res = _result(estimator_id, final.psi, final.d, ctx.n, n_outer, converged, details)
-    # keep the threshold the loop actually used
-    return replace(res, s_n=final.s_n)
+    return _result(estimator_id, final.psi, final.d, ctx.n, n_outer, converged, details)
 
 
 def estimate_ipcw_tmle_target_pi(ctx: FittedContext,
@@ -514,7 +515,10 @@ class _CensusModel:
         wn = wts2 / wts2.sum()
         info = (Xp * (wn * j_a)[:, None]).T @ Xp
         grad = (j1[:, None] * Xp1 - j0[:, None] * Xp0).T @ wn
-        alpha = np.linalg.solve(info, grad)
+        # a phase-2 covariate constant at zero leaves info singular; the
+        # ridge retry then gives that column alpha = 0
+        factor, _ = _factor_spd(info)
+        alpha = _cho_solve(factor, grad)
         self.psi_plugin = float(wn @ (q12 - q02))
 
         u = np.empty(ds.n)

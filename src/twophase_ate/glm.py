@@ -21,7 +21,6 @@ from .roots import bisect, newton
 __all__ = [
     "GlmError",
     "GlmFit",
-    "GramFactor",
     "FluctuationFit",
     "expit",
     "logit",
@@ -64,7 +63,8 @@ def _factor_spd(H: np.ndarray) -> tuple[np.ndarray, bool]:
     Returns (factor, ridge_used), the factor as LAPACK dpotrf leaves it:
     upper triangle U with U'U = H, lower triangle untouched (scipy's
     cho_factor form, without that wrapper's per-call checks). Raises
-    GlmError when even the ridged matrix is not positive definite.
+    GlmError when even the ridged matrix is not positive definite. Every
+    linear solve in the package is this factor followed by `_cho_solve`.
     """
     factor, info = dpotrf(H, lower=0, clean=0)
     if info == 0:
@@ -84,16 +84,6 @@ def _cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     if factor.size == 0:
         return np.zeros(0)
     return dpotrs(factor, b, lower=0)[0]
-
-
-def _solve_spd(H: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Solve H x = b for symmetric positive definite H, with a ridge retry.
-
-    Returns (solution, ridge_used). Raises GlmError when even the ridged
-    system is singular.
-    """
-    factor, ridge_used = _factor_spd(H)
-    return _cho_solve(factor, b), ridge_used
 
 
 @dataclass(frozen=True)
@@ -163,7 +153,10 @@ def fit_glm(X, y, w=None, family: str = "gaussian") -> GlmFit:
     if family == "gaussian":
         Xw = X * w[:, None]
         factor, _ = _factor_spd(Xw.T @ X)
-        return _least_squares(X, Xw, y, w, factor)
+        beta = _cho_solve(factor, Xw.T @ y)
+        score = X.T @ (w * (y - X @ beta))
+        converged = bool(np.max(np.abs(score)) <= SCORE_TOL) if p_dim else True
+        return GlmFit(beta, "gaussian", converged, 1, p_dim)
 
     if family != "bernoulli":
         raise GlmError(f"unknown family {family!r}")
@@ -180,7 +173,8 @@ def fit_glm(X, y, w=None, family: str = "gaussian") -> GlmFit:
         if score_norm <= SCORE_TOL:
             break
         H = (X * (w * p * (1.0 - p))[:, None]).T @ X
-        step, _ = _solve_spd(H, score)
+        factor, _ = _factor_spd(H)
+        step = _cho_solve(factor, score)
         beta = beta + step
         if np.max(np.abs(step)) <= COEF_TOL:
             p = np.clip(expit(X @ beta), P_MIN, 1.0 - P_MIN)
@@ -188,40 +182,6 @@ def fit_glm(X, y, w=None, family: str = "gaussian") -> GlmFit:
             break
     converged = score_norm <= SCORE_TOL
     return GlmFit(beta, "bernoulli", bool(converged), n_iter, p_dim)
-
-
-def _least_squares(X, Xw, y, w, factor) -> GlmFit:
-    """Weighted least squares given Xw = X * w and the factor of Xw'X."""
-    beta = _cho_solve(factor, Xw.T @ y)
-    score = X.T @ (w * (y - X @ beta))
-    converged = bool(np.max(np.abs(score)) <= SCORE_TOL) if X.shape[1] else True
-    return GlmFit(beta, "gaussian", converged, 1, X.shape[1])
-
-
-class GramFactor:
-    """Unweighted least squares on one fixed design, factored once.
-
-    The Cholesky factor of X'X (with fit_glm's ridge retry) is computed on
-    construction; each `fit(y)` then costs one triangular solve and gives
-    the coefficients fit_glm(X, y, family="gaussian") would.
-    """
-
-    def __init__(self, X: np.ndarray):
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[0] == 0:
-            raise GlmError("design matrix must be 2-d and non-empty")
-        if np.any(~np.isfinite(X)):
-            raise GlmError("non-finite values in X, y or w")
-        self.X = X
-        self.factor, _ = _factor_spd(X.T @ X)
-
-    def fit(self, y) -> GlmFit:
-        y = np.asarray(y, dtype=float).ravel()
-        if len(y) != self.X.shape[0]:
-            raise GlmError("X, y, w lengths disagree")
-        if np.any(~np.isfinite(y)):
-            raise GlmError("non-finite values in X, y or w")
-        return _least_squares(self.X, self.X, y, 1.0, self.factor)
 
 
 @dataclass(frozen=True)

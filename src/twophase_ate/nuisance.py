@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import Dataset
-from .glm import GlmError, GlmFit, GramFactor, fit_glm
+from .glm import GlmError, GlmFit, _cho_solve, _factor_spd, fit_glm
 
 __all__ = [
     "NuisanceError",
@@ -148,13 +148,15 @@ class MbarDesign:
     def __init__(self, ds: Dataset):
         self.x_all = _add_intercept(v_features(ds))
         self.x2 = self.x_all[ds.phase2]
-        self._gram: GramFactor | None = None
+        self._factor: np.ndarray | None = None
 
     def fit(self, values: np.ndarray) -> np.ndarray:
         """Least-squares fit of phase-2 values, predicted on every record."""
-        if self._gram is None:
-            self._gram = GramFactor(self.x2)
-        return self._gram.fit(values).predict(self.x_all)
+        if not np.all(np.isfinite(values)):
+            raise GlmError("non-finite values to regress")
+        if self._factor is None:
+            self._factor, _ = _factor_spd(self.x2.T @ self.x2)
+        return self.x_all @ _cho_solve(self._factor, self.x2.T @ values)
 
 
 def fit_mbar(ds: Dataset, values: np.ndarray, design: MbarDesign | None = None) -> np.ndarray:

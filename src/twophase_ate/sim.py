@@ -316,6 +316,10 @@ class StudySpec:
 
     def __post_init__(self):
         check_truncation(self.trunc_pi, self.trunc_g)
+        labels = [e.label for e in self.estimators]
+        for label in labels:
+            if labels.count(label) > 1:  # report rows and runtimes are keyed by label
+                raise ValueError(f"estimator label {label!r} appears more than once")
 
 
 @dataclass(frozen=True)

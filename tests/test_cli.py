@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from twophase_ate import cli
 from twophase_ate.cli import (
     _ESTIMATOR_OPTION_KEYS,
     _KNOWN_KEYS,
@@ -20,9 +21,10 @@ from twophase_ate.data_model import CsvSchema, load_csv, write_csv
 from twophase_ate.estimators import ESTIMATOR_IDS, OPTIONS_READ, EstimatorOptions, run_roster
 from twophase_ate.nuisance import NuisanceConfig
 
-from util import fulldata_tmle, make_full_dataset, make_twophase_dataset
+from util import fulldata_tmle, make_full_dataset, make_twophase_dataset, zero_covariate_cohort
 
 SCHEMA = CsvSchema(treatment="a", outcome="y", delta="d", w1=("u1",), w2=("v1", "v2"))
+ROOT = Path(__file__).resolve().parent.parent
 
 SCHEMA_LINES = [
     "schema.treatment = a",
@@ -143,6 +145,24 @@ class TestEstimateMode:
         assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_ESTIMATOR_FAILURE
         row = read_rows(tmp_path / "out" / "estimates.csv")[0]
         assert row["converged"] == "false"
+
+    def test_phase2_covariate_constant_at_zero(self, tmp_path):
+        # raking once died here with a LinAlgError traceback, and the other
+        # estimators' rows were lost with it
+        data = tmp_path / "cohort.csv"
+        write_csv(zero_covariate_cohort(), data,
+                  CsvSchema(treatment="a", outcome="y", delta="d", w1=("u1", "u2"),
+                            w2=("v1", "v2")))
+        cfg = write_cfg(tmp_path / "run.cfg", [
+            "mode = estimate", f"data.path = {data}", "schema.treatment = a",
+            "schema.outcome = y", "schema.delta = d", "schema.w1 = u1, u2",
+            "schema.w2 = v1, v2", "estimators = raking, aipcw, tmle_alt",
+        ])
+        assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        rows = read_rows(tmp_path / "out" / "estimates.csv")
+        assert [r["estimator"] for r in rows] == ["raking", "aipcw", "tmle_alt"]
+        for r in rows:
+            assert np.isfinite([float(r[k]) for k in ("psi_hat", "se", "ci_lo", "ci_hi")]).all()
 
 
 class TestBundledExample:
@@ -429,6 +449,73 @@ class TestConfigHardening:
         code, err = self.run(cfg, tmp_path, capsys)
         assert code == EXIT_CONFIG_ERROR
         assert "sim.*" in err
+
+    def test_option_for_an_estimator_not_in_the_roster(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "run.cfg", [
+            "mode = simulate", "sim.dgp = missing_rate", "sim.n = 200", "sim.n_runs = 1",
+            "estimators = aipcw", "estimator.quasi_tmle.mode = linearized",
+        ])
+        code, err = self.run(cfg, tmp_path, capsys)
+        assert code == EXIT_CONFIG_ERROR
+        assert "estimator.quasi_tmle.mode" in err and "not in estimators" in err
+        assert not (tmp_path / "out" / "report.csv").exists()
+
+    def test_schema_keys_in_simulate_mode(self, tmp_path, capsys):
+        cfg = self.simulate_cfg(tmp_path, "schema.w1 = u1")
+        code, err = self.run(cfg, tmp_path, capsys)
+        assert code == EXIT_CONFIG_ERROR
+        assert "schema.*" in err
+
+    @pytest.mark.parametrize("source", ["config", "argv", "environment"])
+    def test_negative_worker_count(self, tmp_path, capsys, monkeypatch, source):
+        # parallelism = -3 once ran one worker without a word
+        extra, argv = [], []
+        if source == "config":
+            extra = ["parallelism = -3"]
+        elif source == "argv":
+            argv = ["--parallelism", "-5"]
+        else:
+            monkeypatch.setenv("TWOPHASE_THREADS", "-3")
+        cfg = self.simulate_cfg(tmp_path, *extra)
+        code = main(["--config", cfg, "--out", str(tmp_path / "out"), *argv])
+        assert code == EXIT_CONFIG_ERROR
+        assert ">= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["simulate", "estimate"])
+    def test_duplicate_roster_entry(self, tmp_path, capsys, mode):
+        # two aipcw rows, and a sidecar keyed by label that kept only one
+        if mode == "simulate":
+            lines = ["mode = simulate", "sim.dgp = missing_rate", "sim.n = 200", "sim.n_runs = 1"]
+        else:
+            data = tmp_path / "toy.csv"
+            write_csv(make_twophase_dataset(np.random.default_rng(5), n=60), data, SCHEMA)
+            lines = ["mode = estimate", f"data.path = {data}", *SCHEMA_LINES]
+        cfg = write_cfg(tmp_path / "run.cfg", [*lines, "estimators = aipcw, eee, aipcw"])
+        code, err = self.run(cfg, tmp_path, capsys)
+        assert code == EXIT_CONFIG_ERROR
+        assert "aipcw is listed more than once" in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestBundledConfigs:
+    """Every config the repository ships passes the CLI's checks."""
+
+    class Reached(Exception):
+        """Raised in place of running the study or the roster."""
+
+    @pytest.mark.parametrize("cfg", sorted(
+        str(p.relative_to(ROOT)) for p in [*ROOT.glob("repro/*.cfg"),
+                                            *ROOT.glob("tests/golden/*.cfg")]))
+    def test_config_is_accepted(self, cfg, tmp_path, monkeypatch):
+        def reached(*args, **kwargs):
+            raise self.Reached
+
+        monkeypatch.setattr(cli, "run_study", reached)
+        monkeypatch.setattr(cli, "run_roster", reached)
+        monkeypatch.chdir(ROOT)  # the configs name their data files relative to the repo root
+        with pytest.raises(self.Reached):
+            main(["--config", cfg, "--out", str(tmp_path / "out"), "--parallelism", "1"])
 
 
 class TestCsvHardening:

@@ -18,18 +18,20 @@ from twophase_ate.estimators import (
     run_estimator,
     run_roster,
 )
-from twophase_ate.glm import expit
+from twophase_ate.glm import _cho_solve, _factor_spd, expit
 from twophase_ate.nuisance import NuisanceConfig, fit_mbar, fit_nuisances
 from twophase_ate.sim import DgpSpec, generate, reference_psi
 
 from util import (
     bisect_oracle,
+    census_information,
     fulldata_gcomp,
     fulldata_onestep,
     fulldata_tmle,
     make_full_dataset,
     make_twophase_dataset,
     reference_census_influence,
+    zero_covariate_cohort,
 )
 
 PI_ONE = lambda ds: NuisanceConfig(known_pi=np.ones(ds.n))
@@ -229,9 +231,11 @@ class TestFixedPoints:
         assert r.n_outer_iterations == 0
         np.testing.assert_array_equal(r.details["pi_final"], pi0)
 
-    def test_tmle_alt_never_refits_the_same_values(self, monkeypatch):
-        # resid2 changes only with q_a, so its regression is fitted once
-        # per Q fluctuation, never twice in a row on identical values
+    @pytest.mark.parametrize("est", ["tmle_alt", "ipcw_tmle_target_pi", "ipcw_tmle_rake_pi"])
+    def test_never_refits_the_same_values(self, monkeypatch, est):
+        # the regressed values change only with the Q fluctuation, so their
+        # regression is fitted once per Q fluctuation, never twice in a row
+        # on identical values
         fitted = []
 
         def spy(ds, values2, **kw):
@@ -243,7 +247,7 @@ class TestFixedPoints:
             ds, _ = generate(DgpSpec("missing_rate", n=1000, seed=seed))
             ctx = fit_context(ds)
             fitted.clear()
-            r = run_estimator(ds, "tmle_alt", ctx)
+            r = run_estimator(ds, est, ctx)
             assert r.n_outer_iterations >= 1
             assert len(fitted) == r.n_outer_iterations + 1
             for before, after in zip(fitted, fitted[1:]):
@@ -310,6 +314,15 @@ class TestRakingEstimator:
         plug = float(wts1 @ (fit.predict(X1) - fit.predict(X0)) / wts1.sum())
         assert r.psi_hat == pytest.approx(plug, abs=1e-10)
 
+    def test_phase2_covariate_constant_at_zero(self):
+        # the working model's information matrix is singular on the dead
+        # column; solving it once raised an uncaught LinAlgError
+        ds = zero_covariate_cohort()
+        ctx = fit_context(ds)
+        for est in ("raking", "aipcw", "tmle_alt"):
+            r = run_estimator(ds, est, ctx)
+            assert np.isfinite([r.psi_hat, r.se, *r.ci95]).all() and r.se > 0
+
 
 def _census_dataset(rng, y_kind: str, d2: int, n: int = 400) -> Dataset:
     """Two-phase data with d2 phase-2 covariates and about 40% censored."""
@@ -347,6 +360,17 @@ class TestCensusQuadrature:
             np.testing.assert_array_equal(model.u_uncentered[~censored], ref[~censored])
             err = np.max(np.abs(model.u_uncentered - ref))
             assert err <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("y_kind", ["binary", "continuous"])
+    def test_cholesky_alpha_matches_lu_solve(self, y_kind):
+        ctx = fit_context(_census_dataset(np.random.default_rng(12), y_kind, 2))
+        family = "bernoulli" if y_kind == "binary" else "gaussian"
+        _, info, grad = census_information(ctx, ctx.wts0, family)
+        assert np.linalg.cond(info) < 1e3
+        factor, ridge_used = _factor_spd(info)
+        alpha, lu = _cho_solve(factor, grad), np.linalg.solve(info, grad)
+        assert not ridge_used
+        assert np.max(np.abs(alpha - lu)) <= 1e-12 * np.max(np.abs(lu))
 
 
 class TestResultContract:

@@ -318,6 +318,22 @@ class TestSpecValidation:
             StudySpec(dgp=DgpSpec("missing_rate", n=100, seed=0),
                       estimators=(StudyEstimator("aipcw"),), n_runs=1, base_seed=0, **trunc)
 
+    @pytest.mark.parametrize("roster", [
+        (StudyEstimator("aipcw"), StudyEstimator("eee"), StudyEstimator("aipcw")),
+        (StudyEstimator("quasi_tmle"), StudyEstimator("eee", label="quasi_tmle")),
+    ])
+    def test_duplicate_label_rejected(self, roster):
+        # the sidecar's mean_runtime_s is keyed by label and kept only one row
+        with pytest.raises(ValueError, match="'(aipcw|quasi_tmle)' appears more than once"):
+            StudySpec(dgp=DgpSpec("missing_rate", n=100, seed=0), estimators=roster,
+                      n_runs=1, base_seed=0)
+
+    def test_same_estimator_in_two_modes_is_allowed(self):
+        roster = (StudyEstimator("quasi_tmle"), StudyEstimator("quasi_tmle", mode="linearized"))
+        study = StudySpec(dgp=DgpSpec("missing_rate", n=100, seed=0), estimators=roster,
+                          n_runs=1, base_seed=0)
+        assert [e.label for e in study.estimators] == ["quasi_tmle", "quasi_tmle:linearized"]
+
 
 class TestSidecar:
     def test_nuisance_fit_time_reported_beside_estimator_times(self, tmp_path):

@@ -15,7 +15,8 @@ import numpy as np
 
 from twophase_ate.data_model import CsvSchema, DataError, Dataset, default_bounds
 from twophase_ate.estimators import _GH_MAX_DIM, _GH_NODES, _GH_WEIGHTS
-from twophase_ate.glm import P_MIN, expit, fit_fluctuation, fit_glm, logit
+from twophase_ate.glm import P_MIN, _cho_solve, _factor_spd, expit, fit_fluctuation, fit_glm, logit
+from twophase_ate.sim import DgpSpec, generate
 
 
 def make_full_dataset(rng: np.random.Generator, n: int = 200, d2: int = 2) -> Dataset:
@@ -28,6 +29,16 @@ def make_full_dataset(rng: np.random.Generator, n: int = 200, d2: int = 2) -> Da
         return make_full_dataset(rng, n, d2)
     return Dataset(w1=w[:, :1], a=a, y=y, delta=np.ones(n, dtype=int),
                    w2=w[:, 1:], y_kind="binary")
+
+
+def zero_covariate_cohort() -> Dataset:
+    """missing_rate n=400 seed 3 with the phase-2 covariate z2 set to 0 on
+    every phase-2 row: the raking working model's information matrix is
+    then singular."""
+    ds, _ = generate(DgpSpec("missing_rate", n=400, seed=3))
+    w2 = ds.w2.copy()
+    w2[ds.phase2, 1] = 0.0
+    return Dataset(w1=ds.w1, a=ds.a, y=ds.y, delta=ds.delta, w2=w2, y_kind=ds.y_kind)
 
 
 def make_twophase_dataset(rng: np.random.Generator, n: int = 300) -> Dataset:
@@ -106,26 +117,19 @@ def bisect_oracle(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 3
 # ---------------------------------------------------------------------------
 
 
-def reference_census_influence(ctx, imputation, wts2: np.ndarray, family: str) -> np.ndarray:
-    """The former `_CensusModel` quadrature, kept as the reference that the
-    offset form must match: uncentered working-model influence values, with
-    the design [1, a, w1, w2] rebuilt and predicted at every Gauss-Hermite
-    node on the censored rows."""
+def _census_designs(ds, rows, w2mat):
+    X = np.column_stack([np.ones(len(rows)), ds.a[rows].astype(float), ds.w1[rows], w2mat])
+    X1, X0 = X.copy(), X.copy()
+    X1[:, 1] = 1.0
+    X0[:, 1] = 0.0
+    return X, X1, X0
+
+
+def census_information(ctx, wts2: np.ndarray, family: str):
+    """The working model fitted on the phase-2 rows, with the information
+    matrix and gradient whose solve gives its influence coefficients alpha."""
     ds, p2 = ctx.scaled, ctx.p2
-
-    def designs(rows, w2mat):
-        X = np.column_stack([np.ones(len(rows)), ds.a[rows].astype(float),
-                             ds.w1[rows], w2mat])
-        X1, X0 = X.copy(), X.copy()
-        X1[:, 1] = 1.0
-        X0[:, 1] = 0.0
-        return X, X1, X0
-
-    def pieces(rows, X, X1, X0, alpha):
-        q_a, q1, q0 = (fit.predict(Z) for Z in (X, X1, X0))
-        return (X @ alpha) * (ds.y[rows] - q_a) + (q1 - q0)
-
-    Xp, Xp1, Xp0 = designs(p2, ds.w2[p2])
+    Xp, Xp1, Xp0 = _census_designs(ds, p2, ds.w2[p2])
     fit = fit_glm(Xp, ctx.y2, w=wts2, family=family)
     q_a2, q12, q02 = (fit.predict(Z) for Z in (Xp, Xp1, Xp0))
     if family == "bernoulli":
@@ -135,13 +139,28 @@ def reference_census_influence(ctx, imputation, wts2: np.ndarray, family: str) -
     wn = wts2 / wts2.sum()
     info = (Xp * (wn * j_a)[:, None]).T @ Xp
     grad = (j1[:, None] * Xp1 - j0[:, None] * Xp0).T @ wn
-    alpha = np.linalg.solve(info, grad)
+    return fit, info, grad
+
+
+def reference_census_influence(ctx, imputation, wts2: np.ndarray, family: str) -> np.ndarray:
+    """The former `_CensusModel` quadrature, kept as the reference that the
+    offset form must match: uncentered working-model influence values, with
+    the design [1, a, w1, w2] rebuilt and predicted at every Gauss-Hermite
+    node on the censored rows."""
+    ds, p2 = ctx.scaled, ctx.p2
+
+    def pieces(rows, X, X1, X0, alpha):
+        q_a, q1, q0 = (fit.predict(Z) for Z in (X, X1, X0))
+        return (X @ alpha) * (ds.y[rows] - q_a) + (q1 - q0)
+
+    fit, info, grad = census_information(ctx, wts2, family)
+    alpha = _cho_solve(_factor_spd(info)[0], grad)
 
     u = np.empty(ds.n)
-    u[p2] = pieces(p2, Xp, Xp1, Xp0, alpha)
+    u[p2] = pieces(p2, *_census_designs(ds, p2, ds.w2[p2]), alpha)
     censored = np.flatnonzero(ds.delta == 0)
     if len(censored) and imputation is None:
-        u[censored] = pieces(censored, *designs(censored, ds.w2[censored]), alpha)
+        u[censored] = pieces(censored, *_census_designs(ds, censored, ds.w2[censored]), alpha)
     elif len(censored):
         d2 = imputation.mean.shape[1]
         base = imputation.mean[censored]
@@ -153,7 +172,7 @@ def reference_census_influence(ctx, imputation, wts2: np.ndarray, family: str) -
                      for c in itertools.product(range(len(_GH_NODES)), repeat=d2)]
         acc = np.zeros(len(censored))
         for weight, w2mat in draws:
-            acc += weight * pieces(censored, *designs(censored, w2mat), alpha)
+            acc += weight * pieces(censored, *_census_designs(ds, censored, w2mat), alpha)
         u[censored] = acc
     return u
 
