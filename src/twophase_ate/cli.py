@@ -30,6 +30,7 @@ from .nuisance import (
     check_truncation,
 )
 from .sim import (
+    DGP_IDS,
     DgpSpec,
     StudyEstimator,
     StudySpec,
@@ -301,6 +302,8 @@ def cmd_simulate(rc: RunConfig) -> int:
     dgp_id = cfg.get("sim.dgp")
     if not dgp_id:
         raise ConfigError("simulate mode requires sim.dgp")
+    if dgp_id not in DGP_IDS:
+        raise ConfigError(f"sim.dgp: unknown dgp {dgp_id!r}; known: {', '.join(DGP_IDS)}")
     n = _get_int(cfg, "sim.n")
     n_runs = _get_int(cfg, "sim.n_runs", minimum=1)
     if n is None or n_runs is None:
@@ -316,7 +319,9 @@ def cmd_simulate(rc: RunConfig) -> int:
             gamma=_get_float(cfg, "sim.gamma", 1.0),
         )
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        # the dgp is checked above; every other DgpSpec message starts with
+        # the name of its field, which is the sim.* key without the prefix
+        raise ConfigError(f"sim.{exc}") from None
     reference = cfg.get("sim.reference", "truth")
     if reference not in ("truth", "census"):
         raise ConfigError(f"sim.reference: expected truth|census, got {reference!r}")
@@ -383,12 +388,16 @@ def main(argv: list[str] | None = None) -> int:
         mode = args.mode or cfg.get("mode")
         if mode not in ("estimate", "simulate"):
             raise ConfigError(f"mode must be estimate|simulate, got {mode!r}")
-        seed = args.seed if args.seed is not None else _get_int(cfg, "seed", 1)
-        parallelism = args.parallelism
-        if parallelism is None:
-            parallelism = _get_int(cfg, "parallelism", 0, minimum=0)
-        elif parallelism < 0:
-            raise ConfigError(f"--parallelism: expected an integer >= 0, got {parallelism}")
+        # a flag overrides a config value, but a malformed one is still an error
+        seed = _get_int(cfg, "seed", 1)
+        if args.seed is not None:
+            seed = args.seed
+        parallelism = _get_int(cfg, "parallelism", 0, minimum=0)
+        if args.parallelism is not None:
+            if args.parallelism < 0:
+                raise ConfigError(f"--parallelism: expected an integer >= 0, "
+                                  f"got {args.parallelism}")
+            parallelism = args.parallelism
         if not parallelism:
             parallelism = _env_threads() or (os.cpu_count() or 1)
         rc = RunConfig(

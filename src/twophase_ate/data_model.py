@@ -71,9 +71,9 @@ class Dataset:
             raise DataError("column lengths disagree")
         if n == 0:
             raise DataError("dataset is empty")
-        if not np.all(np.isin(a, (0, 1))):
+        if not ((a == 0) | (a == 1)).all():
             raise DataError("treatment column must be binary 0/1")
-        if not np.all(np.isin(delta, (0, 1))):
+        if not ((delta == 0) | (delta == 1)).all():
             raise DataError("phase-2 indicator column must be binary 0/1")
         if delta.sum() == 0:
             raise DataError("no phase-2 records: dataset is unusable")
@@ -87,7 +87,7 @@ class Dataset:
         if w2.shape[1] and not np.all(np.isnan(w2[~p2])):
             raise DataError("w2 present on a delta=0 record")
         if self.y_kind == "binary":
-            if not np.all(np.isin(y, (0.0, 1.0))):
+            if not ((y == 0.0) | (y == 1.0)).all():
                 raise DataError("binary outcome column must contain only 0/1")
         elif self.y_kind == "continuous":
             lo, hi = float(self.y_bounds[0]), float(self.y_bounds[1])

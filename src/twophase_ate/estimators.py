@@ -468,17 +468,15 @@ class _ImputationModel:
     mean: np.ndarray  # (n, d2) fitted conditional means, every record
     sd: np.ndarray  # (d2,) residual scales
 
-    def grid(self):
-        """Quadrature nodes (weight, shift) approximating the conditional law
-        of the phase-2 covariates: each node draws mean + shift, the same
-        shift on every row."""
+    def grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """Quadrature nodes approximating the conditional law of the phase-2
+        covariates: weights (k,) and shifts (k, d2). Each node draws
+        mean + shift, the same shift on every row."""
         d2 = self.mean.shape[1]
         if d2 > _GH_MAX_DIM:
-            yield 1.0, np.zeros(d2)
-            return
-        for combo in itertools.product(range(len(_GH_NODES)), repeat=d2):
-            weight = float(np.prod(_GH_WEIGHTS[list(combo)]))
-            yield weight, self.sd * _GH_NODES[list(combo)]
+            return np.ones(1), np.zeros((1, d2))
+        combos = np.array(list(itertools.product(range(len(_GH_NODES)), repeat=d2)))
+        return np.prod(_GH_WEIGHTS[combos], axis=1), self.sd * _GH_NODES[combos]
 
 
 def _fit_imputation(ctx: FittedContext) -> _ImputationModel:
@@ -527,23 +525,23 @@ class _CensusModel:
         if len(censored):
             # a node moves w2 by one shift on every censored row, so it moves
             # each linear predictor by one scalar: build the design once, at
-            # the imputation mean, and add the scalars node by node
+            # the imputation mean, and evaluate every node as one row of a
+            # (nodes x censored) block
             beta = self.fit.coefficients
             w2 = slice(2 + ds.d_w1, None)
             if imputation is None:  # no phase-2 covariates: nothing to impute
                 X, X1, X0 = aw_designs(ds, censored)
-                nodes = [(1.0, np.zeros(ds.d_w2))]
+                weights, shifts = np.ones(1), np.zeros((1, ds.d_w2))
             else:
                 X, X1, X0 = aw_designs(ds, censored, imputation.mean[censored])
-                nodes = imputation.grid()
-            eta, eta1, eta0 = X @ beta, X1 @ beta, X0 @ beta
-            xa, y = X @ alpha, ds.y[censored]
-            acc = np.zeros(len(censored))
-            for weight, shift in nodes:
-                sb, sa = shift @ beta[w2], shift @ alpha[w2]
-                q_a, q1, q0 = (self.fit.mean(e + sb) for e in (eta, eta1, eta0))
-                acc += weight * ((xa + sa) * (y - q_a) + (q1 - q0))
-            u[censored] = acc
+                weights, shifts = imputation.grid()
+            # one dot product per node, as a column: a single matrix-vector
+            # product would round differently
+            sb = np.array([[shift @ beta[w2]] for shift in shifts])
+            sa = np.array([[shift @ alpha[w2]] for shift in shifts])
+            q_a, q1, q0 = (self.fit.mean(Z @ beta + sb) for Z in (X, X1, X0))
+            terms = weights[:, None] * ((X @ alpha + sa) * (ds.y[censored] - q_a) + (q1 - q0))
+            u[censored] = np.add.reduce(terms, axis=0)  # node by node, in node order
         self.u_uncentered = u
 
     def influence(self, psi: float) -> np.ndarray:

@@ -120,20 +120,27 @@ class GlmFit:
 
 
 def _validate_inputs(X, y, w):
+    """X and y as float arrays, and w too unless it is None (unit weights)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
-    w = np.asarray(w, dtype=float).ravel()
     if X.ndim != 2:
         raise GlmError("design matrix must be 2-d")
-    if not (X.shape[0] == len(y) == len(w)):
+    if X.shape[0] != len(y):
         raise GlmError("X, y, w lengths disagree")
     if X.shape[0] == 0:
         raise GlmError("empty design")
-    if np.any(~np.isfinite(X)) or np.any(~np.isfinite(y)) or np.any(~np.isfinite(w)):
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise GlmError("non-finite values in X, y or w")
-    if np.any(w < 0):
+    if w is None:
+        return X, y, None
+    w = np.asarray(w, dtype=float).ravel()
+    if len(w) != len(y):
+        raise GlmError("X, y, w lengths disagree")
+    if not np.isfinite(w).all():
+        raise GlmError("non-finite values in X, y or w")
+    if w.min() < 0:
         raise GlmError("negative weights")
-    if not np.any(w > 0):
+    if not w.max() > 0:
         raise GlmError("no positive weights")
     return X, y, w
 
@@ -141,20 +148,20 @@ def _validate_inputs(X, y, w):
 def fit_glm(X, y, w=None, family: str = "gaussian") -> GlmFit:
     """Weighted GLM via IRLS on the design X (caller supplies the intercept).
 
-    gaussian: closed-form weighted least squares. bernoulli: Newton/IRLS with
+    gaussian: closed-form weighted least squares; without weights it forms
+    X'X directly, with no weighted copy of X. bernoulli: Newton/IRLS with
     probability clipping; a singular weighted Gram matrix triggers one ridge
     retry (ridge = 1e-8 * trace/dim) before failing.
     """
-    if w is None:
-        w = np.ones(np.shape(y))
     X, y, w = _validate_inputs(X, y, w)
     p_dim = X.shape[1]
 
     if family == "gaussian":
-        Xw = X * w[:, None]
+        Xw = X if w is None else X * w[:, None]
         factor, _ = _factor_spd(Xw.T @ X)
         beta = _cho_solve(factor, Xw.T @ y)
-        score = X.T @ (w * (y - X @ beta))
+        resid = y - X @ beta
+        score = X.T @ (resid if w is None else w * resid)
         converged = bool(np.max(np.abs(score)) <= SCORE_TOL) if p_dim else True
         return GlmFit(beta, "gaussian", converged, 1, p_dim)
 
@@ -162,6 +169,8 @@ def fit_glm(X, y, w=None, family: str = "gaussian") -> GlmFit:
         raise GlmError(f"unknown family {family!r}")
     if y.min() < 0.0 or y.max() > 1.0:
         raise GlmError("bernoulli responses must lie in [0, 1]")
+    if w is None:
+        w = np.ones(len(y))
 
     beta = np.zeros(p_dim)
     n_iter = 0

@@ -62,6 +62,13 @@ __all__ = [
 
 DGP_IDS = ("kang_dr", "missing_rate", "raking_gap", "near_positivity")
 
+# the raking_gap heterogeneity term lies in [-4.5, 4.5] (2.5 from the W2
+# steps, 2 from the sine). A study squares outcome-scale quantities (the
+# empirical SE, the MSE, reported x1e3), so |gamma| is capped where
+# (gamma * het)^2 stays a factor 1e6 below the float maximum.
+_HET_MAX = 4.5
+_GAMMA_MAX = math.sqrt(np.finfo(float).max) / (1e3 * _HET_MAX)
+
 
 @dataclass(frozen=True)
 class DgpSpec:
@@ -79,8 +86,13 @@ class DgpSpec:
         if self.n < 1:
             raise ValueError("n must be positive")
         # a non-finite parameter would make every draw unusable
-        if not (math.isfinite(self.gamma) and math.isfinite(self.missing_intercept)):
-            raise ValueError("gamma and missing_intercept must be finite")
+        for name in ("missing_intercept", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # and a huge one would overflow the outcome or the study's metrics
+        if abs(self.gamma) > _GAMMA_MAX:
+            raise ValueError(f"gamma must lie in [-{_GAMMA_MAX:.3g}, {_GAMMA_MAX:.3g}], where a "
+                             f"study's squared errors stay finite; got {self.gamma:g}")
 
 
 @dataclass(frozen=True)
@@ -429,22 +441,35 @@ def _aggregate(study: StudySpec, outcomes: list[list[_RunOutcome]], psi_ref: flo
                      n_runs=study.n_runs, dgp=study.dgp, base_seed=study.base_seed)
 
 
+def _reference_value(study: StudySpec) -> float:
+    if study.reference == "census":
+        return census_psi(study.dgp)
+    return reference_psi(study.dgp)
+
+
 def run_study(study: StudySpec) -> SimReport:
     """Run the full experiment; aggregation order is fixed by run index, so
-    the report is deterministic for a given spec regardless of parallelism."""
-    if study.reference == "census":
-        psi_ref = census_psi(study.dgp)
-    else:
-        psi_ref = reference_psi(study.dgp)
+    the report is deterministic for a given spec regardless of parallelism.
+    With a pool, the reference value is computed in this process while the
+    workers run."""
     indices = range(study.n_runs)
     # the executor starts every worker at the first submit, so never ask
     # for more than there are runs or processors
     workers = min(study.parallelism, study.n_runs, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(_run_single, [study] * study.n_runs, indices,
-                                 chunksize=max(1, study.n_runs // (8 * workers))))
+            # map submits every run at once, which forks the workers before
+            # the census draw could enlarge this process
+            pending = pool.map(_run_single, [study] * study.n_runs, indices,
+                               chunksize=max(1, study.n_runs // (8 * workers)))
+            try:
+                psi_ref = _reference_value(study)
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+            runs = list(pending)
     else:
+        psi_ref = _reference_value(study)
         runs = [_run_single(study, r) for r in indices]
     report = _aggregate(study, [outcomes for _, outcomes in runs], psi_ref)
     if runs:
@@ -488,8 +513,9 @@ def write_report_csv(report: SimReport, path) -> None:
 
 def _git_hash() -> str:
     try:
+        # ask the checkout this package lives in, not the caller's directory
         out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
-                             text=True, timeout=5)
+                             text=True, timeout=5, cwd=os.path.dirname(os.path.abspath(__file__)))
         return out.stdout.strip() if out.returncode == 0 else "unknown"
     except (OSError, subprocess.SubprocessError):
         return "unknown"

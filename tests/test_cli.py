@@ -364,6 +364,29 @@ class TestConfigHardening:
         assert "must be finite" in err
         assert not (tmp_path / "out" / "report.csv").exists()
 
+    def test_gamma_too_large(self, tmp_path, capsys):
+        # gamma = 1e308 overflowed the outcome draw: every run failed as an
+        # unusable draw and the study exited 1
+        cfg = write_cfg(tmp_path / "run.cfg", [
+            "mode = simulate", "sim.dgp = raking_gap", "sim.n = 200", "sim.n_runs = 1",
+            "sim.gamma = 1e308", "estimators = aipcw",
+        ])
+        code, err = self.run(cfg, tmp_path, capsys)
+        assert code == EXIT_CONFIG_ERROR
+        assert "sim.gamma must lie in" in err
+        assert not (tmp_path / "out" / "report.csv").exists()
+
+    @pytest.mark.parametrize("line, key", [("seed = abc", "seed"),
+                                           ("parallelism = -3", "parallelism")])
+    def test_malformed_value_that_a_flag_overrides(self, tmp_path, capsys, line, key):
+        # the flag used to hide the config value, which was never read
+        cfg = self.simulate_cfg(tmp_path, line)
+        code = main(["--config", cfg, "--out", str(tmp_path / "out"),
+                     "--seed", "2", "--parallelism", "1"])
+        assert code == EXIT_CONFIG_ERROR
+        assert f"{key}: expected an integer" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.csv").exists()
+
     @pytest.mark.parametrize("lo, hi", [("-1e308", "1e308"), ("-inf", "inf"), ("0", "inf")])
     def test_outcome_bounds_must_be_finite(self, tmp_path, capsys, lo, hi, monkeypatch):
         # +-1e308 once overflowed the span to inf and reported psi_hat = -inf

@@ -264,6 +264,85 @@ class TestRunStudy:
             assert row.mse >= 0.0
 
 
+class TestCensusOverlap:
+    """With a pool, the census reference is computed while the runs proceed."""
+
+    def census_study(self, parallelism=2, n_runs=4):
+        return StudySpec(dgp=DgpSpec("raking_gap", n=300, seed=0),
+                         estimators=(StudyEstimator("raking"),), n_runs=n_runs,
+                         base_seed=11, reference="census", parallelism=parallelism)
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Replaces the process pool with one that runs `map` serially in
+        this process, and only when its results are read; each pool records
+        how many runs ran and how it was shut down."""
+        opened = []
+
+        class LazyPool:
+            def __init__(self, max_workers):
+                self.runs, self.shutdowns = 0, []
+                opened.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                def counted(*args):
+                    self.runs += 1
+                    return fn(*args)
+                return map(counted, *iterables)
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                self.shutdowns.append(cancel_futures)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", LazyPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        return opened
+
+    def test_census_computed_once(self, pools, monkeypatch, tmp_path):
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return 0.75
+
+        monkeypatch.setattr(sim, "census_psi", counted)
+        serial = run_study(self.census_study(parallelism=1))
+        assert len(calls) == 1
+        pooled = run_study(self.census_study())
+        assert len(calls) == 2 and calls[1] == self.census_study().dgp
+        (pool,) = pools
+        assert pool.runs == 4 and pool.shutdowns == []
+        assert pooled.psi_ref == 0.75
+        write_report_csv(serial, tmp_path / "serial.csv")
+        write_report_csv(pooled, tmp_path / "pooled.csv")
+        assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+    def test_failed_reference_cancels_pending_runs(self, pools, monkeypatch):
+        def broken(spec):
+            raise RuntimeError("census draw failed")
+
+        monkeypatch.setattr(sim, "census_psi", broken)
+        with pytest.raises(RuntimeError, match="census draw failed"):
+            run_study(self.census_study(n_runs=50))
+        (pool,) = pools
+        assert pool.shutdowns == [True]  # cancel_futures: no wait for the queued runs
+        assert pool.runs == 0
+
+    def test_failed_reference_propagates_from_a_real_pool(self, monkeypatch):
+        def broken(spec):
+            raise RuntimeError("census draw failed")
+
+        monkeypatch.setattr(sim, "census_psi", broken)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(RuntimeError, match="census draw failed"):
+            run_study(self.census_study(n_runs=6))
+
+
 class TestUnusableDraw:
     # missing_rate at n=40 with sampling intercept -2.5: run 41 of base seed 1
     # (seed 42) draws no phase-2 record at all
@@ -335,6 +414,26 @@ class TestSpecValidation:
         assert [e.label for e in study.estimators] == ["quasi_tmle", "quasi_tmle:linearized"]
 
 
+class TestGammaBound:
+    def test_gamma_whose_metrics_would_overflow_rejected(self):
+        # gamma = 1e308 overflowed gamma * het to inf, and every draw failed
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            DgpSpec("raking_gap", n=100, seed=0, gamma=1e308)
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            DgpSpec("raking_gap", n=100, seed=0, gamma=-2.0 * sim._GAMMA_MAX)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_largest_gamma_gives_a_finite_report(self, sign):
+        # RuntimeWarning is an error under the test settings, so an overflow
+        # anywhere in the draw, the estimators or the aggregation fails here
+        study = StudySpec(dgp=DgpSpec("raking_gap", n=200, seed=0, gamma=sign * sim._GAMMA_MAX),
+                          estimators=(StudyEstimator("aipcw"), StudyEstimator("raking")),
+                          n_runs=2, base_seed=3)
+        for row in run_study(study).rows:
+            assert row.n_ok == 2
+            assert np.isfinite([row.psi_mean, row.abs_bias, row.emp_se, row.mse * 1e3]).all()
+
+
 class TestSidecar:
     def test_nuisance_fit_time_reported_beside_estimator_times(self, tmp_path):
         import json
@@ -350,3 +449,31 @@ class TestSidecar:
         meta = json.loads(path.read_text())
         assert meta["mean_nuisance_fit_s"] == report.mean_nuisance_fit > 0
         assert set(meta["mean_runtime_s"]) == {"aipcw", "eee"}
+
+    @pytest.mark.parametrize("other_repo", [False, True])
+    def test_git_hash_names_the_package_checkout(self, tmp_path, monkeypatch, other_repo):
+        # run from outside the source tree, the hash was "unknown"; run inside
+        # another repository, it was that repository's HEAD
+        import shutil
+        import subprocess
+
+        git = shutil.which("git")
+        package_dir = os.path.dirname(os.path.abspath(sim.__file__))
+        expected = "unknown"
+        if git is not None:
+            out = subprocess.run([git, "rev-parse", "HEAD"], cwd=package_dir,
+                                 capture_output=True, text=True)
+            expected = out.stdout.strip() if out.returncode == 0 else "unknown"
+        if other_repo:
+            if git is None:
+                pytest.skip("git is not installed")
+            env = {**os.environ, "GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@t",
+                   "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@t"}
+            subprocess.run([git, "init", "-q"], cwd=tmp_path, check=True, env=env)
+            subprocess.run([git, "commit", "-q", "--allow-empty", "-m", "other"],
+                           cwd=tmp_path, check=True, env=env)
+            other_head = subprocess.run([git, "rev-parse", "HEAD"], cwd=tmp_path, check=True,
+                                        capture_output=True, text=True).stdout.strip()
+            assert other_head != expected
+        monkeypatch.chdir(tmp_path)
+        assert sim._git_hash() == expected
