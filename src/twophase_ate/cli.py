@@ -1,7 +1,9 @@
 """Batch front door: estimate from a CSV, or run a named simulation study.
 
 Everything is driven by a flat key = value config file with dotted section
-prefixes; command-line flags override the handful of operational keys.
+prefixes. One table, KEYS, gives each key its modes, parser and default; the
+command-line flags and TWOPHASE_THREADS feed a few of its keys through the
+same parsers.
 Exit codes are a stable contract: 0 success, 1 estimator/run failure,
 2 configuration error.
 """
@@ -12,15 +14,22 @@ import argparse
 import csv
 import os
 import sys
+import tempfile
 import time
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .data_model import CsvSchema, DataError, load_csv
-from .estimators import ESTIMATOR_IDS, OPTIONS_READ, EstimatorError, run_roster
+from .estimators import (
+    DEFAULT_OPTIONS,
+    ESTIMATOR_IDS,
+    OPTIONS_READ,
+    EstimatorError,
+    run_roster,
+)
 from .glm import GlmError
 from .nuisance import (
     TRUNC_G_DEFAULT,
@@ -48,17 +57,129 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-# keys accepted in config files; estimator option keys are matched by prefix
-_KNOWN_KEYS = {
-    "mode", "seed", "out", "parallelism",
-    "data.path", "data.y_kind", "data.y_lo", "data.y_hi",
-    "schema.treatment", "schema.outcome", "schema.delta", "schema.w1", "schema.w2",
-    "estimators",
-    "nuisance.trunc_pi", "nuisance.trunc_g", "nuisance.known_pi", "nuisance.known_g",
-    "sim.dgp", "sim.n", "sim.n_runs", "sim.missing_intercept", "sim.gamma",
-    "sim.reference",
+# A parser turns one raw value into a typed one, or raises ValueError with a
+# message that the caller prefixes with the key, flag or variable it came from.
+
+
+def _text(raw: str) -> str:
+    if not raw:
+        raise ValueError("expected a value")
+    return raw
+
+
+def _number(raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"expected a number, got {raw!r}") from None
+
+
+def _integer(minimum: int | None = None) -> Callable[[str], int]:
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValueError(f"expected an integer, got {raw!r}") from None
+        if minimum is not None and value < minimum:
+            raise ValueError(f"expected an integer >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _choice(*options: str) -> Callable[[str], str]:
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"expected {'|'.join(options)}, got {raw!r}")
+        return raw
+    return parse
+
+
+def _boolean(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _probability(raw: str) -> float:
+    value = _number(raw)
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"expected a probability in (0, 1], got {raw!r}")
+    return value
+
+
+def _names(raw: str) -> tuple[str, ...]:
+    """A comma-separated list; an empty value is the empty list."""
+    items = tuple(item.strip() for item in raw.split(","))
+    if items == ("",):
+        return ()
+    if "" in items:
+        raise ValueError(f"empty list item in {raw!r}")
+    return items
+
+
+def _pair(raw: str) -> tuple[float, float]:
+    parts = _names(raw)
+    if len(parts) != 2:
+        raise ValueError(f"expected 'lo, hi', got {raw!r}")
+    try:
+        return float(parts[0]), float(parts[1])
+    except ValueError:
+        raise ValueError(f"expected two numbers 'lo, hi', got {raw!r}") from None
+
+
+def _roster(raw: str) -> tuple[str, ...]:
+    ids = _names(raw) or ESTIMATOR_IDS
+    for est_id in ids:
+        if est_id not in ESTIMATOR_IDS:
+            raise ValueError(f"unknown estimator {est_id!r}")
+        if ids.count(est_id) > 1:  # the report rows and runtimes are keyed by label
+            raise ValueError(f"{est_id} is listed more than once")
+    return ids
+
+
+REQUIRED = object()  # the default of a key that every run of its modes must set
+MODES = ("estimate", "simulate")
+_EST, _SIM = ("estimate",), ("simulate",)
+_OPTION_ROWS = {
+    "mode": (_choice("refit", "linearized"), DEFAULT_OPTIONS.mode),
+    "max_outer_iter": (_integer(0), DEFAULT_OPTIONS.max_outer_iter),
 }
-_ESTIMATOR_OPTION_KEYS = ("mode", "max_outer_iter")
+
+# key -> (modes that read it, parser or {mode: parser}, default or REQUIRED)
+KEYS: dict[str, tuple[tuple[str, ...], object, object]] = {
+    "mode": (MODES, _choice(*MODES), REQUIRED),
+    "seed": (MODES, _integer(), 1),
+    "out": (MODES, _text, "."),
+    "parallelism": (MODES, _integer(0), 0),
+    "estimators": (MODES, _roster, ESTIMATOR_IDS),
+    "nuisance.trunc_pi": (MODES, _pair, TRUNC_PI_DEFAULT),
+    "nuisance.trunc_g": (MODES, _pair, TRUNC_G_DEFAULT),
+    # a design-fixed constant given on every row in estimate mode; in simulate
+    # mode, whether the estimators get the simulation's true mechanism
+    "nuisance.known_pi": (MODES, {"estimate": _probability, "simulate": _boolean}, None),
+    "nuisance.known_g": (MODES, {"estimate": _probability, "simulate": _boolean}, None),
+    "data.path": (_EST, _text, REQUIRED),
+    "data.y_kind": (_EST, _choice("binary", "continuous"), "binary"),
+    "data.y_lo": (_EST, _number, None),
+    "data.y_hi": (_EST, _number, None),
+    "schema.treatment": (_EST, _text, REQUIRED),
+    "schema.outcome": (_EST, _text, REQUIRED),
+    "schema.delta": (_EST, _text, REQUIRED),
+    "schema.w1": (_EST, _names, REQUIRED),
+    "schema.w2": (_EST, _names, ()),
+    "sim.dgp": (_SIM, _choice(*DGP_IDS), REQUIRED),
+    "sim.n": (_SIM, _integer(), REQUIRED),
+    "sim.n_runs": (_SIM, _integer(1), REQUIRED),
+    "sim.missing_intercept": (_SIM, _number, 1.1),
+    "sim.gamma": (_SIM, _number, 1.0),
+    "sim.reference": (_SIM, _choice("truth", "census"), "truth"),
+    **{f"estimator.{est_id}.{option}": (MODES, *_OPTION_ROWS[option])
+       for est_id in ESTIMATOR_IDS for option in sorted(OPTIONS_READ[est_id])},
+}
+_FLAGS = ("mode", "out", "seed", "parallelism")  # each --<key> flag feeds that key
+_ENV = {"parallelism": "TWOPHASE_THREADS"}  # key -> the variable that feeds it
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -76,132 +197,63 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
             raise ConfigError(f"{source}:{lineno}: empty key")
         if key in out:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
+        if key not in KEYS:
+            option = key.rpartition(".")[2]
+            readers = [e for e in ESTIMATOR_IDS if f"estimator.{e}.{option}" in KEYS]
+            hint = (f" ({option!r} is read by {', '.join(readers)})"
+                    if key.startswith("estimator.") and readers else "")
+            raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}{hint}")
         out[key] = value
-    _reject_unknown(out, source)
     return out
 
 
-def _reject_unknown(cfg: dict[str, str], source: str) -> None:
-    for key in cfg:
-        if key in _KNOWN_KEYS:
-            continue
-        parts = key.split(".")
-        if (len(parts) == 3 and parts[0] == "estimator"
-                and parts[1] in ESTIMATOR_IDS and parts[2] in _ESTIMATOR_OPTION_KEYS):
-            est_id, option = parts[1:]
-            if option in OPTIONS_READ[est_id]:
-                continue
-            readers = ", ".join(e for e in ESTIMATOR_IDS if option in OPTIONS_READ[e])
-            raise ConfigError(f"{source}: {key}: {est_id} has no {option!r} option "
-                              f"(read by {readers})")
-        raise ConfigError(f"{source}: unknown config key {key!r}")
-
-
-def _get_bool(cfg, key, default=False) -> bool:
-    raw = cfg.get(key)
-    if raw is None:
-        return default
-    if raw.lower() in ("true", "1", "yes"):
-        return True
-    if raw.lower() in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-
-
-def _get_float(cfg, key, default=None) -> float | None:
-    raw = cfg.get(key)
-    if raw is None:
-        return default
+def _parse(key: str, raw: str, label: str, mode: str | None) -> object:
+    parser = KEYS[key][1]
     try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-
-
-def _get_int(cfg, key, default=None, minimum=None) -> int | None:
-    raw = cfg.get(key)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{key}: expected an integer >= {minimum}, got {value}")
-    return value
-
-
-def _split_list(raw: str) -> list[str]:
-    return [item.strip() for item in raw.split(",") if item.strip()]
-
-
-def _get_pair(cfg, key, default) -> tuple[float, float]:
-    raw = cfg.get(key)
-    if raw is None:
-        return default
-    parts = _split_list(raw)
-    if len(parts) != 2:
-        raise ConfigError(f"{key}: expected 'lo, hi', got {raw!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ConfigError(f"{key}: expected two numbers 'lo, hi', got {raw!r}") from None
-
-
-def _env_threads() -> int:
-    """TWOPHASE_THREADS: default worker count; unset or 0 means one per CPU."""
-    raw = os.environ.get("TWOPHASE_THREADS", "").strip()
-    if not raw:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"TWOPHASE_THREADS: expected an integer, got {raw!r}") from None
-    if value < 0:
-        raise ConfigError(f"TWOPHASE_THREADS: expected an integer >= 0, got {value}")
-    return value
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    mode: str
-    cfg: dict[str, str]
-    out_dir: Path
-    seed: int
-    parallelism: int
-    verbose: bool
-
-
-def _estimator_list(cfg) -> list[StudyEstimator]:
-    raw = cfg.get("estimators")
-    ids = _split_list(raw) if raw else list(ESTIMATOR_IDS)
-    out = []
-    for est_id in ids:
-        if est_id not in ESTIMATOR_IDS:
-            raise ConfigError(f"estimators: unknown estimator {est_id!r}")
-        if ids.count(est_id) > 1:  # the report rows and runtimes are keyed by label
-            raise ConfigError(f"estimators: {est_id} is listed more than once")
-        mode = cfg.get(f"estimator.{est_id}.mode", "refit")
-        if mode not in ("refit", "linearized"):
-            raise ConfigError(f"estimator.{est_id}.mode: expected refit|linearized")
-        max_outer = _get_int(cfg, f"estimator.{est_id}.max_outer_iter", 50, minimum=0)
-        out.append(StudyEstimator(estimator_id=est_id, mode=mode, max_outer_iter=max_outer))
-    for key in cfg:
-        if key.startswith("estimator.") and key.split(".")[1] not in ids:
-            raise ConfigError(f"{key}: {key.split('.')[1]} is not in estimators, "
-                              "so the run would ignore it")
-    return out
-
-
-def _truncation(cfg) -> tuple[tuple[float, float], tuple[float, float]]:
-    """The validated (trunc_pi, trunc_g) pairs of either mode."""
-    trunc_pi = _get_pair(cfg, "nuisance.trunc_pi", TRUNC_PI_DEFAULT)
-    trunc_g = _get_pair(cfg, "nuisance.trunc_g", TRUNC_G_DEFAULT)
-    try:
-        check_truncation(trunc_pi, trunc_g)
+        return (parser[mode] if isinstance(parser, dict) else parser)(raw)
     except ValueError as exc:
-        raise ConfigError(f"nuisance.{exc}") from None
-    return trunc_pi, trunc_g
+        raise ConfigError(f"{label}: {exc}") from None
+
+
+def resolve(cfg: dict[str, str], flags: dict[str, str],
+            environ: Mapping[str, str]) -> dict[str, object]:
+    """Every key of the run's mode, typed. Each source is parsed in full before
+    any is used; then a flag beats the config, which beats the environment,
+    which beats the table's default."""
+    env = {key: environ[var].strip() for key, var in _ENV.items() if environ.get(var, "").strip()}
+    sources = ((flags, "--{}".format), (cfg, str), (env, _ENV.get))
+    # the mode decides which keys apply and how the known mechanisms parse
+    modes = [_parse("mode", raw["mode"], label("mode"), None)
+             for raw, label in sources if "mode" in raw]
+    if not modes:
+        raise ConfigError("mode: expected estimate|simulate, got nothing")
+    mode = modes[0]
+    for key in cfg:
+        if mode not in KEYS[key][0]:
+            raise ConfigError(f"{mode} mode must not define {key.split('.')[0]}.* keys, "
+                              f"got {key}")
+    parsed = [{key: _parse(key, raw[key], label(key), mode) for key in raw}
+              for raw, label in sources]
+    values = {}
+    for key, (key_modes, _, default) in KEYS.items():
+        if mode in key_modes:
+            values[key] = next((p[key] for p in parsed if key in p), default)
+            if values[key] is REQUIRED:
+                raise ConfigError(f"{mode} mode requires {key}")
+    if not values["parallelism"]:  # 0: TWOPHASE_THREADS, else one worker per CPU
+        values["parallelism"] = parsed[-1].get("parallelism") or os.cpu_count() or 1
+    return values
+
+
+def _output_dir(raw: str) -> Path:
+    """Create the output directory and check it takes a file, before any work."""
+    out_dir = Path(raw)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        tempfile.TemporaryFile(dir=out_dir).close()
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write to directory {raw!r} ({exc.strerror})") from None
+    return out_dir
 
 
 # ---------------------------------------------------------------------------
@@ -209,60 +261,30 @@ def _truncation(cfg) -> tuple[tuple[float, float], tuple[float, float]]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_estimate(rc: RunConfig) -> int:
-    cfg = rc.cfg
-    path = cfg.get("data.path")
-    if not path:
-        raise ConfigError("estimate mode requires data.path")
-    if any(key.startswith("sim.") for key in cfg):
-        raise ConfigError("estimate mode must not define sim.* keys")
-    estimators = _estimator_list(cfg)
-    for key in ("schema.treatment", "schema.outcome", "schema.delta", "schema.w1"):
-        if key not in cfg:
-            raise ConfigError(f"estimate mode requires {key}")
-    y_kind = cfg.get("data.y_kind", "binary")
-    if y_kind not in ("binary", "continuous"):
-        raise ConfigError(f"data.y_kind: expected binary|continuous, got {y_kind!r}")
-    y_lo, y_hi = _get_float(cfg, "data.y_lo"), _get_float(cfg, "data.y_hi")
+def cmd_estimate(v: dict, estimators: list[StudyEstimator], verbose: bool) -> int:
+    y_lo, y_hi = v["data.y_lo"], v["data.y_hi"]
     if (y_lo is None) != (y_hi is None):
         raise ConfigError("data.y_lo and data.y_hi must be given together")
-    if y_lo is not None and y_kind == "binary":
+    if y_lo is not None and v["data.y_kind"] == "binary":
         raise ConfigError("data.y_lo/data.y_hi apply to continuous outcomes only; "
                           "a binary outcome lies in [0, 1]")
-    bounds = (y_lo, y_hi) if y_lo is not None else None
     schema = CsvSchema(
-        treatment=cfg["schema.treatment"],
-        outcome=cfg["schema.outcome"],
-        delta=cfg["schema.delta"],
-        w1=tuple(_split_list(cfg["schema.w1"])),
-        w2=tuple(_split_list(cfg.get("schema.w2", ""))),
-        y_kind=y_kind,
-        y_bounds=bounds,
+        treatment=v["schema.treatment"],
+        outcome=v["schema.outcome"],
+        delta=v["schema.delta"],
+        w1=v["schema.w1"],
+        w2=v["schema.w2"],
+        y_kind=v["data.y_kind"],
+        y_bounds=(y_lo, y_hi) if y_lo is not None else None,
     )
-    ds = load_csv(path, schema)
-    if rc.verbose:
-        print(f"loaded {ds.n} records ({ds.n_phase2} phase-2) from {path}")
-
-    # in estimate mode, a known mechanism is a numeric constant (e.g. a
-    # design-fixed sampling fraction), given to the estimators on every row
-    def _known_const(key):
-        raw = cfg.get(key)
-        if raw is None:
-            return None
-        try:
-            v = float(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: estimate mode needs a numeric constant, got {raw!r}") from None
-        if not 0.0 < v <= 1.0:
-            raise ConfigError(f"{key}: a probability in (0, 1] is required")
-        return np.full(ds.n, v)
-
-    trunc_pi, trunc_g = _truncation(cfg)
-    ncfg = NuisanceConfig(
-        trunc_pi=trunc_pi, trunc_g=trunc_g,
-        known_pi=_known_const("nuisance.known_pi"),
-        known_g=_known_const("nuisance.known_g"),
-    )
+    out_dir = _output_dir(v["out"])
+    ds = load_csv(v["data.path"], schema)
+    if verbose:
+        print(f"loaded {ds.n} records ({ds.n_phase2} phase-2) from {v['data.path']}")
+    known_pi, known_g = (None if p is None else np.full(ds.n, p)
+                         for p in (v["nuisance.known_pi"], v["nuisance.known_g"]))
+    ncfg = NuisanceConfig(trunc_pi=v["nuisance.trunc_pi"], trunc_g=v["nuisance.trunc_g"],
+                          known_pi=known_pi, known_g=known_g)
     _, results = run_roster(ds, [(e.estimator_id, e.options) for e in estimators], ncfg)
     rows = []
     all_converged = True
@@ -278,14 +300,13 @@ def cmd_estimate(rc: RunConfig) -> int:
                      str(r.converged).lower()])
         all_converged &= r.converged
 
-    rc.out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = rc.out_dir / "estimates.csv"
+    out_path = out_dir / "estimates.csv"
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["estimator", "psi_hat", "se", "ci_lo", "ci_hi",
                          "eic_mean_abs", "n_iter", "converged"])
         writer.writerows(rows)
-    if rc.verbose:
+    if verbose:
         print(f"wrote {out_path}")
     return EXIT_OK if all_converged else EXIT_ESTIMATOR_FAILURE
 
@@ -295,57 +316,39 @@ def cmd_estimate(rc: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(rc: RunConfig) -> int:
-    cfg = rc.cfg
-    if any(key.startswith(("data.", "schema.")) for key in cfg):
-        raise ConfigError("simulate mode must not define data.* or schema.* keys")
-    dgp_id = cfg.get("sim.dgp")
-    if not dgp_id:
-        raise ConfigError("simulate mode requires sim.dgp")
-    if dgp_id not in DGP_IDS:
-        raise ConfigError(f"sim.dgp: unknown dgp {dgp_id!r}; known: {', '.join(DGP_IDS)}")
-    n = _get_int(cfg, "sim.n")
-    n_runs = _get_int(cfg, "sim.n_runs", minimum=1)
-    if n is None or n_runs is None:
-        raise ConfigError("simulate mode requires sim.n and sim.n_runs")
-    last_seed = rc.seed + n_runs - 1
-    if rc.seed < 0 or last_seed >= 2**64:  # each run's seed keys a Philox stream
-        raise ConfigError(f"seed: the runs would use seeds {rc.seed}..{last_seed}; "
+def cmd_simulate(v: dict, estimators: list[StudyEstimator], verbose: bool) -> int:
+    seed, n_runs = v["seed"], v["sim.n_runs"]
+    last_seed = seed + n_runs - 1
+    if seed < 0 or last_seed >= 2**64:  # each run's seed keys a Philox stream
+        raise ConfigError(f"seed: the runs would use seeds {seed}..{last_seed}; "
                           "run seeds must lie in [0, 2^64 - 1]")
     try:
-        dgp = DgpSpec(
-            dgp_id=dgp_id, n=n, seed=rc.seed,
-            missing_intercept=_get_float(cfg, "sim.missing_intercept", 1.1),
-            gamma=_get_float(cfg, "sim.gamma", 1.0),
-        )
+        dgp = DgpSpec(dgp_id=v["sim.dgp"], n=v["sim.n"], seed=seed,
+                      missing_intercept=v["sim.missing_intercept"], gamma=v["sim.gamma"])
     except ValueError as exc:
-        # the dgp is checked above; every other DgpSpec message starts with
-        # the name of its field, which is the sim.* key without the prefix
+        # the dgp id is parsed already; every other DgpSpec message starts
+        # with the name of its field, which is the sim.* key without the prefix
         raise ConfigError(f"sim.{exc}") from None
-    reference = cfg.get("sim.reference", "truth")
-    if reference not in ("truth", "census"):
-        raise ConfigError(f"sim.reference: expected truth|census, got {reference!r}")
-    trunc_pi, trunc_g = _truncation(cfg)
     study = StudySpec(
         dgp=dgp,
-        estimators=tuple(_estimator_list(cfg)),
+        estimators=tuple(estimators),
         n_runs=n_runs,
-        base_seed=rc.seed,
-        known_pi=_get_bool(cfg, "nuisance.known_pi"),
-        known_g=_get_bool(cfg, "nuisance.known_g"),
-        trunc_pi=trunc_pi,
-        trunc_g=trunc_g,
-        reference=reference,
-        parallelism=rc.parallelism,
+        base_seed=seed,
+        known_pi=bool(v["nuisance.known_pi"]),
+        known_g=bool(v["nuisance.known_g"]),
+        trunc_pi=v["nuisance.trunc_pi"],
+        trunc_g=v["nuisance.trunc_g"],
+        reference=v["sim.reference"],
+        parallelism=v["parallelism"],
     )
+    out_dir = _output_dir(v["out"])
     t0 = time.perf_counter()
     report = run_study(study)
     wall = time.perf_counter() - t0
-    rc.out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = rc.out_dir / "report.csv"
+    out_path = out_dir / "report.csv"
     write_report_csv(report, out_path)
-    write_sidecar(report, study, rc.out_dir / "report.meta.json", wall)
-    if rc.verbose:
+    write_sidecar(report, study, out_dir / "report.meta.json", wall)
+    if verbose:
         print(f"wrote {out_path} ({wall:.1f}s)")
     for row in report.rows:
         if row.n_failed > row.n_ok:
@@ -366,11 +369,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="ATE estimation and simulation benchmarks for two-phase designs",
     )
     p.add_argument("--config", required=True, help="path to a key = value config file")
-    p.add_argument("--mode", choices=("estimate", "simulate"),
-                   help="override the config's mode")
+    p.add_argument("--mode", help="estimate|simulate; overrides the config's mode")
     p.add_argument("--out", help="output directory (default: config 'out' or cwd)")
-    p.add_argument("--seed", type=int, help="override the config's seed")
-    p.add_argument("--parallelism", type=int, help="worker count for simulate mode")
+    p.add_argument("--seed", help="override the config's seed")
+    p.add_argument("--parallelism", help="worker count for simulate mode")
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     return p
@@ -385,32 +387,22 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG_ERROR
     try:
         cfg = parse_config_text(text, source=str(args.config))
-        mode = args.mode or cfg.get("mode")
-        if mode not in ("estimate", "simulate"):
-            raise ConfigError(f"mode must be estimate|simulate, got {mode!r}")
-        # a flag overrides a config value, but a malformed one is still an error
-        seed = _get_int(cfg, "seed", 1)
-        if args.seed is not None:
-            seed = args.seed
-        parallelism = _get_int(cfg, "parallelism", 0, minimum=0)
-        if args.parallelism is not None:
-            if args.parallelism < 0:
-                raise ConfigError(f"--parallelism: expected an integer >= 0, "
-                                  f"got {args.parallelism}")
-            parallelism = args.parallelism
-        if not parallelism:
-            parallelism = _env_threads() or (os.cpu_count() or 1)
-        rc = RunConfig(
-            mode=mode,
-            cfg=cfg,
-            out_dir=Path(args.out or cfg.get("out", ".")),
-            seed=seed,
-            parallelism=parallelism,
-            verbose=args.verbose,
-        )
-        if mode == "estimate":
-            return cmd_estimate(rc)
-        return cmd_simulate(rc)
+        flags = {key: getattr(args, key) for key in _FLAGS if getattr(args, key) is not None}
+        v = resolve(cfg, flags, os.environ)
+        for key in cfg:
+            if key.startswith("estimator.") and key.split(".")[1] not in v["estimators"]:
+                raise ConfigError(f"{key}: {key.split('.')[1]} is not in estimators, "
+                                  "so the run would ignore it")
+        try:
+            check_truncation(v["nuisance.trunc_pi"], v["nuisance.trunc_g"])
+        except ValueError as exc:
+            raise ConfigError(f"nuisance.{exc}") from None
+        estimators = [
+            StudyEstimator(est_id, **{opt: v[f"estimator.{est_id}.{opt}"]
+                                      for opt in OPTIONS_READ[est_id]})
+            for est_id in v["estimators"]]
+        run = cmd_estimate if v["mode"] == "estimate" else cmd_simulate
+        return run(v, estimators, args.verbose)
     except (ConfigError, DataError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -1,6 +1,8 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line. The Monte-Carlo studies use fixed seeds and finish in a few
-minutes on one core; run with `pytest tests/test_acceptance.py -v -s`.
+minutes on one core; run with `pytest tests/test_acceptance.py -v -s`. The
+C06-C09 studies ask for two workers (`run_study` caps that at the CPU
+count); a report does not depend on the worker count.
 """
 
 import time
@@ -204,7 +206,8 @@ def test_c06_known_mechanism_table():
     ests = (StudyEstimator("raking"),) + tuple(
         StudyEstimator(e) for e in _KNOWN_MECH_PAPER_BIAS)
     study = StudySpec(dgp=DgpSpec("kang_dr", n=2000, seed=0), estimators=ests,
-                      n_runs=500, base_seed=20240817, known_pi=True, known_g=True)
+                      n_runs=500, base_seed=20240817, known_pi=True, known_g=True,
+                      parallelism=2)
     rep = run_study(study)
     lines = []
     ok = True
@@ -239,7 +242,7 @@ def test_c07_missing_rate_table():
         "raking", "aipcw", "ipcw_tmle", "ipcw_tmle_target_pi",
         "ipcw_tmle_rake_pi", "eee", "quasi_tmle", "tmle_alt"))
     study = StudySpec(dgp=DgpSpec("missing_rate", n=1000, seed=0), estimators=ests,
-                      n_runs=500, base_seed=20240818)
+                      n_runs=500, base_seed=20240818, parallelism=2)
     rep = run_study(study)
     rak = rep.row("raking")
     ok = 0.012 <= rak.abs_bias <= 0.025 and rak.oracle_coverage <= 0.93
@@ -263,7 +266,8 @@ def test_c08_coverage_gap_grid():
     for n in (500, 2500):
         for gamma in (0.0, 0.5, 1.0):
             study = StudySpec(dgp=DgpSpec("raking_gap", n=n, seed=0, gamma=gamma),
-                              estimators=ests, n_runs=300, base_seed=20240820)
+                              estimators=ests, n_runs=300, base_seed=20240820,
+                              parallelism=2)
             rep = run_study(study)
             cov[(n, gamma)] = {r.label: r.oracle_coverage for r in rep.rows}
             for est in ("ipcw_tmle", "ipcw_tmle_target_pi"):
@@ -283,7 +287,7 @@ def test_c09_census_referenced_coverage():
     for n in (500, 1500):
         study = StudySpec(dgp=DgpSpec("raking_gap", n=n, seed=0, gamma=1.0),
                           estimators=(StudyEstimator("raking"),), n_runs=500,
-                          base_seed=20240819, reference="census")
+                          base_seed=20240819, reference="census", parallelism=2)
         rep = run_study(study)
         row = rep.row("raking")
         ok &= 0.92 <= row.coverage <= 0.98

@@ -1,6 +1,8 @@
 import os
+import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,11 +11,10 @@ from hypothesis import strategies as st
 
 from twophase_ate import cli
 from twophase_ate.cli import (
-    _ESTIMATOR_OPTION_KEYS,
-    _KNOWN_KEYS,
     EXIT_CONFIG_ERROR,
     EXIT_ESTIMATOR_FAILURE,
     EXIT_OK,
+    KEYS,
     main,
     parse_config_text,
 )
@@ -23,6 +24,7 @@ from twophase_ate.nuisance import NuisanceConfig
 
 from util import fulldata_tmle, make_full_dataset, make_twophase_dataset, zero_covariate_cohort
 
+OPTION_NAMES = sorted(set().union(*OPTIONS_READ.values()))
 SCHEMA = CsvSchema(treatment="a", outcome="y", delta="d", w1=("u1",), w2=("v1", "v2"))
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -322,7 +324,7 @@ class TestConfigHardening:
 
 
     @pytest.mark.parametrize("key", [
-        f"estimator.{est}.{opt}" for est in ESTIMATOR_IDS for opt in _ESTIMATOR_OPTION_KEYS
+        f"estimator.{est}.{opt}" for est in ESTIMATOR_IDS for opt in OPTION_NAMES
         if opt not in OPTIONS_READ[est]])
     def test_option_the_estimator_never_reads(self, tmp_path, capsys, key):
         # estimator.aipcw.mode = linearized once wrote an aipcw:linearized
@@ -521,6 +523,118 @@ class TestConfigHardening:
         assert not (tmp_path / "out").exists()
 
 
+SIMULATE_LINES = ["mode = simulate", "sim.dgp = missing_rate", "sim.n = 200", "sim.n_runs = 2"]
+
+
+@pytest.fixture()
+def no_work(monkeypatch):
+    """Stop main where it would read the CSV, run the roster or run the study."""
+    def reached(*args, **kwargs):
+        raise TestBundledConfigs.Reached
+
+    for name in ("load_csv", "run_roster", "run_study"):
+        monkeypatch.setattr(cli, name, reached)
+
+
+class TestEverySourceParsed:
+    """Each flag, config line and environment value is parsed in full before
+    any work, so an override never hides a malformed value."""
+
+    def config(self, tmp_path, mode, *extra):
+        if mode == "simulate":
+            return write_cfg(tmp_path / "run.cfg", [*SIMULATE_LINES, *extra])
+        return write_cfg(tmp_path / "run.cfg", [
+            "mode = estimate", "data.path = toy.csv", *SCHEMA_LINES, *extra])
+
+    def exit_two(self, capsys, argv, name):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG_ERROR
+        assert f"{name}: " in err and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("extra, argv", [([], ["--parallelism", "1"]),
+                                             (["parallelism = 1"], [])])
+    def test_malformed_thread_variable_under_a_worker_count(
+            self, tmp_path, capsys, monkeypatch, no_work, extra, argv):
+        monkeypatch.setenv("TWOPHASE_THREADS", "abc")
+        cfg = self.config(tmp_path, "simulate", *extra)
+        self.exit_two(capsys, ["--config", cfg, "--out", str(tmp_path / "out"), *argv],
+                      "TWOPHASE_THREADS")
+
+    @pytest.mark.parametrize("mode", ["simulate", "estimate"])
+    @pytest.mark.parametrize("roster", [",", "aipcw,,raking", "aipcw,"])
+    def test_empty_roster_item(self, tmp_path, capsys, no_work, mode, roster):
+        # "estimators = ," once ran an empty roster and wrote a header-only report
+        cfg = self.config(tmp_path, mode, f"estimators = {roster}")
+        self.exit_two(capsys, ["--config", cfg, "--out", str(tmp_path / "out")], "estimators")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", ["simulate", "estimate"])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_unusable_output_directory(self, tmp_path, capsys, no_work, mode, under):
+        # the study used to run in full, then die with a traceback and exit 1
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "sub" if under else blocker
+        cfg = self.config(tmp_path, mode)
+        self.exit_two(capsys, ["--config", cfg, "--out", str(out), "--parallelism", "1"], "out")
+
+    def test_malformed_mode_under_the_mode_flag(self, tmp_path, capsys, no_work):
+        cfg = write_cfg(tmp_path / "run.cfg", [
+            "mode = bogus", "data.path = toy.csv", *SCHEMA_LINES])
+        self.exit_two(capsys, ["--config", cfg, "--mode", "estimate",
+                               "--out", str(tmp_path / "out")], "mode")
+
+    @pytest.mark.parametrize("flag, value", [("--mode", "bogus"), ("--seed", "1.5"),
+                                             ("--parallelism", "two")])
+    def test_malformed_flag(self, tmp_path, capsys, no_work, flag, value):
+        cfg = self.config(tmp_path, "simulate")
+        self.exit_two(capsys, ["--config", cfg, "--out", str(tmp_path / "out"), flag, value],
+                      flag)
+
+
+class TestWorkerCount:
+    """A flag beats the config, which beats TWOPHASE_THREADS; a count of 0
+    falls back to TWOPHASE_THREADS, then to one worker per CPU."""
+
+    @pytest.mark.parametrize("extra, argv, threads, expected", [
+        (["parallelism = 0"], [], "1", 1),
+        ([], ["--parallelism", "0"], "1", 1),
+        (["parallelism = 1"], ["--parallelism", "2"], "3", 2),
+        (["parallelism = 1"], [], "2", 1),
+        ([], [], "2", 2),
+        ([], [], None, os.cpu_count() or 1),
+    ])
+    def test_order(self, tmp_path, monkeypatch, extra, argv, threads, expected):
+        seen = []
+
+        def record(study):
+            seen.append(study.parallelism)
+            raise TestBundledConfigs.Reached
+
+        monkeypatch.setattr(cli, "run_study", record)
+        if threads is None:
+            monkeypatch.delenv("TWOPHASE_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("TWOPHASE_THREADS", threads)
+        cfg = write_cfg(tmp_path / "run.cfg", [*SIMULATE_LINES, *extra])
+        with pytest.raises(TestBundledConfigs.Reached):
+            main(["--config", cfg, "--out", str(tmp_path / "out"), *argv])
+        assert seen == [expected]
+
+
+class TestReadme:
+    def test_cli_section_matches_the_key_table(self):
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        missing = [key for key in KEYS
+                   if not key.startswith("estimator.") and f"`{key}`" not in section]
+        assert not missing, f"README's CLI section does not name {missing}"
+        prefixes = "|".join(sorted({key.split(".")[0] for key in KEYS if "." in key}))
+        named = set(re.findall(rf"(?<![\w.])(?:{prefixes})\.\w+(?:\.\w+)*", section))
+        assert named and named <= set(KEYS), sorted(named - set(KEYS))
+
+
 class TestBundledConfigs:
     """Every config the repository ships passes the CLI's checks."""
 
@@ -622,8 +736,9 @@ def repro_dir():
 
 
 # every config key main accepts, plus one it must reject
-_FUZZ_KEYS = sorted(_KNOWN_KEYS) + [
-    f"estimator.{est}.{opt}" for est in ESTIMATOR_IDS for opt in _ESTIMATOR_OPTION_KEYS
+_FUZZ_KEYS = sorted(KEYS) + [
+    f"estimator.{est}.{opt}" for est in ESTIMATOR_IDS for opt in OPTION_NAMES
+    if opt not in OPTIONS_READ[est]
 ] + ["sim.banana"]
 _EDGE_VALUES = ("nan", "1e400", "0.9, 0.1", "18446744073709551615", "")
 _BASE = {
@@ -639,14 +754,22 @@ def _one_line(text):
 
 
 def _small(key, value):
-    """Cap the study size keys, so a drawn integer cannot ask for a huge study;
-    the value is read as the config parser reads it, up to any comment."""
-    if key not in ("sim.n", "sim.n_runs"):
+    """Cap the study size keys at 40 and the worker count at 2, so a drawn
+    integer cannot ask for a huge study or many processes; the value is read
+    as the config parser reads it, up to any comment."""
+    cap = {"sim.n": 40, "sim.n_runs": 40, "parallelism": 2}.get(key)
+    if cap is None:
         return value
     try:
-        return "40" if int(value.split("#", 1)[0]) > 40 else value
+        return str(cap) if int(value.split("#", 1)[0]) > cap else value
     except ValueError:
         return value
+
+
+# flag values; --out stays inside the scratch directory: a new directory, the
+# CSV file, a path under that file, or nothing
+_FLAG_VALUES = st.one_of(st.sampled_from(_EDGE_VALUES), st.text(max_size=20).map(_one_line))
+_OUT_VALUES = ("out", "toy.csv", "toy.csv/sub", "")
 
 
 class TestFuzzMain:
@@ -657,20 +780,36 @@ class TestFuzzMain:
            lines=st.dictionaries(
                st.sampled_from(_FUZZ_KEYS),
                st.one_of(st.sampled_from(_EDGE_VALUES), st.text(max_size=20).map(_one_line)),
-               max_size=4))
-    def test_any_config_exits_with_a_contract_code(self, base, dropped, lines):
+               max_size=4),
+           flags=st.fixed_dictionaries({}, optional={
+               "mode": st.sampled_from(sorted(_BASE)) | _FLAG_VALUES,
+               "seed": st.integers(0, 2**64).map(str) | _FLAG_VALUES,
+               "parallelism": st.integers(0, 2).map(str) | _FLAG_VALUES}),
+           out=st.sampled_from(_OUT_VALUES),
+           threads=st.none() | st.integers(0, 2).map(str)
+           | _FLAG_VALUES.map(lambda text: text.replace("\0", "")))
+    def test_any_config_exits_with_a_contract_code(self, base, dropped, lines, flags, out,
+                                                   threads):
         cfg = {k: v for k, v in _BASE[base].items() if k not in dropped}
         cfg.update(lines)
         text = "".join(f"{key} = {_small(key, value)}\n" for key, value in cfg.items())
+        # the --key=value form passes a value that starts with "-" as a value
+        argv = ["--config", "run.cfg", f"--out={out}",
+                *(f"--{key}={_small(key, value)}" for key, value in flags.items())]
         cwd = os.getcwd()
-        with tempfile.TemporaryDirectory() as tmp:
+        # a worker count of 0 means one per CPU, so the CPU count is capped too
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ), \
+                mock.patch("os.cpu_count", return_value=2):
+            os.environ.pop("TWOPHASE_THREADS", None)
+            if threads is not None:
+                os.environ["TWOPHASE_THREADS"] = _small("parallelism", threads)
             os.chdir(tmp)  # relative data paths stay inside the scratch directory
             try:
                 write_csv(make_twophase_dataset(np.random.default_rng(0), n=80),
                           Path("toy.csv"), SCHEMA)
                 Path("run.cfg").write_text(text, encoding="utf-8")
-                code = main(["--config", "run.cfg", "--out", "out", "--parallelism", "1"])
+                code = main(argv)
             finally:
                 os.chdir(cwd)
         event(f"{base} exit {code}")
-        assert code in (EXIT_OK, EXIT_ESTIMATOR_FAILURE, EXIT_CONFIG_ERROR), text
+        assert code in (EXIT_OK, EXIT_ESTIMATOR_FAILURE, EXIT_CONFIG_ERROR), (text, argv, threads)
