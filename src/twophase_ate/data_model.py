@@ -358,23 +358,22 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     )
 
 
-def _fmt(x: float) -> str:
+def _fmt_column(col: np.ndarray) -> list[str]:
     # 17 significant digits round-trips IEEE doubles exactly
-    return format(float(x), ".17g")
+    return [format(v, ".17g") for v in col.tolist()]
 
 
 def write_csv(ds: Dataset, path, schema: CsvSchema) -> None:
     """Write a dataset using the schema's column order; inverse of load_csv."""
     if len(schema.w1) != ds.d_w1 or len(schema.w2) != ds.d_w2:
         raise DataError("schema dimensions do not match dataset")
+    phase2 = (ds.delta == 1).tolist()
+    columns = [_fmt_column(ds.w1[:, j]) for j in range(ds.d_w1)]
+    columns += [[cell if keep else "" for cell, keep in zip(_fmt_column(ds.w2[:, j]), phase2)]
+                for j in range(ds.d_w2)]
+    columns += [list(map(str, ds.a.tolist())), _fmt_column(ds.y),
+                list(map(str, ds.delta.tolist()))]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(schema.columns)
-        for i in range(ds.n):
-            row = [_fmt(v) for v in ds.w1[i]]
-            if ds.delta[i] == 1:
-                row += [_fmt(v) for v in ds.w2[i]]
-            else:
-                row += [""] * ds.d_w2
-            row += [str(int(ds.a[i])), _fmt(ds.y[i]), str(int(ds.delta[i]))]
-            writer.writerow(row)
+        writer.writerows(zip(*columns))

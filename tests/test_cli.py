@@ -22,7 +22,13 @@ from twophase_ate.data_model import CsvSchema, load_csv, write_csv
 from twophase_ate.estimators import ESTIMATOR_IDS, OPTIONS_READ, EstimatorOptions, run_roster
 from twophase_ate.nuisance import NuisanceConfig
 
-from util import fulldata_tmle, make_full_dataset, make_twophase_dataset, zero_covariate_cohort
+from util import (
+    fulldata_tmle,
+    make_full_dataset,
+    make_twophase_dataset,
+    run_python,
+    zero_covariate_cohort,
+)
 
 OPTION_NAMES = sorted(set().union(*OPTIONS_READ.values()))
 SCHEMA = CsvSchema(treatment="a", outcome="y", delta="d", w1=("u1",), w2=("v1", "v2"))
@@ -179,6 +185,24 @@ class TestBundledExample:
             psi, lo, hi = float(r["psi_hat"]), float(r["ci_lo"]), float(r["ci_hi"])
             assert np.isfinite(psi) and lo < psi < hi
             assert r["converged"] == "true"
+
+
+class TestFreshProcess:
+    """`python -m twophase_ate.cli` in a new interpreter, as a user runs it,
+    writes the same bytes as an in-process main call."""
+
+    @pytest.mark.parametrize("cfg, flags, output", [
+        ("repro/example_estimate.cfg", [], "estimates.csv"),
+        ("repro/smoke_n300.cfg", ["--parallelism", "1"], "report.csv"),  # no pool
+    ])
+    def test_same_output_as_in_process(self, cfg, flags, output, tmp_path, monkeypatch):
+        argv = ["--config", cfg, *flags, "--out"]
+        proc = run_python("-m", "twophase_ate.cli", *argv, str(tmp_path / "fresh"), cwd=ROOT)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        monkeypatch.chdir(ROOT)  # the configs name their data files relative to the repo root
+        assert main([*argv, str(tmp_path / "in_process")]) == EXIT_OK
+        fresh, in_process = tmp_path / "fresh" / output, tmp_path / "in_process" / output
+        assert fresh.read_bytes() == in_process.read_bytes()
 
 
 class TestSimulateMode:

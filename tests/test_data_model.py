@@ -13,7 +13,7 @@ from twophase_ate.data_model import (
     write_csv,
 )
 
-from util import make_twophase_dataset, reference_load_csv
+from util import make_twophase_dataset, reference_load_csv, reference_write_csv
 
 
 def toy_dataset():
@@ -276,3 +276,49 @@ class TestCsvMatchesReference:
             assert g.dtype == w.dtype and g.shape == w.shape
             assert g.tobytes() == w.tobytes(), name  # NaN positions and signed zeros too
         assert got.y_kind == want.y_kind and got.y_bounds == want.y_bounds
+
+
+# signed zeros, subnormals and the float extremes, then any finite double
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.5e-310, 2.2250738585072014e-308,
+                     1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# -1e308..1e308 would give an infinite outcome span, which Dataset rejects
+CONTINUOUS_BOUNDS = (-1e300, 1e308)
+
+
+@st.composite
+def writable_datasets(draw):
+    """A Dataset with 0-2 phase-2 covariates and at least one delta=0 row."""
+    n = draw(st.integers(2, 8))
+    d_w1, d_w2 = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    delta = draw(st.permutations([0, 1] + draw(st.lists(st.sampled_from([0, 1]),
+                                                        min_size=n - 2, max_size=n - 2))))
+    floats = st.lists(EDGE_FLOATS, min_size=n * (d_w1 + d_w2), max_size=n * (d_w1 + d_w2))
+    w = np.array(draw(floats)).reshape(n, d_w1 + d_w2)
+    w2 = w[:, d_w1:]
+    w2[np.array(delta) == 0] = np.nan
+    a = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        y = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
+        return Dataset(w1=w[:, :d_w1], a=a, y=y, delta=delta, w2=w2, y_kind="binary")
+    y = draw(st.lists(st.one_of(EDGE_FLOATS.filter(lambda v: abs(v) <= 1e300),
+                                st.sampled_from([1e308])), min_size=n, max_size=n))
+    return Dataset(w1=w[:, :d_w1], a=a, y=y, delta=delta, w2=w2,
+                   y_kind="continuous", y_bounds=CONTINUOUS_BOUNDS)
+
+
+class TestWriteCsvMatchesReference:
+    """The columnar write_csv against the former row-by-row writer."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ds=writable_datasets())
+    def test_same_bytes(self, ds, tmp_path_factory):
+        schema = CsvSchema(treatment="a", outcome="y", delta="d",
+                           w1=tuple(f"u{j}" for j in range(ds.d_w1)),
+                           w2=tuple(f"v{j}" for j in range(ds.d_w2)))
+        base = tmp_path_factory.getbasetemp()
+        write_csv(ds, base / "columnar.csv", schema)
+        reference_write_csv(ds, base / "rows.csv", schema)
+        assert (base / "columnar.csv").read_bytes() == (base / "rows.csv").read_bytes()

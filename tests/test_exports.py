@@ -8,6 +8,8 @@ import pytest
 import twophase_ate
 from twophase_ate import estimators
 
+from util import run_python
+
 MODULES = ["twophase_ate"] + [f"twophase_ate.{m.name}"
                               for m in pkgutil.iter_modules(twophase_ate.__path__)]
 
@@ -42,3 +44,29 @@ def test_dispatch_holds_the_module_level_estimators():
     # the tracer patches estimate_<id> by identity, in the module and in _DISPATCH
     for est_id in estimators.ESTIMATOR_IDS:
         assert estimators._DISPATCH[est_id] is getattr(estimators, f"estimate_{est_id}")
+
+
+# the scipy subpackages whose routines the package calls: LAPACK's
+# dpotrf/dpotrs, and expit/ndtr
+SCIPY_SUBPACKAGES = {"linalg", "special"}
+
+_LIST_SCIPY_SUBPACKAGES = """
+import sys
+import twophase_ate, twophase_ate.cli
+for name, module in sorted(sys.modules.items()):
+    parts = name.split(".")
+    if (len(parts) == 2 and parts[0] == "scipy" and not parts[1].startswith("_")
+            and hasattr(module, "__path__")):
+        print(parts[1])
+"""
+
+
+def test_import_loads_only_the_scipy_subpackages_it_calls():
+    # every CLI call is a fresh process, so each subpackage imported at
+    # load time is paid again on every call
+    proc = run_python("-c", _LIST_SCIPY_SUBPACKAGES)
+    assert proc.returncode == 0, proc.stderr
+    extra = sorted(set(proc.stdout.split()) - SCIPY_SUBPACKAGES)
+    assert extra == [], (
+        f"importing twophase_ate.cli loads {', '.join(f'scipy.{m}' for m in extra)}; "
+        "find the importer with: python -X importtime -c 'import twophase_ate.cli'")

@@ -96,6 +96,13 @@ class TestTruths:
         v = true_psi(spec, n_mc=2_000_000)
         assert v == pytest.approx(reference_psi(spec), abs=0.003)
 
+    def test_raking_gap_het_mean_is_pinned(self):
+        # Phi(-1) = erfc(1/sqrt 2)/2; the pin is the value every raking_gap
+        # reference and golden report was computed with
+        assert RAKING_GAP_HET_MEAN == 1.8741177682605028
+        closed = 1.25 - 1.25 * math.erfc(1 / math.sqrt(2)) + 2 * math.sin(1) * math.exp(-0.5)
+        assert abs(RAKING_GAP_HET_MEAN - closed) <= 1e-15
+
     def test_gamma_zero_kills_heterogeneity(self):
         assert reference_psi(DgpSpec("raking_gap", n=1, seed=0, gamma=0.0)) == 0.0
 

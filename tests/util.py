@@ -1,5 +1,5 @@
-"""Shared builders, independent reference estimators and a reference CSV
-loader for the test suite.
+"""Shared builders, independent reference estimators and reference CSV
+loader and writer for the test suite.
 
 The reference implementations here deliberately re-derive the full-data
 estimators from first principles (sharing only the GLM engine) so that the
@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import csv
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +21,18 @@ from twophase_ate.data_model import CsvSchema, DataError, Dataset, default_bound
 from twophase_ate.estimators import _GH_MAX_DIM, _GH_NODES, _GH_WEIGHTS
 from twophase_ate.glm import P_MIN, _cho_solve, _factor_spd, expit, fit_fluctuation, fit_glm, logit
 from twophase_ate.sim import DgpSpec, generate
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(*args: str, cwd=None) -> subprocess.CompletedProcess:
+    """Run `python *args` in a fresh interpreter that imports the package
+    from this source tree, as a user's shell does after an install."""
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 def make_full_dataset(rng: np.random.Generator, n: int = 200, d2: int = 2) -> Dataset:
@@ -178,7 +194,7 @@ def reference_census_influence(ctx, imputation, wts2: np.ndarray, family: str) -
 
 
 # ---------------------------------------------------------------------------
-# row-by-row CSV reference loader
+# row-by-row CSV reference loader and writer
 # ---------------------------------------------------------------------------
 
 
@@ -269,3 +285,25 @@ def reference_load_csv(path, schema: CsvSchema) -> Dataset:
         y_kind=schema.y_kind,
         y_bounds=y_bounds if y_bounds is not None else (0.0, 1.0),
     )
+
+
+def reference_write_csv(ds: Dataset, path, schema: CsvSchema) -> None:
+    """The former row-by-row write_csv, kept as the reference that the
+    columnar writer must match byte for byte."""
+
+    def fmt(x: float) -> str:
+        return format(float(x), ".17g")
+
+    if len(schema.w1) != ds.d_w1 or len(schema.w2) != ds.d_w2:
+        raise DataError("schema dimensions do not match dataset")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(schema.columns)
+        for i in range(ds.n):
+            row = [fmt(v) for v in ds.w1[i]]
+            if ds.delta[i] == 1:
+                row += [fmt(v) for v in ds.w2[i]]
+            else:
+                row += [""] * ds.d_w2
+            row += [str(int(ds.a[i])), fmt(ds.y[i]), str(int(ds.delta[i]))]
+            writer.writerow(row)
