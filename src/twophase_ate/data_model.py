@@ -41,6 +41,16 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _covariates(values, n: int) -> np.ndarray:
+    """A covariate block as an (n, d) float array; a 1-D block is read row
+    by row, so one of length n is a single column."""
+    x = np.asarray(values, dtype=float)
+    try:
+        return x if x.ndim >= 2 else x.reshape(n, -1)
+    except ValueError:
+        raise DataError("column lengths disagree") from None
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable column store of two-phase records.
@@ -59,14 +69,11 @@ class Dataset:
     y_bounds: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        w1 = np.atleast_2d(np.asarray(self.w1, dtype=float))
         a = np.asarray(self.a, dtype=np.int64).ravel()
         y = np.asarray(self.y, dtype=float).ravel()
         delta = np.asarray(self.delta, dtype=np.int64).ravel()
-        w2 = np.asarray(self.w2, dtype=float)
-        if w2.ndim == 1:
-            w2 = w2.reshape(len(a), -1)
         n = len(a)
+        w1, w2 = _covariates(self.w1, n), _covariates(self.w2, n)
         if not (w1.shape[0] == n == len(y) == len(delta) == w2.shape[0]):
             raise DataError("column lengths disagree")
         if n == 0:

@@ -103,8 +103,11 @@ class EstimatorOptions:
     mode: str = "refit"  # "refit" | "linearized" handling of the EIC regression
 
     def __post_init__(self):
-        if self.max_outer_iter < 0:
-            raise ValueError(f"max_outer_iter must be >= 0, got {self.max_outer_iter}")
+        cap = self.max_outer_iter
+        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)):
+            raise ValueError(f"max_outer_iter must be an integer, got {cap!r}")
+        if cap < 0:
+            raise ValueError(f"max_outer_iter must be >= 0, got {cap}")
         if self.mode not in ("refit", "linearized"):
             raise ValueError(f"mode must be refit|linearized, got {self.mode!r}")
 
@@ -461,91 +464,70 @@ _GH_WEIGHTS = np.array([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0])
 _GH_MAX_DIM = 5
 
 
-@dataclass
-class _ImputationModel:
-    """Normal linear model of each phase-2 covariate given phase-1 features."""
-
-    mean: np.ndarray  # (n, d2) fitted conditional means, every record
-    sd: np.ndarray  # (d2,) residual scales
-
-    def grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Quadrature nodes approximating the conditional law of the phase-2
-        covariates: weights (k,) and shifts (k, d2). Each node draws
-        mean + shift, the same shift on every row."""
-        d2 = self.mean.shape[1]
-        if d2 > _GH_MAX_DIM:
-            return np.ones(1), np.zeros((1, d2))
-        combos = np.array(list(itertools.product(range(len(_GH_NODES)), repeat=d2)))
-        return np.prod(_GH_WEIGHTS[combos], axis=1), self.sd * _GH_NODES[combos]
-
-
-def _fit_imputation(ctx: FittedContext) -> _ImputationModel:
+def _imputation(ctx: FittedContext, censored: np.ndarray):
+    """The weight-independent half of the censored rows' influence values:
+    their designs [1, a, w1, w2] at the mean of a normal linear model of each
+    phase-2 covariate given the phase-1 features, and quadrature nodes for
+    that model's law of w2: weights (k,) and shifts (k, d2), each node moving
+    every row by the same shift."""
     ds, p2, design = ctx.scaled, ctx.p2, ctx.design
-    mean = np.zeros((ds.n, ds.d_w2))
+    mean = np.zeros((len(censored), ds.d_w2))
     sd = np.zeros(ds.d_w2)
     dof = max(1, len(p2) - design.x2.shape[1])
     for j in range(ds.d_w2):
-        mean[:, j] = design.fit(ds.w2[p2, j])
-        resid = ds.w2[p2, j] - mean[p2, j]
+        fitted = design.fit(ds.w2[p2, j])
+        mean[:, j] = fitted[censored]
+        resid = ds.w2[p2, j] - fitted[p2]
         sd[j] = float(np.sqrt(resid @ resid / dof))
-    return _ImputationModel(mean=mean, sd=sd)
+    designs = aw_designs(ds, censored, mean)
+    if ds.d_w2 > _GH_MAX_DIM:
+        return designs, np.ones(1), np.zeros((1, ds.d_w2))
+    # with d2 = 0 this is the single empty node: weight 1, no shift
+    combos = np.array(list(itertools.product(range(_GH_NODES.size), repeat=ds.d_w2)), dtype=np.intp)
+    return designs, np.prod(_GH_WEIGHTS[combos], axis=1), sd * _GH_NODES[combos]
 
 
-class _CensusModel:
-    """Weighted main-term working model of y on (a, w1, w2) with its
-    influence-value machinery.
+def _working_model(ctx: FittedContext, designs2, censored: np.ndarray, imputed,
+                   wts2: np.ndarray, family: str):
+    """Weighted main-term working model of y on (a, w1, w2): its fit, its
+    weighted treatment contrast and its uncentered influence values.
 
     Influence values are exact on phase-2 rows; on censored rows they are
-    conditional expectations under the normal linear imputation model,
+    conditional expectations under the imputation model of `_imputation`,
     computed by Gauss-Hermite quadrature (the deterministic counterpart of
     averaging over imputation draws)."""
+    ds, p2 = ctx.scaled, ctx.p2
+    Xp, Xp1, Xp0 = designs2
+    fit = fit_glm(Xp, ctx.y2, w=wts2, family=family)
+    q_a2, q12, q02 = (fit.predict(Z) for Z in (Xp, Xp1, Xp0))
+    if family == "bernoulli":
+        j_a, j1, j0 = q_a2 * (1 - q_a2), q12 * (1 - q12), q02 * (1 - q02)
+    else:
+        j_a = j1 = j0 = np.ones(len(p2))
+    wn = wts2 / wts2.sum()
+    info = (Xp * (wn * j_a)[:, None]).T @ Xp
+    grad = (j1[:, None] * Xp1 - j0[:, None] * Xp0).T @ wn
+    # a phase-2 covariate constant at zero leaves info singular; the
+    # ridge retry then gives that column alpha = 0
+    alpha = _cho_solve(_factor_spd(info)[0], grad)
 
-    def __init__(self, ctx: FittedContext, imputation: _ImputationModel | None,
-                 wts2: np.ndarray, family: str):
-        ds, p2 = ctx.scaled, ctx.p2
-        Xp, Xp1, Xp0 = aw_designs(ds, p2)
-        self.fit = fit_glm(Xp, ctx.y2, w=wts2, family=family)
-        q_a2, q12, q02 = (self.fit.predict(Z) for Z in (Xp, Xp1, Xp0))
-        if family == "bernoulli":
-            j_a, j1, j0 = q_a2 * (1 - q_a2), q12 * (1 - q12), q02 * (1 - q02)
-        else:
-            j_a = j1 = j0 = np.ones(len(p2))
-        wn = wts2 / wts2.sum()
-        info = (Xp * (wn * j_a)[:, None]).T @ Xp
-        grad = (j1[:, None] * Xp1 - j0[:, None] * Xp0).T @ wn
-        # a phase-2 covariate constant at zero leaves info singular; the
-        # ridge retry then gives that column alpha = 0
-        factor, _ = _factor_spd(info)
-        alpha = _cho_solve(factor, grad)
-        self.psi_plugin = float(wn @ (q12 - q02))
-
-        u = np.empty(ds.n)
-        u[p2] = (Xp @ alpha) * (ctx.y2 - q_a2) + (q12 - q02)
-        censored = np.flatnonzero(ds.delta == 0)
-        if len(censored):
-            # a node moves w2 by one shift on every censored row, so it moves
-            # each linear predictor by one scalar: build the design once, at
-            # the imputation mean, and evaluate every node as one row of a
-            # (nodes x censored) block
-            beta = self.fit.coefficients
-            w2 = slice(2 + ds.d_w1, None)
-            if imputation is None:  # no phase-2 covariates: nothing to impute
-                X, X1, X0 = aw_designs(ds, censored)
-                weights, shifts = np.ones(1), np.zeros((1, ds.d_w2))
-            else:
-                X, X1, X0 = aw_designs(ds, censored, imputation.mean[censored])
-                weights, shifts = imputation.grid()
-            # one dot product per node, as a column: a single matrix-vector
-            # product would round differently
-            sb = np.array([[shift @ beta[w2]] for shift in shifts])
-            sa = np.array([[shift @ alpha[w2]] for shift in shifts])
-            q_a, q1, q0 = (self.fit.mean(Z @ beta + sb) for Z in (X, X1, X0))
-            terms = weights[:, None] * ((X @ alpha + sa) * (ds.y[censored] - q_a) + (q1 - q0))
-            u[censored] = np.add.reduce(terms, axis=0)  # node by node, in node order
-        self.u_uncentered = u
-
-    def influence(self, psi: float) -> np.ndarray:
-        return self.u_uncentered - psi
+    u = np.empty(ds.n)
+    u[p2] = (Xp @ alpha) * (ctx.y2 - q_a2) + (q12 - q02)
+    # a node moves w2 by one shift on every censored row, so it moves each
+    # linear predictor by one scalar: the designs are built once, at the
+    # imputation mean, and every node is evaluated as one row of a
+    # (nodes x censored) block
+    (X, X1, X0), weights, shifts = imputed
+    beta = fit.coefficients
+    w2 = slice(2 + ds.d_w1, None)
+    # one dot product per node, as a column: a single matrix-vector
+    # product would round differently
+    sb = np.array([[shift @ beta[w2]] for shift in shifts])
+    sa = np.array([[shift @ alpha[w2]] for shift in shifts])
+    q_a, q1, q0 = (fit.mean(Z @ beta + sb) for Z in (X, X1, X0))
+    terms = weights[:, None] * ((X @ alpha + sa) * (ds.y[censored] - q_a) + (q1 - q0))
+    u[censored] = np.add.reduce(terms, axis=0)  # node by node, in node order
+    return fit, float(wn @ (q12 - q02)), u
 
 
 def estimate_raking(ctx: FittedContext,
@@ -563,22 +545,19 @@ def estimate_raking(ctx: FittedContext,
     """
     ds = ctx.scaled
     family = "bernoulli" if ds.y_kind == "binary" else "gaussian"
-    has_censored = len(ctx.p2) < ds.n and ds.d_w2 > 0
-    imputation = _fit_imputation(ctx) if has_censored else None
+    censored = np.flatnonzero(ds.delta == 0)
+    designs2 = aw_designs(ds, ctx.p2)
+    imputed = _imputation(ctx, censored)
 
-    prelim = _CensusModel(ctx, imputation, ctx.wts0, family)
-    h = prelim.influence(prelim.psi_plugin)
+    _, psi_prelim, u = _working_model(ctx, designs2, censored, imputed, ctx.wts0, family)
+    h = u - psi_prelim
     rake = rake_weights(h, ctx.pi0, ctx.delta)
     wts1 = 1.0 / rake.pi_star[ctx.p2]
 
-    final = _CensusModel(ctx, imputation, wts1, family)
-    psi = final.psi_plugin
-    infl = final.influence(psi)
-    converged = rake.converged and final.fit.converged
+    fit, psi, u = _working_model(ctx, designs2, censored, imputed, wts1, family)
     return _result(
-        "raking", psi, infl, ctx.n, rake.n_iter, converged,
-        details={"rake": rake, "pi_star": rake.pi_star, "psi_prelim": prelim.psi_plugin,
-                 "calibration_values": h, "working_fit": final.fit},
+        "raking", psi, u - psi, ctx.n, rake.n_iter, rake.converged and fit.converged,
+        details={"rake": rake, "calibration_values": h, "working_fit": fit},
     )
 
 

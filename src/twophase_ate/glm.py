@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.special import expit as _expit
+from scipy.special import expit
 
 from .roots import bisect, newton
 
@@ -46,10 +46,6 @@ FLUCT_BRACKET = 20.0
 
 class GlmError(RuntimeError):
     """A regression could not be fit (degenerate design or response)."""
-
-
-def expit(x):
-    return _expit(x)
 
 
 def logit(p, eps: float = LOGIT_CLIP):

@@ -328,6 +328,8 @@ class StudySpec:
     parallelism: int = 1
 
     def __post_init__(self):
+        if self.n_runs < 1:  # a study of no runs reports only NaNs
+            raise ValueError(f"n_runs must be >= 1, got {self.n_runs}")
         check_truncation(self.trunc_pi, self.trunc_g)
         labels = [e.label for e in self.estimators]
         for label in labels:

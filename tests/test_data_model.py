@@ -54,6 +54,21 @@ class TestDatasetValidation:
         assert ds.n == 4 and ds.n_phase2 == 2
         assert list(ds.phase2) == [0, 2]
 
+    def test_one_dimensional_covariates_are_one_column(self):
+        # a 1-D w1 of length n was read as one row of n columns and rejected
+        w1, w2 = np.array([0.1, 0.2, 0.3, 0.4]), np.array([1.0, np.nan, 3.0, np.nan])
+        ds = Dataset(w1=w1, a=[0, 1, 0, 1], y=[0.0, 1.0, 1.0, 0.0], delta=[1, 0, 1, 0], w2=w2)
+        ref = toy_dataset()
+        assert ds.w1.shape == ds.w2.shape == (4, 1)
+        np.testing.assert_array_equal(ds.w1, ref.w1)
+        np.testing.assert_array_equal(ds.w2, ref.w2)
+
+    @pytest.mark.parametrize("column", ["w1", "w2"])
+    def test_one_dimensional_covariate_of_wrong_length_rejected(self, column):
+        cols = {"w1": np.zeros((2, 1)), "w2": np.ones((2, 1)), column: np.zeros(3)}
+        with pytest.raises(DataError, match="column lengths disagree"):
+            Dataset(a=[0, 1], y=[0.0, 1.0], delta=[1, 1], **cols)
+
     def test_w2_on_censored_row_rejected(self):
         with pytest.raises(DataError, match="delta=0"):
             Dataset(w1=np.zeros((2, 1)), a=[0, 1], y=[0.0, 1.0], delta=[1, 0],

@@ -19,7 +19,7 @@ from twophase_ate.estimators import (
     run_roster,
 )
 from twophase_ate.glm import _cho_solve, _factor_spd, expit
-from twophase_ate.nuisance import NuisanceConfig, fit_mbar, fit_nuisances
+from twophase_ate.nuisance import NuisanceConfig, aw_designs, fit_mbar, fit_nuisances
 from twophase_ate.sim import DgpSpec, generate, reference_psi
 
 from util import (
@@ -31,6 +31,7 @@ from util import (
     make_full_dataset,
     make_twophase_dataset,
     reference_census_influence,
+    reference_imputation,
     zero_covariate_cohort,
 )
 
@@ -350,16 +351,34 @@ class TestCensusQuadrature:
     def test_offset_form_matches_full_design(self, y_kind, d2):
         ctx = fit_context(_census_dataset(np.random.default_rng(10 + d2), y_kind, d2))
         family = "bernoulli" if y_kind == "binary" else "gaussian"
-        imputation = estimators._fit_imputation(ctx) if d2 else None
+        censored = np.flatnonzero(ctx.scaled.delta == 0)
+        designs2 = aw_designs(ctx.scaled, ctx.p2)
+        imputed = estimators._imputation(ctx, censored)
+        imputation = reference_imputation(ctx) if d2 else None
         tilt = np.random.default_rng(3).uniform(0.5, 2.0, size=len(ctx.p2))
         for wts2 in (ctx.wts0, ctx.wts0 * tilt):
-            model = estimators._CensusModel(ctx, imputation, wts2, family)
+            _, _, u = estimators._working_model(ctx, designs2, censored, imputed, wts2, family)
             ref = reference_census_influence(ctx, imputation, wts2, family)
-            censored = ctx.scaled.delta == 0
-            assert censored.sum() > 50
-            np.testing.assert_array_equal(model.u_uncentered[~censored], ref[~censored])
-            err = np.max(np.abs(model.u_uncentered - ref))
+            censored_rows = ctx.scaled.delta == 0
+            assert censored_rows.sum() > 50
+            np.testing.assert_array_equal(u[~censored_rows], ref[~censored_rows])
+            err = np.max(np.abs(u - ref))
             assert err <= 1e-12 * np.max(np.abs(ref))
+
+    def test_designs_built_once_per_row_set(self, monkeypatch):
+        # the phase-2 and censored designs do not depend on the weights, so
+        # the preliminary and the final working model share them
+        ctx = fit_context(_census_dataset(np.random.default_rng(12), "binary", 2))
+        calls = []
+
+        def counting(ds, rows, w2=None):
+            calls.append(rows)
+            return aw_designs(ds, rows, w2)
+
+        monkeypatch.setattr(estimators, "aw_designs", counting)
+        estimators.estimate_raking(ctx)
+        censored = np.flatnonzero(ctx.scaled.delta == 0)
+        assert sorted(tuple(rows) for rows in calls) == sorted([tuple(ctx.p2), tuple(censored)])
 
     @pytest.mark.parametrize("y_kind", ["binary", "continuous"])
     def test_cholesky_alpha_matches_lu_solve(self, y_kind):
@@ -385,6 +404,16 @@ class TestResultContract:
         # a negative cap used to skip the outer loop and crash on an unbound state
         with pytest.raises(ValueError, match="max_outer_iter"):
             EstimatorOptions(max_outer_iter=-3)
+
+    @pytest.mark.parametrize("cap", [2.5, 2.0, "3", None, False])
+    def test_non_integer_max_outer_iter_rejected(self, cap):
+        # a float cap was accepted, and the bare TypeError it raised from
+        # range() escaped run_roster and ended a whole study
+        with pytest.raises(ValueError, match="max_outer_iter must be an integer"):
+            EstimatorOptions(max_outer_iter=cap)
+
+    def test_numpy_integer_max_outer_iter_accepted(self):
+        assert EstimatorOptions(max_outer_iter=np.int64(4)).max_outer_iter == 4
 
     @pytest.mark.parametrize("mode", ["linearised", "", "Linearized"])
     def test_unknown_mode_rejected(self, mode):

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,23 +22,41 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
-def _bench_tracing():
-    """bench/tracing.py, loaded from its file without touching sys.modules."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+def _bench_module(name: str, monkeypatch):
+    """bench/<name>.py, loaded from its file; its sys.modules entry, which
+    its dataclasses need while they are built, is removed after the test."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
 
 
-def test_every_traced_function_resolves():
+def _unresolved(names) -> list[str]:
+    """The "module.function" names that are not a callable of the package."""
+    missing = []
+    for name in names:
+        module, attr = name.split(".")
+        if not callable(getattr(importlib.import_module(f"twophase_ate.{module}"), attr, None)):
+            missing.append(name)
+    return missing
+
+
+def test_every_traced_function_resolves(monkeypatch):
     # the tracer looks each name up when it installs: a renamed function
     # would crash a traced benchmark run
-    tracing = _bench_tracing()
-    missing = [f"{module}.{attr}" for module, attr in tracing.TRACED
-               if not callable(getattr(importlib.import_module(f"twophase_ate.{module}"),
-                                       attr, None))]
-    assert missing == []
+    tracing = _bench_module("tracing", monkeypatch)
+    assert _unresolved(f"{module}.{attr}" for module, attr in tracing.TRACED) == []
+
+
+def test_every_required_span_resolves(monkeypatch):
+    # a traced run fails its correctness gate when a required span never
+    # fires, so a renamed function must fail here and not only in the
+    # benchmark's self-test
+    run = _bench_module("run", monkeypatch)
+    required = {name for wl in run.WORKLOADS.values() for name in wl.required_spans}
+    assert required and _unresolved(sorted(required)) == []
 
 
 def test_dispatch_holds_the_module_level_estimators():

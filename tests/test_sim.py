@@ -382,6 +382,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="max_outer_iter"):
             StudyEstimator("ipcw_tmle_target_pi", max_outer_iter=-3)
 
+    @pytest.mark.parametrize("n_runs", [0, -1])
+    def test_study_without_runs_rejected(self, n_runs):
+        # n_runs = 0 once gave an all-NaN report and a sidecar with seeds [5, 4]
+        with pytest.raises(ValueError, match="n_runs must be >= 1"):
+            StudySpec(dgp=DgpSpec("missing_rate", n=100, seed=0),
+                      estimators=(StudyEstimator("aipcw"),), n_runs=n_runs, base_seed=5)
+
     @pytest.mark.parametrize("estimator_id, options", [
         ("aipcw", {"mode": "linearized"}),
         ("raking", {"mode": "linearized"}),

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -158,11 +159,23 @@ def census_information(ctx, wts2: np.ndarray, family: str):
     return fit, info, grad
 
 
+def reference_imputation(ctx) -> SimpleNamespace:
+    """The normal linear imputation model of raking: per phase-2 covariate,
+    its regression on the phase-1 features predicted on every record
+    (`mean`, (n, d2)) and its residual scale (`sd`, (d2,))."""
+    ds, p2, design = ctx.scaled, ctx.p2, ctx.design
+    dof = max(1, len(p2) - design.x2.shape[1])
+    mean = np.column_stack([design.fit(ds.w2[p2, j]) for j in range(ds.d_w2)])
+    resid = ds.w2[p2] - mean[p2]
+    sd = np.array([np.sqrt(resid[:, j] @ resid[:, j] / dof) for j in range(ds.d_w2)])
+    return SimpleNamespace(mean=mean, sd=sd)
+
+
 def reference_census_influence(ctx, imputation, wts2: np.ndarray, family: str) -> np.ndarray:
-    """The former `_CensusModel` quadrature, kept as the reference that the
-    offset form must match: uncentered working-model influence values, with
-    the design [1, a, w1, w2] rebuilt and predicted at every Gauss-Hermite
-    node on the censored rows."""
+    """The former full-design quadrature of the raking working model, kept
+    as the reference that the offset form must match: uncentered influence
+    values, with the design [1, a, w1, w2] rebuilt and predicted at every
+    Gauss-Hermite node on the censored rows."""
     ds, p2 = ctx.scaled, ctx.p2
 
     def pieces(rows, X, X1, X0, alpha):
