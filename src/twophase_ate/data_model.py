@@ -35,6 +35,18 @@ class DataError(ValueError):
     """A dataset or CSV file violates the two-phase data contract."""
 
 
+def _as_integer(name: str, value, lo: int, hi: int | None = None) -> int:
+    """value as a Python int, which neither wraps in arithmetic nor fails to
+    serialize; raises ValueError naming the field unless value is an integer
+    (a Python or numpy integer, not a bool) in [lo, hi]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return int(value)
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     out.setflags(write=False)
@@ -69,9 +81,11 @@ class Dataset:
     y_bounds: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=np.int64).ravel()
+        # a and delta are checked as given and cast only once they are 0/1,
+        # so a cast cannot truncate 0.5 to 0 or warn on a NaN
+        a = np.asarray(self.a).ravel()
         y = np.asarray(self.y, dtype=float).ravel()
-        delta = np.asarray(self.delta, dtype=np.int64).ravel()
+        delta = np.asarray(self.delta).ravel()
         n = len(a)
         w1, w2 = _covariates(self.w1, n), _covariates(self.w2, n)
         if not (w1.shape[0] == n == len(y) == len(delta) == w2.shape[0]):
@@ -107,9 +121,9 @@ class Dataset:
         else:
             raise DataError(f"unknown y_kind {self.y_kind!r}")
         object.__setattr__(self, "w1", _frozen(w1))
-        object.__setattr__(self, "a", _frozen(a))
+        object.__setattr__(self, "a", _frozen(a.astype(np.int64, copy=False)))
         object.__setattr__(self, "y", _frozen(y))
-        object.__setattr__(self, "delta", _frozen(delta))
+        object.__setattr__(self, "delta", _frozen(delta.astype(np.int64, copy=False)))
         object.__setattr__(self, "w2", _frozen(w2))
         object.__setattr__(self, "y_bounds", (float(self.y_bounds[0]), float(self.y_bounds[1])))
 

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data_model import Dataset, OutcomeScale, scale_outcome
+from .data_model import Dataset, OutcomeScale, _as_integer, scale_outcome
 from .eic import (
     clever_covariate,
     eic_components,
@@ -70,26 +70,6 @@ __all__ = [
     "OPTIONS_READ",
 ]
 
-ESTIMATOR_IDS = (
-    "aipcw",
-    "ipcw_tmle",
-    "ipcw_tmle_target_pi",
-    "ipcw_tmle_rake_pi",
-    "raking",
-    "eee",
-    "quasi_tmle",
-    "tmle_alt",
-)
-
-# Estimators whose construction drives the empirical mean of the full
-# observed-data EIC to (near) zero. Plain ipcw_tmle does not target the
-# sampling mechanism and raking targets the census parameter, so neither
-# carries the |P_n D| <= s_n guarantee.
-FULL_EIC_SOLVERS = frozenset(
-    {"aipcw", "ipcw_tmle_target_pi", "ipcw_tmle_rake_pi", "eee", "quasi_tmle", "tmle_alt"}
-)
-
-
 ROOT_TOL = 1e-10  # quasi_tmle's plug-in root solve
 
 
@@ -103,11 +83,8 @@ class EstimatorOptions:
     mode: str = "refit"  # "refit" | "linearized" handling of the EIC regression
 
     def __post_init__(self):
-        cap = self.max_outer_iter
-        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)):
-            raise ValueError(f"max_outer_iter must be an integer, got {cap!r}")
-        if cap < 0:
-            raise ValueError(f"max_outer_iter must be >= 0, got {cap}")
+        object.__setattr__(self, "max_outer_iter",
+                           _as_integer("max_outer_iter", self.max_outer_iter, 0))
         if self.mode not in ("refit", "linearized"):
             raise ValueError(f"mode must be refit|linearized, got {self.mode!r}")
 
@@ -312,8 +289,7 @@ def estimate_aipcw(ctx: FittedContext,
         - np.sum(mbar * (ctx.delta - pi) / pi) / ctx.n
     )
     d = observed_eic(dbar2, mbar, pi, psi, ctx.p2, ctx.delta)
-    return _result("aipcw", psi, d, ctx.n, 0, True,
-                   details={"mbar": mbar, "dbar2": dbar2})
+    return _result("aipcw", psi, d, ctx.n, 0, True)
 
 
 def estimate_eee(ctx: FittedContext,
@@ -326,8 +302,7 @@ def estimate_eee(ctx: FittedContext,
     mbar_star = mbar + zeta
     psi = float(np.mean(mbar_star))
     d = observed_eic(dbar2, mbar_star, ctx.pi0, psi, ctx.p2, ctx.delta)
-    return _result("eee", psi, d, ctx.n, 0, True,
-                   details={"zeta": zeta, "mbar_star": mbar_star, "dbar2": dbar2})
+    return _result("eee", psi, d, ctx.n, 0, True, details={"zeta": zeta})
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +334,6 @@ class _LoopState:
     psi: float
     d: np.ndarray
     pnd: float
-    q1: np.ndarray
-    q0: np.ndarray
     pi: np.ndarray
 
 
@@ -371,8 +344,10 @@ def _iterative_ipcw_tmle(ctx, options, use_raking: bool, estimator_id: str) -> E
     The sampling mechanism is updated either by a logistic fluctuation with
     the conditional-EIC clever covariate, or (use_raking) by calibrating the
     inverse-probability weights so the same score equation holds exactly.
-    options.mode == "linearized" reuses two regressions (level and slope of
-    the fluctuated full-data EIC) per outer iteration instead of refitting.
+    options.mode == "linearized" updates the sampling mechanism along the
+    level regression plus epsilon times a slope regression, both fitted at
+    the current outcome fit, instead of regressing the fluctuated full-data
+    EIC; it still refits the level regression once per pass, for the next.
     """
     pi = ctx.pi0.copy()
     q_a, q1, q0 = ctx.q_a0.copy(), ctx.q10.copy(), ctx.q00.copy()
@@ -387,12 +362,10 @@ def _iterative_ipcw_tmle(ctx, options, use_raking: bool, estimator_id: str) -> E
 
     for k in range(options.max_outer_iter + 1):
         psi = ctx.hajek_plugin(q1, q0, pi)
-        if linearized:
-            m_slope = ctx.mbar_all(linearized_slope_values(ctx.a2, ctx.g1, q_a, q1, q0))
         d = observed_eic(dbar2, m_level, pi, psi, ctx.p2, ctx.delta)
         pnd = float(abs(np.mean(d)))
         s_n = _threshold(d, ctx.n)
-        state = _LoopState(psi=psi, d=d, pnd=pnd, q1=q1, q0=q0, pi=pi)
+        state = _LoopState(psi=psi, d=d, pnd=pnd, pi=pi)
         # the first targeting pass is mandatory: the threshold governs
         # iteration, not whether to target at all
         if k > 0 and (best is None or pnd < best.pnd):
@@ -402,6 +375,8 @@ def _iterative_ipcw_tmle(ctx, options, use_raking: bool, estimator_id: str) -> E
             break
         if k == options.max_outer_iter:
             break
+        if linearized:  # the slope at the current fit; the last pass needs none
+            m_slope = ctx.mbar_all(linearized_slope_values(ctx.a2, ctx.g1, q_a, q1, q0))
 
         # outcome targeting at the current weights
         q_a, q1, q0, fit = ctx.fluctuate_q(q_a, q1, q0, pi)
@@ -429,12 +404,7 @@ def _iterative_ipcw_tmle(ctx, options, use_raking: bool, estimator_id: str) -> E
         m_level = ctx.mbar_all(dbar2) if linearized else m_new
 
     final = state if converged else (best if best is not None else state)
-    details = {
-        "epsilons": epsilons,
-        "pi_final": final.pi,
-        "q1": final.q1,
-        "q0": final.q0,
-    }
+    details = {"epsilons": epsilons, "pi_final": final.pi}
     if rake_last is not None:
         details["rake"] = rake_last
     return _result(estimator_id, final.psi, final.d, ctx.n, n_outer, converged, details)
@@ -602,7 +572,7 @@ def estimate_quasi_tmle(ctx: FittedContext,
         psi_plug = ctx.hajek_plugin(q1, q0, ctx.pi0)
         gamma = (psi_plug - float(np.mean(m_all))) / pn_dpi
         score = float(ctx.wts0 @ (dbar2 - m_all[ctx.p2]) / ctx.n) - gamma * pn_dpi2
-        return score, (q1, q0, dbar2, m_all, psi_plug, gamma)
+        return score, (dbar2, m_all, psi_plug, gamma)
 
     def score_fn(eps: float) -> float:
         return model_at(eps)[0]
@@ -617,15 +587,14 @@ def estimate_quasi_tmle(ctx: FittedContext,
             raise EstimatorError("plug-in fluctuation solve failed: no root in [-10, 10]")
 
     eps = float(res.x)
-    score, (q1, q0, dbar2, m_all, psi_plug, gamma) = model_at(eps)
+    score, (dbar2, m_all, psi_plug, gamma) = model_at(eps)
     psi = psi_plug  # plug-in identity: P_n targeted regression equals this
     mbar_star = m_all.copy()
     mbar_star[ctx.p2] += gamma * ctx.wts0
     d = observed_eic(dbar2, mbar_star, ctx.pi0, psi, ctx.p2, ctx.delta)
     return _result(
         "quasi_tmle", psi, d, ctx.n, n_evals, True,
-        details={"epsilon": eps, "gamma": gamma, "q1": q1, "q0": q0,
-                 "psi_plug": psi_plug, "mbar_star": mbar_star},
+        details={"epsilon": eps, "gamma": gamma, "psi_plug": psi_plug},
     )
 
 
@@ -704,8 +673,7 @@ def estimate_tmle_alt(ctx: FittedContext,
     psi, d, m_star = final
     return _result(
         "tmle_alt", psi, d, ctx.n, n_outer, converged,
-        details={"pi_final": pi, "q1": q1, "q0": q0,
-                 "m1_star": m_star[1], "m0_star": m_star[0]},
+        details={"m1_star": m_star[1], "m0_star": m_star[0]},
     )
 
 
@@ -713,28 +681,29 @@ def estimate_tmle_alt(ctx: FittedContext,
 # front door
 # ---------------------------------------------------------------------------
 
-_DISPATCH: dict[str, Callable] = {
-    "aipcw": estimate_aipcw,
-    "ipcw_tmle": estimate_ipcw_tmle,
-    "ipcw_tmle_target_pi": estimate_ipcw_tmle_target_pi,
-    "ipcw_tmle_rake_pi": estimate_ipcw_tmle_rake_pi,
-    "raking": estimate_raking,
-    "eee": estimate_eee,
-    "quasi_tmle": estimate_quasi_tmle,
-    "tmle_alt": estimate_tmle_alt,
+_ALL_OPTIONS = frozenset({"mode", "max_outer_iter"})  # every EstimatorOptions field
+
+# One row per estimator, in the order of the default roster: its function,
+# the EstimatorOptions fields it reads (the others ignore them), and whether
+# its construction drives the empirical mean of the full observed-data EIC
+# to (near) zero. Plain ipcw_tmle does not target the sampling mechanism and
+# raking targets the census parameter, so neither carries the
+# |P_n D| <= s_n guarantee.
+_ESTIMATORS: dict[str, tuple[Callable, frozenset[str], bool]] = {
+    "aipcw": (estimate_aipcw, frozenset(), True),
+    "ipcw_tmle": (estimate_ipcw_tmle, frozenset(), False),
+    "ipcw_tmle_target_pi": (estimate_ipcw_tmle_target_pi, _ALL_OPTIONS, True),
+    "ipcw_tmle_rake_pi": (estimate_ipcw_tmle_rake_pi, _ALL_OPTIONS, True),
+    "raking": (estimate_raking, frozenset(), False),
+    "eee": (estimate_eee, frozenset(), True),
+    "quasi_tmle": (estimate_quasi_tmle, frozenset({"mode"}), True),
+    "tmle_alt": (estimate_tmle_alt, frozenset({"max_outer_iter"}), True),
 }
 
-# the EstimatorOptions fields each estimator reads; the others ignore them
-OPTIONS_READ: dict[str, frozenset[str]] = {
-    "aipcw": frozenset(),
-    "ipcw_tmle": frozenset(),
-    "ipcw_tmle_target_pi": frozenset({"mode", "max_outer_iter"}),
-    "ipcw_tmle_rake_pi": frozenset({"mode", "max_outer_iter"}),
-    "raking": frozenset(),
-    "eee": frozenset(),
-    "quasi_tmle": frozenset({"mode"}),
-    "tmle_alt": frozenset({"max_outer_iter"}),
-}
+ESTIMATOR_IDS = tuple(_ESTIMATORS)
+_DISPATCH: dict[str, Callable] = {e: fn for e, (fn, _, _) in _ESTIMATORS.items()}
+OPTIONS_READ: dict[str, frozenset[str]] = {e: read for e, (_, read, _) in _ESTIMATORS.items()}
+FULL_EIC_SOLVERS = frozenset(e for e, (_, _, full) in _ESTIMATORS.items() if full)
 
 
 def _unscale(res: EstimateResult, scale: OutcomeScale) -> EstimateResult:

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import expit, ndtr
 
-from .data_model import DataError, Dataset, default_bounds
+from .data_model import DataError, Dataset, _as_integer, default_bounds
 from .estimators import ESTIMATOR_IDS, OPTIONS_READ, EstimateResult, EstimatorOptions, run_roster
 from .glm import fit_glm
 from .nuisance import TRUNC_G_DEFAULT, TRUNC_PI_DEFAULT, NuisanceConfig, check_truncation
@@ -61,6 +61,8 @@ __all__ = [
 
 DGP_IDS = ("kang_dr", "missing_rate", "raking_gap", "near_positivity")
 
+_SEED_MAX = 2**64 - 1  # a seed keys a Philox stream as one uint64
+
 # the raking_gap heterogeneity term lies in [-4.5, 4.5] (2.5 from the W2
 # steps, 2 from the sine). A study squares outcome-scale quantities (the
 # empirical SE, the MSE, reported x1e3), so |gamma| is capped where
@@ -82,8 +84,8 @@ class DgpSpec:
     def __post_init__(self):
         if self.dgp_id not in DGP_IDS:
             raise ValueError(f"unknown dgp_id {self.dgp_id!r}; known: {DGP_IDS}")
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        object.__setattr__(self, "n", _as_integer("n", self.n, 1))
+        object.__setattr__(self, "seed", _as_integer("seed", self.seed, 0, _SEED_MAX))
         # a non-finite parameter would make every draw unusable
         for name in ("missing_intercept", "gamma"):
             if not math.isfinite(getattr(self, name)):
@@ -301,6 +303,7 @@ class StudyEstimator:
             if (getattr(options, field) != getattr(default, field)
                     and field not in OPTIONS_READ[self.estimator_id]):
                 raise ValueError(f"{self.estimator_id} has no {field!r} option")
+        object.__setattr__(self, "max_outer_iter", options.max_outer_iter)  # as a Python int
         if not self.label:
             label = self.estimator_id
             if self.mode != "refit":
@@ -328,8 +331,14 @@ class StudySpec:
     parallelism: int = 1
 
     def __post_init__(self):
-        if self.n_runs < 1:  # a study of no runs reports only NaNs
-            raise ValueError(f"n_runs must be >= 1, got {self.n_runs}")
+        n_runs = _as_integer("n_runs", self.n_runs, 1)  # no runs would report only NaNs
+        object.__setattr__(self, "n_runs", n_runs)
+        # run r draws with seed base_seed + r
+        object.__setattr__(self, "base_seed",
+                           _as_integer("base_seed", self.base_seed, 0, _SEED_MAX - (n_runs - 1)))
+        object.__setattr__(self, "parallelism", _as_integer("parallelism", self.parallelism, 1))
+        if self.reference not in ("truth", "census"):
+            raise ValueError(f"reference must be truth|census, got {self.reference!r}")
         check_truncation(self.trunc_pi, self.trunc_g)
         labels = [e.label for e in self.estimators]
         for label in labels:

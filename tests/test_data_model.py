@@ -47,6 +47,24 @@ class TestObservedRecord:
         with pytest.raises(DataError, match="treatment"):
             self.with_record(a=2, delta=0, w2=np.nan)
 
+    @pytest.mark.parametrize("a", [0.5, 0.999, -0.5, np.nan])
+    def test_fractional_treatment_rejected(self, a):
+        # the column was cast to integers before its check, which stored 0.5 as 0
+        with pytest.raises(DataError, match="treatment"):
+            self.with_record(a=a, delta=0, w2=np.nan)
+
+    @pytest.mark.parametrize("delta", [0.9, 0.1, np.nan])
+    def test_fractional_phase2_indicator_rejected(self, delta):
+        # 0.9 was stored as 0, and a NaN raised the cast's RuntimeWarning first
+        with pytest.raises(DataError, match="phase-2 indicator"):
+            self.with_record(a=1, delta=delta, w2=np.nan)
+
+    def test_float_and_bool_columns_stored_as_integers(self):
+        ds = Dataset(w1=np.zeros((2, 1)), a=np.array([False, True]), y=[0.0, 1.0],
+                     delta=np.array([1.0, 0.0]), w2=np.array([[1.0], [np.nan]]))
+        assert ds.a.dtype == ds.delta.dtype == np.int64
+        assert list(ds.a) == [0, 1] and list(ds.delta) == [1, 0]
+
 
 class TestDatasetValidation:
     def test_valid(self):

@@ -254,6 +254,27 @@ class TestFixedPoints:
             for before, after in zip(fitted, fitted[1:]):
                 assert not np.array_equal(before, after)
 
+    @pytest.mark.parametrize("est", ["ipcw_tmle_target_pi", "ipcw_tmle_rake_pi"])
+    def test_linearized_fits_no_unused_slope(self, monkeypatch, est):
+        # linearized mode fits the level regression once up front, then a
+        # slope and the next level per Q fluctuation; the final pass, which
+        # only checks convergence, used to fit a slope it never read
+        calls = []
+
+        def spy(ds, values2, **kw):
+            calls.append(1)
+            return fit_mbar(ds, values2, **kw)
+
+        monkeypatch.setattr(estimators, "fit_mbar", spy)
+        linearized = EstimatorOptions(mode="linearized")
+        for seed in range(3):
+            ds, _ = generate(DgpSpec("missing_rate", n=1000, seed=seed))
+            ctx = fit_context(ds)
+            calls.clear()
+            r = run_estimator(ds, est, ctx, linearized)
+            assert r.n_outer_iterations >= 1
+            assert len(calls) == 1 + 2 * r.n_outer_iterations
+
 
 class TestPlugInProperty:
     def test_ipcw_tmle_solves_weighted_fulldata_score(self):
@@ -420,6 +441,24 @@ class TestResultContract:
         # a misspelt mode used to run refit silently
         with pytest.raises(ValueError, match="refit|linearized"):
             EstimatorOptions(mode=mode)
+
+    def test_estimator_table_is_pinned(self):
+        # the order is the default roster, and so the row order of
+        # estimates.csv and report.csv when no estimators are listed
+        assert ESTIMATOR_IDS == ("aipcw", "ipcw_tmle", "ipcw_tmle_target_pi",
+                                 "ipcw_tmle_rake_pi", "raking", "eee", "quasi_tmle",
+                                 "tmle_alt")
+        loop = frozenset({"mode", "max_outer_iter"})
+        assert estimators.OPTIONS_READ == {
+            "aipcw": frozenset(), "ipcw_tmle": frozenset(),
+            "ipcw_tmle_target_pi": loop, "ipcw_tmle_rake_pi": loop,
+            "raking": frozenset(), "eee": frozenset(),
+            "quasi_tmle": frozenset({"mode"}), "tmle_alt": frozenset({"max_outer_iter"}),
+        }
+        assert FULL_EIC_SOLVERS == frozenset({"aipcw", "ipcw_tmle_target_pi",
+                                              "ipcw_tmle_rake_pi", "eee", "quasi_tmle",
+                                              "tmle_alt"})
+        assert list(estimators._DISPATCH) == list(ESTIMATOR_IDS)
 
     def test_options_table_names_every_estimator(self):
         assert set(estimators.OPTIONS_READ) == set(ESTIMATOR_IDS)

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -63,6 +64,21 @@ def test_dispatch_holds_the_module_level_estimators():
     # the tracer patches estimate_<id> by identity, in the module and in _DISPATCH
     for est_id in estimators.ESTIMATOR_IDS:
         assert estimators._DISPATCH[est_id] is getattr(estimators, f"estimate_{est_id}")
+
+
+def _readme_estimator_ids() -> list[str]:
+    """The ids in the first column of the README's "Estimators" table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Estimators\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+
+
+def test_every_roster_names_the_estimator_table(monkeypatch):
+    # an estimator added to the table alone must not go unbenchmarked or
+    # undocumented
+    ids = sorted(estimators.ESTIMATOR_IDS)
+    assert sorted(_readme_estimator_ids()) == ids
+    assert sorted(_bench_module("run", monkeypatch).ALL_ESTIMATORS) == ids
 
 
 # the scipy subpackages whose routines the package calls: LAPACK's

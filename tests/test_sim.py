@@ -421,6 +421,62 @@ class TestSpecValidation:
             StudySpec(dgp=DgpSpec("missing_rate", n=100, seed=0), estimators=roster,
                       n_runs=1, base_seed=0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        # 2.5 drew seed 2's dataset, and -3 or 2^64 overflowed in generate
+        ("seed", 2.5, "seed must be an integer"),
+        ("seed", True, "seed must be an integer"),
+        ("seed", -3, r"seed must be in \[0, 18446744073709551615\]"),
+        ("seed", 2**64, r"seed must be in \[0, 18446744073709551615\]"),
+        # a bare TypeError escaped generate
+        ("n", 100.5, "n must be an integer"),
+        ("n", 0, "n must be >= 1"),
+    ])
+    def test_dgp_spec_that_cannot_draw_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            DgpSpec("missing_rate", **{"n": 100, "seed": 0, field: value})
+
+    def test_largest_seeds_accepted(self):
+        assert DgpSpec("missing_rate", n=10, seed=2**64 - 1).seed == 2**64 - 1
+        study = StudySpec(dgp=DgpSpec("missing_rate", n=100, seed=0),
+                          estimators=(StudyEstimator("aipcw"),), n_runs=3, base_seed=2**64 - 3)
+        assert study.base_seed == 2**64 - 3
+
+    def test_numpy_integers_stored_as_python_ints(self, tmp_path):
+        # an np.int64 base_seed wrapped base_seed + r to a negative seed, and
+        # json cannot write a numpy integer to the sidecar
+        import json
+
+        from twophase_ate.sim import write_sidecar
+
+        study = StudySpec(dgp=DgpSpec("missing_rate", n=np.int64(200), seed=np.uint64(3)),
+                          estimators=(StudyEstimator("tmle_alt", max_outer_iter=np.int32(5)),),
+                          n_runs=np.int64(2), base_seed=np.int64(2**63 - 1),
+                          parallelism=np.int64(1))
+        stored = (study.dgp.n, study.dgp.seed, study.n_runs, study.base_seed,
+                  study.parallelism, study.estimators[0].max_outer_iter)
+        assert [type(v) for v in stored] == [int] * 6
+        write_sidecar(run_study(study), study, tmp_path / "report.meta.json", wall_time=1.0)
+        meta = json.loads((tmp_path / "report.meta.json").read_text())
+        assert meta["seeds"] == [2**63 - 1, 2**63]
+
+    @pytest.mark.parametrize("fields, message", [
+        # 1.5 truncated every run's seed
+        ({"base_seed": 1.5}, "base_seed must be an integer"),
+        ({"base_seed": -1}, "base_seed must be in"),
+        # the last run would draw with seed 2^64
+        ({"base_seed": 2**64 - 2, "n_runs": 3}, "base_seed must be in"),
+        # a bare TypeError escaped run_study
+        ({"n_runs": 2.5}, "n_runs must be an integer"),
+        ({"parallelism": 1.5}, "parallelism must be an integer"),
+        ({"parallelism": 0}, "parallelism must be >= 1"),
+        # the pinned truth was used and the sidecar said "kind": "bogus"
+        ({"reference": "bogus"}, "reference must be truth|census"),
+    ])
+    def test_study_spec_that_cannot_run_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            StudySpec(dgp=DgpSpec("missing_rate", n=100, seed=0),
+                      estimators=(StudyEstimator("aipcw"),), **{"n_runs": 2, "base_seed": 5, **fields})
+
     def test_same_estimator_in_two_modes_is_allowed(self):
         roster = (StudyEstimator("quasi_tmle"), StudyEstimator("quasi_tmle", mode="linearized"))
         study = StudySpec(dgp=DgpSpec("missing_rate", n=100, seed=0), estimators=roster,
