@@ -2,8 +2,8 @@
 
 Everything is driven by a flat key = value config file with dotted section
 prefixes. One table, KEYS, gives each key its modes, parser and default; the
-command-line flags and TWOPHASE_THREADS feed a few of its keys through the
-same parsers.
+command-line flags feed a few of its keys, and TWOPHASE_THREADS a worker
+count of 0, through the same parsers.
 Exit codes are a stable contract: 0 success, 1 estimator/run failure,
 2 configuration error.
 """
@@ -39,6 +39,7 @@ from .nuisance import (
     check_truncation,
 )
 from .sim import (
+    _SEED_MAX,
     DGP_IDS,
     DgpSpec,
     StudyEstimator,
@@ -179,7 +180,6 @@ KEYS: dict[str, tuple[tuple[str, ...], object, object]] = {
        for est_id in ESTIMATOR_IDS for option in sorted(OPTIONS_READ[est_id])},
 }
 _FLAGS = ("mode", "out", "seed", "parallelism")  # each --<key> flag feeds that key
-_ENV = {"parallelism": "TWOPHASE_THREADS"}  # key -> the variable that feeds it
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -218,10 +218,10 @@ def _parse(key: str, raw: str, label: str, mode: str | None) -> object:
 def resolve(cfg: dict[str, str], flags: dict[str, str],
             environ: Mapping[str, str]) -> dict[str, object]:
     """Every key of the run's mode, typed. Each source is parsed in full before
-    any is used; then a flag beats the config, which beats the environment,
-    which beats the table's default."""
-    env = {key: environ[var].strip() for key, var in _ENV.items() if environ.get(var, "").strip()}
-    sources = ((flags, "--{}".format), (cfg, str), (env, _ENV.get))
+    any is used; then a flag beats the config, which beats the table's
+    default. A worker count of 0 falls back to TWOPHASE_THREADS, then to one
+    worker per CPU."""
+    sources = ((flags, "--{}".format), (cfg, str))
     # the mode decides which keys apply and how the known mechanisms parse
     modes = [_parse("mode", raw["mode"], label("mode"), None)
              for raw, label in sources if "mode" in raw]
@@ -234,14 +234,16 @@ def resolve(cfg: dict[str, str], flags: dict[str, str],
                               f"got {key}")
     parsed = [{key: _parse(key, raw[key], label(key), mode) for key in raw}
               for raw, label in sources]
+    threads = environ.get("TWOPHASE_THREADS", "").strip()
+    threads = _parse("parallelism", threads, "TWOPHASE_THREADS", mode) if threads else 0
     values = {}
     for key, (key_modes, _, default) in KEYS.items():
         if mode in key_modes:
             values[key] = next((p[key] for p in parsed if key in p), default)
             if values[key] is REQUIRED:
                 raise ConfigError(f"{mode} mode requires {key}")
-    if not values["parallelism"]:  # 0: TWOPHASE_THREADS, else one worker per CPU
-        values["parallelism"] = parsed[-1].get("parallelism") or os.cpu_count() or 1
+    if not values["parallelism"]:
+        values["parallelism"] = threads or os.cpu_count() or 1
     return values
 
 
@@ -319,9 +321,9 @@ def cmd_estimate(v: dict, estimators: list[StudyEstimator], verbose: bool) -> in
 def cmd_simulate(v: dict, estimators: list[StudyEstimator], verbose: bool) -> int:
     seed, n_runs = v["seed"], v["sim.n_runs"]
     last_seed = seed + n_runs - 1
-    if seed < 0 or last_seed >= 2**64:  # each run's seed keys a Philox stream
+    if seed < 0 or last_seed > _SEED_MAX:  # each run's seed keys a Philox stream
         raise ConfigError(f"seed: the runs would use seeds {seed}..{last_seed}; "
-                          "run seeds must lie in [0, 2^64 - 1]")
+                          f"run seeds must lie in [0, {_SEED_MAX}]")
     try:
         dgp = DgpSpec(dgp_id=v["sim.dgp"], n=v["sim.n"], seed=seed,
                       missing_intercept=v["sim.missing_intercept"], gamma=v["sim.gamma"])

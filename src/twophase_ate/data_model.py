@@ -12,7 +12,6 @@ import csv
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import NoReturn
 
 import numpy as np
 
@@ -235,98 +234,82 @@ class CsvSchema:
         return (*self.w1, *self.w2, self.treatment, self.outcome, self.delta)
 
 
-def _parse_float(cell: str, row: int, col: str) -> float:
+# a value rule: a test of the parsed cells and the word that names it in messages
+_FINITE = (np.isfinite, "finite")
+_BINARY = (lambda v: (v == 0.0) | (v == 1.0), "0/1")
+
+
+def _parse_column(cells, name: str, rules, errors: list, rownums=None,
+                  blank: str | None = None) -> np.ndarray:
+    """The trimmed cells of one column as floats. The first bad cell, if any,
+    adds (its row index, through rownums if given; a message) to errors: the
+    blank message if the cell is blank and there is one, else that float()
+    cannot parse it, else the first rule that its value fails."""
+    cells = list(map(str.strip, cells))
+    unparsed = np.zeros(len(cells), dtype=bool)
     try:
-        return float(cell)
-    except ValueError:
-        raise DataError(f"row {row}: cannot parse {col}={cell!r} as a number") from None
-
-
-def _parse_finite(cell: str, row: int, col: str) -> float:
-    v = _parse_float(cell, row, col)
-    if not np.isfinite(v):
-        raise DataError(f"row {row}: column {col} must be finite, got {cell!r}")
-    return v
-
-
-def _parse_binary(cell: str, row: int, col: str) -> int:
-    v = _parse_float(cell, row, col)
-    if v not in (0.0, 1.0):
-        raise DataError(f"row {row}: column {col} must be 0/1, got {cell!r}")
-    return int(v)
-
-
-def _raise_first_row_error(rows: list[list[str]], width: int, col_idx: dict[str, int],
-                           schema: CsvSchema) -> NoReturn:
-    """Check rows in file order and raise the DataError of the first bad one.
-
-    load_csv checks whole columns at once; it calls this only after one of
-    those checks failed, so that the message names the first bad row and,
-    within it, the first bad cell in the order delta, treatment, outcome,
-    w1, w2. Row numbers are 1-based data rows (header excluded).
-    """
-    for rownum, cells in enumerate(rows, start=1):
-        if len(cells) != width:
-            raise DataError(f"row {rownum}: expected {width} cells, got {len(cells)}")
-        cell = {name: cells[col_idx[name]].strip() for name in schema.columns}
-        delta = _parse_binary(cell[schema.delta], rownum, schema.delta)
-        _parse_binary(cell[schema.treatment], rownum, schema.treatment)
-        _parse_finite(cell[schema.outcome], rownum, schema.outcome)
-        for name in schema.w1:
-            c = cell[name]
-            if c == "":
-                raise DataError(f"row {rownum}: phase-1 column {name} is empty")
-            _parse_finite(c, rownum, name)
-        for name in schema.w2:
-            c = cell[name]
-            if delta == 1:
-                if c == "":
-                    raise DataError(f"row {rownum}: delta=1 but {name} is missing")
-                _parse_finite(c, rownum, name)
-            elif c != "":
-                raise DataError(f"row {rownum}: delta=0 row has a value in phase-2 column {name}")
-    raise RuntimeError("CSV column checks rejected rows that the row checks accept")
-
-
-def _floats(cells) -> np.ndarray:
-    """float(cell.strip()) of every cell; ValueError if one is not a number."""
-    return np.array(list(map(str.strip, cells)), dtype=float)
+        values = np.array(cells, dtype=float)
+    except ValueError:  # find the cells that do not parse
+        values = np.full(len(cells), np.nan)
+        for i, cell in enumerate(cells):
+            try:
+                values[i] = float(cell)
+            except ValueError:
+                unparsed[i] = True
+    ok = ~unparsed
+    for test, _ in rules:
+        ok &= test(values)
+    if ok.all():
+        return values
+    i = int(np.argmin(ok))
+    cell = cells[i]
+    if blank is not None and cell == "":
+        message = blank
+    elif unparsed[i]:
+        message = f"cannot parse {name}={cell!r} as a number"
+    else:
+        word = next(word for test, word in rules if not test(values[i]))
+        message = f"column {name} must be {word}, got {cell!r}"
+    errors.append((i if rownums is None else int(rownums[i]), message))
+    return values
 
 
 def _parse_columns(rows: list[list[str]], width: int, col_idx: dict[str, int],
                    schema: CsvSchema):
-    """Parse the schema columns of all rows at once.
-
-    Returns (w1, a, y, delta, w2), or None if any row fails a check that
-    _raise_first_row_error makes: a row of the wrong width, a number that
-    does not parse, a non-0/1 treatment or delta, an empty w1 cell (which
-    does not parse), a w2 cell blank on a delta=1 row or filled on a
-    delta=0 row, or a non-finite outcome, w1 or phase-2 w2 value.
+    """Parse the schema columns of all rows, one vectorised pass per column,
+    and return (w1, a, y, delta, w2); or raise the DataError that load_csv
+    describes. Only the rows before the first row of the wrong width are
+    parsed, and of the w2 cells only those of delta=1 rows.
     """
+    n = len(rows)  # the rows before the first of the wrong width
     if set(map(len, rows)) != {width}:
-        return None
-    columns = list(zip(*rows))
+        n = next(i for i, cells in enumerate(rows) if len(cells) != width)
+    columns = list(zip(*rows[:n])) or [()] * width
     cols = {name: columns[col_idx[name]] for name in schema.columns}
-    try:
-        delta = _floats(cols[schema.delta])
-        a = _floats(cols[schema.treatment])
-        if not (np.isin(delta, (0.0, 1.0)).all() and np.isin(a, (0.0, 1.0)).all()):
-            return None
-        y = _floats(cols[schema.outcome])
-        w1 = np.empty((len(rows), len(schema.w1)))
-        for j, name in enumerate(schema.w1):
-            w1[:, j] = _floats(cols[name])
-        p2 = delta == 1.0
-        in_p2, out_p2 = p2.tolist(), (~p2).tolist()
-        w2 = np.full((len(rows), len(schema.w2)), np.nan)
-        for j, name in enumerate(schema.w2):
-            if "".join(map(str.strip, compress(cols[name], out_p2))):
-                return None
-            w2[p2, j] = _floats(compress(cols[name], in_p2))
-    except ValueError:
-        return None
-    if not (np.isfinite(y).all() and np.isfinite(w1).all() and np.isfinite(w2[p2]).all()):
-        return None
+    errors: list[tuple[int, str]] = []  # (row index, message), in cell order
+    delta = _parse_column(cols[schema.delta], schema.delta, (_BINARY,), errors)
+    a = _parse_column(cols[schema.treatment], schema.treatment, (_BINARY,), errors)
+    y_rules = (_FINITE, _BINARY) if schema.y_kind == "binary" else (_FINITE,)
+    y = _parse_column(cols[schema.outcome], schema.outcome, y_rules, errors)
+    w1 = np.empty((n, len(schema.w1)))
+    for j, name in enumerate(schema.w1):
+        w1[:, j] = _parse_column(cols[name], name, (_FINITE,), errors,
+                                 blank=f"phase-1 column {name} is empty")
+    p2 = delta == 1.0
+    in_p2, out_p2 = p2.tolist(), (~p2).tolist()
+    p2_rows = np.flatnonzero(p2)
+    w2 = np.full((n, len(schema.w2)), np.nan)
+    for j, name in enumerate(schema.w2):
+        w2[p2, j] = _parse_column(compress(cols[name], in_p2), name, (_FINITE,), errors,
+                                  p2_rows, blank=f"delta=1 but {name} is missing")
+        if "".join(map(str.strip, compress(cols[name], out_p2))):
+            i = next(i for i in np.flatnonzero(~p2).tolist() if cols[name][i].strip())
+            errors.append((i, f"delta=0 row has a value in phase-2 column {name}"))
+    if n < len(rows):
+        errors.append((n, f"expected {width} cells, got {len(rows[n])}"))
+    if errors:
+        row, message = min(errors, key=lambda error: error[0])  # the first in cell order
+        raise DataError(f"row {row + 1}: {message}")
     return w1, a.astype(np.int64), y, delta.astype(np.int64), w2
 
 
@@ -335,12 +318,16 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     byte-order mark is skipped.
 
     Cells are trimmed of surrounding whitespace and must then parse with
-    Python's float() to a finite number; a treatment or delta cell must
-    read 0 or 1. Missing phase-2 values must be empty cells. A delta=0 row
-    with a filled w2 cell is rejected: over-observation signals a schema
-    mistake, not data. Each schema column must appear exactly once in the
-    header. A row or cell error names the first bad row, counted 1-based
-    over data rows (header excluded).
+    Python's float() to a finite number; a treatment, delta or binary
+    outcome cell must read 0 or 1. Missing phase-2 values must be empty
+    cells. A delta=0 row with a filled w2 cell is rejected: over-observation
+    signals a schema mistake, not data. Each schema column must appear
+    exactly once in the header.
+
+    A row or cell error names the first bad row, counted 1-based over data
+    rows (header excluded), and within it the first bad cell in the order
+    delta, treatment, outcome, w1, w2. A row of the wrong width is reported
+    only if no earlier row has a bad cell.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -365,18 +352,11 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
             raise DataError(f"CSV header names column {name!r} more than once")
     if not rows:
         raise DataError("CSV contains a header but no data rows")
-    parsed = _parse_columns(rows, len(header), col_idx, schema)
-    if parsed is None:
-        _raise_first_row_error(rows, len(header), col_idx, schema)
-    w1, a, y, delta, w2 = parsed
-    y_bounds = schema.y_bounds
-    if schema.y_kind == "continuous" and y_bounds is None:
-        y_bounds = default_bounds(y)
-    return Dataset(
-        w1=w1, a=a, y=y, delta=delta, w2=w2,
-        y_kind=schema.y_kind,
-        y_bounds=y_bounds if y_bounds is not None else (0.0, 1.0),
-    )
+    w1, a, y, delta, w2 = _parse_columns(rows, len(header), col_idx, schema)
+    y_bounds = schema.y_bounds or (default_bounds(y) if schema.y_kind == "continuous"
+                                   else (0.0, 1.0))
+    return Dataset(w1=w1, a=a, y=y, delta=delta, w2=w2, y_kind=schema.y_kind,
+                   y_bounds=y_bounds)
 
 
 def _fmt_column(col: np.ndarray) -> list[str]:

@@ -204,6 +204,12 @@ class TestCsv:
         with pytest.raises(DataError, match="row 2"):
             load_csv(f, SCHEMA)
 
+    def test_nonbinary_outcome_names_its_row(self, tmp_path):
+        f = tmp_path / "d.csv"
+        write_lines(f, ["x1,x2,a,y,delta", "0.1,1.0,0,0,1", "0.2,,1,0.5,0"])
+        with pytest.raises(DataError, match=r"^row 2: column y must be 0/1, got '0\.5'$"):
+            load_csv(f, SCHEMA)
+
     def test_missing_column_rejected(self, tmp_path):
         f = tmp_path / "d.csv"
         write_lines(f, ["x1,a,y,delta", "0.1,0,0,1"])
@@ -278,6 +284,10 @@ def csv_cases(draw):
     return text, y_kind, bounds
 
 
+FUZZ_TEXT = ",".join(FUZZ_HEADER) + "\n{}\n{}\n"
+P2_ROW = "0.1,0.2,0.3,0.4,1,0,1,n"
+
+
 def _load_or_message(loader, path, schema):
     try:
         return loader(path, schema)
@@ -292,6 +302,13 @@ class TestCsvMatchesReference:
     @given(case=csv_cases())
     @example(case=("", "binary", None))
     @example(case=(",".join(FUZZ_HEADER) + "\n", "continuous", None))
+    # the ordering rules of the first bad row; rows read x1,x2,z1,z2,a,y,delta,note
+    @example(case=(FUZZ_TEXT.format("", P2_ROW), "binary", None))  # blank first data row
+    @example(case=(FUZZ_TEXT.format("abc" + P2_ROW[3:], "0.1,0.2"), "binary", None))
+    @example(case=(FUZZ_TEXT.format("0.1,0.2", "abc" + P2_ROW[3:]), "binary", None))
+    @example(case=(FUZZ_TEXT.format(P2_ROW, "0.1,0.2,abc,0.4,1,0,2,n"), "binary", None))
+    @example(case=(FUZZ_TEXT.format("0.1,0.2,1.5,,1,0,0,n", "0.1,0.2,0.3,0.4,2,0,1,n"),
+                   "binary", None))
     def test_same_dataset_or_same_error(self, case, tmp_path_factory):
         text, y_kind, bounds = case
         schema = CsvSchema(treatment="a", outcome="y", delta="delta", w1=("x1", "x2"),

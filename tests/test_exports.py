@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import pkgutil
 import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -105,3 +106,28 @@ def test_import_loads_only_the_scipy_subpackages_it_calls():
     assert extra == [], (
         f"importing twophase_ate.cli loads {', '.join(f'scipy.{m}' for m in extra)}; "
         "find the importer with: python -X importtime -c 'import twophase_ate.cli'")
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_property_does_not_abort_the_run(tmp_path):
+    # to print a failing example, Hypothesis imports libcst, whose
+    # DeprecationWarning the filters of pyproject.toml used to turn into an
+    # INTERNALERROR: exit 3, no example shown and no later test run
+    shutil.copy(Path(__file__).resolve().parents[1] / "pyproject.toml", tmp_path)
+    (tmp_path / "test_two.py").write_text(_FAILING_PROPERTY)
+    proc = run_python("-m", "pytest", "-q", "-p", "no:cacheprovider", cwd=tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout and "Falsifying example" in proc.stdout

@@ -237,7 +237,8 @@ def reference_load_csv(path, schema: CsvSchema) -> Dataset:
     columnar loader must match: same Dataset, or the same DataError message.
     It reads a header with duplicated names from the last such column,
     which load_csv now rejects. Like load_csv, it skips a leading byte-order
-    mark and names the row of a non-finite outcome, w1 or phase-2 w2 cell."""
+    mark and names the row of a non-finite outcome, w1 or phase-2 w2 cell
+    and of a binary outcome cell that is not 0/1."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -259,6 +260,9 @@ def reference_load_csv(path, schema: CsvSchema) -> Dataset:
             delta = _ref_parse_binary(cell(schema.delta), rownum, schema.delta)
             a = _ref_parse_binary(cell(schema.treatment), rownum, schema.treatment)
             y = _ref_parse_finite(cell(schema.outcome), rownum, schema.outcome)
+            if schema.y_kind == "binary" and y not in (0.0, 1.0):
+                raise DataError(f"row {rownum}: column {schema.outcome} must be 0/1, "
+                                f"got {cell(schema.outcome)!r}")
             w1 = []
             for name in schema.w1:
                 c = cell(name)
