@@ -111,8 +111,7 @@ class Dataset:
                 raise DataError("binary outcome column must contain only 0/1")
         elif self.y_kind == "continuous":
             lo, hi = float(self.y_bounds[0]), float(self.y_bounds[1])
-            # the span rescales the outcome, so it must be finite too
-            if not (lo < hi and math.isfinite(hi - lo)):
+            if not _valid_bounds(lo, hi):
                 raise DataError(f"invalid outcome bounds ({lo}, {hi}): need finite "
                                 "lo < hi with a finite span hi - lo")
             if y.min() < lo or y.max() > hi:
@@ -152,6 +151,11 @@ class Dataset:
     def replace_y(self, y: np.ndarray, y_kind: str, y_bounds: tuple[float, float]) -> "Dataset":
         return Dataset(w1=self.w1, a=self.a, y=y, delta=self.delta, w2=self.w2,
                        y_kind=y_kind, y_bounds=y_bounds)
+
+
+def _valid_bounds(lo: float, hi: float) -> bool:
+    # the span rescales the outcome, so it must be finite too
+    return lo < hi and math.isfinite(hi - lo)
 
 
 def default_bounds(y: np.ndarray) -> tuple[float, float]:
@@ -290,6 +294,10 @@ def _parse_columns(rows: list[list[str]], width: int, col_idx: dict[str, int],
     delta = _parse_column(cols[schema.delta], schema.delta, (_BINARY,), errors)
     a = _parse_column(cols[schema.treatment], schema.treatment, (_BINARY,), errors)
     y_rules = (_FINITE, _BINARY) if schema.y_kind == "binary" else (_FINITE,)
+    if schema.y_kind == "continuous" and schema.y_bounds:
+        lo, hi = float(schema.y_bounds[0]), float(schema.y_bounds[1])
+        if _valid_bounds(lo, hi):  # else Dataset rejects the bounds themselves
+            y_rules += ((lambda v: (lo <= v) & (v <= hi), f"within [{lo}, {hi}]"),)
     y = _parse_column(cols[schema.outcome], schema.outcome, y_rules, errors)
     w1 = np.empty((n, len(schema.w1)))
     for j, name in enumerate(schema.w1):
@@ -319,10 +327,11 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
 
     Cells are trimmed of surrounding whitespace and must then parse with
     Python's float() to a finite number; a treatment, delta or binary
-    outcome cell must read 0 or 1. Missing phase-2 values must be empty
-    cells. A delta=0 row with a filled w2 cell is rejected: over-observation
-    signals a schema mistake, not data. Each schema column must appear
-    exactly once in the header.
+    outcome cell must read 0 or 1, and a continuous outcome cell must lie
+    within the schema's bounds, if it declares valid ones. Missing phase-2
+    values must be empty cells. A delta=0 row with a filled w2 cell is
+    rejected: over-observation signals a schema mistake, not data. Each
+    schema column must appear exactly once in the header.
 
     A row or cell error names the first bad row, counted 1-based over data
     rows (header excluded), and within it the first bad cell in the order

@@ -302,7 +302,7 @@ def estimate_eee(ctx: FittedContext,
     mbar_star = mbar + zeta
     psi = float(np.mean(mbar_star))
     d = observed_eic(dbar2, mbar_star, ctx.pi0, psi, ctx.p2, ctx.delta)
-    return _result("eee", psi, d, ctx.n, 0, True, details={"zeta": zeta})
+    return _result("eee", psi, d, ctx.n, 0, True)
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +329,36 @@ def estimate_ipcw_tmle(ctx: FittedContext,
     )
 
 
-@dataclass
-class _LoopState:
-    psi: float
-    d: np.ndarray
-    pnd: float
-    pi: np.ndarray
+def _target(ctx: FittedContext, state, monitor, step, max_iter: int, first_pass: bool = True):
+    """The one targeting loop: evaluate the monitored EIC of state, stop once
+    |P_n D| <= s_n, else step to the next state.
+
+    monitor(state) gives (psi, d); step(state) gives the next state, or None
+    when the update failed, which ends the loop. The first pass steps
+    whatever |P_n D| is, unless first_pass is False: the threshold governs
+    iteration, not whether to target at all. At most max_iter steps are
+    taken. Returns the last pass's (state, psi, d), the stepped pass with the
+    smallest |P_n D| (None if no step was taken), the number of steps taken
+    and whether the threshold was met.
+    """
+    best, best_pnd = None, None
+    for k in itertools.count():
+        psi, d = monitor(state)
+        pnd = float(abs(np.mean(d)))
+        if k > 0 and (best is None or pnd < best_pnd):
+            best, best_pnd = (state, psi, d), pnd
+        if (k > 0 or not first_pass) and pnd <= _threshold(d, ctx.n):
+            return (state, psi, d), best, k, True
+        nxt = step(state) if k < max_iter else None
+        if nxt is None:
+            return (state, psi, d), best, k, False
+        state = nxt
 
 
 def _iterative_ipcw_tmle(ctx, options, use_raking: bool, estimator_id: str) -> EstimateResult:
     """Alternate outcome targeting and sampling-mechanism targeting until the
-    empirical EIC mean is below threshold.
+    empirical EIC mean is below threshold; a run that does not get there
+    reports its stepped pass with the smallest |P_n D|.
 
     The sampling mechanism is updated either by a logistic fluctuation with
     the conditional-EIC clever covariate, or (use_raking) by calibrating the
@@ -349,65 +368,43 @@ def _iterative_ipcw_tmle(ctx, options, use_raking: bool, estimator_id: str) -> E
     the current outcome fit, instead of regressing the fluctuated full-data
     EIC; it still refits the level regression once per pass, for the next.
     """
-    pi = ctx.pi0.copy()
-    q_a, q1, q0 = ctx.q_a0.copy(), ctx.q10.copy(), ctx.q00.copy()
     linearized = options.mode == "linearized"
-    best: _LoopState | None = None
-    n_outer = 0
-    converged = False
-    epsilons: list[float] = []
-    rake_last: RakeSolution | None = None
-    dbar2 = ctx.dbar(q_a, q1, q0)
-    m_level = ctx.mbar_all(dbar2)
+    rakes: list[RakeSolution] = []
 
-    for k in range(options.max_outer_iter + 1):
+    def monitor(state):  # state: q_a, q1, q0, pi, dbar2 and its regression
+        _, q1, q0, pi, dbar2, m_level = state
         psi = ctx.hajek_plugin(q1, q0, pi)
-        d = observed_eic(dbar2, m_level, pi, psi, ctx.p2, ctx.delta)
-        pnd = float(abs(np.mean(d)))
-        s_n = _threshold(d, ctx.n)
-        state = _LoopState(psi=psi, d=d, pnd=pnd, pi=pi)
-        # the first targeting pass is mandatory: the threshold governs
-        # iteration, not whether to target at all
-        if k > 0 and (best is None or pnd < best.pnd):
-            best = state
-        if k > 0 and pnd <= s_n:
-            converged = True
-            break
-        if k == options.max_outer_iter:
-            break
-        if linearized:  # the slope at the current fit; the last pass needs none
-            m_slope = ctx.mbar_all(linearized_slope_values(ctx.a2, ctx.g1, q_a, q1, q0))
+        return psi, observed_eic(dbar2, m_level, pi, psi, ctx.p2, ctx.delta)
 
+    def step(state):
+        q_a, q1, q0, pi, _, m_level = state
+        if linearized:  # the slope at the current fit
+            m_slope = ctx.mbar_all(linearized_slope_values(ctx.a2, ctx.g1, q_a, q1, q0))
         # outcome targeting at the current weights
         q_a, q1, q0, fit = ctx.fluctuate_q(q_a, q1, q0, pi)
-        epsilons.append(fit.epsilon)
-        psi_new = ctx.hajek_plugin(q1, q0, pi)
+        psi = ctx.hajek_plugin(q1, q0, pi)
         dbar2 = ctx.dbar(q_a, q1, q0)
-        if linearized:
-            m_new = m_level + fit.epsilon * m_slope
-        else:
-            m_new = ctx.mbar_all(dbar2)
-        m_centered = m_new - psi_new
-
+        m_new = m_level + fit.epsilon * m_slope if linearized else ctx.mbar_all(dbar2)
         # sampling-mechanism targeting
         if use_raking:
-            rake_last = rake_weights(m_centered, pi, ctx.delta)
-            if not rake_last.converged:
-                # uncalibrated weights would leave the score equation unsolved
-                break
-            pi = rake_last.pi_star
+            rakes.append(rake_weights(m_new - psi, pi, ctx.delta))
+            if not rakes[-1].converged:
+                return None  # uncalibrated weights would leave the score equation unsolved
+            pi = rakes[-1].pi_star
         else:
-            pi = ctx.fluctuate_pi(pi, m_centered)
-        n_outer += 1
+            pi = ctx.fluctuate_pi(pi, m_new - psi)
         # the next pass needs the regression of dbar2, which refit mode has
         # just fitted and the linearized step only approximates
-        m_level = ctx.mbar_all(dbar2) if linearized else m_new
+        return q_a, q1, q0, pi, dbar2, ctx.mbar_all(dbar2) if linearized else m_new
 
-    final = state if converged else (best if best is not None else state)
-    details = {"epsilons": epsilons, "pi_final": final.pi}
-    if rake_last is not None:
-        details["rake"] = rake_last
-    return _result(estimator_id, final.psi, final.d, ctx.n, n_outer, converged, details)
+    dbar2 = ctx.dbar(ctx.q_a0, ctx.q10, ctx.q00)
+    start = (ctx.q_a0, ctx.q10, ctx.q00, ctx.pi0, dbar2, ctx.mbar_all(dbar2))
+    last, best, n_outer, converged = _target(ctx, start, monitor, step, options.max_outer_iter)
+    (_, _, _, pi, _, _), psi, d = last if converged or best is None else best
+    details = {"pi_final": pi}
+    if rakes:
+        details["rake"] = rakes[-1]
+    return _result(estimator_id, psi, d, ctx.n, n_outer, converged, details)
 
 
 def estimate_ipcw_tmle_target_pi(ctx: FittedContext,
@@ -622,34 +619,32 @@ def estimate_tmle_alt(ctx: FittedContext,
     The alternation loop monitors the outcome+sampling score components; the
     two conditional-regression fluctuations afterwards zero the remaining
     components, so the full EIC mean is checked (and re-looped, at most
-    twice) before declaring convergence.
+    twice) before declaring convergence; a run that does not get there
+    reports its last pass.
     """
-    pi = ctx.pi0.copy()
-    q_a, q1, q0 = ctx.q_a0.copy(), ctx.q10.copy(), ctx.q00.copy()
-    n_outer = 0
-    converged = False
-    final = None
-    # resid2 and its regression r_all depend only on q_a, so they are
-    # refitted only after the Q fluctuation moves it
-    resid2 = ctx.h2 * (ctx.y2 - q_a)
-    r_all = ctx.mbar_all(resid2)
 
-    for _round in range(3):
-        # alternate Q / sampling-mechanism targeting; the first pass is
-        # mandatory (the threshold governs iteration, not whether to target)
-        for k in range(options.max_outer_iter + 1):
-            # outcome + sampling components: the EIC of the residual part alone
-            d_qpi = observed_eic(resid2, r_all, pi, 0.0, ctx.p2, ctx.delta)
-            pnd = float(abs(np.mean(d_qpi)))
-            s_n_loop = _threshold(d_qpi, ctx.n)
-            first_pass = k == 0 and _round == 0 and n_outer == 0
-            if (pnd <= s_n_loop and not first_pass) or k == options.max_outer_iter:
-                break
-            q_a, q1, q0, _fit = ctx.fluctuate_q(q_a, q1, q0, pi)
-            resid2 = ctx.h2 * (ctx.y2 - q_a)
-            r_all = ctx.mbar_all(resid2)
-            pi = ctx.fluctuate_pi(pi, r_all)
-            n_outer += 1
+    def monitor(state):
+        # outcome + sampling components: the EIC of the residual part alone
+        _, _, _, pi, resid2, r_all = state
+        return 0.0, observed_eic(resid2, r_all, pi, 0.0, ctx.p2, ctx.delta)
+
+    def step(state):
+        q_a, q1, q0, pi, _, _ = state
+        q_a, q1, q0, _ = ctx.fluctuate_q(q_a, q1, q0, pi)
+        # resid2 and its regression r_all depend only on q_a, so they are
+        # refitted only after the Q fluctuation moves it
+        resid2 = ctx.h2 * (ctx.y2 - q_a)
+        r_all = ctx.mbar_all(resid2)
+        return q_a, q1, q0, ctx.fluctuate_pi(pi, r_all), resid2, r_all
+
+    resid2 = ctx.h2 * (ctx.y2 - ctx.q_a0)
+    state = (ctx.q_a0, ctx.q10, ctx.q00, ctx.pi0, resid2, ctx.mbar_all(resid2))
+    n_outer = 0
+    for round_ in range(3):
+        (state, _, _), _, steps, _ = _target(ctx, state, monitor, step, options.max_outer_iter,
+                                             first_pass=round_ == 0)
+        n_outer += steps
+        _, q1, q0, pi, resid2, r_all = state
 
         # conditional arm-regression targeting (phase-2 fit, covariate 1/pi)
         inv_pi = 1.0 / pi
@@ -665,12 +660,10 @@ def estimate_tmle_alt(ctx: FittedContext,
         d_q, d_pi, d_gamma, d_pv = eic_components(resid2, r_all, q1 - q0, contrast_all,
                                                   pi, psi, ctx.p2, ctx.delta)
         d = d_q + d_pi + d_gamma + d_pv
-        final = (psi, d, m_star)
-        if abs(np.mean(d)) <= _threshold(d, ctx.n):
-            converged = True
+        converged = abs(np.mean(d)) <= _threshold(d, ctx.n)
+        if converged:
             break
 
-    psi, d, m_star = final
     return _result(
         "tmle_alt", psi, d, ctx.n, n_outer, converged,
         details={"m1_star": m_star[1], "m0_star": m_star[0]},

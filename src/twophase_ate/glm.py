@@ -59,9 +59,13 @@ def _factor_spd(H: np.ndarray) -> tuple[np.ndarray, bool]:
     Returns (factor, ridge_used), the factor as LAPACK dpotrf leaves it:
     upper triangle U with U'U = H, lower triangle untouched (scipy's
     cho_factor form, without that wrapper's per-call checks). Raises
-    GlmError when even the ridged matrix is not positive definite. Every
-    linear solve in the package is this factor followed by `_cho_solve`.
+    GlmError when H is not finite (its products overflowed) or when even
+    the ridged matrix is not positive definite. Every linear solve in the
+    package is this factor followed by `_cho_solve`.
     """
+    if not np.isfinite(H).all():
+        raise GlmError("non-finite Gram matrix: a covariate is too large in magnitude; "
+                       "rescale it")
     factor, info = dpotrf(H, lower=0, clean=0)
     if info == 0:
         return factor, False
@@ -141,6 +145,9 @@ def _validate_inputs(X, y, w):
     return X, y, w
 
 
+# a covariate too large in magnitude overflows the Gram matrix, which
+# _factor_spd then rejects by name
+@np.errstate(over="ignore")
 def fit_glm(X, y, w=None, family: str = "gaussian") -> GlmFit:
     """Weighted GLM via IRLS on the design X (caller supplies the intercept).
 

@@ -155,7 +155,9 @@ class MbarDesign:
         if not np.all(np.isfinite(values)):
             raise GlmError("non-finite values to regress")
         if self._factor is None:
-            self._factor, _ = _factor_spd(self.x2.T @ self.x2)
+            with np.errstate(over="ignore"):  # _factor_spd rejects an overflowed Gram
+                gram = self.x2.T @ self.x2
+            self._factor, _ = _factor_spd(gram)
         return self.x_all @ _cho_solve(self._factor, self.x2.T @ values)
 
 

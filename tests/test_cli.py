@@ -18,9 +18,10 @@ from twophase_ate.cli import (
     main,
     parse_config_text,
 )
-from twophase_ate.data_model import CsvSchema, load_csv, write_csv
+from twophase_ate.data_model import CsvSchema, Dataset, load_csv, write_csv
 from twophase_ate.estimators import ESTIMATOR_IDS, OPTIONS_READ, EstimatorOptions, run_roster
 from twophase_ate.nuisance import NuisanceConfig
+from twophase_ate.sim import DgpSpec, generate
 
 from util import (
     fulldata_tmle,
@@ -171,6 +172,28 @@ class TestEstimateMode:
         assert [r["estimator"] for r in rows] == ["raking", "aipcw", "tmle_alt"]
         for r in rows:
             assert np.isfinite([float(r[k]) for k in ("psi_hat", "se", "ci_lo", "ci_hi")]).all()
+
+
+    def test_overflowing_covariate_names_its_cause(self, tmp_path, capsys):
+        # a phase-2 covariate of order 1e154 overflows the outcome fit's Gram
+        # matrix; every estimator used to fail on "non-finite values"
+        ds, _ = generate(DgpSpec("missing_rate", n=300, seed=4))
+        ds = Dataset(w1=ds.w1, a=ds.a, y=ds.y, delta=ds.delta, w2=ds.w2 * 1e154,
+                     y_kind=ds.y_kind)
+        data = tmp_path / "cohort.csv"
+        write_csv(ds, data, CsvSchema(treatment="a", outcome="y", delta="d",
+                                      w1=("u1", "u2"), w2=("v1", "v2")))
+        cfg = write_cfg(tmp_path / "run.cfg", [
+            "mode = estimate", f"data.path = {data}", "schema.treatment = a",
+            "schema.outcome = y", "schema.delta = d", "schema.w1 = u1, u2",
+            "schema.w2 = v1, v2", "estimators = aipcw, raking",
+        ])
+        assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_ESTIMATOR_FAILURE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        for line in err:
+            assert line.endswith("nuisance fitting failed: non-finite Gram matrix: "
+                                 "a covariate is too large in magnitude; rescale it"), line
 
 
 class TestBundledExample:

@@ -210,6 +210,24 @@ class TestCsv:
         with pytest.raises(DataError, match=r"^row 2: column y must be 0/1, got '0\.5'$"):
             load_csv(f, SCHEMA)
 
+    def test_outcome_outside_declared_bounds_names_its_row(self, tmp_path):
+        f = tmp_path / "d.csv"
+        write_lines(f, ["x1,a,y,delta", "0.1,0,0.5,1", "0.2,1,7,1"])
+        schema = CsvSchema(treatment="a", outcome="y", delta="delta", w1=("x1",),
+                           y_kind="continuous", y_bounds=(0, 1))
+        with pytest.raises(DataError, match=r"^row 2: column y must be within \[0\.0, 1\.0\], "
+                                            r"got '7'$"):
+            load_csv(f, schema)
+
+    @pytest.mark.parametrize("bounds", [(1.0, 0.0), (0.5, 0.5), (-1e308, 1e308)])
+    def test_invalid_declared_bounds_are_not_a_row_error(self, bounds, tmp_path):
+        f = tmp_path / "d.csv"
+        write_lines(f, ["x1,a,y,delta", "0.1,0,0.5,1", "0.2,1,7,1"])
+        schema = CsvSchema(treatment="a", outcome="y", delta="delta", w1=("x1",),
+                           y_kind="continuous", y_bounds=bounds)
+        with pytest.raises(DataError, match=r"^invalid outcome bounds"):
+            load_csv(f, schema)
+
     def test_missing_column_rejected(self, tmp_path):
         f = tmp_path / "d.csv"
         write_lines(f, ["x1,a,y,delta", "0.1,0,0,1"])
@@ -309,6 +327,8 @@ class TestCsvMatchesReference:
     @example(case=(FUZZ_TEXT.format(P2_ROW, "0.1,0.2,abc,0.4,1,0,2,n"), "binary", None))
     @example(case=(FUZZ_TEXT.format("0.1,0.2,1.5,,1,0,0,n", "0.1,0.2,0.3,0.4,2,0,1,n"),
                    "binary", None))
+    @example(case=(FUZZ_TEXT.format(P2_ROW, "0.1,0.2,0.3,0.4,1,1e301,1,n"), "continuous",
+                   (-1e300, 1e300)))  # an outcome outside the declared bounds
     def test_same_dataset_or_same_error(self, case, tmp_path_factory):
         text, y_kind, bounds = case
         schema = CsvSchema(treatment="a", outcome="y", delta="delta", w1=("x1", "x2"),

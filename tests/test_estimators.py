@@ -232,6 +232,30 @@ class TestFixedPoints:
         assert r.n_outer_iterations == 0
         np.testing.assert_array_equal(r.details["pi_final"], pi0)
 
+    def test_raking_stalled_after_one_calibration_reports_that_pass(self, monkeypatch):
+        # with known pi this dataset needs more than one pass, so the second
+        # raking solve is reached and fails
+        ds, truth = generate(DgpSpec("raking_gap", n=300, seed=1))
+        ctx = fit_context(ds, NuisanceConfig(known_pi=truth.pi0))
+        first = run_estimator(ds, "ipcw_tmle_rake_pi", ctx, EstimatorOptions(max_outer_iter=1))
+        start = run_estimator(ds, "ipcw_tmle_rake_pi", ctx, EstimatorOptions(max_outer_iter=0))
+        assert not first.converged
+        solves = []
+
+        def once(mbar, pi, delta):
+            solves.append(rake_weights(mbar, pi, delta))
+            if len(solves) == 1:
+                return solves[0]
+            return dataclasses.replace(solves[-1], converged=False)
+
+        monkeypatch.setattr(estimators, "rake_weights", once)
+        r = run_estimator(ds, "ipcw_tmle_rake_pi", ctx)
+        assert len(solves) == 2
+        assert r.n_outer_iterations == 1 and not r.converged
+        assert r == first  # the calibrated pass, not the failed solve's
+        assert r.eic_mean_abs < start.eic_mean_abs
+        np.testing.assert_array_equal(r.details["pi_final"], solves[0].pi_star)
+
     @pytest.mark.parametrize("est", ["tmle_alt", "ipcw_tmle_target_pi", "ipcw_tmle_rake_pi"])
     def test_never_refits_the_same_values(self, monkeypatch, est):
         # the regressed values change only with the Q fluctuation, so their
@@ -274,6 +298,51 @@ class TestFixedPoints:
             r = run_estimator(ds, est, ctx, linearized)
             assert r.n_outer_iterations >= 1
             assert len(calls) == 1 + 2 * r.n_outer_iterations
+
+
+def scripted(means):
+    """A monitor and a step over states 0, 1, 2, ...: state k reports psi k
+    and an EIC of mean means[k], dyadic so the mean is exact (of these, only
+    0 meets s_n, about 0.03 at n=100); stepping to a state whose mean is
+    None fails."""
+
+    def monitor(k):
+        return float(k), np.array([means[k] - 1.0, means[k] + 1.0])
+
+    def step(k):
+        return None if means[k + 1] is None else k + 1
+
+    return monitor, step
+
+
+class TestTargetLoop:
+    CTX = dataclasses.make_dataclass("Ctx", ["n"])(100)
+
+    def target(self, means, max_iter=10, first_pass=True):
+        (state, psi, d), best, steps, converged = estimators._target(
+            self.CTX, 0, *scripted(means), max_iter, first_pass)
+        assert psi == state and np.mean(d) == means[state]
+        return state, None if best is None else best[0], steps, converged
+
+    def test_first_pass_is_mandatory(self):
+        assert self.target([0.0, 0.0]) == (1, 1, 1, True)
+
+    def test_first_pass_can_be_skipped(self):
+        assert self.target([0.0, 0.0], first_pass=False) == (0, None, 0, True)
+        assert self.target([0.5, 0.0], first_pass=False) == (1, 1, 1, True)
+
+    def test_no_steps_allowed(self):
+        assert self.target([0.0, 0.0], max_iter=0) == (0, None, 0, False)
+
+    def test_failed_step_keeps_the_best_stepped_pass(self):
+        assert self.target([0.5, 0.25, 0.375, None]) == (2, 1, 2, False)
+        assert self.target([0.5, None]) == (0, None, 0, False)
+
+    def test_cap_tells_best_from_last(self):
+        assert self.target([0.5, 0.375, 0.125, 0.25, 0.0], max_iter=3) == (3, 2, 3, False)
+
+    def test_ties_keep_the_earlier_pass(self):
+        assert self.target([0.5, 0.25, 0.25], max_iter=2) == (2, 1, 2, False)
 
 
 class TestPlugInProperty:

@@ -118,6 +118,16 @@ class TestFitGlm:
         with pytest.raises(GlmError, match="positive"):
             fit_glm(np.ones((3, 1)), [0.0, 1.0, 1.0], w=[0, 0, 0], family="bernoulli")
 
+    @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
+    def test_overflowing_covariate_names_its_cause(self, family):
+        # x'x overflows; numpy's overflow warning, an error under the test
+        # settings, used to come first, and the fit then failed on NaN
+        rng = np.random.default_rng(6)
+        X = np.column_stack([np.ones(50), rng.normal(size=50) * 1e154])
+        y = (rng.random(50) < 0.5).astype(float)
+        with pytest.raises(GlmError, match="covariate is too large in magnitude"):
+            fit_glm(X, y, family=family)
+
     def test_nan_rejected(self):
         with pytest.raises(GlmError):
             fit_glm(np.array([[1.0], [np.nan]]), [0.0, 1.0], family="gaussian")
@@ -159,6 +169,11 @@ class TestCholeskyKernels:
         assert ridge_used
         x = _cho_solve(factor, X.T @ rng.normal(size=40))
         assert np.all(np.isfinite(x)) and x[1] == 0.0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_gram_rejected(self, bad):
+        with pytest.raises(GlmError, match="non-finite Gram matrix"):
+            _factor_spd(np.array([[bad, 0.0], [0.0, 1.0]]))
 
     def test_empty_design_gives_empty_fit(self):
         fit = fit_glm(np.zeros((3, 0)), [1.0, 2.0, 3.0], family="gaussian")

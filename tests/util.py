@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -237,8 +238,9 @@ def reference_load_csv(path, schema: CsvSchema) -> Dataset:
     columnar loader must match: same Dataset, or the same DataError message.
     It reads a header with duplicated names from the last such column,
     which load_csv now rejects. Like load_csv, it skips a leading byte-order
-    mark and names the row of a non-finite outcome, w1 or phase-2 w2 cell
-    and of a binary outcome cell that is not 0/1."""
+    mark and names the row of a non-finite outcome, w1 or phase-2 w2 cell,
+    of a binary outcome cell that is not 0/1 and of a continuous outcome
+    cell outside valid declared bounds."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -263,6 +265,11 @@ def reference_load_csv(path, schema: CsvSchema) -> Dataset:
             if schema.y_kind == "binary" and y not in (0.0, 1.0):
                 raise DataError(f"row {rownum}: column {schema.outcome} must be 0/1, "
                                 f"got {cell(schema.outcome)!r}")
+            if schema.y_kind == "continuous" and schema.y_bounds:
+                lo, hi = float(schema.y_bounds[0]), float(schema.y_bounds[1])
+                if lo < hi and math.isfinite(hi - lo) and not lo <= y <= hi:
+                    raise DataError(f"row {rownum}: column {schema.outcome} must be within "
+                                    f"[{lo}, {hi}], got {cell(schema.outcome)!r}")
             w1 = []
             for name in schema.w1:
                 c = cell(name)
