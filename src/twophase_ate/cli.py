@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .data_model import CsvSchema, DataError, load_csv
 from .estimators import (
+    _EIC_MODES,
     DEFAULT_OPTIONS,
     ESTIMATOR_IDS,
     OPTIONS_READ,
@@ -144,7 +145,7 @@ REQUIRED = object()  # the default of a key that every run of its modes must set
 MODES = ("estimate", "simulate")
 _EST, _SIM = ("estimate",), ("simulate",)
 _OPTION_ROWS = {
-    "mode": (_choice("refit", "linearized"), DEFAULT_OPTIONS.mode),
+    "mode": (_choice(*_EIC_MODES), DEFAULT_OPTIONS.mode),
     "max_outer_iter": (_integer(0), DEFAULT_OPTIONS.max_outer_iter),
 }
 

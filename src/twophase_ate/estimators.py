@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,6 +71,7 @@ __all__ = [
 ]
 
 ROOT_TOL = 1e-10  # quasi_tmle's plug-in root solve
+_EIC_MODES = ("refit", "linearized")  # handling of the EIC regression; the first is the default
 
 
 class EstimatorError(RuntimeError):
@@ -80,13 +81,13 @@ class EstimatorError(RuntimeError):
 @dataclass(frozen=True)
 class EstimatorOptions:
     max_outer_iter: int = 50
-    mode: str = "refit"  # "refit" | "linearized" handling of the EIC regression
+    mode: str = _EIC_MODES[0]
 
     def __post_init__(self):
         object.__setattr__(self, "max_outer_iter",
                            _as_integer("max_outer_iter", self.max_outer_iter, 0))
-        if self.mode not in ("refit", "linearized"):
-            raise ValueError(f"mode must be refit|linearized, got {self.mode!r}")
+        if self.mode not in _EIC_MODES:
+            raise ValueError(f"mode must be {'|'.join(_EIC_MODES)}, got {self.mode!r}")
 
 
 DEFAULT_OPTIONS = EstimatorOptions()
@@ -105,7 +106,7 @@ class EstimateResult:
     details: dict | None = field(default=None, compare=False, repr=False)
 
 
-def _result(estimator_id, psi, d_obs, n, n_outer, converged, details=None) -> EstimateResult:
+def _result(estimator_id, psi, d_obs, n_outer, converged, details=None) -> EstimateResult:
     var = eic_variance(d_obs, psi)
     return EstimateResult(
         estimator_id=estimator_id,
@@ -115,12 +116,13 @@ def _result(estimator_id, psi, d_obs, n, n_outer, converged, details=None) -> Es
         eic_mean_abs=float(abs(np.mean(d_obs))),
         n_outer_iterations=int(n_outer),
         converged=bool(converged),
-        s_n=_threshold(d_obs, n),
+        s_n=_threshold(d_obs),
         details=details,
     )
 
 
-def _threshold(d_obs: np.ndarray, n: int) -> float:
+def _threshold(d_obs: np.ndarray) -> float:
+    n = len(d_obs)
     return float(np.std(d_obs, ddof=1) / (np.sqrt(n) * np.log(n)))
 
 
@@ -253,8 +255,7 @@ def rake_weights(mbar: np.ndarray, pi: np.ndarray, delta: np.ndarray,
 
     f0 = F(0.0)
     if abs(f0) <= tol:
-        return RakeSolution(lam=0.0, a=np.ones_like(m), pi_star=pi.copy(),
-                            constraint_residual=f0, n_iter=0, converged=True)
+        return solution(0.0, 0, True)
     if np.all(m2 == 0.0):
         raise EstimatorError(
             "raking constraint infeasible: calibration variable vanishes on "
@@ -289,7 +290,7 @@ def estimate_aipcw(ctx: FittedContext,
         - np.sum(mbar * (ctx.delta - pi) / pi) / ctx.n
     )
     d = observed_eic(dbar2, mbar, pi, psi, ctx.p2, ctx.delta)
-    return _result("aipcw", psi, d, ctx.n, 0, True)
+    return _result("aipcw", psi, d, 0, True)
 
 
 def estimate_eee(ctx: FittedContext,
@@ -302,7 +303,7 @@ def estimate_eee(ctx: FittedContext,
     mbar_star = mbar + zeta
     psi = float(np.mean(mbar_star))
     d = observed_eic(dbar2, mbar_star, ctx.pi0, psi, ctx.p2, ctx.delta)
-    return _result("eee", psi, d, ctx.n, 0, True)
+    return _result("eee", psi, d, 0, True)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +321,7 @@ def estimate_ipcw_tmle(ctx: FittedContext,
     d = observed_eic(dbar2, mbar, ctx.pi0, psi, ctx.p2, ctx.delta)
     weighted_fulldata_score = float(np.sum((dbar2 - psi) * ctx.wts0) / ctx.n)
     return _result(
-        "ipcw_tmle", psi, d, ctx.n, 1, fit.converged,
+        "ipcw_tmle", psi, d, 1, fit.converged,
         details={
             "epsilon": fit.epsilon,
             "q1": q1, "q0": q0,
@@ -329,17 +330,17 @@ def estimate_ipcw_tmle(ctx: FittedContext,
     )
 
 
-def _target(ctx: FittedContext, state, monitor, step, max_iter: int, first_pass: bool = True):
+def _target(state, monitor, step, max_iter: int):
     """The one targeting loop: evaluate the monitored EIC of state, stop once
     |P_n D| <= s_n, else step to the next state.
 
-    monitor(state) gives (psi, d); step(state) gives the next state, or None
-    when the update failed, which ends the loop. The first pass steps
-    whatever |P_n D| is, unless first_pass is False: the threshold governs
-    iteration, not whether to target at all. At most max_iter steps are
-    taken. Returns the last pass's (state, psi, d), the stepped pass with the
-    smallest |P_n D| (None if no step was taken), the number of steps taken
-    and whether the threshold was met.
+    monitor(state) gives (psi, d), d on all n records; step(state) gives the
+    next state, or None when the update failed, which ends the loop. The
+    first pass steps whatever |P_n D| is: the threshold governs iteration,
+    not whether to target at all. At most max_iter steps are taken. Returns
+    the last pass's (state, psi, d), the stepped pass with the smallest
+    |P_n D| (None if no step was taken), the number of steps taken and
+    whether the threshold was met.
     """
     best, best_pnd = None, None
     for k in itertools.count():
@@ -347,7 +348,7 @@ def _target(ctx: FittedContext, state, monitor, step, max_iter: int, first_pass:
         pnd = float(abs(np.mean(d)))
         if k > 0 and (best is None or pnd < best_pnd):
             best, best_pnd = (state, psi, d), pnd
-        if (k > 0 or not first_pass) and pnd <= _threshold(d, ctx.n):
+        if k > 0 and pnd <= _threshold(d):
             return (state, psi, d), best, k, True
         nxt = step(state) if k < max_iter else None
         if nxt is None:
@@ -369,15 +370,14 @@ def _iterative_ipcw_tmle(ctx, options, use_raking: bool, estimator_id: str) -> E
     EIC; it still refits the level regression once per pass, for the next.
     """
     linearized = options.mode == "linearized"
-    rakes: list[RakeSolution] = []
 
-    def monitor(state):  # state: q_a, q1, q0, pi, dbar2 and its regression
-        _, q1, q0, pi, dbar2, m_level = state
+    def monitor(state):  # state: q_a, q1, q0, pi, dbar2, its regression, the raking solve
+        _, q1, q0, pi, dbar2, m_level, _ = state
         psi = ctx.hajek_plugin(q1, q0, pi)
         return psi, observed_eic(dbar2, m_level, pi, psi, ctx.p2, ctx.delta)
 
     def step(state):
-        q_a, q1, q0, pi, _, m_level = state
+        q_a, q1, q0, pi, _, m_level, _ = state
         if linearized:  # the slope at the current fit
             m_slope = ctx.mbar_all(linearized_slope_values(ctx.a2, ctx.g1, q_a, q1, q0))
         # outcome targeting at the current weights
@@ -386,25 +386,26 @@ def _iterative_ipcw_tmle(ctx, options, use_raking: bool, estimator_id: str) -> E
         dbar2 = ctx.dbar(q_a, q1, q0)
         m_new = m_level + fit.epsilon * m_slope if linearized else ctx.mbar_all(dbar2)
         # sampling-mechanism targeting
+        rake = None
         if use_raking:
-            rakes.append(rake_weights(m_new - psi, pi, ctx.delta))
-            if not rakes[-1].converged:
+            rake = rake_weights(m_new - psi, pi, ctx.delta)
+            if not rake.converged:
                 return None  # uncalibrated weights would leave the score equation unsolved
-            pi = rakes[-1].pi_star
+            pi = rake.pi_star
         else:
             pi = ctx.fluctuate_pi(pi, m_new - psi)
         # the next pass needs the regression of dbar2, which refit mode has
         # just fitted and the linearized step only approximates
-        return q_a, q1, q0, pi, dbar2, ctx.mbar_all(dbar2) if linearized else m_new
+        return q_a, q1, q0, pi, dbar2, ctx.mbar_all(dbar2) if linearized else m_new, rake
 
     dbar2 = ctx.dbar(ctx.q_a0, ctx.q10, ctx.q00)
-    start = (ctx.q_a0, ctx.q10, ctx.q00, ctx.pi0, dbar2, ctx.mbar_all(dbar2))
-    last, best, n_outer, converged = _target(ctx, start, monitor, step, options.max_outer_iter)
-    (_, _, _, pi, _, _), psi, d = last if converged or best is None else best
+    start = (ctx.q_a0, ctx.q10, ctx.q00, ctx.pi0, dbar2, ctx.mbar_all(dbar2), None)
+    last, best, n_outer, converged = _target(start, monitor, step, options.max_outer_iter)
+    (_, _, _, pi, _, _, rake), psi, d = last if converged or best is None else best
     details = {"pi_final": pi}
-    if rakes:
-        details["rake"] = rakes[-1]
-    return _result(estimator_id, psi, d, ctx.n, n_outer, converged, details)
+    if rake is not None:
+        details["rake"] = rake
+    return _result(estimator_id, psi, d, n_outer, converged, details)
 
 
 def estimate_ipcw_tmle_target_pi(ctx: FittedContext,
@@ -523,7 +524,7 @@ def estimate_raking(ctx: FittedContext,
 
     fit, psi, u = _working_model(ctx, designs2, censored, imputed, wts1, family)
     return _result(
-        "raking", psi, u - psi, ctx.n, rake.n_iter, rake.converged and fit.converged,
+        "raking", psi, u - psi, rake.n_iter, rake.converged and fit.converged,
         details={"rake": rake, "calibration_values": h, "working_fit": fit},
     )
 
@@ -590,7 +591,7 @@ def estimate_quasi_tmle(ctx: FittedContext,
     mbar_star[ctx.p2] += gamma * ctx.wts0
     d = observed_eic(dbar2, mbar_star, ctx.pi0, psi, ctx.p2, ctx.delta)
     return _result(
-        "quasi_tmle", psi, d, ctx.n, n_evals, True,
+        "quasi_tmle", psi, d, n_evals, True,
         details={"epsilon": eps, "gamma": gamma, "psi_plug": psi_plug},
     )
 
@@ -598,15 +599,6 @@ def estimate_quasi_tmle(ctx: FittedContext,
 # ---------------------------------------------------------------------------
 # TMLE under the alternative parameter representation
 # ---------------------------------------------------------------------------
-
-
-def _fit_bounded_regression(ctx: FittedContext, values2: np.ndarray) -> np.ndarray:
-    """Bernoulli-family regression of (0,1)-valued phase-2 values on phase-1
-    features, predicted on all rows; keeps predictions inside (0,1) for the
-    subsequent logit-offset fluctuation."""
-    resp = np.clip(values2, P_MIN, 1.0 - P_MIN)
-    fit = fit_glm(ctx.design.x2, resp, family="bernoulli")
-    return fit.predict(ctx.design.x_all)
 
 
 def estimate_tmle_alt(ctx: FittedContext,
@@ -618,9 +610,10 @@ def estimate_tmle_alt(ctx: FittedContext,
 
     The alternation loop monitors the outcome+sampling score components; the
     two conditional-regression fluctuations afterwards zero the remaining
-    components, so the full EIC mean is checked (and re-looped, at most
-    twice) before declaring convergence; a run that does not get there
-    reports its last pass.
+    components, so the full EIC mean is checked before declaring
+    convergence. Those fluctuations leave the loop state as it was, so a new
+    round (at most three in all) runs only after a round that the step cap
+    cut short; a run that does not converge reports its last pass.
     """
 
     def monitor(state):
@@ -640,9 +633,8 @@ def estimate_tmle_alt(ctx: FittedContext,
     resid2 = ctx.h2 * (ctx.y2 - ctx.q_a0)
     state = (ctx.q_a0, ctx.q10, ctx.q00, ctx.pi0, resid2, ctx.mbar_all(resid2))
     n_outer = 0
-    for round_ in range(3):
-        (state, _, _), _, steps, _ = _target(ctx, state, monitor, step, options.max_outer_iter,
-                                             first_pass=round_ == 0)
+    for _ in range(3):
+        (state, _, _), _, steps, met = _target(state, monitor, step, options.max_outer_iter)
         n_outer += steps
         _, q1, q0, pi, resid2, r_all = state
 
@@ -650,9 +642,9 @@ def estimate_tmle_alt(ctx: FittedContext,
         inv_pi = 1.0 / pi
         m_star = {}
         for arm, q_arm in ((1, q1), (0, q0)):
-            m_all = _fit_bounded_regression(ctx, q_arm)
-            gfit = fit_fluctuation(np.clip(q_arm, P_MIN, 1.0 - P_MIN),
-                                   logit(m_all[ctx.p2], P_MIN), inv_pi[ctx.p2])
+            resp = np.clip(q_arm, P_MIN, 1.0 - P_MIN)
+            m_all = fit_glm(ctx.design.x2, resp, family="bernoulli").predict(ctx.design.x_all)
+            gfit = fit_fluctuation(resp, logit(m_all[ctx.p2], P_MIN), inv_pi[ctx.p2])
             m_star[arm] = expit(logit(m_all, P_MIN) + gfit.epsilon * inv_pi)
         contrast_all = m_star[1] - m_star[0]
         psi = float(np.mean(contrast_all))
@@ -660,12 +652,12 @@ def estimate_tmle_alt(ctx: FittedContext,
         d_q, d_pi, d_gamma, d_pv = eic_components(resid2, r_all, q1 - q0, contrast_all,
                                                   pi, psi, ctx.p2, ctx.delta)
         d = d_q + d_pi + d_gamma + d_pv
-        converged = abs(np.mean(d)) <= _threshold(d, ctx.n)
-        if converged:
+        converged = abs(np.mean(d)) <= _threshold(d)
+        if converged or met or steps == 0:  # only a capped round can move the state
             break
 
     return _result(
-        "tmle_alt", psi, d, ctx.n, n_outer, converged,
+        "tmle_alt", psi, d, n_outer, converged,
         details={"m1_star": m_star[1], "m0_star": m_star[0]},
     )
 
@@ -674,7 +666,7 @@ def estimate_tmle_alt(ctx: FittedContext,
 # front door
 # ---------------------------------------------------------------------------
 
-_ALL_OPTIONS = frozenset({"mode", "max_outer_iter"})  # every EstimatorOptions field
+_ALL_OPTIONS = frozenset(f.name for f in fields(EstimatorOptions))
 
 # One row per estimator, in the order of the default roster: its function,
 # the EstimatorOptions fields it reads (the others ignore them), and whether
@@ -700,8 +692,6 @@ FULL_EIC_SOLVERS = frozenset(e for e, (_, _, full) in _ESTIMATORS.items() if ful
 
 
 def _unscale(res: EstimateResult, scale: OutcomeScale) -> EstimateResult:
-    if scale.span == 1.0:
-        return res
     s = scale.span
     return replace(
         res,

@@ -30,14 +30,21 @@ import os
 import subprocess
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit, ndtr
 
 from .data_model import DataError, Dataset, _as_integer, default_bounds
-from .estimators import ESTIMATOR_IDS, OPTIONS_READ, EstimateResult, EstimatorOptions, run_roster
+from .estimators import (
+    DEFAULT_OPTIONS,
+    ESTIMATOR_IDS,
+    OPTIONS_READ,
+    EstimateResult,
+    EstimatorOptions,
+    run_roster,
+)
 from .glm import fit_glm
 from .nuisance import TRUNC_G_DEFAULT, TRUNC_PI_DEFAULT, NuisanceConfig, check_truncation
 
@@ -290,23 +297,23 @@ def reference_psi(spec: DgpSpec) -> float:
 @dataclass(frozen=True)
 class StudyEstimator:
     estimator_id: str
-    mode: str = "refit"
-    max_outer_iter: int = 50
+    mode: str = DEFAULT_OPTIONS.mode
+    max_outer_iter: int = DEFAULT_OPTIONS.max_outer_iter
     label: str = ""
 
     def __post_init__(self):
         if self.estimator_id not in ESTIMATOR_IDS:
             raise ValueError(f"unknown estimator {self.estimator_id!r}")
         # EstimatorOptions rejects a negative max_outer_iter or an unknown mode
-        options, default = self.options, EstimatorOptions()
-        for field in ("mode", "max_outer_iter"):
-            if (getattr(options, field) != getattr(default, field)
-                    and field not in OPTIONS_READ[self.estimator_id]):
-                raise ValueError(f"{self.estimator_id} has no {field!r} option")
+        options = self.options
+        for name in (f.name for f in fields(EstimatorOptions)):
+            if (getattr(options, name) != getattr(DEFAULT_OPTIONS, name)
+                    and name not in OPTIONS_READ[self.estimator_id]):
+                raise ValueError(f"{self.estimator_id} has no {name!r} option")
         object.__setattr__(self, "max_outer_iter", options.max_outer_iter)  # as a Python int
         if not self.label:
             label = self.estimator_id
-            if self.mode != "refit":
+            if self.mode != DEFAULT_OPTIONS.mode:
                 label += f":{self.mode}"
             object.__setattr__(self, "label", label)
 

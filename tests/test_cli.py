@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import tempfile
@@ -19,7 +20,13 @@ from twophase_ate.cli import (
     parse_config_text,
 )
 from twophase_ate.data_model import CsvSchema, Dataset, load_csv, write_csv
-from twophase_ate.estimators import ESTIMATOR_IDS, OPTIONS_READ, EstimatorOptions, run_roster
+from twophase_ate.estimators import (
+    _EIC_MODES,
+    ESTIMATOR_IDS,
+    OPTIONS_READ,
+    EstimatorOptions,
+    run_roster,
+)
 from twophase_ate.nuisance import NuisanceConfig
 from twophase_ate.sim import DgpSpec, generate
 
@@ -154,6 +161,30 @@ class TestEstimateMode:
         assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_ESTIMATOR_FAILURE
         row = read_rows(tmp_path / "out" / "estimates.csv")[0]
         assert row["converged"] == "false"
+
+    def test_one_failed_estimator_leaves_the_other_rows(self, tmp_path, capsys):
+        # on this draw only tmle_alt fails: its arm fluctuation is degenerate
+        ds, _ = generate(DgpSpec("kang_dr", n=20, seed=11))
+        data = tmp_path / "cohort.csv"
+        write_csv(ds, data, CsvSchema(treatment="a", outcome="y", delta="d",
+                                      w1=("u1", "u2"), w2=("v1", "v2")))
+        cfg = write_cfg(tmp_path / "run.cfg", [
+            "mode = estimate",
+            f"data.path = {data}",
+            *[line if line != "schema.w1 = u1" else "schema.w1 = u1, u2" for line in SCHEMA_LINES],
+        ])
+        assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_ESTIMATOR_FAILURE
+        rows = read_rows(tmp_path / "out" / "estimates.csv")
+        assert [row["estimator"] for row in rows] == list(ESTIMATOR_IDS)
+        for row in rows:
+            if row["estimator"] == "tmle_alt":
+                assert row["psi_hat"] == row["se"] == "" and row["converged"] == "false"
+            else:
+                assert np.isfinite(float(row["psi_hat"]))
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("estimator ")]
+        assert len(failed) == 1
+        assert failed[0].startswith("estimator tmle_alt failed: tmle_alt failed: degenerate")
 
     def test_phase2_covariate_constant_at_zero(self, tmp_path):
         # raking once died here with a LinAlgError traceback, and the other
@@ -385,6 +416,21 @@ class TestConfigHardening:
         assert code == EXIT_CONFIG_ERROR
         assert key in err
         assert not (tmp_path / "out" / "report.csv").exists()
+
+    @pytest.mark.parametrize("raw", [*_EIC_MODES, "Refit", "linearised", "", "estimate"])
+    def test_mode_parser_accepts_what_the_options_accept(self, raw):
+        parse = cli.KEYS["estimator.quasi_tmle.mode"][1]
+        try:
+            EstimatorOptions(mode=raw)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse(raw)
+        else:
+            assert parse(raw) == raw
+
+    def test_option_rows_are_the_estimator_options(self):
+        assert {option: default for option, (_, default) in cli._OPTION_ROWS.items()} == \
+            dataclasses.asdict(EstimatorOptions())
 
     @pytest.mark.parametrize("key", [
         f"estimator.{est}.{opt}" for est in ESTIMATOR_IDS for opt in sorted(OPTIONS_READ[est])])

@@ -18,8 +18,9 @@ from twophase_ate.estimators import (
     run_estimator,
     run_roster,
 )
-from twophase_ate.glm import _cho_solve, _factor_spd, expit
+from twophase_ate.glm import _cho_solve, _factor_spd, expit, fit_fluctuation
 from twophase_ate.nuisance import NuisanceConfig, aw_designs, fit_mbar, fit_nuisances
+from twophase_ate.roots import bisect
 from twophase_ate.sim import DgpSpec, generate, reference_psi
 
 from util import (
@@ -254,6 +255,7 @@ class TestFixedPoints:
         assert r.n_outer_iterations == 1 and not r.converged
         assert r == first  # the calibrated pass, not the failed solve's
         assert r.eic_mean_abs < start.eic_mean_abs
+        assert r.details["rake"] is solves[0]  # the solve behind pi_final
         np.testing.assert_array_equal(r.details["pi_final"], solves[0].pi_star)
 
     @pytest.mark.parametrize("est", ["tmle_alt", "ipcw_tmle_target_pi", "ipcw_tmle_rake_pi"])
@@ -299,15 +301,69 @@ class TestFixedPoints:
             assert r.n_outer_iterations >= 1
             assert len(calls) == 1 + 2 * r.n_outer_iterations
 
+    def test_tmle_alt_runs_no_round_that_cannot_move(self, monkeypatch):
+        # with no step allowed the loop state never moves, so a second round
+        # would refit the same arm regressions to the same values: one
+        # round, two arm fluctuations
+        calls = []
+
+        def spy(*args, **kw):
+            calls.append(1)
+            return fit_fluctuation(*args, **kw)
+
+        monkeypatch.setattr(estimators, "fit_fluctuation", spy)
+        ds, _ = generate(DgpSpec("missing_rate", n=300, seed=1))
+        r = run_estimator(ds, "tmle_alt", options=EstimatorOptions(max_outer_iter=0))
+        assert len(calls) == 2
+        assert (r.n_outer_iterations, r.converged) == (0, False)
+        assert r.psi_hat == pytest.approx(0.2918812806040898, rel=1e-12)
+        assert r.se == pytest.approx(0.05531946382722826, rel=1e-12)
+
+
+def kang_dr_20(seed):
+    return generate(DgpSpec("kang_dr", n=20, seed=seed))[0]
+
+
+class TestFailuresOnRealDraws:
+    """Twenty-record kang_dr draws, estimated pi, on which one solve fails."""
+
+    def test_one_failure_leaves_the_other_slots(self):
+        _, out = run_roster(kang_dr_20(11), [(e, EstimatorOptions()) for e in ESTIMATOR_IDS])
+        results = dict(zip(ESTIMATOR_IDS, (r for r, _ in out)))
+        failure = results.pop("tmle_alt")
+        assert isinstance(failure, EstimatorError)
+        assert str(failure).startswith("tmle_alt failed: degenerate fluctuation")
+        assert all(np.isfinite(r.psi_hat) for r in results.values())
+
+    def test_quasi_tmle_finds_no_root(self):
+        with pytest.raises(EstimatorError,
+                           match=r"plug-in fluctuation solve failed: no root in \[-10, 10\]"):
+            run_estimator(kang_dr_20(3), "quasi_tmle")
+
+    def test_raking_stalls_and_quasi_tmle_bisects(self, monkeypatch):
+        ds = kang_dr_20(9)
+        with pytest.raises(EstimatorError, match="raking solver stalled: vanishing gradient"):
+            run_estimator(ds, "raking")
+        fallbacks = []
+
+        def spy(f, grid, tol):
+            fallbacks.append(bisect(f, grid, tol))
+            return fallbacks[-1]
+
+        monkeypatch.setattr(estimators, "bisect", spy)
+        r = run_estimator(ds, "quasi_tmle")
+        assert len(fallbacks) == 1 and fallbacks[0].converged  # the secant failed
+        assert r.details["epsilon"] == fallbacks[0].x
+
 
 def scripted(means):
     """A monitor and a step over states 0, 1, 2, ...: state k reports psi k
-    and an EIC of mean means[k], dyadic so the mean is exact (of these, only
-    0 meets s_n, about 0.03 at n=100); stepping to a state whose mean is
-    None fails."""
+    and an EIC on 100 records of mean means[k], dyadic so the mean is exact
+    (of these, only 0 meets s_n, about 0.022 at n=100); stepping to a state
+    whose mean is None fails."""
 
     def monitor(k):
-        return float(k), np.array([means[k] - 1.0, means[k] + 1.0])
+        return float(k), means[k] + np.tile([-1.0, 1.0], 50)
 
     def step(k):
         return None if means[k + 1] is None else k + 1
@@ -316,20 +372,14 @@ def scripted(means):
 
 
 class TestTargetLoop:
-    CTX = dataclasses.make_dataclass("Ctx", ["n"])(100)
-
-    def target(self, means, max_iter=10, first_pass=True):
+    def target(self, means, max_iter=10):
         (state, psi, d), best, steps, converged = estimators._target(
-            self.CTX, 0, *scripted(means), max_iter, first_pass)
+            0, *scripted(means), max_iter)
         assert psi == state and np.mean(d) == means[state]
         return state, None if best is None else best[0], steps, converged
 
     def test_first_pass_is_mandatory(self):
         assert self.target([0.0, 0.0]) == (1, 1, 1, True)
-
-    def test_first_pass_can_be_skipped(self):
-        assert self.target([0.0, 0.0], first_pass=False) == (0, None, 0, True)
-        assert self.target([0.5, 0.0], first_pass=False) == (1, 1, 1, True)
 
     def test_no_steps_allowed(self):
         assert self.target([0.0, 0.0], max_iter=0) == (0, None, 0, False)

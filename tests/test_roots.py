@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from twophase_ate.roots import bisect, newton
+from twophase_ate.estimators import rake_weights
+from twophase_ate.roots import BISECT_MAX_ITER, SECANT_MAX_ITER, RootResult, bisect, newton, secant
 
 
 def cubic(x):
@@ -43,3 +44,34 @@ class TestBisect:
 
     def test_no_sign_change_gives_none(self):
         assert bisect(lambda x: x * x + 1.0, np.linspace(-10.0, 10.0, 81), 1e-12) is None
+
+    def test_cap_without_meeting_tol(self):
+        # a jump at 0.3: the sign changes, but |f| never drops below 1
+        res = bisect(lambda x: math.copysign(1.0, x - 0.3), (0.0, 1.0), 0.0)
+        assert not res.converged and res.n_iter == BISECT_MAX_ITER
+        assert res.x == pytest.approx(0.3, abs=1e-12)
+
+
+class TestSecant:
+    def test_converges(self):
+        res = secant(lambda x: math.exp(x) - 2.0, 0.0, 1.0, 1e-12)
+        assert res.converged and res.x == pytest.approx(math.log(2.0), abs=1e-12)
+
+    def test_root_at_the_first_point_returns_at_once(self):
+        res = secant(lambda x: x - 1.0, 1.0, 5.0, 1e-12)
+        assert res == RootResult(1.0, 0.0, 0, True)
+
+    def test_zero_denominator_stops_before_stepping(self):
+        res = secant(lambda x: 3.0, 0.0, 1.0, 1e-12)
+        assert res == RootResult(1.0, 3.0, 0, False)
+
+    def test_cap_without_a_root(self):
+        res = secant(lambda x: x * x + 1.0, 0.0, 0.5, 1e-12)
+        assert not res.converged and res.n_iter == SECANT_MAX_ITER
+
+
+def test_raking_without_a_sign_change_returns_unconverged():
+    # m = (1, 2) on the phase-2 rows against a total of -7: F > 0 for every
+    # lambda, so one Newton step ends at lambda = 2 and bisection finds no cell
+    res = rake_weights([1.0, 2.0, -10.0], np.ones(3), [1, 1, 0], max_iter=1)
+    assert (res.converged, res.lam, res.n_iter) == (False, 2.0, 1)

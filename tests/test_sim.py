@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from twophase_ate import sim
+from twophase_ate.estimators import ESTIMATOR_IDS, EstimatorOptions
 from twophase_ate.glm import expit, fit_glm
 from twophase_ate.sim import (
     _CENSUS_CHUNK,
@@ -400,6 +401,10 @@ class TestSpecValidation:
         # aipcw:linearized would label a report row that holds refit numbers
         with pytest.raises(ValueError, match=f"{estimator_id} has no '{next(iter(options))}'"):
             StudyEstimator(estimator_id, **options)
+
+    @pytest.mark.parametrize("estimator_id", ESTIMATOR_IDS)
+    def test_defaults_are_the_estimator_options_defaults(self, estimator_id):
+        assert StudyEstimator(estimator_id).options == EstimatorOptions()
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="refit|linearized"):
