@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -116,14 +117,26 @@ def _result(estimator_id, psi, d_obs, n_outer, converged, details=None) -> Estim
         eic_mean_abs=float(abs(np.mean(d_obs))),
         n_outer_iterations=int(n_outer),
         converged=bool(converged),
-        s_n=_threshold(d_obs),
+        s_n=_threshold(d_obs, var.sigma2),
         details=details,
     )
 
 
-def _threshold(d_obs: np.ndarray) -> float:
+def _threshold(d_obs: np.ndarray, sigma2: float | None = None) -> float:
+    """s_n = sigma_n / (sqrt(n) log n), with sigma_n^2 the sample variance
+    of d_obs (pass it as sigma2 when it is already known)."""
     n = len(d_obs)
-    return float(np.std(d_obs, ddof=1) / (np.sqrt(n) * np.log(n)))
+    if sigma2 is None:
+        sigma2 = np.var(d_obs, ddof=1)
+    return float(np.sqrt(sigma2) / (np.sqrt(n) * np.log(n)))
+
+
+def _read_only(*values) -> tuple:
+    """values as a tuple, with every array among them made read-only."""
+    for v in values:
+        if isinstance(v, np.ndarray):
+            v.flags.writeable = False
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +152,11 @@ class FittedContext:
     The arrays hold that set evaluated on `scaled` (pi0 on every record, the
     rest on the phase-2 rows; wts0 = 1/pi0 there). Every estimator on the
     dataset shares them, so they are read-only.
+
+    Three steps that several estimators begin with are built at most once,
+    on first use, and read-only like the arrays: `start`, `first_q` and
+    `first_eic`. A step that raises is not kept, so it raises again in
+    every estimator that reads it.
     """
 
     def __init__(self, raw: Dataset, scaled: Dataset, scale: OutcomeScale,
@@ -164,8 +182,31 @@ class FittedContext:
         for arr in shared + [self.design.x_all, self.design.x2]:
             arr.flags.writeable = False
 
+    @cached_property
+    def start(self):
+        """(dbar2, its regression) at the initial outcome fit."""
+        dbar2 = self.dbar(self.q_a0, self.q10, self.q00)
+        return _read_only(dbar2, self.mbar_all(dbar2))
+
+    @cached_property
+    def first_q(self):
+        """(q_a, q1, q0, fit) after one outcome fluctuation at (Q0, pi0)."""
+        return _read_only(*self.fluctuate_q(self.q_a0, self.q10, self.q00, self.pi0))
+
+    @cached_property
+    def first_eic(self):
+        """`eic_at` the outcome fit of `first_q` and pi0."""
+        q_a, q1, q0, _ = self.first_q
+        return _read_only(*self.eic_at(q_a, q1, q0, self.pi0))
+
     def dbar(self, q_a, q1, q0) -> np.ndarray:
         return fulldata_eic_values(self.y2, self.h2, q_a, q1, q0)
+
+    def eic_at(self, q_a, q1, q0, pi):
+        """(psi, dbar2, its regression) at an outcome fit and sampling
+        mechanism, psi being the Hajek plug-in."""
+        dbar2 = self.dbar(q_a, q1, q0)
+        return self.hajek_plugin(q1, q0, pi), dbar2, self.mbar_all(dbar2)
 
     def hajek_plugin(self, q1, q0, pi) -> float:
         w = 1.0 / pi[self.p2]
@@ -177,10 +218,11 @@ class FittedContext:
 
     def fluctuate_q(self, q_a, q1, q0, pi):
         """One weighted logistic targeting step of the outcome regression."""
-        fit = fit_fluctuation(self.y2, logit(q_a, P_MIN), self.h2, w=1.0 / pi[self.p2])
+        lq_a = logit(q_a, P_MIN)
+        fit = fit_fluctuation(self.y2, lq_a, self.h2, w=1.0 / pi[self.p2])
         eps = fit.epsilon
         if eps != 0.0:
-            q_a = expit(logit(q_a, P_MIN) + eps * self.h2)
+            q_a = expit(lq_a + eps * self.h2)
             q1 = expit(logit(q1, P_MIN) + eps * self.h1)
             q0 = expit(logit(q0, P_MIN) + eps * self.h0)
         return q_a, q1, q0, fit
@@ -189,9 +231,10 @@ class FittedContext:
         """One logistic targeting step of the sampling mechanism along m/pi,
         truncated to the nuisance set's bounds."""
         cov = m / pi
-        fit = fit_fluctuation(self.delta, logit(pi, P_MIN), cov)
+        lpi = logit(pi, P_MIN)
+        fit = fit_fluctuation(self.delta, lpi, cov)
         lo, hi = self.nuisances.trunc_pi
-        return np.clip(expit(logit(pi, P_MIN) + fit.epsilon * cov), lo, hi)
+        return np.clip(expit(lpi + fit.epsilon * cov), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +325,7 @@ def rake_weights(mbar: np.ndarray, pi: np.ndarray, delta: np.ndarray,
 def estimate_aipcw(ctx: FittedContext,
                    options: EstimatorOptions = DEFAULT_OPTIONS) -> EstimateResult:
     """Augmented IPCW: the closed-form solution of 0 = P_n D at the initial fit."""
-    dbar2 = ctx.dbar(ctx.q_a0, ctx.q10, ctx.q00)
-    mbar = ctx.mbar_all(dbar2)
+    dbar2, mbar = ctx.start
     pi = ctx.pi0
     psi = float(
         np.sum(dbar2 / pi[ctx.p2]) / ctx.n
@@ -297,8 +339,7 @@ def estimate_eee(ctx: FittedContext,
                  options: EstimatorOptions = DEFAULT_OPTIONS) -> EstimateResult:
     """Targets the conditional-EIC regression with a weighted intercept shift,
     then averages the targeted regression over all records."""
-    dbar2 = ctx.dbar(ctx.q_a0, ctx.q10, ctx.q00)
-    mbar = ctx.mbar_all(dbar2)
+    dbar2, mbar = ctx.start
     zeta = float((ctx.wts0 @ (dbar2 - mbar[ctx.p2])) / ctx.wts0.sum())
     mbar_star = mbar + zeta
     psi = float(np.mean(mbar_star))
@@ -314,10 +355,8 @@ def estimate_eee(ctx: FittedContext,
 def estimate_ipcw_tmle(ctx: FittedContext,
                        options: EstimatorOptions = DEFAULT_OPTIONS) -> EstimateResult:
     """Single weighted logistic targeting of the outcome regression."""
-    q_a, q1, q0, fit = ctx.fluctuate_q(ctx.q_a0, ctx.q10, ctx.q00, ctx.pi0)
-    psi = ctx.hajek_plugin(q1, q0, ctx.pi0)
-    dbar2 = ctx.dbar(q_a, q1, q0)
-    mbar = ctx.mbar_all(dbar2)
+    _, q1, q0, fit = ctx.first_q
+    psi, dbar2, mbar = ctx.first_eic
     d = observed_eic(dbar2, mbar, ctx.pi0, psi, ctx.p2, ctx.delta)
     weighted_fulldata_score = float(np.sum((dbar2 - psi) * ctx.wts0) / ctx.n)
     return _result(
@@ -380,11 +419,16 @@ def _iterative_ipcw_tmle(ctx, options, use_raking: bool, estimator_id: str) -> E
         q_a, q1, q0, pi, _, m_level, _ = state
         if linearized:  # the slope at the current fit
             m_slope = ctx.mbar_all(linearized_slope_values(ctx.a2, ctx.g1, q_a, q1, q0))
-        # outcome targeting at the current weights
-        q_a, q1, q0, fit = ctx.fluctuate_q(q_a, q1, q0, pi)
-        psi = ctx.hajek_plugin(q1, q0, pi)
-        dbar2 = ctx.dbar(q_a, q1, q0)
-        m_new = m_level + fit.epsilon * m_slope if linearized else ctx.mbar_all(dbar2)
+        # outcome targeting at the current weights; the first step, from
+        # (Q0, pi0), is the context's shared one
+        if state is start:
+            (q_a, q1, q0, fit), (psi, dbar2, m_dbar) = ctx.first_q, ctx.first_eic
+        else:
+            q_a, q1, q0, fit = ctx.fluctuate_q(q_a, q1, q0, pi)
+            psi, dbar2, m_dbar = ctx.eic_at(q_a, q1, q0, pi)
+        # refit mode moves pi along the regression of dbar2; the linearized
+        # step only approximates it, and the next pass needs it in both modes
+        m_new = m_level + fit.epsilon * m_slope if linearized else m_dbar
         # sampling-mechanism targeting
         rake = None
         if use_raking:
@@ -394,12 +438,9 @@ def _iterative_ipcw_tmle(ctx, options, use_raking: bool, estimator_id: str) -> E
             pi = rake.pi_star
         else:
             pi = ctx.fluctuate_pi(pi, m_new - psi)
-        # the next pass needs the regression of dbar2, which refit mode has
-        # just fitted and the linearized step only approximates
-        return q_a, q1, q0, pi, dbar2, ctx.mbar_all(dbar2) if linearized else m_new, rake
+        return q_a, q1, q0, pi, dbar2, m_dbar, rake
 
-    dbar2 = ctx.dbar(ctx.q_a0, ctx.q10, ctx.q00)
-    start = (ctx.q_a0, ctx.q10, ctx.q00, ctx.pi0, dbar2, ctx.mbar_all(dbar2), None)
+    start = (ctx.q_a0, ctx.q10, ctx.q00, ctx.pi0, *ctx.start, None)
     last, best, n_outer, converged = _target(start, monitor, step, options.max_outer_iter)
     (_, _, _, pi, _, _, rake), psi, d = last if converged or best is None else best
     details = {"pi_final": pi}
@@ -456,9 +497,11 @@ def _imputation(ctx: FittedContext, censored: np.ndarray):
 
 
 def _working_model(ctx: FittedContext, designs2, censored: np.ndarray, imputed,
-                   wts2: np.ndarray, family: str):
+                   wts2: np.ndarray, family: str, fitted=None):
     """Weighted main-term working model of y on (a, w1, w2): its fit, its
     weighted treatment contrast and its uncentered influence values.
+    `fitted`, when given, is that fit at wts2 with its predictions on
+    designs2, which are then not refitted.
 
     Influence values are exact on phase-2 rows; on censored rows they are
     conditional expectations under the imputation model of `_imputation`,
@@ -466,8 +509,10 @@ def _working_model(ctx: FittedContext, designs2, censored: np.ndarray, imputed,
     averaging over imputation draws)."""
     ds, p2 = ctx.scaled, ctx.p2
     Xp, Xp1, Xp0 = designs2
-    fit = fit_glm(Xp, ctx.y2, w=wts2, family=family)
-    q_a2, q12, q02 = (fit.predict(Z) for Z in (Xp, Xp1, Xp0))
+    if fitted is None:
+        fit = fit_glm(Xp, ctx.y2, w=wts2, family=family)
+        fitted = fit, [fit.predict(Z) for Z in designs2]
+    fit, (q_a2, q12, q02) = fitted
     if family == "bernoulli":
         j_a, j1, j0 = q_a2 * (1 - q_a2), q12 * (1 - q12), q02 * (1 - q02)
     else:
@@ -517,7 +562,10 @@ def estimate_raking(ctx: FittedContext,
     designs2 = aw_designs(ds, ctx.p2)
     imputed = _imputation(ctx, censored)
 
-    _, psi_prelim, u = _working_model(ctx, designs2, censored, imputed, ctx.wts0, family)
+    # for a binary outcome the working model at the design weights is the
+    # outcome regression Q, fitted and evaluated on these rows already
+    prelim = (ctx.nuisances.q, (ctx.q_a0, ctx.q10, ctx.q00)) if family == "bernoulli" else None
+    _, psi_prelim, u = _working_model(ctx, designs2, censored, imputed, ctx.wts0, family, prelim)
     h = u - psi_prelim
     rake = rake_weights(h, ctx.pi0, ctx.delta)
     wts1 = 1.0 / rake.pi_star[ctx.p2]
@@ -551,7 +599,7 @@ def estimate_quasi_tmle(ctx: FittedContext,
     lq0 = logit(ctx.q00, P_MIN)
     linearized = options.mode == "linearized"
     if linearized:
-        m_level = ctx.mbar_all(ctx.dbar(ctx.q_a0, ctx.q10, ctx.q00))
+        _, m_level = ctx.start
         m_slope = ctx.mbar_all(
             linearized_slope_values(ctx.a2, ctx.g1, ctx.q_a0, ctx.q10, ctx.q00))
     n_evals = 0
@@ -575,8 +623,8 @@ def estimate_quasi_tmle(ctx: FittedContext,
     def score_fn(eps: float) -> float:
         return model_at(eps)[0]
 
-    # warm start from the plain weighted fluctuation
-    warm = fit_fluctuation(ctx.y2, lq_a, ctx.h2, w=ctx.wts0)
+    # warm start from the plain weighted fluctuation, the context's first step
+    warm = ctx.first_q[3]
     x1 = warm.epsilon if warm.epsilon != 0.0 else 1e-3
     res = secant(score_fn, 0.0, x1, ROOT_TOL)
     if not res.converged:
@@ -623,7 +671,8 @@ def estimate_tmle_alt(ctx: FittedContext,
 
     def step(state):
         q_a, q1, q0, pi, _, _ = state
-        q_a, q1, q0, _ = ctx.fluctuate_q(q_a, q1, q0, pi)
+        # the first step, from (Q0, pi0), is the context's shared one
+        q_a, q1, q0, _ = ctx.first_q if state is start else ctx.fluctuate_q(q_a, q1, q0, pi)
         # resid2 and its regression r_all depend only on q_a, so they are
         # refitted only after the Q fluctuation moves it
         resid2 = ctx.h2 * (ctx.y2 - q_a)
@@ -631,7 +680,7 @@ def estimate_tmle_alt(ctx: FittedContext,
         return q_a, q1, q0, ctx.fluctuate_pi(pi, r_all), resid2, r_all
 
     resid2 = ctx.h2 * (ctx.y2 - ctx.q_a0)
-    state = (ctx.q_a0, ctx.q10, ctx.q00, ctx.pi0, resid2, ctx.mbar_all(resid2))
+    state = start = (ctx.q_a0, ctx.q10, ctx.q00, ctx.pi0, resid2, ctx.mbar_all(resid2))
     n_outer = 0
     for _ in range(3):
         (state, _, _), _, steps, met = _target(state, monitor, step, options.max_outer_iter)

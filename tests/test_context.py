@@ -2,24 +2,29 @@
 
 Covers: one nuisance fit and one evaluation per dataset in studies and in
 estimate mode, equality with independent per-estimator runs whatever the
-order, read-only shared state, and shared-fit failures reported against
-every estimator.
+order, the shared first steps built once, read-only shared state, and
+shared-fit failures reported against every estimator.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import twophase_ate.estimators as est_mod
+import twophase_ate.nuisance as nuisance_mod
 from twophase_ate.cli import EXIT_ESTIMATOR_FAILURE, main
 from twophase_ate.data_model import CsvSchema, write_csv
 from twophase_ate.estimators import (
     ESTIMATOR_IDS,
+    EstimateResult,
     EstimatorError,
     EstimatorOptions,
     fit_context,
     run_estimator,
     run_roster,
 )
+from twophase_ate.glm import GlmError
 from twophase_ate.nuisance import NuisanceConfig, NuisanceError
 from twophase_ate.sim import DgpSpec, StudyEstimator, StudySpec, generate, run_study
 
@@ -100,6 +105,76 @@ class TestSharedEqualsFresh:
             run_estimator(other, "aipcw", ctx)
 
 
+def _count_calls(monkeypatch, counts, module, name):
+    """Count the calls of module.name in counts[name]."""
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+ALL8 = [(e, EstimatorOptions()) for e in ESTIMATOR_IDS]
+
+
+class TestSharedSteps:
+    def test_roster_builds_each_shared_step_once(self, monkeypatch):
+        counts = Counter()
+        for module, name in ((est_mod, "fit_fluctuation"), (est_mod, "fit_mbar"),
+                             (est_mod, "fit_glm"), (nuisance_mod, "fit_glm")):
+            _count_calls(monkeypatch, counts, module, name)
+        ds, _ = generate(DgpSpec("missing_rate", n=1000, seed=1, missing_intercept=-0.3))
+        _, results = run_roster(ds, ALL8)
+        assert all(isinstance(res, EstimateResult) for res, _ in results)
+        # each estimator building its own first steps makes 9, 15 and 7
+        assert counts == {"fit_fluctuation": 5, "fit_mbar": 10, "fit_glm": 6}
+
+    @pytest.mark.parametrize("dgp, fits", [("missing_rate", 1), ("raking_gap", 2)])
+    def test_raking_refits_its_preliminary_model_only_for_a_continuous_outcome(
+            self, dgp, fits, monkeypatch):
+        # a binary outcome's working model at the design weights is the
+        # outcome regression; a continuous one is a gaussian fit of its own
+        ds, _ = generate(DgpSpec(dgp, n=300, seed=1))
+        ctx = fit_context(ds)
+        calls = []
+        fit_glm = est_mod.fit_glm
+
+        def recording(X, y, w=None, family="gaussian"):
+            calls.append((w, family))
+            return fit_glm(X, y, w=w, family=family)
+
+        monkeypatch.setattr(est_mod, "fit_glm", recording)
+        run_estimator(ds, "raking", ctx)
+        assert len(calls) == fits
+        if fits == 2:
+            assert calls[0][0] is ctx.wts0 and calls[0][1] == "gaussian"
+
+    def test_failing_first_step_fails_every_estimator_that_reads_it(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise GlmError("degenerate fluctuation")
+
+        monkeypatch.setattr(est_mod, "fit_fluctuation", failing)
+        ds, _ = generate(DgpSpec("missing_rate", n=300, seed=1))
+        _, results = run_roster(ds, ALL8)
+        errors = {e: str(res) for e, (res, _) in zip(ESTIMATOR_IDS, results)
+                  if not isinstance(res, EstimateResult)}
+        # a failed step is not kept: each reader raises it again
+        assert errors == {e: f"{e} failed: degenerate fluctuation"
+                          for e in ("ipcw_tmle", "ipcw_tmle_target_pi", "ipcw_tmle_rake_pi",
+                                    "quasi_tmle", "tmle_alt")}
+
+
+def _arrays(value):
+    """The arrays in value, looking inside tuples (the shared steps)."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+
+
 class TestSharedStateIsReadOnly:
     def test_every_shared_array_rejects_writes(self):
         ds, _ = generate(DgpSpec("raking_gap", n=300, seed=2))
@@ -108,6 +183,19 @@ class TestSharedStateIsReadOnly:
         arrays += [ctx.design.x_all, ctx.design.x2]
         assert len(arrays) >= 12
         for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+    def test_shared_steps_reject_writes_after_a_roster(self):
+        ds, _ = generate(DgpSpec("missing_rate", n=300, seed=1))
+        ctx = fit_context(ds)
+        for e in ESTIMATOR_IDS:
+            run_estimator(ds, e, ctx)
+        assert {"start", "first_q", "first_eic"} <= set(vars(ctx))
+        arrays = [arr for value in vars(ctx).values() for arr in _arrays(value)]
+        assert len(arrays) >= 12 + 7
+        for arr in arrays + [ctx.design.x_all, ctx.design.x2]:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = arr[0]

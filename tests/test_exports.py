@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import twophase_ate
+import twophase_ate.cli
 from twophase_ate import estimators
 
 from util import run_python
@@ -59,6 +60,30 @@ def test_every_required_span_resolves(monkeypatch):
     run = _bench_module("run", monkeypatch)
     required = {name for wl in run.WORKLOADS.values() for name in wl.required_spans}
     assert required and _unresolved(sorted(required)) == []
+
+
+@pytest.mark.parametrize("workload", ["study_all8_missing50", "study_raking_census",
+                                      "estimate_cohort_n10k"])
+def test_every_required_span_is_reached(workload, monkeypatch, tmp_path):
+    # a change that stops calling a required function passes every other
+    # test and fails only the benchmark's traced run; one tiny traced
+    # operation per workload catches it here
+    run = _bench_module("run", monkeypatch)
+    tracing = _bench_module("tracing", monkeypatch)
+    wl = run.WORKLOADS[workload]
+    assert set(run.WORKLOADS) == {"study_all8_missing50", "study_raking_census",
+                                  "estimate_cohort_n10k"}
+    inputs = run.make_inputs(wl, 1, wl.tiny_size, tmp_path, with_reference=False)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        res = run.run_op(twophase_ate.cli, wl, inputs.config, inputs.out,
+                         run.op_seed(1, 0, wl.tiny_size), 1)
+    finally:
+        tracer.uninstall()
+    assert res.code == 0 and res.text is not None
+    summary = tracer.summary({0})
+    assert [name for name in wl.required_spans if summary.get(name, {}).get("calls", 0) == 0] == []
 
 
 def test_dispatch_holds_the_module_level_estimators():
