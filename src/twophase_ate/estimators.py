@@ -117,18 +117,14 @@ def _result(estimator_id, psi, d_obs, n_outer, converged, details=None) -> Estim
         eic_mean_abs=float(abs(np.mean(d_obs))),
         n_outer_iterations=int(n_outer),
         converged=bool(converged),
-        s_n=_threshold(d_obs, var.sigma2),
+        s_n=_threshold(d_obs),
         details=details,
     )
 
 
-def _threshold(d_obs: np.ndarray, sigma2: float | None = None) -> float:
-    """s_n = sigma_n / (sqrt(n) log n), with sigma_n^2 the sample variance
-    of d_obs (pass it as sigma2 when it is already known)."""
+def _threshold(d_obs: np.ndarray) -> float:
     n = len(d_obs)
-    if sigma2 is None:
-        sigma2 = np.var(d_obs, ddof=1)
-    return float(np.sqrt(sigma2) / (np.sqrt(n) * np.log(n)))
+    return float(np.std(d_obs, ddof=1) / (np.sqrt(n) * np.log(n)))
 
 
 def _read_only(*values) -> tuple:

@@ -225,18 +225,13 @@ def fit_fluctuation(y, offset_logit, h, w=None, tol: float = FLUCT_TOL) -> Fluct
     if np.any(w < 0):
         raise GlmError("negative weights in fluctuation fit")
     wh = w * h
-    whh = wh * h
-    last = [None, None]  # eps and the fitted means of the latest score
 
     def score(eps: float) -> float:
-        p = expit(offset + eps * h)
-        last[:] = eps, p
-        return float(wh @ (y - p))
+        return float(wh @ (y - expit(offset + eps * h)))
 
     def dscore(eps: float) -> float:
-        # newton takes the derivative where it has just taken the score
-        p = last[1] if last[0] == eps else expit(offset + eps * h)
-        return float(-whh @ (p * (1.0 - p)))
+        p = expit(offset + eps * h)
+        return float(-(wh * h) @ (p * (1.0 - p)))
 
     s0 = score(0.0)
     if abs(s0) <= tol:

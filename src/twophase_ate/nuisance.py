@@ -190,7 +190,12 @@ class NuisanceSet:
     """The nuisances evaluated on the dataset they were fitted to: pi on
     every record and g1 = g(1|w) on the phase-2 rows, both truncated, and
     the outcome regression's fit on the `aw_designs` columns. trunc_pi
-    bounds the sampling mechanism again after it is targeted."""
+    bounds the sampling mechanism again after it is targeted.
+
+    q must be the fit `fit_q_ipcw(ds, pi)` makes: bernoulli, on the
+    phase-2 rows of the `aw_designs` columns, with weights 1/pi. For a
+    binary outcome `raking` takes it as its working model at the design
+    weights, so a q fitted another way changes raking's calibration."""
 
     pi: np.ndarray
     g1: np.ndarray

@@ -24,8 +24,8 @@ from twophase_ate.estimators import (
     run_estimator,
     run_roster,
 )
-from twophase_ate.glm import GlmError
-from twophase_ate.nuisance import NuisanceConfig, NuisanceError
+from twophase_ate.glm import GlmError, fit_glm
+from twophase_ate.nuisance import NuisanceConfig, NuisanceError, aw_designs
 from twophase_ate.sim import DgpSpec, StudyEstimator, StudySpec, generate, run_study
 
 from util import make_twophase_dataset
@@ -150,6 +150,18 @@ class TestSharedSteps:
         assert len(calls) == fits
         if fits == 2:
             assert calls[0][0] is ctx.wts0 and calls[0][1] == "gaussian"
+
+    @pytest.mark.parametrize("known", [False, True])
+    def test_raking_reuses_exactly_its_own_binary_working_fit(self, known):
+        # the outcome regression stands in for raking's preliminary fit only
+        # because it is that fit: same design, response, weights and family
+        ds, truth = generate(DgpSpec("missing_rate", n=300, seed=1))
+        ctx = fit_context(ds, NuisanceConfig(known_pi=truth.pi0 if known else None))
+        designs2 = aw_designs(ctx.scaled, ctx.p2)
+        own = fit_glm(designs2[0], ctx.y2, w=ctx.wts0, family="bernoulli")
+        np.testing.assert_array_equal(ctx.nuisances.q.coefficients, own.coefficients)
+        for reused, X in zip((ctx.q_a0, ctx.q10, ctx.q00), designs2):
+            np.testing.assert_array_equal(reused, own.predict(X))
 
     def test_failing_first_step_fails_every_estimator_that_reads_it(self, monkeypatch):
         def failing(*args, **kwargs):

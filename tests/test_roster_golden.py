@@ -8,6 +8,12 @@ and with known pi. A change that moves any estimate in its last bit fails
 here. To rewrite the pinned file after a deliberate change of results:
 
     PYTHONPATH=src python tests/test_roster_golden.py --write
+
+The file was pinned under Python 3.11, numpy 2.4.6 and scipy-openblas
+0.3.31 (64-bit integers). Last bits can move with the numpy build or the
+BLAS behind it, so under another toolchain a mismatch here may be an
+environment change rather than a regression: rerun the grid at the parent
+commit with that toolchain before reading it as one.
 """
 
 import sys
