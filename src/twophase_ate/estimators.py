@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -104,10 +104,9 @@ class EstimateResult:
     n_outer_iterations: int
     converged: bool
     s_n: float  # convergence threshold sigma_n/(sqrt(n) log n) at the final fit
-    details: dict | None = field(default=None, compare=False, repr=False)
 
 
-def _result(estimator_id, psi, d_obs, n_outer, converged, details=None) -> EstimateResult:
+def _result(estimator_id, psi, d_obs, n_outer, converged) -> EstimateResult:
     var = eic_variance(d_obs, psi)
     return EstimateResult(
         estimator_id=estimator_id,
@@ -118,7 +117,6 @@ def _result(estimator_id, psi, d_obs, n_outer, converged, details=None) -> Estim
         n_outer_iterations=int(n_outer),
         converged=bool(converged),
         s_n=_threshold(d_obs),
-        details=details,
     )
 
 
@@ -149,10 +147,10 @@ class FittedContext:
     rest on the phase-2 rows; wts0 = 1/pi0 there). Every estimator on the
     dataset shares them, so they are read-only.
 
-    Three steps that several estimators begin with are built at most once,
-    on first use, and read-only like the arrays: `start`, `first_q` and
-    `first_eic`. A step that raises is not kept, so it raises again in
-    every estimator that reads it.
+    Four steps that several estimators begin with are built at most once,
+    on first use, and read-only like the arrays: `start`, `start_slope`,
+    `first_q` and `first_eic`. A step that raises is not kept, so it raises
+    again in every estimator that reads it.
     """
 
     def __init__(self, raw: Dataset, scaled: Dataset, scale: OutcomeScale,
@@ -183,6 +181,12 @@ class FittedContext:
         """(dbar2, its regression) at the initial outcome fit."""
         dbar2 = self.dbar(self.q_a0, self.q10, self.q00)
         return _read_only(dbar2, self.mbar_all(dbar2))
+
+    @cached_property
+    def start_slope(self):
+        """The regression of the linearized EIC slope at the initial outcome fit."""
+        slope2 = linearized_slope_values(self.a2, self.g1, self.q_a0, self.q10, self.q00)
+        return _read_only(self.mbar_all(slope2))[0]
 
     @cached_property
     def first_q(self):
@@ -244,6 +248,8 @@ class RakeSolution:
 
     a holds per-record scale factors exp(-lambda * m_i) (positive by
     construction); pi_star = pi / a is the calibrated sampling mechanism.
+    A solve whose pi_star or 1/pi_star leaves the positive floats (raking an
+    already raked pi can overflow or underflow) is not converged.
     """
 
     lam: float
@@ -289,8 +295,12 @@ def rake_weights(mbar: np.ndarray, pi: np.ndarray, delta: np.ndarray,
 
     def solution(lam: float, n_iter: int, converged: bool) -> RakeSolution:
         a = np.exp(np.clip(-lam * m, -700.0, 700.0))
-        return RakeSolution(lam=float(lam), a=a, pi_star=pi / a,
-                            constraint_residual=F(lam), n_iter=n_iter, converged=converged)
+        with np.errstate(over="ignore", divide="ignore"):
+            pi_star = pi / a
+            usable = bool(np.isfinite(pi_star).all() and np.isfinite(1.0 / pi_star).all()
+                          and (pi_star > 0).all())
+        return RakeSolution(lam=float(lam), a=a, pi_star=pi_star, constraint_residual=F(lam),
+                            n_iter=n_iter, converged=converged and usable)
 
     f0 = F(0.0)
     if abs(f0) <= tol:
@@ -351,18 +361,9 @@ def estimate_eee(ctx: FittedContext,
 def estimate_ipcw_tmle(ctx: FittedContext,
                        options: EstimatorOptions = DEFAULT_OPTIONS) -> EstimateResult:
     """Single weighted logistic targeting of the outcome regression."""
-    _, q1, q0, fit = ctx.first_q
     psi, dbar2, mbar = ctx.first_eic
     d = observed_eic(dbar2, mbar, ctx.pi0, psi, ctx.p2, ctx.delta)
-    weighted_fulldata_score = float(np.sum((dbar2 - psi) * ctx.wts0) / ctx.n)
-    return _result(
-        "ipcw_tmle", psi, d, 1, fit.converged,
-        details={
-            "epsilon": fit.epsilon,
-            "q1": q1, "q0": q0,
-            "weighted_fulldata_score": weighted_fulldata_score,
-        },
-    )
+    return _result("ipcw_tmle", psi, d, 1, ctx.first_q[3].converged)
 
 
 def _target(state, monitor, step, max_iter: int):
@@ -406,15 +407,16 @@ def _iterative_ipcw_tmle(ctx, options, use_raking: bool, estimator_id: str) -> E
     """
     linearized = options.mode == "linearized"
 
-    def monitor(state):  # state: q_a, q1, q0, pi, dbar2, its regression, the raking solve
-        _, q1, q0, pi, dbar2, m_level, _ = state
+    def monitor(state):  # state: q_a, q1, q0, pi, dbar2, its regression
+        _, q1, q0, pi, dbar2, m_level = state
         psi = ctx.hajek_plugin(q1, q0, pi)
         return psi, observed_eic(dbar2, m_level, pi, psi, ctx.p2, ctx.delta)
 
     def step(state):
-        q_a, q1, q0, pi, _, m_level, _ = state
-        if linearized:  # the slope at the current fit
-            m_slope = ctx.mbar_all(linearized_slope_values(ctx.a2, ctx.g1, q_a, q1, q0))
+        q_a, q1, q0, pi, _, m_level = state
+        if linearized:  # the slope at the current fit; at (Q0, pi0) the context's shared one
+            m_slope = ctx.start_slope if state is start else ctx.mbar_all(
+                linearized_slope_values(ctx.a2, ctx.g1, q_a, q1, q0))
         # outcome targeting at the current weights; the first step, from
         # (Q0, pi0), is the context's shared one
         if state is start:
@@ -426,7 +428,6 @@ def _iterative_ipcw_tmle(ctx, options, use_raking: bool, estimator_id: str) -> E
         # step only approximates it, and the next pass needs it in both modes
         m_new = m_level + fit.epsilon * m_slope if linearized else m_dbar
         # sampling-mechanism targeting
-        rake = None
         if use_raking:
             rake = rake_weights(m_new - psi, pi, ctx.delta)
             if not rake.converged:
@@ -434,15 +435,12 @@ def _iterative_ipcw_tmle(ctx, options, use_raking: bool, estimator_id: str) -> E
             pi = rake.pi_star
         else:
             pi = ctx.fluctuate_pi(pi, m_new - psi)
-        return q_a, q1, q0, pi, dbar2, m_dbar, rake
+        return q_a, q1, q0, pi, dbar2, m_dbar
 
-    start = (ctx.q_a0, ctx.q10, ctx.q00, ctx.pi0, *ctx.start, None)
+    start = (ctx.q_a0, ctx.q10, ctx.q00, ctx.pi0, *ctx.start)
     last, best, n_outer, converged = _target(start, monitor, step, options.max_outer_iter)
-    (_, _, _, pi, _, _, rake), psi, d = last if converged or best is None else best
-    details = {"pi_final": pi}
-    if rake is not None:
-        details["rake"] = rake
-    return _result(estimator_id, psi, d, n_outer, converged, details)
+    _, psi, d = last if converged or best is None else best
+    return _result(estimator_id, psi, d, n_outer, converged)
 
 
 def estimate_ipcw_tmle_target_pi(ctx: FittedContext,
@@ -567,10 +565,7 @@ def estimate_raking(ctx: FittedContext,
     wts1 = 1.0 / rake.pi_star[ctx.p2]
 
     fit, psi, u = _working_model(ctx, designs2, censored, imputed, wts1, family)
-    return _result(
-        "raking", psi, u - psi, rake.n_iter, rake.converged and fit.converged,
-        details={"rake": rake, "calibration_values": h, "working_fit": fit},
-    )
+    return _result("raking", psi, u - psi, rake.n_iter, rake.converged and fit.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +590,7 @@ def estimate_quasi_tmle(ctx: FittedContext,
     lq0 = logit(ctx.q00, P_MIN)
     linearized = options.mode == "linearized"
     if linearized:
-        _, m_level = ctx.start
-        m_slope = ctx.mbar_all(
-            linearized_slope_values(ctx.a2, ctx.g1, ctx.q_a0, ctx.q10, ctx.q00))
+        (_, m_level), m_slope = ctx.start, ctx.start_slope
     n_evals = 0
 
     def model_at(eps: float):
@@ -629,15 +622,12 @@ def estimate_quasi_tmle(ctx: FittedContext,
             raise EstimatorError("plug-in fluctuation solve failed: no root in [-10, 10]")
 
     eps = float(res.x)
-    score, (dbar2, m_all, psi_plug, gamma) = model_at(eps)
-    psi = psi_plug  # plug-in identity: P_n targeted regression equals this
+    # psi is the plug-in, which P_n of the targeted regression equals
+    _, (dbar2, m_all, psi, gamma) = model_at(eps)
     mbar_star = m_all.copy()
     mbar_star[ctx.p2] += gamma * ctx.wts0
     d = observed_eic(dbar2, mbar_star, ctx.pi0, psi, ctx.p2, ctx.delta)
-    return _result(
-        "quasi_tmle", psi, d, n_evals, True,
-        details={"epsilon": eps, "gamma": gamma, "psi_plug": psi_plug},
-    )
+    return _result("quasi_tmle", psi, d, n_evals, True)
 
 
 # ---------------------------------------------------------------------------
@@ -701,10 +691,7 @@ def estimate_tmle_alt(ctx: FittedContext,
         if converged or met or steps == 0:  # only a capped round can move the state
             break
 
-    return _result(
-        "tmle_alt", psi, d, n_outer, converged,
-        details={"m1_star": m_star[1], "m0_star": m_star[0]},
-    )
+    return _result("tmle_alt", psi, d, n_outer, converged)
 
 
 # ---------------------------------------------------------------------------

@@ -353,26 +353,19 @@ class StudySpec:
                 raise ValueError(f"estimator label {label!r} appears more than once")
 
 
-@dataclass(frozen=True)
-class _RunOutcome:
-    psi: float = math.nan
-    se: float = math.nan
-    ci_lo: float = math.nan
-    ci_hi: float = math.nan
-    converged: bool = False
-    runtime: float = math.nan
-    error: str = ""
+_Outcome = tuple[EstimateResult | str, float]  # a result or its error text, and its seconds
 
 
-def _run_single(study: StudySpec, run_idx: int) -> tuple[float, list[_RunOutcome]]:
-    """One Monte-Carlo run: the seconds of its shared nuisance fit, and one
-    outcome per estimator. An unusable draw (no phase-2 record, say) is
-    that run's error for every estimator."""
+def _run_single(study: StudySpec, run_idx: int) -> tuple[float, list[_Outcome]]:
+    """One Monte-Carlo run: the seconds of its shared nuisance fit, and per
+    estimator its result or error text with the seconds it took. An
+    unusable draw (no phase-2 record, say) is that run's error for every
+    estimator."""
     dspec = replace(study.dgp, seed=study.base_seed + run_idx)
     try:
         ds, truth = generate(dspec)
     except DataError as exc:
-        return 0.0, [_RunOutcome(error=f"unusable draw: {exc}")] * len(study.estimators)
+        return 0.0, [(f"unusable draw: {exc}", 0.0)] * len(study.estimators)
     ncfg = NuisanceConfig(
         trunc_pi=study.trunc_pi,
         trunc_g=study.trunc_g,
@@ -380,13 +373,7 @@ def _run_single(study: StudySpec, run_idx: int) -> tuple[float, list[_RunOutcome
         known_g=truth.g0 if study.known_g else None,
     )
     fit_s, results = run_roster(ds, [(e.estimator_id, e.options) for e in study.estimators], ncfg)
-    out = []
-    for r, seconds in results:
-        if isinstance(r, EstimateResult):
-            out.append(_RunOutcome(r.psi_hat, r.se, r.ci95[0], r.ci95[1], r.converged, seconds))
-        else:
-            out.append(_RunOutcome(error=str(r), runtime=seconds))
-    return fit_s, out
+    return fit_s, [(r if isinstance(r, EstimateResult) else str(r), s) for r, s in results]
 
 
 @dataclass(frozen=True)
@@ -424,21 +411,20 @@ class SimReport:
         raise KeyError(label)
 
 
-def _aggregate(study: StudySpec, outcomes: list[list[_RunOutcome]], psi_ref: float) -> SimReport:
+def _aggregate(study: StudySpec, outcomes: list[list[_Outcome]], psi_ref: float) -> SimReport:
     rows = []
     for j, est in enumerate(study.estimators):
         runs = [o[j] for o in outcomes]
-        ok = [r for r in runs if not r.error]
+        ok = [(r, s) for r, s in runs if isinstance(r, EstimateResult)]
         n_fail = len(runs) - len(ok)
-        first_error = next((r.error for r in runs if r.error), "")
+        first_error = next((r for r, _ in runs if isinstance(r, str)), "")
         if not ok:
             rows.append(EstimatorRow(est.label, est.estimator_id, est.mode, 0, n_fail,
                                      0, math.nan, math.nan, math.nan, math.nan,
                                      math.nan, math.nan, math.nan, first_error))
             continue
-        psi = np.array([r.psi for r in ok])
-        lo = np.array([r.ci_lo for r in ok])
-        hi = np.array([r.ci_hi for r in ok])
+        psi = np.array([r.psi_hat for r, _ in ok])
+        lo, hi = np.array([r.ci95 for r, _ in ok]).T
         n_ok = len(ok)
         psi_mean = float(psi.mean())
         abs_bias = abs(psi_mean - psi_ref)
@@ -450,10 +436,10 @@ def _aggregate(study: StudySpec, outcomes: list[list[_RunOutcome]], psi_ref: flo
         rows.append(EstimatorRow(
             label=est.label, estimator_id=est.estimator_id, mode=est.mode,
             n_ok=n_ok, n_failed=n_fail,
-            n_not_converged=sum(1 for r in ok if not r.converged),
+            n_not_converged=sum(1 for r, _ in ok if not r.converged),
             psi_mean=psi_mean, abs_bias=abs_bias, emp_se=emp_se, mse=mse,
             coverage=coverage, oracle_coverage=oracle,
-            mean_runtime=float(np.mean([r.runtime for r in ok])),
+            mean_runtime=float(np.mean([s for _, s in ok])),
             first_error=first_error,
         ))
     return SimReport(rows=tuple(rows), psi_ref=psi_ref, reference=study.reference,

@@ -6,7 +6,10 @@ order, the shared first steps built once, read-only shared state, and
 shared-fit failures reported against every estimator.
 """
 
+import re
 from collections import Counter
+from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from twophase_ate.estimators import (
     EstimateResult,
     EstimatorError,
     EstimatorOptions,
+    FittedContext,
     fit_context,
     run_estimator,
     run_roster,
@@ -131,6 +135,29 @@ class TestSharedSteps:
         # each estimator building its own first steps makes 9, 15 and 7
         assert counts == {"fit_fluctuation": 5, "fit_mbar": 10, "fit_glm": 6}
 
+    def test_linearized_roster_builds_the_start_slope_once(self, monkeypatch):
+        counts = Counter()
+        for name in ("linearized_slope_values", "fit_mbar"):
+            _count_calls(monkeypatch, counts, est_mod, name)
+        ds, _ = generate(DgpSpec("missing_rate", n=1000, seed=1))
+        linearized = EstimatorOptions(mode="linearized")
+        roster = [(e, linearized) for e in ("quasi_tmle", "ipcw_tmle_target_pi",
+                                            "ipcw_tmle_rake_pi")]
+        _, results = run_roster(ds, roster)
+        assert all(isinstance(res, EstimateResult) for res, _ in results)
+        # each estimator building its own slope makes 3 and 5
+        assert counts == {"linearized_slope_values": 1, "fit_mbar": 3}
+
+    def test_readme_lists_exactly_the_shared_steps(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        intro = "each built at most once, on first use, and read-only:\n"
+        assert readme.count(intro) == 1
+        bullets = readme.split(intro)[1].split("\n\n")[0]
+        listed = re.findall(r"^- `(\w+)`:", bullets, flags=re.M)
+        steps = [name for name, value in vars(FittedContext).items()
+                 if isinstance(value, cached_property)]
+        assert sorted(listed) == sorted(steps)
+
     @pytest.mark.parametrize("dgp, fits", [("missing_rate", 1), ("raking_gap", 2)])
     def test_raking_refits_its_preliminary_model_only_for_a_continuous_outcome(
             self, dgp, fits, monkeypatch):
@@ -204,9 +231,10 @@ class TestSharedStateIsReadOnly:
         ctx = fit_context(ds)
         for e in ESTIMATOR_IDS:
             run_estimator(ds, e, ctx)
-        assert {"start", "first_q", "first_eic"} <= set(vars(ctx))
+        run_estimator(ds, "quasi_tmle", ctx, EstimatorOptions(mode="linearized"))
+        assert {"start", "start_slope", "first_q", "first_eic"} <= set(vars(ctx))
         arrays = [arr for value in vars(ctx).values() for arr in _arrays(value)]
-        assert len(arrays) >= 12 + 7
+        assert len(arrays) >= 12 + 8
         for arr in arrays + [ctx.design.x_all, ctx.design.x2]:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):

@@ -18,14 +18,14 @@ from twophase_ate.estimators import (
     run_estimator,
     run_roster,
 )
-from twophase_ate.glm import _cho_solve, _factor_spd, expit, fit_fluctuation
+from twophase_ate.glm import P_MIN, _cho_solve, _factor_spd, expit, fit_fluctuation, fit_glm, logit
 from twophase_ate.nuisance import NuisanceConfig, aw_designs, fit_mbar, fit_nuisances
-from twophase_ate.roots import bisect
 from twophase_ate.sim import DgpSpec, generate, reference_psi
 
 from util import (
     bisect_oracle,
     census_information,
+    compounding_rake_cohort,
     fulldata_gcomp,
     fulldata_onestep,
     fulldata_tmle,
@@ -37,6 +37,38 @@ from util import (
 )
 
 PI_ONE = lambda ds: NuisanceConfig(known_pi=np.ones(ds.n))
+
+
+def record(monkeypatch, name):
+    """Spy on estimators.<name>: the list it returns gains (args, kwargs,
+    result) for every call."""
+    original, calls = getattr(estimators, name), []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs, original(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(estimators, name, spy)
+    return calls
+
+
+def quasi_fluctuation(secants, bisects) -> float:
+    """The fluctuation coefficient quasi_tmle used: the secant's root, or the
+    bisection's once the secant failed."""
+    (_, _, res), = secants
+    if not res.converged:
+        (_, _, res), = bisects
+    return float(res.x)
+
+
+def quasi_plugin(ctx, eps):
+    """quasi_tmle's plug-in and weighted shift gamma at fluctuation eps in
+    refit mode, recomputed from the context on the scaled outcome."""
+    q_a, q1, q0 = (expit(logit(q, P_MIN) + eps * h)
+                   for q, h in ((ctx.q_a0, ctx.h2), (ctx.q10, ctx.h1), (ctx.q00, ctx.h0)))
+    psi = ctx.hajek_plugin(q1, q0, ctx.pi0)
+    m_all = ctx.mbar_all(ctx.dbar(q_a, q1, q0))
+    return psi, (psi - float(np.mean(m_all))) / float(ctx.wts0.sum() / ctx.n)
 
 
 class TestRakeWeights:
@@ -191,18 +223,25 @@ def constant_outcome_dataset(rng, n=120):
 
 
 class TestFixedPoints:
-    def test_ipcw_tmle_keeps_solved_fit(self):
+    def test_ipcw_tmle_keeps_solved_fit(self, monkeypatch):
         ds = constant_outcome_dataset(np.random.default_rng(8))
+        fits = record(monkeypatch, "fit_fluctuation")
         r = run_estimator(ds, "ipcw_tmle")
-        assert r.details["epsilon"] == 0.0
+        (_, _, fit), = fits  # its one fluctuation
+        assert fit.epsilon == 0.0
         assert r.psi_hat == pytest.approx(0.0, abs=1e-10)
 
-    def test_quasi_tmle_fixed_point_matches_eee(self):
+    def test_quasi_tmle_fixed_point_matches_eee(self, monkeypatch):
         ds = constant_outcome_dataset(np.random.default_rng(9))
-        r_q = run_estimator(ds, "quasi_tmle")
-        r_e = run_estimator(ds, "eee")
-        assert r_q.details["epsilon"] == pytest.approx(0.0, abs=1e-10)
-        assert r_q.details["gamma"] == pytest.approx(0.0, abs=1e-10)
+        ctx = fit_context(ds)
+        secants, bisects = record(monkeypatch, "secant"), record(monkeypatch, "bisect")
+        r_q = run_estimator(ds, "quasi_tmle", ctx)
+        r_e = run_estimator(ds, "eee", ctx)
+        eps = quasi_fluctuation(secants, bisects)
+        psi, gamma = quasi_plugin(ctx, eps)
+        assert r_q.psi_hat == psi * ctx.scale.span
+        assert eps == pytest.approx(0.0, abs=1e-10)
+        assert gamma == pytest.approx(0.0, abs=1e-10)
         assert r_q.psi_hat == pytest.approx(r_e.psi_hat, abs=1e-10)
 
     def test_target_pi_collapses_to_single_fluctuation(self):
@@ -211,16 +250,17 @@ class TestFixedPoints:
         r_1 = run_estimator(ds, "ipcw_tmle")
         assert r_t.psi_hat == pytest.approx(r_1.psi_hat, abs=1e-10)
 
-    def test_rake_pi_identity_calibration(self):
+    def test_rake_pi_identity_calibration(self, monkeypatch):
         ds = constant_outcome_dataset(np.random.default_rng(11))
-        r = run_estimator(ds, "ipcw_tmle_rake_pi")
-        rake: RakeSolution = r.details["rake"]
-        np.testing.assert_allclose(rake.a, 1.0, atol=1e-6)
+        solves = record(monkeypatch, "rake_weights")
+        run_estimator(ds, "ipcw_tmle_rake_pi")
+        assert solves
+        for _, _, rake in solves:
+            np.testing.assert_allclose(rake.a, 1.0, atol=1e-6)
 
     def test_unconverged_raking_keeps_previous_pi(self, monkeypatch):
         ds = make_twophase_dataset(np.random.default_rng(12))
         ctx = fit_context(ds)
-        pi0 = ctx.nuisances.pi
 
         def stalled(mbar, pi, delta):
             a = np.full_like(pi, 0.5)
@@ -231,7 +271,8 @@ class TestFixedPoints:
         r = run_estimator(ds, "ipcw_tmle_rake_pi", ctx)
         assert not r.converged
         assert r.n_outer_iterations == 0
-        np.testing.assert_array_equal(r.details["pi_final"], pi0)
+        # the start state, at pi0, is what a run allowed no step reports
+        assert r == run_estimator(ds, "ipcw_tmle_rake_pi", ctx, EstimatorOptions(max_outer_iter=0))
 
     def test_raking_stalled_after_one_calibration_reports_that_pass(self, monkeypatch):
         # with known pi this dataset needs more than one pass, so the second
@@ -255,8 +296,10 @@ class TestFixedPoints:
         assert r.n_outer_iterations == 1 and not r.converged
         assert r == first  # the calibrated pass, not the failed solve's
         assert r.eic_mean_abs < start.eic_mean_abs
-        assert r.details["rake"] is solves[0]  # the solve behind pi_final
-        np.testing.assert_array_equal(r.details["pi_final"], solves[0].pi_star)
+        # the reported plug-in is the first fluctuation's, weighted by the
+        # calibrated solve's pi
+        _, q1, q0, _ = ctx.first_q
+        assert r.psi_hat == ctx.hajek_plugin(q1, q0, solves[0].pi_star) * ctx.scale.span
 
     @pytest.mark.parametrize("est", ["tmle_alt", "ipcw_tmle_target_pi", "ipcw_tmle_rake_pi"])
     def test_never_refits_the_same_values(self, monkeypatch, est):
@@ -335,6 +378,19 @@ class TestFailuresOnRealDraws:
         assert str(failure).startswith("tmle_alt failed: degenerate fluctuation")
         assert all(np.isfinite(r.psi_hat) for r in results.values())
 
+    def test_raked_pi_past_the_floats_stops_the_loop(self, monkeypatch):
+        # each pass of ipcw_tmle_rake_pi rakes the last pass's pi*; the third
+        # solve meets its constraint, but with pi* of 0 and inf, on which
+        # the EIC would divide by zero and overflow
+        solves = record(monkeypatch, "rake_weights")
+        r = run_estimator(compounding_rake_cohort(), "ipcw_tmle_rake_pi")
+        assert np.isfinite([r.psi_hat, r.se, *r.ci95]).all()
+        assert (r.n_outer_iterations, r.converged) == (2, False)
+        *calibrated, (_, _, last) = solves
+        assert len(calibrated) == 2 and all(rake.converged for _, _, rake in calibrated)
+        assert abs(last.constraint_residual) <= 1e-8 and not last.converged
+        assert not (np.isfinite(last.pi_star).all() and (last.pi_star > 0).all())
+
     def test_quasi_tmle_finds_no_root(self):
         with pytest.raises(EstimatorError,
                            match=r"plug-in fluctuation solve failed: no root in \[-10, 10\]"):
@@ -344,16 +400,13 @@ class TestFailuresOnRealDraws:
         ds = kang_dr_20(9)
         with pytest.raises(EstimatorError, match="raking solver stalled: vanishing gradient"):
             run_estimator(ds, "raking")
-        fallbacks = []
-
-        def spy(f, grid, tol):
-            fallbacks.append(bisect(f, grid, tol))
-            return fallbacks[-1]
-
-        monkeypatch.setattr(estimators, "bisect", spy)
-        r = run_estimator(ds, "quasi_tmle")
-        assert len(fallbacks) == 1 and fallbacks[0].converged  # the secant failed
-        assert r.details["epsilon"] == fallbacks[0].x
+        ctx = fit_context(ds)
+        secants, bisects = record(monkeypatch, "secant"), record(monkeypatch, "bisect")
+        r = run_estimator(ds, "quasi_tmle", ctx)
+        (_, _, fallback), = bisects
+        assert fallback.converged and not secants[0][2].converged  # the secant failed
+        psi, _ = quasi_plugin(ctx, quasi_fluctuation(secants, bisects))
+        assert r.psi_hat == psi * ctx.scale.span  # the plug-in at the bisection's root
 
 
 def scripted(means):
@@ -399,26 +452,44 @@ class TestPlugInProperty:
     def test_ipcw_tmle_solves_weighted_fulldata_score(self):
         for seed in range(4):
             ds = make_twophase_dataset(np.random.default_rng(30 + seed))
-            r = run_estimator(ds, "ipcw_tmle")
-            assert abs(r.details["weighted_fulldata_score"]) <= 1e-9
+            ctx = fit_context(ds)
+            r = run_estimator(ds, "ipcw_tmle", ctx)
+            psi, dbar2, _ = ctx.first_eic  # the context's step that ipcw_tmle reports
+            assert r.psi_hat == psi * ctx.scale.span
+            assert abs(np.sum((dbar2 - psi) * ctx.wts0) / ctx.n) <= 1e-9
 
     def test_ipcw_tmle_plugin_identity(self):
         ds = make_twophase_dataset(np.random.default_rng(12))
-        r = run_estimator(ds, "ipcw_tmle")
+        ctx = fit_context(ds)
+        r = run_estimator(ds, "ipcw_tmle", ctx)
         # recompute the weighted plug-in from the targeted outcome fits
+        _, q1, q0, _ = ctx.first_q
         wts2 = 1.0 / fit_nuisances(ds).pi[ds.phase2]
-        plug = float(wts2 @ (r.details["q1"] - r.details["q0"]) / wts2.sum())
+        plug = float(wts2 @ (q1 - q0) / wts2.sum())
         assert r.psi_hat == pytest.approx(plug, abs=1e-8)
 
-    def test_quasi_tmle_plugin_identity(self):
+    def test_quasi_tmle_plugin_identity(self, monkeypatch):
         ds = make_twophase_dataset(np.random.default_rng(13))
-        r = run_estimator(ds, "quasi_tmle")
-        assert r.psi_hat == pytest.approx(r.details["psi_plug"], abs=1e-10)
+        ctx = fit_context(ds)
+        secants, bisects = record(monkeypatch, "secant"), record(monkeypatch, "bisect")
+        r = run_estimator(ds, "quasi_tmle", ctx)
+        psi, _ = quasi_plugin(ctx, quasi_fluctuation(secants, bisects))
+        assert r.psi_hat == pytest.approx(psi * ctx.scale.span, abs=1e-10)
 
     def test_tmle_alt_plugin_identity(self):
+        # allowed no step, tmle_alt targets the arm regressions at (Q0, pi0):
+        # psi is the mean of their targeted contrast, recomputed here
         ds = make_twophase_dataset(np.random.default_rng(14))
-        r = run_estimator(ds, "tmle_alt")
-        plug = float(np.mean(r.details["m1_star"] - r.details["m0_star"]))
+        ctx = fit_context(ds)
+        r = run_estimator(ds, "tmle_alt", ctx, EstimatorOptions(max_outer_iter=0))
+        inv_pi = 1.0 / ctx.pi0
+        m_star = []
+        for q_arm in (ctx.q10, ctx.q00):
+            resp = np.clip(q_arm, P_MIN, 1.0 - P_MIN)
+            m_all = fit_glm(ctx.design.x2, resp, family="bernoulli").predict(ctx.design.x_all)
+            eps = fit_fluctuation(resp, logit(m_all[ctx.p2], P_MIN), inv_pi[ctx.p2]).epsilon
+            m_star.append(expit(logit(m_all, P_MIN) + eps * inv_pi))
+        plug = float(np.mean(m_star[0] - m_star[1])) * ctx.scale.span
         assert r.psi_hat == pytest.approx(plug, abs=1e-10)
 
 
@@ -430,22 +501,23 @@ class TestRakingEstimator:
         r = run_estimator(ds, "raking")
         assert abs(r.psi_hat - reference_psi(spec)) <= 3.0 * r.se
 
-    def test_pi_component_scored_to_zero(self):
+    def test_pi_component_scored_to_zero(self, monkeypatch):
         ds = make_twophase_dataset(np.random.default_rng(15), n=400)
-        r = run_estimator(ds, "raking")
-        rake: RakeSolution = r.details["rake"]
-        h = r.details["calibration_values"]
-        d = ds.delta
+        solves = record(monkeypatch, "rake_weights")
+        run_estimator(ds, "raking")
+        ((h, _, d), _, rake), = solves  # calibration values and the solve
         score = np.sum(d / rake.pi_star * h - h)
         assert abs(score) <= 1e-8
 
-    def test_psi_is_calibrated_weighted_plugin(self):
+    def test_psi_is_calibrated_weighted_plugin(self, monkeypatch):
         ds = make_twophase_dataset(np.random.default_rng(16), n=400)
+        solves, fits = record(monkeypatch, "rake_weights"), record(monkeypatch, "fit_glm")
         r = run_estimator(ds, "raking")
-        rake: RakeSolution = r.details["rake"]
+        (_, _, rake), = solves
         p2 = ds.phase2
         wts1 = 1.0 / rake.pi_star[p2]
-        fit = r.details["working_fit"]
+        _, kwargs, fit = fits[-1]  # the working model refitted at the calibrated weights
+        np.testing.assert_array_equal(kwargs["w"], wts1)
         X = np.column_stack([np.ones(len(p2)), ds.a[p2].astype(float),
                              ds.w1[p2], ds.w2[p2]])
         X1 = X.copy()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from twophase_ate import sim
-from twophase_ate.estimators import ESTIMATOR_IDS, EstimatorOptions
+from twophase_ate.estimators import ESTIMATOR_IDS, EstimateResult, EstimatorOptions
 from twophase_ate.glm import expit, fit_glm
 from twophase_ate.sim import (
     _CENSUS_CHUNK,
@@ -18,7 +18,6 @@ from twophase_ate.sim import (
     StudySpec,
     _aggregate,
     _census_draw,
-    _RunOutcome,
     census_psi,
     generate,
     reference_psi,
@@ -157,11 +156,14 @@ class TestCensusInBoundedMemory:
 
 
 def synthetic_outcomes(rng, n_runs, ref, sd):
-    """Unbiased normal pseudo-estimator with correctly reported SE."""
+    """Unbiased normal pseudo-estimator with correctly reported SE: one
+    (result, seconds) outcome per run."""
     out = []
     for _ in range(n_runs):
         psi = rng.normal(ref, sd)
-        out.append([_RunOutcome(psi, sd, psi - 1.96 * sd, psi + 1.96 * sd, True, 0.001)])
+        res = EstimateResult("aipcw", psi, sd, (psi - 1.96 * sd, psi + 1.96 * sd),
+                             0.0, 0, True, 0.0)
+        out.append([(res, 0.001)])
     return out
 
 
@@ -197,8 +199,8 @@ class TestAggregation:
     def test_failures_excluded_and_counted(self):
         rng = np.random.default_rng(3)
         outcomes = synthetic_outcomes(rng, 10, 0.2, 0.05)
-        outcomes[3] = [_RunOutcome(error="boom")]
-        outcomes[7] = [_RunOutcome(error="boom")]
+        outcomes[3] = [("boom", 0.0)]
+        outcomes[7] = [("boom", 0.0)]
         rep = _aggregate(self.study(10), outcomes, 0.2)
         row = rep.rows[0]
         assert row.n_ok == 8 and row.n_failed == 2

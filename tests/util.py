@@ -59,6 +59,15 @@ def zero_covariate_cohort() -> Dataset:
     return Dataset(w1=ds.w1, a=ds.a, y=ds.y, delta=ds.delta, w2=w2, y_kind=ds.y_kind)
 
 
+def compounding_rake_cohort() -> Dataset:
+    """Seven binary records on which ipcw_tmle_rake_pi, with estimated
+    nuisances, rakes its own raked pi until pi* leaves the floats: its third
+    solve gives pi* of 0 and inf."""
+    return Dataset(w1=np.array([[7.0], [7.0], [-9.0], [-14.0], [12.0], [-16.0], [1.0]]),
+                   a=np.array([0, 1, 0, 0, 0, 1, 0]), y=np.array([1.0, 1, 0, 0, 1, 0, 1]),
+                   delta=np.array([0, 1, 0, 1, 0, 1, 1]), w2=np.empty((7, 0)))
+
+
 def make_twophase_dataset(rng: np.random.Generator, n: int = 300) -> Dataset:
     """Random two-phase dataset with moderate sampling and treatment overlap."""
     w = rng.normal(size=(n, 3))
