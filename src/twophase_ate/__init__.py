@@ -24,7 +24,6 @@ from .estimators import (
     EstimatorOptions,
     FittedContext,
     RakeSolution,
-    fit_context,
     rake_weights,
     run_estimator,
     run_roster,
@@ -49,7 +48,6 @@ __all__ = [
     "EstimatorOptions",
     "FittedContext",
     "RakeSolution",
-    "fit_context",
     "rake_weights",
     "run_estimator",
     "run_roster",

@@ -182,9 +182,6 @@ class OutcomeScale:
     def apply(self, y: np.ndarray) -> np.ndarray:
         return (np.asarray(y, dtype=float) - self.lo) / self.span
 
-    def invert(self, y_scaled: np.ndarray) -> np.ndarray:
-        return np.asarray(y_scaled, dtype=float) * self.span + self.lo
-
 
 IDENTITY_SCALE = OutcomeScale(0.0, 1.0)
 

@@ -1,11 +1,11 @@
 """Eight ATE estimators for two-phase designs, plus the raking calibration solver.
 
 Every estimator takes a `FittedContext` (one dataset with its outcome
-scaled onto [0, 1] and its nuisances fitted and evaluated on it) and
-reports a point estimate, influence-curve standard error, Wald interval,
-and score-solving diagnostics on the scaled outcome. `fit_context` builds
-the context once per dataset; `run_estimator` runs one estimator on it and
-maps the estimate back to the raw outcome scale, and `run_roster` runs
+scaled onto [0, 1] and its nuisances fitted and evaluated on it), targets
+on the scaled outcome, and reports a point estimate, influence-curve
+standard error, Wald interval and score-solving diagnostics mapped back to
+the raw outcome scale. `FittedContext(ds)` builds the context once per
+dataset; `run_estimator` runs one estimator on it, and `run_roster` runs
 several estimators against one context.
 
 Conventions shared by all routines here:
@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .data_model import Dataset, OutcomeScale, _as_integer, scale_outcome
+from .data_model import Dataset, _as_integer, scale_outcome
 from .eic import (
     clever_covariate,
     eic_components,
@@ -38,10 +38,10 @@ from .eic import (
 )
 from .glm import P_MIN, GlmError, _cho_solve, _factor_spd, expit, fit_fluctuation, fit_glm, logit
 from .nuisance import (
+    TRUNC_PI_DEFAULT,
     MbarDesign,
     NuisanceConfig,
     NuisanceError,
-    NuisanceSet,
     aw_designs,
     fit_mbar,
     fit_nuisances,
@@ -63,7 +63,6 @@ __all__ = [
     "estimate_quasi_tmle",
     "estimate_tmle_alt",
     "FittedContext",
-    "fit_context",
     "run_estimator",
     "run_roster",
     "ESTIMATOR_IDS",
@@ -106,17 +105,21 @@ class EstimateResult:
     s_n: float  # convergence threshold sigma_n/(sqrt(n) log n) at the final fit
 
 
-def _result(estimator_id, psi, d_obs, n_outer, converged) -> EstimateResult:
+def _result(ctx: FittedContext, estimator_id, psi, d_obs, n_outer, converged) -> EstimateResult:
+    """The reported values of an estimate made on ctx's scaled outcome, on
+    the raw outcome scale. The ATE is a difference of outcome means, so
+    only the outcome span enters the back-transformation."""
     var = eic_variance(d_obs, psi)
+    s = ctx.scale.span
     return EstimateResult(
         estimator_id=estimator_id,
-        psi_hat=float(psi),
-        se=var.se,
-        ci95=(var.ci_lo, var.ci_hi),
-        eic_mean_abs=float(abs(np.mean(d_obs))),
+        psi_hat=float(psi) * s,
+        se=var.se * s,
+        ci95=(var.ci_lo * s, var.ci_hi * s),
+        eic_mean_abs=float(abs(np.mean(d_obs))) * s,
         n_outer_iterations=int(n_outer),
         converged=bool(converged),
-        s_n=_threshold(d_obs),
+        s_n=_threshold(d_obs) * s,
     )
 
 
@@ -139,13 +142,15 @@ def _read_only(*values) -> tuple:
 
 
 class FittedContext:
-    """One dataset made ready for any number of estimators, by `fit_context`.
+    """One dataset made ready for any number of estimators.
 
-    `raw` is the dataset as given, `scaled` the same records with the outcome
-    mapped onto [0, 1] by `scale`, and `nuisances` the set fitted on `scaled`.
-    The arrays hold that set evaluated on `scaled` (pi0 on every record, the
-    rest on the phase-2 rows; wts0 = 1/pi0 there). Every estimator on the
-    dataset shares them, so they are read-only.
+    `FittedContext(raw, nuisance)` maps the outcome of `raw` onto [0, 1]
+    (`scaled`, by `scale`), fits the nuisance set `nuisances` on `scaled` as
+    the `NuisanceConfig` says, and evaluates it there: pi0 on every record,
+    the rest on the phase-2 rows (wts0 = 1/pi0 there). `trunc_pi` bounds the
+    sampling mechanism again after it is targeted. Every estimator on the
+    dataset shares the arrays, so they are read-only. A failed fit raises
+    EstimatorError("nuisance fitting failed: ...").
 
     Four steps that several estimators begin with are built at most once,
     on first use, and read-only like the arrays: `start`, `start_slope`,
@@ -153,12 +158,15 @@ class FittedContext:
     again in every estimator that reads it.
     """
 
-    def __init__(self, raw: Dataset, scaled: Dataset, scale: OutcomeScale,
-                 nuisances: NuisanceSet):
-        if scaled.n < 3:
-            raise EstimatorError("need at least 3 records")
+    def __init__(self, raw: Dataset, nuisance: NuisanceConfig | None = None):
+        scaled, scale = scale_outcome(raw)
+        try:
+            nuisances = fit_nuisances(scaled, nuisance)
+        except (NuisanceError, GlmError) as exc:
+            raise EstimatorError(f"nuisance fitting failed: {exc}") from exc
         q_a, q1, q0 = evaluate_nuisances(scaled, nuisances)
         self.raw, self.scaled, self.scale, self.nuisances = raw, scaled, scale, nuisances
+        self.trunc_pi = TRUNC_PI_DEFAULT if nuisance is None else nuisance.trunc_pi
         self.n = scaled.n
         self.p2 = scaled.phase2
         self.delta = scaled.delta.astype(float)
@@ -229,11 +237,11 @@ class FittedContext:
 
     def fluctuate_pi(self, pi, m):
         """One logistic targeting step of the sampling mechanism along m/pi,
-        truncated to the nuisance set's bounds."""
+        truncated to the context's bounds."""
         cov = m / pi
         lpi = logit(pi, P_MIN)
         fit = fit_fluctuation(self.delta, lpi, cov)
-        lo, hi = self.nuisances.trunc_pi
+        lo, hi = self.trunc_pi
         return np.clip(expit(lpi + fit.epsilon * cov), lo, hi)
 
 
@@ -260,6 +268,13 @@ class RakeSolution:
     converged: bool
 
 
+def _usable(pi: np.ndarray) -> bool:
+    """Whether every pi is positive and both pi and 1/pi are finite."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return bool(np.isfinite(pi).all() and np.isfinite(1.0 / pi).all() and (pi > 0).all())
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def rake_weights(mbar: np.ndarray, pi: np.ndarray, delta: np.ndarray,
                  tol: float = 1e-8, max_iter: int = 100,
                  target: float | None = None) -> RakeSolution:
@@ -270,6 +285,9 @@ def rake_weights(mbar: np.ndarray, pi: np.ndarray, delta: np.ndarray,
     lam=0, stopping when the constraint residual drops below tol. The
     default target is sum_all m_i; rescaling the weights and the target by
     a common factor rescales the whole equation and leaves lam unchanged.
+    Tiny pi can take the constraint or its slope past the floats; Newton
+    stops there, and the bisection fallback finds no root where the
+    constraint is not a number, so such a solve is not converged.
     """
     m = np.asarray(mbar, dtype=float).ravel()
     pi = np.asarray(pi, dtype=float).ravel()
@@ -295,12 +313,9 @@ def rake_weights(mbar: np.ndarray, pi: np.ndarray, delta: np.ndarray,
 
     def solution(lam: float, n_iter: int, converged: bool) -> RakeSolution:
         a = np.exp(np.clip(-lam * m, -700.0, 700.0))
-        with np.errstate(over="ignore", divide="ignore"):
-            pi_star = pi / a
-            usable = bool(np.isfinite(pi_star).all() and np.isfinite(1.0 / pi_star).all()
-                          and (pi_star > 0).all())
+        pi_star = pi / a
         return RakeSolution(lam=float(lam), a=a, pi_star=pi_star, constraint_residual=F(lam),
-                            n_iter=n_iter, converged=converged and usable)
+                            n_iter=n_iter, converged=converged and _usable(pi_star))
 
     f0 = F(0.0)
     if abs(f0) <= tol:
@@ -338,7 +353,7 @@ def estimate_aipcw(ctx: FittedContext,
         - np.sum(mbar * (ctx.delta - pi) / pi) / ctx.n
     )
     d = observed_eic(dbar2, mbar, pi, psi, ctx.p2, ctx.delta)
-    return _result("aipcw", psi, d, 0, True)
+    return _result(ctx, "aipcw", psi, d, 0, True)
 
 
 def estimate_eee(ctx: FittedContext,
@@ -350,7 +365,7 @@ def estimate_eee(ctx: FittedContext,
     mbar_star = mbar + zeta
     psi = float(np.mean(mbar_star))
     d = observed_eic(dbar2, mbar_star, ctx.pi0, psi, ctx.p2, ctx.delta)
-    return _result("eee", psi, d, 0, True)
+    return _result(ctx, "eee", psi, d, 0, True)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +378,7 @@ def estimate_ipcw_tmle(ctx: FittedContext,
     """Single weighted logistic targeting of the outcome regression."""
     psi, dbar2, mbar = ctx.first_eic
     d = observed_eic(dbar2, mbar, ctx.pi0, psi, ctx.p2, ctx.delta)
-    return _result("ipcw_tmle", psi, d, 1, ctx.first_q[3].converged)
+    return _result(ctx, "ipcw_tmle", psi, d, 1, ctx.first_q[3].converged)
 
 
 def _target(state, monitor, step, max_iter: int):
@@ -440,7 +455,7 @@ def _iterative_ipcw_tmle(ctx, options, use_raking: bool, estimator_id: str) -> E
     start = (ctx.q_a0, ctx.q10, ctx.q00, ctx.pi0, *ctx.start)
     last, best, n_outer, converged = _target(start, monitor, step, options.max_outer_iter)
     _, psi, d = last if converged or best is None else best
-    return _result(estimator_id, psi, d, n_outer, converged)
+    return _result(ctx, estimator_id, psi, d, n_outer, converged)
 
 
 def estimate_ipcw_tmle_target_pi(ctx: FittedContext,
@@ -562,10 +577,13 @@ def estimate_raking(ctx: FittedContext,
     _, psi_prelim, u = _working_model(ctx, designs2, censored, imputed, ctx.wts0, family, prelim)
     h = u - psi_prelim
     rake = rake_weights(h, ctx.pi0, ctx.delta)
-    wts1 = 1.0 / rake.pi_star[ctx.p2]
+    pi_star2 = rake.pi_star[ctx.p2]
+    if not _usable(pi_star2):
+        raise EstimatorError("raking calibration failed: calibrated pi is not finite and positive")
+    wts1 = 1.0 / pi_star2
 
     fit, psi, u = _working_model(ctx, designs2, censored, imputed, wts1, family)
-    return _result("raking", psi, u - psi, rake.n_iter, rake.converged and fit.converged)
+    return _result(ctx, "raking", psi, u - psi, rake.n_iter, rake.converged and fit.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +645,7 @@ def estimate_quasi_tmle(ctx: FittedContext,
     mbar_star = m_all.copy()
     mbar_star[ctx.p2] += gamma * ctx.wts0
     d = observed_eic(dbar2, mbar_star, ctx.pi0, psi, ctx.p2, ctx.delta)
-    return _result("quasi_tmle", psi, d, n_evals, True)
+    return _result(ctx, "quasi_tmle", psi, d, n_evals, True)
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +709,7 @@ def estimate_tmle_alt(ctx: FittedContext,
         if converged or met or steps == 0:  # only a capped round can move the state
             break
 
-    return _result("tmle_alt", psi, d, n_outer, converged)
+    return _result(ctx, "tmle_alt", psi, d, n_outer, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -723,47 +741,16 @@ OPTIONS_READ: dict[str, frozenset[str]] = {e: read for e, (_, read, _) in _ESTIM
 FULL_EIC_SOLVERS = frozenset(e for e, (_, _, full) in _ESTIMATORS.items() if full)
 
 
-def _unscale(res: EstimateResult, scale: OutcomeScale) -> EstimateResult:
-    s = scale.span
-    return replace(
-        res,
-        psi_hat=res.psi_hat * s,
-        se=res.se * s,
-        ci95=(res.ci95[0] * s, res.ci95[1] * s),
-        eic_mean_abs=res.eic_mean_abs * s,
-        s_n=res.s_n * s,
-    )
-
-
-def fit_context(ds: Dataset, nuisance: NuisanceConfig | None = None) -> FittedContext:
-    """Scale the outcome, fit the nuisances, evaluate them and build the
-    phase-1 design, once for every estimator run on ds.
-
-    A failed fit raises EstimatorError("nuisance fitting failed: ...").
-    """
-    scaled, scale = scale_outcome(ds)
-    try:
-        ns = fit_nuisances(scaled, nuisance)
-    except (NuisanceError, GlmError) as exc:
-        raise EstimatorError(f"nuisance fitting failed: {exc}") from exc
-    try:
-        return FittedContext(ds, scaled, scale, ns)
-    except (NuisanceError, GlmError) as exc:
-        raise EstimatorError(f"nuisance evaluation failed: {exc}") from exc
-
-
 def run_estimator(
     ds: Dataset,
     estimator_id: str,
     nuisance: NuisanceConfig | FittedContext | None = None,
     options: EstimatorOptions = DEFAULT_OPTIONS,
 ) -> EstimateResult:
-    """Scale the outcome, fit nuisances, estimate, unscale.
+    """Run one estimator on ds, reported on the raw outcome scale.
 
-    Pass a FittedContext from `fit_context(ds)` to reuse its scaling and
-    nuisance fit; anything else is handed to `fit_context` first. The ATE
-    is a difference of outcome means, so only the outcome span enters the
-    back-transformation.
+    Pass a `FittedContext(ds)` to reuse its scaling and nuisance fit;
+    anything else is handed to `FittedContext` first.
     """
     if estimator_id not in _DISPATCH:
         raise EstimatorError(f"unknown estimator {estimator_id!r}")
@@ -772,12 +759,11 @@ def run_estimator(
         if ctx.raw is not ds:
             raise EstimatorError("the fitted context belongs to another dataset")
     else:
-        ctx = fit_context(ds, nuisance)
+        ctx = FittedContext(ds, nuisance)
     try:
-        res = _DISPATCH[estimator_id](ctx, options)
+        return _DISPATCH[estimator_id](ctx, options)
     except (NuisanceError, GlmError) as exc:
         raise EstimatorError(f"{estimator_id} failed: {exc}") from exc
-    return _unscale(res, ctx.scale)
 
 
 def run_roster(
@@ -794,7 +780,7 @@ def run_roster(
     """
     t0 = time.perf_counter()
     try:
-        ctx = fit_context(ds, nuisance)
+        ctx = FittedContext(ds, nuisance)
     except EstimatorError as exc:
         return time.perf_counter() - t0, [(exc, 0.0)] * len(roster)
     fit_s = time.perf_counter() - t0

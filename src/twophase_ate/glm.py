@@ -206,13 +206,16 @@ class FluctuationFit:
     converged: bool
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit_fluctuation(y, offset_logit, h, w=None, tol: float = FLUCT_TOL) -> FluctuationFit:
     """Solve sum_i w_i h_i (y_i - expit(offset_i + eps * h_i)) = 0 for eps.
 
     The score is monotone non-increasing in eps: Newton's method within
     +-FLUCT_BRACKET solves it, with a bisection fallback on that interval.
     Returns eps=0 immediately when the score at zero is already below tol
-    (this covers h identically zero).
+    (this covers h identically zero). Huge weights or covariates can take
+    the score or its slope past the floats: Newton stops at a slope that is
+    not finite, and a score with no sign change is a named GlmError.
     """
     y = np.asarray(y, dtype=float).ravel()
     offset = np.asarray(offset_logit, dtype=float).ravel()

@@ -189,18 +189,12 @@ def fit_mbar(ds: Dataset, values: np.ndarray, design: MbarDesign | None = None) 
 class NuisanceSet:
     """The nuisances evaluated on the dataset they were fitted to: pi on
     every record and g1 = g(1|w) on the phase-2 rows, both truncated, and
-    the outcome regression's fit on the `aw_designs` columns. trunc_pi
-    bounds the sampling mechanism again after it is targeted.
-
-    q must be the fit `fit_q_ipcw(ds, pi)` makes: bernoulli, on the
-    phase-2 rows of the `aw_designs` columns, with weights 1/pi. For a
-    binary outcome `raking` takes it as its working model at the design
-    weights, so a q fitted another way changes raking's calibration."""
+    the outcome regression's fit on the `aw_designs` columns, as
+    `fit_nuisances` makes them."""
 
     pi: np.ndarray
     g1: np.ndarray
     q: GlmFit
-    trunc_pi: tuple[float, float] = TRUNC_PI_DEFAULT
 
 
 def check_truncation(trunc_pi: tuple[float, float], trunc_g: tuple[float, float]) -> None:
@@ -258,4 +252,4 @@ def fit_nuisances(ds: Dataset, config: NuisanceConfig | None = None) -> Nuisance
     else:
         g1 = fit_g_ipcw(ds, pi, trunc=cfg.trunc_g)
     q = fit_q_ipcw(ds, pi)
-    return NuisanceSet(pi=pi, g1=g1, q=q, trunc_pi=cfg.trunc_pi)
+    return NuisanceSet(pi=pi, g1=g1, q=q)

@@ -53,7 +53,8 @@ def bisect(f: Callable[[float], float], grid: Sequence[float], tol: float) -> Ro
     Grid points are scanned from the left; one where f is exactly zero is
     returned as the root. Returns None when f has no zero and no sign change
     on the grid. Stops when |f| <= tol, or unconverged after BISECT_MAX_ITER
-    halvings.
+    halvings; once the cell is too narrow to halve, the halvings left would
+    all give the same point, so they are not run.
     """
     lo, flo = grid[0], f(grid[0])
     for hi in grid[1:]:
@@ -71,6 +72,8 @@ def bisect(f: Callable[[float], float], grid: Sequence[float], tol: float) -> Ro
         fx = f(x)
         if abs(fx) <= tol:
             return RootResult(x, fx, it, True)
+        if x == lo or x == hi:  # the cell cannot shrink: every halving left would give x again
+            break
         if flo * fx <= 0:
             hi = x
         else:

@@ -527,6 +527,8 @@ def _git_hash() -> str:
 
 
 def write_sidecar(report: SimReport, study: StudySpec, path, wall_time: float) -> None:
+    """Strict JSON: an estimator with no successful run has no mean runtime,
+    so its label is left out of mean_runtime_s."""
     meta = {
         "dgp": asdict(study.dgp),
         "estimators": [asdict(e) for e in study.estimators],
@@ -538,11 +540,11 @@ def write_sidecar(report: SimReport, study: StudySpec, path, wall_time: float) -
         "trunc_pi": list(study.trunc_pi),
         "trunc_g": list(study.trunc_g),
         "reference": {"kind": report.reference, "value": report.psi_ref},
-        "mean_runtime_s": {r.label: r.mean_runtime for r in report.rows},
+        "mean_runtime_s": {r.label: r.mean_runtime for r in report.rows if r.n_ok},
         "mean_nuisance_fit_s": report.mean_nuisance_fit,
         "git_hash": _git_hash(),
         "wall_time_s": wall_time,
     }
     with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2)
+        json.dump(meta, fh, indent=2, allow_nan=False)
         fh.write("\n")

@@ -270,6 +270,23 @@ class TestSimulateMode:
         assert r1 == r2
         assert (out1 / "report.meta.json").exists()
 
+    def test_sidecar_is_strict_json_when_an_estimator_never_succeeds(self, tmp_path):
+        # every draw of six records fails aipcw; the sidecar held "aipcw": NaN
+        import json
+
+        cfg = write_cfg(tmp_path / "run.cfg", [
+            "mode = simulate", "sim.dgp = missing_rate", "sim.n = 6", "sim.n_runs = 2",
+            "seed = 3", "estimators = aipcw",
+        ])
+        assert main(["--config", cfg, "--out", str(tmp_path), "--parallelism", "1"]) == EXIT_ESTIMATOR_FAILURE
+        assert read_rows(tmp_path / "report.csv")[0]["n_ok"] == "0"
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        meta = json.loads((tmp_path / "report.meta.json").read_text(), parse_constant=reject)
+        assert meta["mean_runtime_s"] == {}
+
     def test_mode_mixing_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path / "run.cfg", [
             "mode = simulate",

@@ -20,16 +20,16 @@ from twophase_ate.cli import EXIT_ESTIMATOR_FAILURE, main
 from twophase_ate.data_model import CsvSchema, write_csv
 from twophase_ate.estimators import (
     ESTIMATOR_IDS,
+    OPTIONS_READ,
     EstimateResult,
     EstimatorError,
     EstimatorOptions,
     FittedContext,
-    fit_context,
     run_estimator,
     run_roster,
 )
 from twophase_ate.glm import GlmError, fit_glm
-from twophase_ate.nuisance import NuisanceConfig, NuisanceError, aw_designs
+from twophase_ate.nuisance import TRUNC_PI_DEFAULT, NuisanceConfig, NuisanceError, aw_designs
 from twophase_ate.sim import DgpSpec, StudyEstimator, StudySpec, generate, run_study
 
 from util import make_twophase_dataset
@@ -104,9 +104,31 @@ class TestSharedEqualsFresh:
     def test_context_is_bound_to_its_dataset(self):
         ds = make_twophase_dataset(np.random.default_rng(1))
         other = make_twophase_dataset(np.random.default_rng(2))
-        ctx = fit_context(ds)
+        ctx = FittedContext(ds)
         with pytest.raises(EstimatorError, match="another dataset"):
             run_estimator(other, "aipcw", ctx)
+
+
+class TestOneConstructorOneUnit:
+    @pytest.mark.parametrize("e, mode", [(e, "refit") for e in ESTIMATOR_IDS]
+                             + [(e, "linearized") for e in ESTIMATOR_IDS
+                                if "mode" in OPTIONS_READ[e]])
+    def test_estimate_functions_report_on_the_raw_scale(self, e, mode):
+        # the outcome spans about 9.5 units, which estimate_* left out
+        ds, _ = generate(DgpSpec("raking_gap", n=300, seed=1))
+        ctx = FittedContext(ds)
+        assert ctx.scale.span > 9.0
+        options = EstimatorOptions(mode=mode)
+        assert getattr(est_mod, f"estimate_{e}")(ctx, options) == run_estimator(ds, e, ctx, options)
+
+    def test_targeted_pi_keeps_the_configured_bounds(self):
+        ds = make_twophase_dataset(np.random.default_rng(13))
+        assert FittedContext(ds).trunc_pi == TRUNC_PI_DEFAULT
+        ctx = FittedContext(ds, NuisanceConfig(trunc_pi=(0.6, 0.9)))
+        assert ctx.trunc_pi == (0.6, 0.9)
+        _, mbar = ctx.start
+        pi = ctx.fluctuate_pi(ctx.pi0, 100.0 * mbar)
+        assert pi.min() == 0.6 and pi.max() == 0.9
 
 
 def _count_calls(monkeypatch, counts, module, name):
@@ -164,7 +186,7 @@ class TestSharedSteps:
         # a binary outcome's working model at the design weights is the
         # outcome regression; a continuous one is a gaussian fit of its own
         ds, _ = generate(DgpSpec(dgp, n=300, seed=1))
-        ctx = fit_context(ds)
+        ctx = FittedContext(ds)
         calls = []
         fit_glm = est_mod.fit_glm
 
@@ -183,7 +205,7 @@ class TestSharedSteps:
         # the outcome regression stands in for raking's preliminary fit only
         # because it is that fit: same design, response, weights and family
         ds, truth = generate(DgpSpec("missing_rate", n=300, seed=1))
-        ctx = fit_context(ds, NuisanceConfig(known_pi=truth.pi0 if known else None))
+        ctx = FittedContext(ds, NuisanceConfig(known_pi=truth.pi0 if known else None))
         designs2 = aw_designs(ctx.scaled, ctx.p2)
         own = fit_glm(designs2[0], ctx.y2, w=ctx.wts0, family="bernoulli")
         np.testing.assert_array_equal(ctx.nuisances.q.coefficients, own.coefficients)
@@ -217,7 +239,7 @@ def _arrays(value):
 class TestSharedStateIsReadOnly:
     def test_every_shared_array_rejects_writes(self):
         ds, _ = generate(DgpSpec("raking_gap", n=300, seed=2))
-        ctx = fit_context(ds)
+        ctx = FittedContext(ds)
         arrays = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
         arrays += [ctx.design.x_all, ctx.design.x2]
         assert len(arrays) >= 12
@@ -228,7 +250,7 @@ class TestSharedStateIsReadOnly:
 
     def test_shared_steps_reject_writes_after_a_roster(self):
         ds, _ = generate(DgpSpec("missing_rate", n=300, seed=1))
-        ctx = fit_context(ds)
+        ctx = FittedContext(ds)
         for e in ESTIMATOR_IDS:
             run_estimator(ds, e, ctx)
         run_estimator(ds, "quasi_tmle", ctx, EstimatorOptions(mode="linearized"))
@@ -242,7 +264,7 @@ class TestSharedStateIsReadOnly:
 
     def test_estimators_leave_the_context_unchanged(self):
         ds = make_twophase_dataset(np.random.default_rng(3))
-        ctx = fit_context(ds)
+        ctx = FittedContext(ds)
         before = {k: v.copy() for k, v in vars(ctx).items() if isinstance(v, np.ndarray)}
         for e in ESTIMATOR_IDS:
             run_estimator(ds, e, ctx)

@@ -149,7 +149,7 @@ class TestScaleOutcome:
                      y=y, delta=np.ones(50, dtype=int), w2=np.ones((50, 1)),
                      y_kind="continuous", y_bounds=(lo, hi))
         scaled, scale = scale_outcome(ds)
-        np.testing.assert_allclose(scale.invert(scaled.y), y, atol=1e-12)
+        np.testing.assert_allclose(scaled.y * scale.span + scale.lo, y, atol=1e-12)
 
     def test_default_bounds_cover_data(self):
         y = np.array([-1.0, 4.0])

@@ -12,8 +12,8 @@ from twophase_ate.estimators import (
     FULL_EIC_SOLVERS,
     EstimatorError,
     EstimatorOptions,
+    FittedContext,
     RakeSolution,
-    fit_context,
     rake_weights,
     run_estimator,
     run_roster,
@@ -233,7 +233,7 @@ class TestFixedPoints:
 
     def test_quasi_tmle_fixed_point_matches_eee(self, monkeypatch):
         ds = constant_outcome_dataset(np.random.default_rng(9))
-        ctx = fit_context(ds)
+        ctx = FittedContext(ds)
         secants, bisects = record(monkeypatch, "secant"), record(monkeypatch, "bisect")
         r_q = run_estimator(ds, "quasi_tmle", ctx)
         r_e = run_estimator(ds, "eee", ctx)
@@ -260,7 +260,7 @@ class TestFixedPoints:
 
     def test_unconverged_raking_keeps_previous_pi(self, monkeypatch):
         ds = make_twophase_dataset(np.random.default_rng(12))
-        ctx = fit_context(ds)
+        ctx = FittedContext(ds)
 
         def stalled(mbar, pi, delta):
             a = np.full_like(pi, 0.5)
@@ -278,7 +278,7 @@ class TestFixedPoints:
         # with known pi this dataset needs more than one pass, so the second
         # raking solve is reached and fails
         ds, truth = generate(DgpSpec("raking_gap", n=300, seed=1))
-        ctx = fit_context(ds, NuisanceConfig(known_pi=truth.pi0))
+        ctx = FittedContext(ds, NuisanceConfig(known_pi=truth.pi0))
         first = run_estimator(ds, "ipcw_tmle_rake_pi", ctx, EstimatorOptions(max_outer_iter=1))
         start = run_estimator(ds, "ipcw_tmle_rake_pi", ctx, EstimatorOptions(max_outer_iter=0))
         assert not first.converged
@@ -315,7 +315,7 @@ class TestFixedPoints:
         monkeypatch.setattr(estimators, "fit_mbar", spy)
         for seed in range(5):
             ds, _ = generate(DgpSpec("missing_rate", n=1000, seed=seed))
-            ctx = fit_context(ds)
+            ctx = FittedContext(ds)
             fitted.clear()
             r = run_estimator(ds, est, ctx)
             assert r.n_outer_iterations >= 1
@@ -338,7 +338,7 @@ class TestFixedPoints:
         linearized = EstimatorOptions(mode="linearized")
         for seed in range(3):
             ds, _ = generate(DgpSpec("missing_rate", n=1000, seed=seed))
-            ctx = fit_context(ds)
+            ctx = FittedContext(ds)
             calls.clear()
             r = run_estimator(ds, est, ctx, linearized)
             assert r.n_outer_iterations >= 1
@@ -400,13 +400,68 @@ class TestFailuresOnRealDraws:
         ds = kang_dr_20(9)
         with pytest.raises(EstimatorError, match="raking solver stalled: vanishing gradient"):
             run_estimator(ds, "raking")
-        ctx = fit_context(ds)
+        ctx = FittedContext(ds)
         secants, bisects = record(monkeypatch, "secant"), record(monkeypatch, "bisect")
         r = run_estimator(ds, "quasi_tmle", ctx)
         (_, _, fallback), = bisects
         assert fallback.converged and not secants[0][2].converged  # the secant failed
         psi, _ = quasi_plugin(ctx, quasi_fluctuation(secants, bisects))
         assert r.psi_hat == psi * ctx.scale.span  # the plug-in at the bisection's root
+
+
+def sparse_missing_rate(seed):
+    return generate(DgpSpec("missing_rate", n=300, seed=seed, missing_intercept=-2.5))
+
+
+class TestTinyPiBound:
+    """missing_rate n=300 draws at sampling intercept -2.5 with a lower pi
+    bound far below the default, so that 1/pi reaches 1e12 or more and a
+    scalar equation leaves the floats. That must end the solve, never warn,
+    and leave every roster entry a finite estimate or a named failure."""
+
+    ROSTER = ([(e, EstimatorOptions()) for e in ESTIMATOR_IDS]
+              + [(e, EstimatorOptions(mode="linearized")) for e in ESTIMATOR_IDS
+                 if "mode" in estimators.OPTIONS_READ[e]])
+
+    def results(self, ds, config):
+        _, out = run_roster(ds, self.ROSTER, config)
+        for res, _ in out:
+            assert isinstance(res, EstimatorError) or np.isfinite([res.psi_hat, res.se]).all()
+        return {(e, opts.mode): res for (e, opts), (res, _) in zip(self.ROSTER, out)}
+
+    def test_fluctuation_slope_past_the_floats(self):
+        # estimated pi bounded by 1e-300: (w h) h in fit_fluctuation's slope
+        # overflowed for ipcw_tmle_target_pi and tmle_alt
+        ds, _ = sparse_missing_rate(20)
+        results = self.results(ds, NuisanceConfig(trunc_pi=(1e-300, 1.0)))
+        for key in [("ipcw_tmle_target_pi", "refit"), ("ipcw_tmle_target_pi", "linearized"),
+                    ("tmle_alt", "refit")]:
+            assert isinstance(results[key], estimators.EstimateResult)
+
+    def test_raking_constraint_past_the_floats(self):
+        # known pi of 1e-9 times the truth, bounded by 1e-12: the raking
+        # constraint w0 @ (tilt m2) overflowed for raking and ipcw_tmle_rake_pi
+        ds, truth = sparse_missing_rate(1)
+        results = self.results(ds, NuisanceConfig(known_pi=truth.pi0 * 1e-9,
+                                                  trunc_pi=(1e-12, 1.0)))
+        for key in [("raking", "refit"), ("ipcw_tmle_rake_pi", "refit"),
+                    ("ipcw_tmle_rake_pi", "linearized")]:
+            assert not results[key].converged
+
+    def test_raking_refuses_an_unusable_calibration(self, monkeypatch):
+        # a calibrated pi of 0 was divided by
+        real = estimators.rake_weights
+
+        def zero_pi_star(*args, **kwargs):
+            rake = real(*args, **kwargs)
+            pi_star = rake.pi_star.copy()
+            pi_star[np.flatnonzero(args[2] == 1)[0]] = 0.0
+            return dataclasses.replace(rake, pi_star=pi_star)
+
+        monkeypatch.setattr(estimators, "rake_weights", zero_pi_star)
+        with pytest.raises(EstimatorError, match="raking calibration failed: calibrated pi is "
+                                                 "not finite and positive"):
+            run_estimator(make_twophase_dataset(np.random.default_rng(3)), "raking")
 
 
 def scripted(means):
@@ -452,7 +507,7 @@ class TestPlugInProperty:
     def test_ipcw_tmle_solves_weighted_fulldata_score(self):
         for seed in range(4):
             ds = make_twophase_dataset(np.random.default_rng(30 + seed))
-            ctx = fit_context(ds)
+            ctx = FittedContext(ds)
             r = run_estimator(ds, "ipcw_tmle", ctx)
             psi, dbar2, _ = ctx.first_eic  # the context's step that ipcw_tmle reports
             assert r.psi_hat == psi * ctx.scale.span
@@ -460,7 +515,7 @@ class TestPlugInProperty:
 
     def test_ipcw_tmle_plugin_identity(self):
         ds = make_twophase_dataset(np.random.default_rng(12))
-        ctx = fit_context(ds)
+        ctx = FittedContext(ds)
         r = run_estimator(ds, "ipcw_tmle", ctx)
         # recompute the weighted plug-in from the targeted outcome fits
         _, q1, q0, _ = ctx.first_q
@@ -470,7 +525,7 @@ class TestPlugInProperty:
 
     def test_quasi_tmle_plugin_identity(self, monkeypatch):
         ds = make_twophase_dataset(np.random.default_rng(13))
-        ctx = fit_context(ds)
+        ctx = FittedContext(ds)
         secants, bisects = record(monkeypatch, "secant"), record(monkeypatch, "bisect")
         r = run_estimator(ds, "quasi_tmle", ctx)
         psi, _ = quasi_plugin(ctx, quasi_fluctuation(secants, bisects))
@@ -480,7 +535,7 @@ class TestPlugInProperty:
         # allowed no step, tmle_alt targets the arm regressions at (Q0, pi0):
         # psi is the mean of their targeted contrast, recomputed here
         ds = make_twophase_dataset(np.random.default_rng(14))
-        ctx = fit_context(ds)
+        ctx = FittedContext(ds)
         r = run_estimator(ds, "tmle_alt", ctx, EstimatorOptions(max_outer_iter=0))
         inv_pi = 1.0 / ctx.pi0
         m_star = []
@@ -531,7 +586,7 @@ class TestRakingEstimator:
         # the working model's information matrix is singular on the dead
         # column; solving it once raised an uncaught LinAlgError
         ds = zero_covariate_cohort()
-        ctx = fit_context(ds)
+        ctx = FittedContext(ds)
         for est in ("raking", "aipcw", "tmle_alt"):
             r = run_estimator(ds, est, ctx)
             assert np.isfinite([r.psi_hat, r.se, *r.ci95]).all() and r.se > 0
@@ -561,7 +616,7 @@ class TestCensusQuadrature:
     @pytest.mark.parametrize("y_kind", ["binary", "continuous"])
     @pytest.mark.parametrize("d2", [0, 2, estimators._GH_MAX_DIM + 1])
     def test_offset_form_matches_full_design(self, y_kind, d2):
-        ctx = fit_context(_census_dataset(np.random.default_rng(10 + d2), y_kind, d2))
+        ctx = FittedContext(_census_dataset(np.random.default_rng(10 + d2), y_kind, d2))
         family = "bernoulli" if y_kind == "binary" else "gaussian"
         censored = np.flatnonzero(ctx.scaled.delta == 0)
         designs2 = aw_designs(ctx.scaled, ctx.p2)
@@ -580,7 +635,7 @@ class TestCensusQuadrature:
     def test_designs_built_once_per_row_set(self, monkeypatch):
         # the phase-2 and censored designs do not depend on the weights, so
         # the preliminary and the final working model share them
-        ctx = fit_context(_census_dataset(np.random.default_rng(12), "binary", 2))
+        ctx = FittedContext(_census_dataset(np.random.default_rng(12), "binary", 2))
         calls = []
 
         def counting(ds, rows, w2=None):
@@ -594,7 +649,7 @@ class TestCensusQuadrature:
 
     @pytest.mark.parametrize("y_kind", ["binary", "continuous"])
     def test_cholesky_alpha_matches_lu_solve(self, y_kind):
-        ctx = fit_context(_census_dataset(np.random.default_rng(12), y_kind, 2))
+        ctx = FittedContext(_census_dataset(np.random.default_rng(12), y_kind, 2))
         family = "bernoulli" if y_kind == "binary" else "gaussian"
         _, info, grad = census_information(ctx, ctx.wts0, family)
         assert np.linalg.cond(info) < 1e3

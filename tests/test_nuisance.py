@@ -223,7 +223,6 @@ class TestFitNuisances:
     def test_default_bundle_fits_everything(self):
         ds = make_twophase_dataset(np.random.default_rng(13))
         ns = fit_nuisances(ds)
-        assert ns.trunc_pi == TRUNC_PI_DEFAULT
         np.testing.assert_array_equal(ns.pi, fit_pi(ds))
         np.testing.assert_array_equal(ns.g1, fit_g_ipcw(ds, ns.pi))
         np.testing.assert_array_equal(ns.q.coefficients, fit_q_ipcw(ds, ns.pi).coefficients)

@@ -21,7 +21,7 @@ from twophase_ate.estimators import (
     EstimatorOptions,
     run_roster,
 )
-from twophase_ate.nuisance import NuisanceConfig
+from twophase_ate.nuisance import TRUNC_PI_DEFAULT, NuisanceConfig
 
 from util import compounding_rake_cohort
 
@@ -34,8 +34,9 @@ ROSTER = ([(e, EstimatorOptions()) for e in ESTIMATOR_IDS]
 def cohorts(draw):
     """A cohort and its nuisance config: 3 to 59 records, 1-2 w1 and 0-3 w2
     columns each scaled by 10^U(-3, 5), maybe rounded to integers and maybe
-    with a constant first column, a binary or continuous outcome, and
-    estimated or known pi and g."""
+    with a constant first column, a binary or continuous outcome, a lower
+    pi bound of the default, 1e-6, 1e-12 or 1e-300, and estimated or known
+    pi and g, known pi being 10^U(-14, 0) per record."""
     n = draw(st.integers(3, 59))
     d1, d2 = draw(st.integers(1, 2)), draw(st.integers(0, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -56,11 +57,12 @@ def cohorts(draw):
     else:
         ds = Dataset(w1=w[:, :d1], a=a, y=(rng.random(n) < 0.5).astype(float),
                      delta=delta, w2=w2)
-    config = None
+    lo = draw(st.sampled_from([TRUNC_PI_DEFAULT[0], 1e-6, 1e-12, 1e-300]))
+    known = {}
     if draw(st.booleans()):
-        config = NuisanceConfig(known_pi=rng.uniform(0.05, 1.0, n),
-                                known_g=rng.uniform(0.05, 0.95, n))
-    return ds, config
+        known = {"known_pi": 10.0 ** rng.uniform(-14.0, 0.0, n),
+                 "known_g": rng.uniform(0.05, 0.95, n)}
+    return ds, NuisanceConfig(trunc_pi=(lo, TRUNC_PI_DEFAULT[1]), **known)
 
 
 def roster_text(ds, config) -> list[str]:
