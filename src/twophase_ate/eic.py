@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset
-from .nuisance import NuisanceSet, aw_designs
+from .glm import GlmFit
 
 __all__ = [
     "EicVariance",
@@ -29,10 +28,10 @@ __all__ = [
 ]
 
 
-def evaluate_nuisances(ds: Dataset, ns: NuisanceSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The outcome regression (q_a, q1, q0) on the phase-2 rows: at the
-    observed arm, at a=1 and at a=0."""
-    return tuple(ns.q.predict(X) for X in aw_designs(ds, ds.phase2))
+def evaluate_nuisances(q: GlmFit, designs2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The outcome regression q on its phase-2 designs (observed arm, a=1,
+    a=0), as `NuisanceSet` holds them: (q_a, q1, q0)."""
+    return tuple(q.predict(X) for X in designs2)
 
 
 def clever_covariate(a, g1):
@@ -81,17 +80,11 @@ def eic_components(resid2, r_all, contrast2, c_all, pi, psi: float, phase2, delt
     return d_q, d_pi, d_gamma, d_pv
 
 
-def linearized_slope_values(a, g1, q_a, q1, q0) -> np.ndarray:
+def linearized_slope_values(h_a, h1, h0, q_a, q1, q0) -> np.ndarray:
     """Slope at zero of the uncentered full-data influence values in the
-    coefficient of the logistic outcome fluctuation."""
-    a = np.asarray(a, dtype=float)
-    g1 = np.asarray(g1, dtype=float)
-    q_a = np.asarray(q_a, dtype=float)
-    q1 = np.asarray(q1, dtype=float)
-    q0 = np.asarray(q0, dtype=float)
-    h_a = clever_covariate(a, g1)
-    h1 = 1.0 / g1
-    h0 = -1.0 / (1.0 - g1)
+    coefficient of the logistic outcome fluctuation, given the clever
+    covariates h_a = clever_covariate(a, g1), h1 = 1/g1 and h0 = -1/(1 - g1)
+    and the outcome regression at a, 1 and 0, all arrays."""
     j_a = q_a * (1.0 - q_a)
     j1 = q1 * (1.0 - q1)
     j0 = q0 * (1.0 - q0)

@@ -39,7 +39,6 @@ from .eic import (
 from .glm import P_MIN, GlmError, _cho_solve, _factor_spd, expit, fit_fluctuation, fit_glm, logit
 from .nuisance import (
     TRUNC_PI_DEFAULT,
-    MbarDesign,
     NuisanceConfig,
     NuisanceError,
     aw_designs,
@@ -147,7 +146,8 @@ class FittedContext:
     `FittedContext(raw, nuisance)` maps the outcome of `raw` onto [0, 1]
     (`scaled`, by `scale`), fits the nuisance set `nuisances` on `scaled` as
     the `NuisanceConfig` says, and evaluates it there: pi0 on every record,
-    the rest on the phase-2 rows (wts0 = 1/pi0 there). `trunc_pi` bounds the
+    the rest on the phase-2 rows, with the arrays it was fitted on (wts0 =
+    1/pi0 and `designs2` there, the V-design `design`). `trunc_pi` bounds the
     sampling mechanism again after it is targeted. Every estimator on the
     dataset shares the arrays, so they are read-only. A failed fit raises
     EstimatorError("nuisance fitting failed: ...").
@@ -164,24 +164,23 @@ class FittedContext:
             nuisances = fit_nuisances(scaled, nuisance)
         except (NuisanceError, GlmError) as exc:
             raise EstimatorError(f"nuisance fitting failed: {exc}") from exc
-        q_a, q1, q0 = evaluate_nuisances(scaled, nuisances)
+        q_a, q1, q0 = evaluate_nuisances(nuisances.q, nuisances.designs2)
         self.raw, self.scaled, self.scale, self.nuisances = raw, scaled, scale, nuisances
         self.trunc_pi = TRUNC_PI_DEFAULT if nuisance is None else nuisance.trunc_pi
         self.n = scaled.n
         self.p2 = scaled.phase2
         self.delta = scaled.delta.astype(float)
         self.y2 = scaled.y[self.p2]
-        self.a2 = scaled.a[self.p2]
         self.pi0 = nuisances.pi
-        self.wts0 = 1.0 / self.pi0[self.p2]
+        self.wts0 = nuisances.wts2
         self.g1 = nuisances.g1
-        self.h2 = clever_covariate(self.a2, self.g1)
+        self.h2 = clever_covariate(scaled.a[self.p2], self.g1)
         self.h1 = 1.0 / self.g1
         self.h0 = -1.0 / (1.0 - self.g1)
         self.q_a0, self.q10, self.q00 = q_a, q1, q0
-        self.design = MbarDesign(scaled)
+        self.designs2, self.design = nuisances.designs2, nuisances.design
         shared = [v for v in vars(self).values() if isinstance(v, np.ndarray)]
-        for arr in shared + [self.design.x_all, self.design.x2]:
+        for arr in shared + [*self.designs2, self.design.x_all, self.design.x2]:
             arr.flags.writeable = False
 
     @cached_property
@@ -193,7 +192,7 @@ class FittedContext:
     @cached_property
     def start_slope(self):
         """The regression of the linearized EIC slope at the initial outcome fit."""
-        slope2 = linearized_slope_values(self.a2, self.g1, self.q_a0, self.q10, self.q00)
+        slope2 = linearized_slope_values(self.h2, self.h1, self.h0, self.q_a0, self.q10, self.q00)
         return _read_only(self.mbar_all(slope2))[0]
 
     @cached_property
@@ -222,7 +221,7 @@ class FittedContext:
 
     def mbar_all(self, values2: np.ndarray) -> np.ndarray:
         """Regression of phase-2 values on phase-1 features, predicted on all rows."""
-        return fit_mbar(self.scaled, values2, design=self.design)
+        return fit_mbar(self.design, values2)
 
     def fluctuate_q(self, q_a, q1, q0, pi):
         """One weighted logistic targeting step of the outcome regression."""
@@ -431,7 +430,7 @@ def _iterative_ipcw_tmle(ctx, options, use_raking: bool, estimator_id: str) -> E
         q_a, q1, q0, pi, _, m_level = state
         if linearized:  # the slope at the current fit; at (Q0, pi0) the context's shared one
             m_slope = ctx.start_slope if state is start else ctx.mbar_all(
-                linearized_slope_values(ctx.a2, ctx.g1, q_a, q1, q0))
+                linearized_slope_values(ctx.h2, ctx.h1, ctx.h0, q_a, q1, q0))
         # outcome targeting at the current weights; the first step, from
         # (Q0, pi0), is the context's shared one
         if state is start:
@@ -488,12 +487,12 @@ def _imputation(ctx: FittedContext, censored: np.ndarray):
     phase-2 covariate given the phase-1 features, and quadrature nodes for
     that model's law of w2: weights (k,) and shifts (k, d2), each node moving
     every row by the same shift."""
-    ds, p2, design = ctx.scaled, ctx.p2, ctx.design
+    ds, p2 = ctx.scaled, ctx.p2
     mean = np.zeros((len(censored), ds.d_w2))
     sd = np.zeros(ds.d_w2)
-    dof = max(1, len(p2) - design.x2.shape[1])
+    dof = max(1, len(p2) - ctx.design.x2.shape[1])
     for j in range(ds.d_w2):
-        fitted = design.fit(ds.w2[p2, j])
+        fitted = ctx.mbar_all(ds.w2[p2, j])
         mean[:, j] = fitted[censored]
         resid = ds.w2[p2, j] - fitted[p2]
         sd[j] = float(np.sqrt(resid @ resid / dof))
@@ -505,22 +504,22 @@ def _imputation(ctx: FittedContext, censored: np.ndarray):
     return designs, np.prod(_GH_WEIGHTS[combos], axis=1), sd * _GH_NODES[combos]
 
 
-def _working_model(ctx: FittedContext, designs2, censored: np.ndarray, imputed,
+def _working_model(ctx: FittedContext, censored: np.ndarray, imputed,
                    wts2: np.ndarray, family: str, fitted=None):
-    """Weighted main-term working model of y on (a, w1, w2): its fit, its
-    weighted treatment contrast and its uncentered influence values.
-    `fitted`, when given, is that fit at wts2 with its predictions on
-    designs2, which are then not refitted.
+    """Weighted main-term working model of y on ctx.designs2, Q's design:
+    its fit, its weighted treatment contrast and its uncentered influence
+    values. `fitted`, when given, is that fit at wts2 with its predictions
+    on ctx.designs2, which are then not refitted.
 
     Influence values are exact on phase-2 rows; on censored rows they are
     conditional expectations under the imputation model of `_imputation`,
     computed by Gauss-Hermite quadrature (the deterministic counterpart of
     averaging over imputation draws)."""
     ds, p2 = ctx.scaled, ctx.p2
-    Xp, Xp1, Xp0 = designs2
+    Xp, Xp1, Xp0 = ctx.designs2
     if fitted is None:
         fit = fit_glm(Xp, ctx.y2, w=wts2, family=family)
-        fitted = fit, [fit.predict(Z) for Z in designs2]
+        fitted = fit, [fit.predict(Z) for Z in ctx.designs2]
     fit, (q_a2, q12, q02) = fitted
     if family == "bernoulli":
         j_a, j1, j0 = q_a2 * (1 - q_a2), q12 * (1 - q12), q02 * (1 - q02)
@@ -568,13 +567,12 @@ def estimate_raking(ctx: FittedContext,
     ds = ctx.scaled
     family = "bernoulli" if ds.y_kind == "binary" else "gaussian"
     censored = np.flatnonzero(ds.delta == 0)
-    designs2 = aw_designs(ds, ctx.p2)
     imputed = _imputation(ctx, censored)
 
     # for a binary outcome the working model at the design weights is the
     # outcome regression Q, fitted and evaluated on these rows already
     prelim = (ctx.nuisances.q, (ctx.q_a0, ctx.q10, ctx.q00)) if family == "bernoulli" else None
-    _, psi_prelim, u = _working_model(ctx, designs2, censored, imputed, ctx.wts0, family, prelim)
+    _, psi_prelim, u = _working_model(ctx, censored, imputed, ctx.wts0, family, prelim)
     h = u - psi_prelim
     rake = rake_weights(h, ctx.pi0, ctx.delta)
     pi_star2 = rake.pi_star[ctx.p2]
@@ -582,7 +580,7 @@ def estimate_raking(ctx: FittedContext,
         raise EstimatorError("raking calibration failed: calibrated pi is not finite and positive")
     wts1 = 1.0 / pi_star2
 
-    fit, psi, u = _working_model(ctx, designs2, censored, imputed, wts1, family)
+    fit, psi, u = _working_model(ctx, censored, imputed, wts1, family)
     return _result(ctx, "raking", psi, u - psi, rake.n_iter, rake.converged and fit.converged)
 
 

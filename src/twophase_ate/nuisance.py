@@ -5,7 +5,10 @@ regression) and the conditional regression of full-data influence values
 on phase-1 variables are all fitted as main-term GLMs. Nothing is
 predicted out of sample, so each fit returns its values on the records it
 was fitted to; probability outputs are truncated. A known Pi or g is given
-as one value per record and truncated the same way.
+as one probability per record and truncated the same way.
+
+`fit_nuisances` builds each design and weight once and keeps it in the
+`NuisanceSet` with the fits; `fit_mbar` is the one phase-1 regression.
 
 Design conventions (columns, in order):
   V-design : 1, w1 columns, a, y          (all rows)
@@ -86,27 +89,33 @@ def _add_intercept(X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def fit_pi(ds: Dataset, trunc: tuple[float, float] = TRUNC_PI_DEFAULT) -> np.ndarray:
-    """Logistic regression of the phase-2 indicator on (w1, a, y), all rows;
-    returns the truncated fitted probabilities of every record."""
-    delta = ds.delta
+class MbarDesign:
+    """The V-design [1, w1, a, y] of one dataset.
+
+    x_all covers every record (where pi is fit and the conditional
+    regressions are predicted) and x2 the phase-2 rows (where those are
+    fit). `fit_mbar` factors x2'x2 on its first regression and reuses it.
+    """
+
+    def __init__(self, ds: Dataset):
+        self.x_all = _add_intercept(v_features(ds))
+        self.x2 = self.x_all[ds.phase2]
+        self._factor: np.ndarray | None = None
+
+
+def fit_pi(design: MbarDesign, delta: np.ndarray,
+           trunc: tuple[float, float] = TRUNC_PI_DEFAULT) -> np.ndarray:
+    """Logistic regression of the phase-2 indicator delta on the V-design of
+    every record; returns the truncated fitted probabilities."""
     if delta.min() == delta.max():
         raise NuisanceError("phase-2 indicator is constant: sampling mechanism unidentifiable")
-    X = _add_intercept(v_features(ds))
-    fit = fit_glm(X, delta.astype(float), family="bernoulli")
-    return np.clip(fit.predict(X), trunc[0], trunc[1])
+    fit = fit_glm(design.x_all, delta.astype(float), family="bernoulli")
+    return np.clip(fit.predict(design.x_all), trunc[0], trunc[1])
 
 
-def _ipcw_weights(ds: Dataset, pi: np.ndarray) -> np.ndarray:
-    pi2 = pi[ds.phase2]
-    if np.any(pi2 <= 0):
-        raise NuisanceError("nonpositive sampling probabilities after truncation")
-    return 1.0 / pi2
-
-
-def fit_q_ipcw(ds: Dataset, pi: np.ndarray) -> GlmFit:
-    """Outcome regression on (a, w1, w2) over phase-2 rows, weights 1/Pi,
-    with pi the sampling probabilities of every record.
+def fit_q_ipcw(ds: Dataset, X: np.ndarray, wts2: np.ndarray) -> GlmFit:
+    """Outcome regression of y on the AW-design X of the phase-2 rows (the
+    first of their `aw_designs`), with weights wts2 = 1/pi on those rows.
 
     The outcome must already live in [0, 1] (binary, or scaled); the fit is
     bernoulli-family so predictions respect the outcome bounds.
@@ -119,65 +128,44 @@ def fit_q_ipcw(ds: Dataset, pi: np.ndarray) -> GlmFit:
     for arm in (0, 1):
         if np.sum(a2 == arm) < 2:
             raise NuisanceError(f"fewer than 2 phase-2 records with a={arm}: Q({arm},.) unidentifiable")
-    X, _, _ = aw_designs(ds, p2)
-    return fit_glm(X, y2, w=_ipcw_weights(ds, pi), family="bernoulli")
+    return fit_glm(X, y2, w=wts2, family="bernoulli")
 
 
-def fit_g_ipcw(ds: Dataset, pi: np.ndarray,
+def fit_g_ipcw(ds: Dataset, wts2: np.ndarray,
                trunc: tuple[float, float] = TRUNC_G_DEFAULT) -> np.ndarray:
-    """Propensity regression of a on (w1, w2) over phase-2 rows, weights 1/Pi;
-    returns the truncated g(1|w) of the phase-2 rows."""
+    """Propensity regression of a on (w1, w2) over phase-2 rows, weights
+    wts2 = 1/pi there; returns the truncated g(1|w) of the phase-2 rows."""
     p2 = ds.phase2
     a2 = ds.a[p2].astype(float)
     for arm in (0, 1):
         if np.sum(a2 == arm) < 2:
             raise NuisanceError(f"fewer than 2 phase-2 records with a={arm}: g unidentifiable")
     X = _add_intercept(w_features(ds, p2))
-    fit = fit_glm(X, a2, w=_ipcw_weights(ds, pi), family="bernoulli")
+    fit = fit_glm(X, a2, w=wts2, family="bernoulli")
     return np.clip(fit.predict(X), trunc[0], trunc[1])
 
 
-class MbarDesign:
-    """The design [1, w1, a, y] of the conditional regressions, for one dataset.
-
-    x_all covers every record (where the regressions are predicted) and x2
-    the phase-2 rows (where they are fit). The Cholesky factor of x2'x2 is
-    built on the first fit and reused by every later one.
-    """
-
-    def __init__(self, ds: Dataset):
-        self.x_all = _add_intercept(v_features(ds))
-        self.x2 = self.x_all[ds.phase2]
-        self._factor: np.ndarray | None = None
-
-    def fit(self, values: np.ndarray) -> np.ndarray:
-        """Least-squares fit of phase-2 values, predicted on every record."""
-        if not np.all(np.isfinite(values)):
-            raise GlmError("non-finite values to regress")
-        if self._factor is None:
-            with np.errstate(over="ignore"):  # _factor_spd rejects an overflowed Gram
-                gram = self.x2.T @ self.x2
-            self._factor, _ = _factor_spd(gram)
-        return self.x_all @ _cho_solve(self._factor, self.x2.T @ values)
-
-
-def fit_mbar(ds: Dataset, values: np.ndarray, design: MbarDesign | None = None) -> np.ndarray:
-    """Gaussian regression of per-phase-2-row values on (w1, a, y),
+def fit_mbar(design: MbarDesign, values: np.ndarray) -> np.ndarray:
+    """Least-squares regression of per-phase-2-row values on the V-design,
     predicted on every record (the features are phase-1 measurable).
 
     Rank-deficient designs fall back to the GLM ridge; only total
-    singularity raises. Pass the dataset's `design` to reuse its factored
-    Gram matrix across regressions.
+    singularity raises. The design's factored Gram matrix is built on its
+    first regression and shared by every later one.
     """
-    if design is None:
-        design = MbarDesign(ds)
     values = np.asarray(values, dtype=float).ravel()
     if len(values) != design.x2.shape[0]:
         raise NuisanceError("values must align with the phase-2 rows")
-    try:
-        return design.fit(values)
-    except GlmError as exc:
-        raise NuisanceError(f"regression of influence values failed: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise NuisanceError("regression of influence values failed: non-finite values to regress")
+    if design._factor is None:
+        with np.errstate(over="ignore"):  # _factor_spd rejects an overflowed Gram
+            gram = design.x2.T @ design.x2
+        try:
+            design._factor, _ = _factor_spd(gram)
+        except GlmError as exc:
+            raise NuisanceError(f"regression of influence values failed: {exc}") from exc
+    return design.x_all @ _cho_solve(design._factor, design.x2.T @ values)
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +175,19 @@ def fit_mbar(ds: Dataset, values: np.ndarray, design: MbarDesign | None = None) 
 
 @dataclass(frozen=True)
 class NuisanceSet:
-    """The nuisances evaluated on the dataset they were fitted to: pi on
-    every record and g1 = g(1|w) on the phase-2 rows, both truncated, and
-    the outcome regression's fit on the `aw_designs` columns, as
-    `fit_nuisances` makes them."""
+    """The nuisances of one dataset with the arrays they were fitted on, as
+    `fit_nuisances` makes them: pi on every record and g1 = g(1|w) on the
+    phase-2 rows, both truncated; the outcome regression q, fitted on
+    designs2[0] with weights wts2; wts2 = 1/pi on the phase-2 rows;
+    designs2, the phase-2 rows' `aw_designs` (observed arm, a=1, a=0); and
+    design, the dataset's V-design, on which pi was fitted."""
 
     pi: np.ndarray
     g1: np.ndarray
     q: GlmFit
+    wts2: np.ndarray
+    designs2: tuple[np.ndarray, np.ndarray, np.ndarray]
+    design: MbarDesign
 
 
 def check_truncation(trunc_pi: tuple[float, float], trunc_g: tuple[float, float]) -> None:
@@ -211,13 +204,13 @@ def check_truncation(trunc_pi: tuple[float, float], trunc_g: tuple[float, float]
         raise ValueError(f"trunc_g must satisfy 0 < lo < hi < 1, got ({lo}, {hi})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NuisanceConfig:
     """How to obtain the nuisance set for one dataset.
 
-    known_pi / known_g, when given, are per-row values aligned with the
-    dataset (simulation truths, or a design-fixed constant repeated); they
-    replace the fitted mechanism and are truncated like it.
+    known_pi / known_g, when given, are per-row probabilities in [0, 1]
+    aligned with the dataset (simulation truths, or a design-fixed constant
+    repeated); they replace the fitted mechanism and are truncated like it.
     """
 
     trunc_pi: tuple[float, float] = TRUNC_PI_DEFAULT
@@ -230,26 +223,32 @@ class NuisanceConfig:
 
 
 def _known(values, bounds: tuple[float, float], n: int, name: str) -> np.ndarray:
-    """A known mechanism's per-record values, checked and truncated."""
+    """A known mechanism's per-record probabilities, checked and truncated."""
     try:
         values = np.asarray(values, dtype=float)
     except (TypeError, ValueError):
         values = None
     if values is None or values.shape != (n,) or not np.all(np.isfinite(values)):
         raise NuisanceError(f"{name} must be a finite 1-D array with one value per record ({n})")
+    if values.min() < 0.0 or values.max() > 1.0:
+        raise NuisanceError(f"{name} must lie in [0, 1]")
     return np.clip(values, bounds[0], bounds[1])
 
 
 def fit_nuisances(ds: Dataset, config: NuisanceConfig | None = None) -> NuisanceSet:
     """Fit (or inject) Pi and g, then the IPCW-weighted outcome regression."""
     cfg = config or NuisanceConfig()
+    p2 = ds.phase2
+    design = MbarDesign(ds)
     if cfg.known_pi is not None:
         pi = _known(cfg.known_pi, cfg.trunc_pi, ds.n, "known_pi")
     else:
-        pi = fit_pi(ds, trunc=cfg.trunc_pi)
+        pi = fit_pi(design, ds.delta, trunc=cfg.trunc_pi)
+    wts2 = 1.0 / pi[p2]  # pi >= trunc_pi[0] > 0
     if cfg.known_g is not None:
-        g1 = _known(cfg.known_g, cfg.trunc_g, ds.n, "known_g")[ds.phase2]
+        g1 = _known(cfg.known_g, cfg.trunc_g, ds.n, "known_g")[p2]
     else:
-        g1 = fit_g_ipcw(ds, pi, trunc=cfg.trunc_g)
-    q = fit_q_ipcw(ds, pi)
-    return NuisanceSet(pi=pi, g1=g1, q=q)
+        g1 = fit_g_ipcw(ds, wts2, trunc=cfg.trunc_g)
+    designs2 = aw_designs(ds, p2)
+    q = fit_q_ipcw(ds, designs2[0], wts2)
+    return NuisanceSet(pi=pi, g1=g1, q=q, wts2=wts2, designs2=designs2, design=design)

@@ -402,7 +402,7 @@ class SimReport:
     n_runs: int
     dgp: DgpSpec
     base_seed: int
-    mean_nuisance_fit: float = math.nan  # seconds per run, shared by its estimators
+    mean_nuisance_fit: float  # seconds per run, shared by its estimators
 
     def row(self, label: str) -> EstimatorRow:
         for r in self.rows:
@@ -411,13 +411,15 @@ class SimReport:
         raise KeyError(label)
 
 
-def _aggregate(study: StudySpec, outcomes: list[list[_Outcome]], psi_ref: float) -> SimReport:
+def _aggregate(study: StudySpec, runs: list[tuple[float, list[_Outcome]]],
+               psi_ref: float) -> SimReport:
+    """The report of runs given as (nuisance-fit seconds, outcomes), in run order."""
     rows = []
     for j, est in enumerate(study.estimators):
-        runs = [o[j] for o in outcomes]
-        ok = [(r, s) for r, s in runs if isinstance(r, EstimateResult)]
-        n_fail = len(runs) - len(ok)
-        first_error = next((r for r, _ in runs if isinstance(r, str)), "")
+        results = [outcomes[j] for _, outcomes in runs]
+        ok = [(r, s) for r, s in results if isinstance(r, EstimateResult)]
+        n_fail = len(results) - len(ok)
+        first_error = next((r for r, _ in results if isinstance(r, str)), "")
         if not ok:
             rows.append(EstimatorRow(est.label, est.estimator_id, est.mode, 0, n_fail,
                                      0, math.nan, math.nan, math.nan, math.nan,
@@ -443,7 +445,8 @@ def _aggregate(study: StudySpec, outcomes: list[list[_Outcome]], psi_ref: float)
             first_error=first_error,
         ))
     return SimReport(rows=tuple(rows), psi_ref=psi_ref, reference=study.reference,
-                     n_runs=study.n_runs, dgp=study.dgp, base_seed=study.base_seed)
+                     n_runs=study.n_runs, dgp=study.dgp, base_seed=study.base_seed,
+                     mean_nuisance_fit=float(np.mean([fit_s for fit_s, _ in runs])))
 
 
 def _reference_value(study: StudySpec) -> float:
@@ -476,10 +479,7 @@ def run_study(study: StudySpec) -> SimReport:
     else:
         psi_ref = _reference_value(study)
         runs = [_run_single(study, r) for r in indices]
-    report = _aggregate(study, [outcomes for _, outcomes in runs], psi_ref)
-    if runs:
-        report = replace(report, mean_nuisance_fit=float(np.mean([fit_s for fit_s, _ in runs])))
-    return report
+    return _aggregate(study, runs, psi_ref)
 
 
 # ---------------------------------------------------------------------------

@@ -83,15 +83,15 @@ def test_c02_representation_equality():
     while total < 1000:
         ds = make_twophase_dataset(np.random.default_rng(2000 + seed), n=260)
         ns = fit_nuisances(ds)
-        q_a, q1, q0 = evaluate_nuisances(ds, ns)
+        q_a, q1, q0 = evaluate_nuisances(ns.q, ns.designs2)
         p2 = ds.phase2
         h2 = clever_covariate(ds.a[p2], ns.g1)
         resid2 = h2 * (ds.y[p2] - q_a)
         contrast2 = q1 - q0
         dbar2 = fulldata_eic_values(ds.y[p2], h2, q_a, q1, q0)
-        mbar = fit_mbar(ds, dbar2)
-        r_all = fit_mbar(ds, resid2)
-        c_all = fit_mbar(ds, contrast2)
+        mbar = fit_mbar(ns.design, dbar2)
+        r_all = fit_mbar(ns.design, resid2)
+        c_all = fit_mbar(ns.design, contrast2)
         d_obs = observed_eic(dbar2, mbar, ns.pi, 0.123, p2, ds.delta)
         parts = eic_components(resid2, r_all, contrast2, c_all, ns.pi, 0.123, p2, ds.delta)
         gap = float(np.max(np.abs(sum(parts) - d_obs)))
@@ -124,7 +124,7 @@ def test_c03_linearization_gradient_check():
 
     step = 1e-5
     fd = (dbar(step) - dbar(-step)) / (2 * step)
-    slope = linearized_slope_values(a, g1, q_a, q1, q0)
+    slope = linearized_slope_values(h_a, h1, h0, q_a, q1, q0)
     rel = np.abs(slope - fd) / np.maximum(np.abs(fd), 1e-8)
     report("criterion 3 (linearization gradient check)",
            float(rel.max()) <= 1e-6, f"max relative error {rel.max():.3e} on {n} records")

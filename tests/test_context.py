@@ -7,6 +7,7 @@ shared-fit failures reported against every estimator.
 """
 
 import re
+import sys
 from collections import Counter
 from functools import cached_property
 from pathlib import Path
@@ -154,8 +155,42 @@ class TestSharedSteps:
         ds, _ = generate(DgpSpec("missing_rate", n=1000, seed=1, missing_intercept=-0.3))
         _, results = run_roster(ds, ALL8)
         assert all(isinstance(res, EstimateResult) for res, _ in results)
-        # each estimator building its own first steps makes 9, 15 and 7
-        assert counts == {"fit_fluctuation": 5, "fit_mbar": 10, "fit_glm": 6}
+        # each estimator building its own first steps makes 9, 15 and 7;
+        # 2 of the 12 regressions are raking's imputation model, one per w2
+        assert counts == {"fit_fluctuation": 5, "fit_mbar": 12, "fit_glm": 6}
+
+    def test_roster_builds_each_design_and_weight_once(self, monkeypatch):
+        # every module of the package that binds a design function counts
+        calls = {"aw_designs": [], "v_features": []}
+        for name, rows in calls.items():
+            original = getattr(nuisance_mod, name)
+
+            def counting(ds, *args, _rows=rows, _original=original, **kwargs):
+                _rows.append(tuple(args[0]) if args else None)
+                return _original(ds, *args, **kwargs)
+
+            for key, module in list(sys.modules.items()):
+                if key.startswith("twophase_ate.") and hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting)
+        fits = []
+        fit_glm = nuisance_mod.fit_glm
+
+        def recording(X, y, **kwargs):
+            fits.append((X, fit_glm(X, y, **kwargs)))
+            return fits[-1][1]
+
+        monkeypatch.setattr(nuisance_mod, "fit_glm", recording)
+        ds, _ = generate(DgpSpec("missing_rate", n=1000, seed=1, missing_intercept=-0.3))
+        ctx = FittedContext(ds)
+        results = [run_estimator(ds, e, ctx) for e in ESTIMATOR_IDS]
+        assert all(isinstance(res, EstimateResult) for res in results)
+        censored = tuple(np.flatnonzero(ds.delta == 0))
+        assert sorted(calls["aw_designs"]) == sorted([tuple(ctx.p2), censored])
+        assert calls["v_features"] == [None]
+        # the shared arrays are the ones the fits read
+        assert ctx.wts0 is ctx.nuisances.wts2
+        (q_design,) = [X for X, fit in fits if fit is ctx.nuisances.q]
+        assert q_design is ctx.designs2[0]
 
     def test_linearized_roster_builds_the_start_slope_once(self, monkeypatch):
         counts = Counter()
@@ -241,7 +276,7 @@ class TestSharedStateIsReadOnly:
         ds, _ = generate(DgpSpec("raking_gap", n=300, seed=2))
         ctx = FittedContext(ds)
         arrays = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
-        arrays += [ctx.design.x_all, ctx.design.x2]
+        arrays += [*ctx.designs2, ctx.design.x_all, ctx.design.x2]
         assert len(arrays) >= 12
         for arr in arrays:
             assert not arr.flags.writeable
@@ -257,7 +292,7 @@ class TestSharedStateIsReadOnly:
         assert {"start", "start_slope", "first_q", "first_eic"} <= set(vars(ctx))
         arrays = [arr for value in vars(ctx).values() for arr in _arrays(value)]
         assert len(arrays) >= 12 + 8
-        for arr in arrays + [ctx.design.x_all, ctx.design.x2]:
+        for arr in arrays + [*ctx.designs2, ctx.design.x_all, ctx.design.x2]:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = arr[0]

@@ -87,14 +87,14 @@ def _eic_inputs(ds, ns):
     """The per-row pieces the estimators feed to observed_eic and
     eic_components at the initial fit: (pi, resid2, r_all, contrast2, c_all,
     dbar2, mbar_all)."""
-    q_a, q1, q0 = evaluate_nuisances(ds, ns)
+    q_a, q1, q0 = evaluate_nuisances(ns.q, ns.designs2)
     p2 = ds.phase2
     h2 = clever_covariate(ds.a[p2], ns.g1)
     resid2 = h2 * (ds.y[p2] - q_a)
     contrast2 = q1 - q0
     dbar2 = fulldata_eic_values(ds.y[p2], h2, q_a, q1, q0)
-    return (ns.pi, resid2, fit_mbar(ds, resid2), contrast2, fit_mbar(ds, contrast2),
-            dbar2, fit_mbar(ds, dbar2))
+    return (ns.pi, resid2, fit_mbar(ns.design, resid2), contrast2,
+            fit_mbar(ns.design, contrast2), dbar2, fit_mbar(ns.design, dbar2))
 
 
 class TestObservedEic:
@@ -157,7 +157,10 @@ class TestObservedEic:
 
 class TestLinearizedSlope:
     def test_symmetric_cancellation_logistic(self):
-        slope = linearized_slope_values(a=[1], g1=[0.5], q_a=[0.5], q1=[0.5], q0=[0.5])
+        # a = 1 and g1 = 0.5: h_a = h1 = 2, h0 = -2
+        half = np.array([0.5])
+        slope = linearized_slope_values(h_a=np.array([2.0]), h1=np.array([2.0]),
+                                        h0=np.array([-2.0]), q_a=half, q1=half, q0=half)
         assert slope[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_central_finite_differences(self):
@@ -180,7 +183,7 @@ class TestLinearizedSlope:
 
         eps = 1e-5
         fd = (dbar(eps) - dbar(-eps)) / (2 * eps)
-        slope = linearized_slope_values(a, g1, q_a, q1, q0)
+        slope = linearized_slope_values(h_a, h1, h0, q_a, q1, q0)
         np.testing.assert_allclose(slope, fd, rtol=1e-4, atol=1e-7)
 
 

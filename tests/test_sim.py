@@ -156,14 +156,14 @@ class TestCensusInBoundedMemory:
 
 
 def synthetic_outcomes(rng, n_runs, ref, sd):
-    """Unbiased normal pseudo-estimator with correctly reported SE: one
-    (result, seconds) outcome per run."""
+    """Unbiased normal pseudo-estimator with correctly reported SE: per run,
+    its nuisance-fit seconds and its one (result, seconds) outcome."""
     out = []
     for _ in range(n_runs):
         psi = rng.normal(ref, sd)
         res = EstimateResult("aipcw", psi, sd, (psi - 1.96 * sd, psi + 1.96 * sd),
                              0.0, 0, True, 0.0)
-        out.append([(res, 0.001)])
+        out.append((0.002, [(res, 0.001)]))
     return out
 
 
@@ -199,11 +199,12 @@ class TestAggregation:
     def test_failures_excluded_and_counted(self):
         rng = np.random.default_rng(3)
         outcomes = synthetic_outcomes(rng, 10, 0.2, 0.05)
-        outcomes[3] = [("boom", 0.0)]
-        outcomes[7] = [("boom", 0.0)]
+        outcomes[3] = (0.002, [("boom", 0.0)])
+        outcomes[7] = (0.002, [("boom", 0.0)])
         rep = _aggregate(self.study(10), outcomes, 0.2)
         row = rep.rows[0]
         assert row.n_ok == 8 and row.n_failed == 2
+        assert rep.mean_nuisance_fit == pytest.approx(0.002)
         assert row.first_error == "boom"
         assert not math.isnan(row.psi_mean)
 

@@ -60,3 +60,22 @@ def test_identity_names_the_one_estimator_a_last_bit_change_moves(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[-1] == "differ: eee"
     assert lines[:-1] and all(" eee mode=" in line for line in lines[:-1])
+
+
+def test_identity_names_raking_on_the_wide_edge_cohorts_only(tmp_path):
+    # beyond the quadrature limit raking imputes at the mean alone; only the
+    # synthetic cohorts with 6 or 7 w2 columns reach that branch
+    shutil.copytree(SRC / "twophase_ate", tmp_path / "src" / "twophase_ate",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    module = tmp_path / "src" / "twophase_ate" / "estimators.py"
+    text = module.read_text(encoding="utf-8")
+    line = "        return designs, np.ones(1), np.zeros((1, ds.d_w2))\n"
+    assert text.count(line) == 1
+    module.write_text(text.replace(line, "        return designs, np.nextafter(np.ones(1), 2.0), "
+                                         "np.zeros((1, ds.d_w2))\n"), encoding="utf-8")
+    proc = run_python(str(TOOLS / "identity.py"), "--baseline", str(tmp_path))
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "differ: raking"
+    assert lines[:-1] and all(" raking mode=" in line for line in lines[:-1])
+    assert all(line.startswith(("synthetic d2=6 ", "synthetic d2=7 ")) for line in lines[:-1])

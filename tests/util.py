@@ -22,6 +22,7 @@ import numpy as np
 from twophase_ate.data_model import CsvSchema, DataError, Dataset, default_bounds
 from twophase_ate.estimators import _GH_MAX_DIM, _GH_NODES, _GH_WEIGHTS
 from twophase_ate.glm import P_MIN, _cho_solve, _factor_spd, expit, fit_fluctuation, fit_glm, logit
+from twophase_ate.nuisance import fit_mbar
 from twophase_ate.sim import DgpSpec, generate
 
 
@@ -175,7 +176,7 @@ def reference_imputation(ctx) -> SimpleNamespace:
     (`mean`, (n, d2)) and its residual scale (`sd`, (d2,))."""
     ds, p2, design = ctx.scaled, ctx.p2, ctx.design
     dof = max(1, len(p2) - design.x2.shape[1])
-    mean = np.column_stack([design.fit(ds.w2[p2, j]) for j in range(ds.d_w2)])
+    mean = np.column_stack([fit_mbar(design, ds.w2[p2, j]) for j in range(ds.d_w2)])
     resid = ds.w2[p2] - mean[p2]
     sd = np.array([np.sqrt(resid[:, j] @ resid[:, j] / dof) for j in range(ds.d_w2)])
     return SimpleNamespace(mean=mean, sd=sd)

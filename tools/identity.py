@@ -13,12 +13,22 @@ for example a `git archive` of the parent commit. For each run that differs
 the first differing field is printed; the exit status is 1 if anything
 differs, else 0.
 
-The grid is 6 dataset specs (the four DGPs, missing_rate at sampling
-intercept -0.5 and raking_gap at gamma 0) x n in {20, 30, 40, 300, 1000} x
-seeds 1-3 x estimated or known pi, and the roster is all eight estimators,
-the linearized mode of the three that read it and max_outer_iter 0, 1 and 2
-for the three loop estimators: 3,600 runs. It uses only `generate`,
-`NuisanceConfig` and `run_roster`, so both trees need nothing newer.
+The grid has two parts, and every dataset of it runs the same roster: all
+eight estimators, the linearized mode of the three that read it and
+max_outer_iter 0, 1 and 2 for the three loop estimators.
+
+* Simulated: 6 dataset specs (the four DGPs, missing_rate at sampling
+  intercept -0.5 and raking_gap at gamma 0) x n in {20, 30, 40, 300, 1000}
+  x seeds 1-3 x estimated or known pi: 3,600 runs.
+* Synthetic edge cases: cohorts with one w1 column and d2 in {0, 1, 6, 7}
+  w2 columns (none, one, and both sides of raking's quadrature limit) x a
+  binary or continuous outcome x n in {40, 300} x seeds 1-2, drawn from a
+  Philox stream keyed by the seed. Each runs with estimated and with known
+  pi, and its all-phase-2 copy (no censored rows) with pi pinned at 1:
+  1,920 runs.
+
+It uses only `generate`, `Dataset`, `NuisanceConfig` and `run_roster`, so
+both trees need nothing newer.
 
 `--emit SRC` is the worker half: it prints the grid of the package below
 SRC as JSON lines.
@@ -34,19 +44,44 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 DATASETS = [("kang_dr", {}), ("missing_rate", {}), ("raking_gap", {}), ("near_positivity", {}),
             ("missing_rate", {"missing_intercept": -0.5}), ("raking_gap", {"gamma": 0.0})]
 SIZES = (20, 30, 40, 300, 1000)
 SEEDS = (1, 2, 3)
 LOOPS = ("ipcw_tmle_target_pi", "ipcw_tmle_rake_pi", "tmle_alt")
+EDGE_D2 = (0, 1, 6, 7)
+EDGE_SIZES = (40, 300)
+EDGE_SEEDS = (1, 2)
+
+
+def edge_cohort(d2: int, y_kind: str, n: int, seed: int):
+    """A synthetic cohort with one w1 column and d2 w2 columns, its sampling
+    probabilities, and its all-phase-2 copy, as the arguments of `Dataset`."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    w = rng.normal(size=(n, 1 + d2))
+    a = (rng.random(n) < 1.0 / (1.0 + np.exp(-0.4 * w[:, 0]))).astype(int)
+    lin = -0.2 + 0.8 * a + w @ np.full(1 + d2, 0.4)
+    if y_kind == "binary":
+        y, bounds = (rng.random(n) < 1.0 / (1.0 + np.exp(-lin))).astype(float), (0.0, 1.0)
+    else:
+        y = lin + rng.normal(size=n)
+        bounds = (float(y.min()) - 1.0, float(y.max()) + 1.0)
+    pi = 1.0 / (1.0 + np.exp(-(0.3 + 0.5 * w[:, 0] - 0.4 * a)))
+    delta = (rng.random(n) < pi).astype(int)
+    common = {"w1": w[:, :1], "a": a, "y": y, "y_kind": y_kind, "y_bounds": bounds}
+    w2 = np.where(delta[:, None] == 1, w[:, 1:], np.nan)
+    return (dict(common, delta=delta, w2=w2), pi,
+            dict(common, delta=np.ones(n, dtype=int), w2=w[:, 1:]))
 
 
 def emit() -> None:
     """Print one JSON line per generated dataset and per run of the grid:
     {"key": label, "estimator": id (None for a dataset), "fields": {name:
     repr}} or the same with "error": text in place of "fields"."""
-    from twophase_ate.data_model import DataError
+    from twophase_ate.data_model import DataError, Dataset
     from twophase_ate.estimators import ESTIMATOR_IDS, OPTIONS_READ, EstimatorOptions, run_roster
     from twophase_ate.nuisance import NuisanceConfig
     from twophase_ate.sim import DgpSpec, generate
@@ -59,6 +94,32 @@ def emit() -> None:
     def line(key: str, estimator: str | None, **record) -> None:
         print(json.dumps({"key": key, "estimator": estimator, **record}))
 
+    def digest(*arrays) -> dict:
+        sha = hashlib.sha256()
+        for arr in arrays:
+            sha.update(repr((arr.dtype.str, arr.shape)).encode())
+            sha.update(arr.tobytes())
+        return {"arrays": sha.hexdigest()}
+
+    def run(name: str, ds, configs) -> None:
+        """The roster on ds (None for an unusable draw) under each
+        (label, NuisanceConfig) of configs."""
+        for label, config in configs:
+            if ds is None:
+                results = [(None, 0.0)] * len(roster)
+            else:
+                _, results = run_roster(ds, roster, config)
+            for (e, opts), (res, _) in zip(roster, results):
+                key = (f"{name} pi={label} {e} "
+                       f"mode={opts.mode} max_outer_iter={opts.max_outer_iter}")
+                if res is None:
+                    line(key, e, error="unusable draw")
+                elif isinstance(res, Exception):
+                    line(key, e, error=str(res))
+                else:
+                    line(key, e, fields={f.name: repr(getattr(res, f.name))
+                                         for f in dataclasses.fields(res)})
+
     for dgp, params in DATASETS:
         for n in SIZES:
             for seed in SEEDS:
@@ -70,27 +131,31 @@ def emit() -> None:
                     ds = truth = None
                     line(name, None, error=f"unusable draw: {exc}")
                 else:
-                    digest = hashlib.sha256()
-                    for arr in (ds.w1, ds.a, ds.y, ds.delta, ds.w2, truth.pi0, truth.g0):
-                        digest.update(repr((arr.dtype.str, arr.shape)).encode())
-                        digest.update(arr.tobytes())
-                    line(name, None, fields={"arrays": digest.hexdigest()})
-                for known in (False, True):
-                    if ds is None:
-                        results = [(None, 0.0)] * len(roster)
-                    else:
-                        config = NuisanceConfig(known_pi=truth.pi0 if known else None)
-                        _, results = run_roster(ds, roster, config)
-                    for (e, opts), (res, _) in zip(roster, results):
-                        key = (f"{name} pi={'known' if known else 'estimated'} {e} "
-                               f"mode={opts.mode} max_outer_iter={opts.max_outer_iter}")
-                        if res is None:
-                            line(key, e, error="unusable draw")
-                        elif isinstance(res, Exception):
-                            line(key, e, error=str(res))
+                    line(name, None, fields=digest(ds.w1, ds.a, ds.y, ds.delta, ds.w2,
+                                                   truth.pi0, truth.g0))
+                known = NuisanceConfig(known_pi=None if truth is None else truth.pi0)
+                run(name, ds, [("estimated", NuisanceConfig()), ("known", known)])
+
+    for d2 in EDGE_D2:
+        for y_kind in ("binary", "continuous"):
+            for n in EDGE_SIZES:
+                for seed in EDGE_SEEDS:
+                    name = f"synthetic d2={d2} y={y_kind} n={n} seed={seed}"
+                    cohort, pi, full = edge_cohort(d2, y_kind, n, seed)
+                    for label, args, configs in (
+                            (name, cohort, [("estimated", NuisanceConfig()),
+                                            ("known", NuisanceConfig(known_pi=pi))]),
+                            (f"{name} all-phase-2", full,
+                             [("pinned", NuisanceConfig(known_pi=np.ones(n)))])):
+                        try:
+                            ds = Dataset(**args)
+                        except DataError as exc:
+                            ds = None
+                            line(label, None, error=f"unusable draw: {exc}")
                         else:
-                            line(key, e, fields={f.name: repr(getattr(res, f.name))
-                                                 for f in dataclasses.fields(res)})
+                            line(label, None, fields=digest(ds.w1, ds.a, ds.y, ds.delta,
+                                                            ds.w2, pi))
+                        run(label, ds, configs)
 
 
 def first_difference(ours: dict, theirs: dict) -> str | None:
