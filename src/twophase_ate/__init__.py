@@ -28,7 +28,7 @@ from .estimators import (
     run_estimator,
     run_roster,
 )
-from .nuisance import NuisanceConfig, NuisanceError, NuisanceSet, fit_nuisances
+from .nuisance import NuisanceConfig, NuisanceError, fit_nuisances
 from .sim import DgpSpec, SimReport, StudyEstimator, StudySpec, generate, run_study
 
 __version__ = "0.1.0"
@@ -53,7 +53,6 @@ __all__ = [
     "run_roster",
     "NuisanceConfig",
     "NuisanceError",
-    "NuisanceSet",
     "fit_nuisances",
     "DgpSpec",
     "SimReport",

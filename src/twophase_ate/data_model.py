@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -139,10 +140,11 @@ class Dataset:
     def d_w2(self) -> int:
         return self.w2.shape[1]
 
-    @property
+    @cached_property
     def phase2(self) -> np.ndarray:
-        """Indices of delta=1 records, in dataset order."""
-        return np.flatnonzero(self.delta == 1)
+        """Indices of delta=1 records, in dataset order: computed on first
+        read, then the same read-only array on every read."""
+        return _frozen(np.flatnonzero(self.delta == 1))
 
     @property
     def n_phase2(self) -> int:

@@ -30,7 +30,7 @@ __all__ = [
 
 def evaluate_nuisances(q: GlmFit, designs2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The outcome regression q on its phase-2 designs (observed arm, a=1,
-    a=0), as `NuisanceSet` holds them: (q_a, q1, q0)."""
+    a=0), as `fit_nuisances` returns them: (q_a, q1, q0)."""
     return tuple(q.predict(X) for X in designs2)
 
 

@@ -127,6 +127,12 @@ def _threshold(d_obs: np.ndarray) -> float:
     return float(np.std(d_obs, ddof=1) / (np.sqrt(n) * np.log(n)))
 
 
+def _solved(d_obs: np.ndarray) -> bool:
+    """Whether |P_n D| <= s_n: the convergence test of every estimator that
+    solves the full EIC equation."""
+    return bool(abs(np.mean(d_obs)) <= _threshold(d_obs))
+
+
 def _read_only(*values) -> tuple:
     """values as a tuple, with every array among them made read-only."""
     for v in values:
@@ -144,12 +150,14 @@ class FittedContext:
     """One dataset made ready for any number of estimators.
 
     `FittedContext(raw, nuisance)` maps the outcome of `raw` onto [0, 1]
-    (`scaled`, by `scale`), fits the nuisance set `nuisances` on `scaled` as
-    the `NuisanceConfig` says, and evaluates it there: pi0 on every record,
-    the rest on the phase-2 rows, with the arrays it was fitted on (wts0 =
-    1/pi0 and `designs2` there, the V-design `design`). `trunc_pi` bounds the
-    sampling mechanism again after it is targeted. Every estimator on the
-    dataset shares the arrays, so they are read-only. A failed fit raises
+    (`scaled`, by `scale`), fits the nuisances on `scaled` as the
+    `NuisanceConfig` says, and keeps them with the arrays they were fitted
+    on: pi0 on every record; on the phase-2 rows `p2`, g1, the outcome
+    regression `q`, its values q_a0, q10 and q00 at the observed arm, a=1
+    and a=0, wts0 = 1/pi0 and `designs2`; and the V-design `design`. It is
+    the one record of the dataset's fit. `trunc_pi` bounds the sampling
+    mechanism again after it is targeted. Every estimator on the dataset
+    shares the arrays, so they are read-only. A failed fit raises
     EstimatorError("nuisance fitting failed: ...").
 
     Four steps that several estimators begin with are built at most once,
@@ -161,24 +169,20 @@ class FittedContext:
     def __init__(self, raw: Dataset, nuisance: NuisanceConfig | None = None):
         scaled, scale = scale_outcome(raw)
         try:
-            nuisances = fit_nuisances(scaled, nuisance)
+            (self.pi0, self.g1, self.q, self.wts0, self.designs2,
+             self.design) = fit_nuisances(scaled, nuisance)
         except (NuisanceError, GlmError) as exc:
             raise EstimatorError(f"nuisance fitting failed: {exc}") from exc
-        q_a, q1, q0 = evaluate_nuisances(nuisances.q, nuisances.designs2)
-        self.raw, self.scaled, self.scale, self.nuisances = raw, scaled, scale, nuisances
+        self.q_a0, self.q10, self.q00 = evaluate_nuisances(self.q, self.designs2)
+        self.raw, self.scaled, self.scale = raw, scaled, scale
         self.trunc_pi = TRUNC_PI_DEFAULT if nuisance is None else nuisance.trunc_pi
         self.n = scaled.n
         self.p2 = scaled.phase2
         self.delta = scaled.delta.astype(float)
         self.y2 = scaled.y[self.p2]
-        self.pi0 = nuisances.pi
-        self.wts0 = nuisances.wts2
-        self.g1 = nuisances.g1
         self.h2 = clever_covariate(scaled.a[self.p2], self.g1)
         self.h1 = 1.0 / self.g1
         self.h0 = -1.0 / (1.0 - self.g1)
-        self.q_a0, self.q10, self.q00 = q_a, q1, q0
-        self.designs2, self.design = nuisances.designs2, nuisances.design
         shared = [v for v in vars(self).values() if isinstance(v, np.ndarray)]
         for arr in shared + [*self.designs2, self.design.x_all, self.design.x2]:
             arr.flags.writeable = False
@@ -352,7 +356,7 @@ def estimate_aipcw(ctx: FittedContext,
         - np.sum(mbar * (ctx.delta - pi) / pi) / ctx.n
     )
     d = observed_eic(dbar2, mbar, pi, psi, ctx.p2, ctx.delta)
-    return _result(ctx, "aipcw", psi, d, 0, True)
+    return _result(ctx, "aipcw", psi, d, 0, _solved(d))
 
 
 def estimate_eee(ctx: FittedContext,
@@ -364,7 +368,7 @@ def estimate_eee(ctx: FittedContext,
     mbar_star = mbar + zeta
     psi = float(np.mean(mbar_star))
     d = observed_eic(dbar2, mbar_star, ctx.pi0, psi, ctx.p2, ctx.delta)
-    return _result(ctx, "eee", psi, d, 0, True)
+    return _result(ctx, "eee", psi, d, 0, _solved(d))
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +575,7 @@ def estimate_raking(ctx: FittedContext,
 
     # for a binary outcome the working model at the design weights is the
     # outcome regression Q, fitted and evaluated on these rows already
-    prelim = (ctx.nuisances.q, (ctx.q_a0, ctx.q10, ctx.q00)) if family == "bernoulli" else None
+    prelim = (ctx.q, (ctx.q_a0, ctx.q10, ctx.q00)) if family == "bernoulli" else None
     _, psi_prelim, u = _working_model(ctx, censored, imputed, ctx.wts0, family, prelim)
     h = u - psi_prelim
     rake = rake_weights(h, ctx.pi0, ctx.delta)
@@ -643,7 +647,7 @@ def estimate_quasi_tmle(ctx: FittedContext,
     mbar_star = m_all.copy()
     mbar_star[ctx.p2] += gamma * ctx.wts0
     d = observed_eic(dbar2, mbar_star, ctx.pi0, psi, ctx.p2, ctx.delta)
-    return _result(ctx, "quasi_tmle", psi, d, n_evals, True)
+    return _result(ctx, "quasi_tmle", psi, d, n_evals, _solved(d))
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +707,7 @@ def estimate_tmle_alt(ctx: FittedContext,
         d_q, d_pi, d_gamma, d_pv = eic_components(resid2, r_all, q1 - q0, contrast_all,
                                                   pi, psi, ctx.p2, ctx.delta)
         d = d_q + d_pi + d_gamma + d_pv
-        converged = abs(np.mean(d)) <= _threshold(d)
+        converged = _solved(d)
         if converged or met or steps == 0:  # only a capped round can move the state
             break
 

@@ -7,8 +7,9 @@ predicted out of sample, so each fit returns its values on the records it
 was fitted to; probability outputs are truncated. A known Pi or g is given
 as one probability per record and truncated the same way.
 
-`fit_nuisances` builds each design and weight once and keeps it in the
-`NuisanceSet` with the fits; `fit_mbar` is the one phase-1 regression.
+`fit_nuisances` builds each design and weight once and returns them with
+the fits, for `estimators.FittedContext` to keep; `fit_mbar` is the one
+phase-1 regression.
 
 Design conventions (columns, in order):
   V-design : 1, w1 columns, a, y          (all rows)
@@ -27,7 +28,6 @@ from .glm import GlmError, GlmFit, _cho_solve, _factor_spd, fit_glm
 
 __all__ = [
     "NuisanceError",
-    "NuisanceSet",
     "NuisanceConfig",
     "check_truncation",
     "TRUNC_PI_DEFAULT",
@@ -169,25 +169,8 @@ def fit_mbar(design: MbarDesign, values: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# bundled nuisance set
+# the nuisance fit of one dataset
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NuisanceSet:
-    """The nuisances of one dataset with the arrays they were fitted on, as
-    `fit_nuisances` makes them: pi on every record and g1 = g(1|w) on the
-    phase-2 rows, both truncated; the outcome regression q, fitted on
-    designs2[0] with weights wts2; wts2 = 1/pi on the phase-2 rows;
-    designs2, the phase-2 rows' `aw_designs` (observed arm, a=1, a=0); and
-    design, the dataset's V-design, on which pi was fitted."""
-
-    pi: np.ndarray
-    g1: np.ndarray
-    q: GlmFit
-    wts2: np.ndarray
-    designs2: tuple[np.ndarray, np.ndarray, np.ndarray]
-    design: MbarDesign
 
 
 def check_truncation(trunc_pi: tuple[float, float], trunc_g: tuple[float, float]) -> None:
@@ -206,7 +189,7 @@ def check_truncation(trunc_pi: tuple[float, float], trunc_g: tuple[float, float]
 
 @dataclass(frozen=True)
 class NuisanceConfig:
-    """How to obtain the nuisance set for one dataset.
+    """How to obtain the nuisances of one dataset.
 
     known_pi / known_g, when given, are per-row probabilities in [0, 1]
     aligned with the dataset (simulation truths, or a design-fixed constant
@@ -235,8 +218,16 @@ def _known(values, bounds: tuple[float, float], n: int, name: str) -> np.ndarray
     return np.clip(values, bounds[0], bounds[1])
 
 
-def fit_nuisances(ds: Dataset, config: NuisanceConfig | None = None) -> NuisanceSet:
-    """Fit (or inject) Pi and g, then the IPCW-weighted outcome regression."""
+def fit_nuisances(ds: Dataset, config: NuisanceConfig | None = None) -> tuple:
+    """Fit (or inject) Pi and g, then the IPCW-weighted outcome regression,
+    with the arrays they were fitted on: (pi, g1, q, wts2, designs2, design).
+
+    pi is on every record and g1 = g(1|w) on the phase-2 rows, both
+    truncated; q is the outcome regression, fitted on designs2[0] with
+    weights wts2 = 1/pi on the phase-2 rows; designs2 are the phase-2 rows'
+    `aw_designs` (observed arm, a=1, a=0); design is the dataset's V-design,
+    on which pi was fitted.
+    """
     cfg = config or NuisanceConfig()
     p2 = ds.phase2
     design = MbarDesign(ds)
@@ -251,4 +242,4 @@ def fit_nuisances(ds: Dataset, config: NuisanceConfig | None = None) -> Nuisance
         g1 = fit_g_ipcw(ds, wts2, trunc=cfg.trunc_g)
     designs2 = aw_designs(ds, p2)
     q = fit_q_ipcw(ds, designs2[0], wts2)
-    return NuisanceSet(pi=pi, g1=g1, q=q, wts2=wts2, designs2=designs2, design=design)
+    return pi, g1, q, wts2, designs2, design

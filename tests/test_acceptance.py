@@ -82,18 +82,18 @@ def test_c02_representation_equality():
     seed = 0
     while total < 1000:
         ds = make_twophase_dataset(np.random.default_rng(2000 + seed), n=260)
-        ns = fit_nuisances(ds)
-        q_a, q1, q0 = evaluate_nuisances(ns.q, ns.designs2)
+        pi, g1, q, _, designs2, design = fit_nuisances(ds)
+        q_a, q1, q0 = evaluate_nuisances(q, designs2)
         p2 = ds.phase2
-        h2 = clever_covariate(ds.a[p2], ns.g1)
+        h2 = clever_covariate(ds.a[p2], g1)
         resid2 = h2 * (ds.y[p2] - q_a)
         contrast2 = q1 - q0
         dbar2 = fulldata_eic_values(ds.y[p2], h2, q_a, q1, q0)
-        mbar = fit_mbar(ns.design, dbar2)
-        r_all = fit_mbar(ns.design, resid2)
-        c_all = fit_mbar(ns.design, contrast2)
-        d_obs = observed_eic(dbar2, mbar, ns.pi, 0.123, p2, ds.delta)
-        parts = eic_components(resid2, r_all, contrast2, c_all, ns.pi, 0.123, p2, ds.delta)
+        mbar = fit_mbar(design, dbar2)
+        r_all = fit_mbar(design, resid2)
+        c_all = fit_mbar(design, contrast2)
+        d_obs = observed_eic(dbar2, mbar, pi, 0.123, p2, ds.delta)
+        parts = eic_components(resid2, r_all, contrast2, c_all, pi, 0.123, p2, ds.delta)
         gap = float(np.max(np.abs(sum(parts) - d_obs)))
         worst = max(worst, gap)
         total += ds.n

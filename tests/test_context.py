@@ -176,8 +176,8 @@ class TestSharedSteps:
         fit_glm = nuisance_mod.fit_glm
 
         def recording(X, y, **kwargs):
-            fits.append((X, fit_glm(X, y, **kwargs)))
-            return fits[-1][1]
+            fits.append((X, kwargs.get("w"), fit_glm(X, y, **kwargs)))
+            return fits[-1][2]
 
         monkeypatch.setattr(nuisance_mod, "fit_glm", recording)
         ds, _ = generate(DgpSpec("missing_rate", n=1000, seed=1, missing_intercept=-0.3))
@@ -188,9 +188,8 @@ class TestSharedSteps:
         assert sorted(calls["aw_designs"]) == sorted([tuple(ctx.p2), censored])
         assert calls["v_features"] == [None]
         # the shared arrays are the ones the fits read
-        assert ctx.wts0 is ctx.nuisances.wts2
-        (q_design,) = [X for X, fit in fits if fit is ctx.nuisances.q]
-        assert q_design is ctx.designs2[0]
+        ((q_design, q_weights),) = [(X, w) for X, w, fit in fits if fit is ctx.q]
+        assert q_design is ctx.designs2[0] and q_weights is ctx.wts0
 
     def test_linearized_roster_builds_the_start_slope_once(self, monkeypatch):
         counts = Counter()
@@ -243,7 +242,7 @@ class TestSharedSteps:
         ctx = FittedContext(ds, NuisanceConfig(known_pi=truth.pi0 if known else None))
         designs2 = aw_designs(ctx.scaled, ctx.p2)
         own = fit_glm(designs2[0], ctx.y2, w=ctx.wts0, family="bernoulli")
-        np.testing.assert_array_equal(ctx.nuisances.q.coefficients, own.coefficients)
+        np.testing.assert_array_equal(ctx.q.coefficients, own.coefficients)
         for reused, X in zip((ctx.q_a0, ctx.q10, ctx.q00), designs2):
             np.testing.assert_array_equal(reused, own.predict(X))
 

@@ -72,6 +72,12 @@ class TestDatasetValidation:
         assert ds.n == 4 and ds.n_phase2 == 2
         assert list(ds.phase2) == [0, 2]
 
+    def test_phase2_index_is_built_once_and_read_only(self):
+        ds = toy_dataset()
+        assert ds.phase2 is ds.phase2
+        with pytest.raises(ValueError, match="read-only"):
+            ds.phase2[0] = 1
+
     def test_one_dimensional_covariates_are_one_column(self):
         # a 1-D w1 of length n was read as one row of n columns and rejected
         w1, w2 = np.array([0.1, 0.2, 0.3, 0.4]), np.array([1.0, np.nan, 3.0, np.nan])

@@ -83,18 +83,19 @@ def _hand_observed_eic(y, a, delta, w2seen, pi, g1, q_a, q1, q0, mbar, psi):
     return np.array(out)
 
 
-def _eic_inputs(ds, ns):
+def _eic_inputs(ds, nuisances):
     """The per-row pieces the estimators feed to observed_eic and
-    eic_components at the initial fit: (pi, resid2, r_all, contrast2, c_all,
-    dbar2, mbar_all)."""
-    q_a, q1, q0 = evaluate_nuisances(ns.q, ns.designs2)
+    eic_components at the initial fit `nuisances`, as `fit_nuisances`
+    returns it: (pi, resid2, r_all, contrast2, c_all, dbar2, mbar_all)."""
+    pi, g1, q, _, designs2, design = nuisances
+    q_a, q1, q0 = evaluate_nuisances(q, designs2)
     p2 = ds.phase2
-    h2 = clever_covariate(ds.a[p2], ns.g1)
+    h2 = clever_covariate(ds.a[p2], g1)
     resid2 = h2 * (ds.y[p2] - q_a)
     contrast2 = q1 - q0
     dbar2 = fulldata_eic_values(ds.y[p2], h2, q_a, q1, q0)
-    return (ns.pi, resid2, fit_mbar(ns.design, resid2), contrast2,
-            fit_mbar(ns.design, contrast2), dbar2, fit_mbar(ns.design, dbar2))
+    return (pi, resid2, fit_mbar(design, resid2), contrast2,
+            fit_mbar(design, contrast2), dbar2, fit_mbar(design, dbar2))
 
 
 class TestObservedEic:
@@ -105,8 +106,8 @@ class TestObservedEic:
         a = (rng.random(n) < 0.5).astype(int)
         y = (rng.random(n) < 0.5).astype(float)
         ds = Dataset(w1=w[:, :1], a=a, y=y, delta=np.ones(n, dtype=int), w2=w[:, 1:])
-        ns = fit_nuisances(ds, NuisanceConfig(known_pi=np.ones(n)))
-        pi, *_, dbar2, mbar = _eic_inputs(ds, ns)
+        nuisances = fit_nuisances(ds, NuisanceConfig(known_pi=np.ones(n)))
+        pi, *_, dbar2, mbar = _eic_inputs(ds, nuisances)
         psi = 0.1
         d = observed_eic(dbar2, mbar, pi, psi, ds.phase2, ds.delta)
         np.testing.assert_allclose(d, dbar2 - psi, atol=1e-10)

@@ -519,7 +519,7 @@ class TestPlugInProperty:
         r = run_estimator(ds, "ipcw_tmle", ctx)
         # recompute the weighted plug-in from the targeted outcome fits
         _, q1, q0, _ = ctx.first_q
-        wts2 = 1.0 / fit_nuisances(ds).pi[ds.phase2]
+        wts2 = 1.0 / fit_nuisances(ds)[0][ds.phase2]
         plug = float(wts2 @ (q1 - q0) / wts2.sum())
         assert r.psi_hat == pytest.approx(plug, abs=1e-8)
 

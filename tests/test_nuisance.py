@@ -21,7 +21,7 @@ from twophase_ate.nuisance import (
     v_features,
 )
 
-from util import make_twophase_dataset
+from util import make_full_dataset, make_twophase_dataset
 
 
 def pi_fit(ds, **kw):
@@ -75,18 +75,18 @@ class TestFitPi:
 class TestKnownMechanisms:
     def test_truncation_still_applies(self):
         ds = make_twophase_dataset(np.random.default_rng(20))
-        ns = fit_nuisances(ds, NuisanceConfig(known_pi=np.full(ds.n, 0.001),
-                                              known_g=np.full(ds.n, 0.999)))
-        assert np.all(ns.pi == TRUNC_PI_DEFAULT[0])
-        assert np.all(ns.g1 == TRUNC_G_DEFAULT[1])
+        pi, g1, *_ = fit_nuisances(ds, NuisanceConfig(known_pi=np.full(ds.n, 0.001),
+                                                      known_g=np.full(ds.n, 0.999)))
+        assert np.all(pi == TRUNC_PI_DEFAULT[0])
+        assert np.all(g1 == TRUNC_G_DEFAULT[1])
 
     def test_pinned_values_slice_by_rows(self):
         # known pi covers every record, known g is taken on the phase-2 rows
         ds = make_twophase_dataset(np.random.default_rng(21))
         vals = np.linspace(0.1, 0.9, ds.n)
-        ns = fit_nuisances(ds, NuisanceConfig(known_pi=vals, known_g=vals))
-        np.testing.assert_array_equal(ns.pi, vals)
-        np.testing.assert_array_equal(ns.g1, vals[ds.phase2])
+        pi, g1, *_ = fit_nuisances(ds, NuisanceConfig(known_pi=vals, known_g=vals))
+        np.testing.assert_array_equal(pi, vals)
+        np.testing.assert_array_equal(g1, vals[ds.phase2])
 
     def test_pinned_misalignment_raises(self):
         ds = make_twophase_dataset(np.random.default_rng(24))
@@ -119,9 +119,10 @@ class TestKnownMechanisms:
 
     def test_unit_interval_ends_are_accepted_and_truncated(self):
         ds = make_twophase_dataset(np.random.default_rng(26))
-        ns = fit_nuisances(ds, NuisanceConfig(known_pi=np.ones(ds.n), known_g=np.zeros(ds.n)))
-        assert np.all(ns.pi == TRUNC_PI_DEFAULT[1])
-        assert np.all(ns.g1 == TRUNC_G_DEFAULT[0])
+        pi, g1, *_ = fit_nuisances(ds, NuisanceConfig(known_pi=np.ones(ds.n),
+                                                      known_g=np.zeros(ds.n)))
+        assert np.all(pi == TRUNC_PI_DEFAULT[1])
+        assert np.all(g1 == TRUNC_G_DEFAULT[0])
 
     @pytest.mark.parametrize("name", ["known_pi", "known_g"])
     @pytest.mark.parametrize("make", [
@@ -168,6 +169,14 @@ class TestFitQIpcw:
             wts2 = weights(ds, pi)
         with pytest.raises(GlmError, match="non-finite"):
             fit_q_ipcw(ds, aw_designs(ds, ds.phase2)[0], wts2)
+
+    def test_unscaled_continuous_outcome_rejected(self):
+        # FittedContext scales the outcome first; a direct call must too
+        ds0 = make_twophase_dataset(np.random.default_rng(6))
+        y = 3.0 * ds0.y - 1.0
+        ds = ds0.replace_y(y, "continuous", (-1.0, 2.0))
+        with pytest.raises(NuisanceError, match=r"outcome must be in \[0, 1\]; scale"):
+            q_fit(ds, np.ones(ds.n))
 
     def test_missing_arm_rejected(self):
         rng = np.random.default_rng(6)
@@ -230,6 +239,15 @@ class TestFitMbar:
             vals = rng.normal(size=ds.n_phase2)
             assert np.array_equal(fit_mbar(MbarDesign(ds), vals), fit_mbar(design, vals))
 
+    def test_overflowing_gram_matrix_fails_by_name(self):
+        # x2'x2 of a column near 1e160 leaves the floats
+        ds0 = make_full_dataset(np.random.default_rng(19), n=40)
+        w1 = ds0.w1 * 1e160
+        ds = Dataset(w1=w1, a=ds0.a, y=ds0.y, delta=ds0.delta, w2=ds0.w2)
+        with pytest.raises(NuisanceError, match="regression of influence values failed: "
+                                                "non-finite Gram matrix"):
+            fit_mbar(MbarDesign(ds), np.ones(ds.n))
+
     def test_shared_design_keeps_the_checks(self):
         ds = make_twophase_dataset(np.random.default_rng(16))
         design = MbarDesign(ds)
@@ -245,10 +263,10 @@ class TestFitNuisances:
     def test_bundle_with_known_mechanisms(self):
         rng = np.random.default_rng(12)
         ds = make_twophase_dataset(rng)
-        ns = fit_nuisances(ds, NuisanceConfig(known_pi=np.full(ds.n, 0.7),
-                                              known_g=np.full(ds.n, 0.5)))
-        assert ns.pi.shape == (ds.n,) and np.all(ns.pi == 0.7)
-        assert ns.g1.shape == (ds.n_phase2,) and np.all(ns.g1 == 0.5)
+        pi, g1, *_ = fit_nuisances(ds, NuisanceConfig(known_pi=np.full(ds.n, 0.7),
+                                                      known_g=np.full(ds.n, 0.5)))
+        assert pi.shape == (ds.n,) and np.all(pi == 0.7)
+        assert g1.shape == (ds.n_phase2,) and np.all(g1 == 0.5)
 
     @pytest.mark.parametrize("trunc", [{"trunc_pi": (0.9, 0.1)}, {"trunc_pi": (0.0, 1.0)},
                                        {"trunc_g": (0.2, 1.0)}, {"trunc_g": (0.6, 0.4)}])
@@ -265,15 +283,15 @@ class TestFitNuisances:
 
     def test_default_bundle_fits_everything(self):
         ds = make_twophase_dataset(np.random.default_rng(13))
-        ns = fit_nuisances(ds)
-        np.testing.assert_array_equal(ns.pi, pi_fit(ds))
-        np.testing.assert_array_equal(ns.wts2, weights(ds, ns.pi))
-        np.testing.assert_array_equal(ns.g1, fit_g_ipcw(ds, ns.wts2))
-        np.testing.assert_array_equal(ns.q.coefficients, q_fit(ds, ns.pi).coefficients)
-        np.testing.assert_array_equal(ns.design.x_all, MbarDesign(ds).x_all)
-        for built, fresh in zip(ns.designs2, aw_designs(ds, ds.phase2)):
+        pi, g1, q, wts2, designs2, design = fit_nuisances(ds)
+        np.testing.assert_array_equal(pi, pi_fit(ds))
+        np.testing.assert_array_equal(wts2, weights(ds, pi))
+        np.testing.assert_array_equal(g1, fit_g_ipcw(ds, wts2))
+        np.testing.assert_array_equal(q.coefficients, q_fit(ds, pi).coefficients)
+        np.testing.assert_array_equal(design.x_all, MbarDesign(ds).x_all)
+        for built, fresh in zip(designs2, aw_designs(ds, ds.phase2)):
             np.testing.assert_array_equal(built, fresh)
-        q_vals = ns.q.predict(ns.designs2[0])
+        q_vals = q.predict(designs2[0])
         assert np.all((q_vals > 0) & (q_vals < 1))
 
 

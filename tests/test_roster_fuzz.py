@@ -1,6 +1,8 @@
 """Whole-roster fuzz: on any valid cohort, however small or badly scaled,
 every roster entry is an estimate with a finite psi and SE or a named
-EstimatorError, no numpy warning escapes, and a rerun gives the same text.
+EstimatorError, no numpy warning escapes, every converged estimate of an
+estimator that solves the full EIC equation has |P_n D| <= s_n, and a
+rerun gives the same text.
 
 Exponential raking weights may fall below 1 (Deville & Saerndal 1992), so
 nothing here bounds the calibrated pi* by 1.
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from twophase_ate.data_model import Dataset, default_bounds
 from twophase_ate.estimators import (
     ESTIMATOR_IDS,
+    FULL_EIC_SOLVERS,
     OPTIONS_READ,
     EstimateResult,
     EstimatorError,
@@ -23,7 +26,7 @@ from twophase_ate.estimators import (
 )
 from twophase_ate.nuisance import TRUNC_PI_DEFAULT, NuisanceConfig
 
-from util import compounding_rake_cohort
+from util import compounding_rake_cohort, separated_outcome_cohort, tiny_known_pi_case
 
 ROSTER = ([(e, EstimatorOptions()) for e in ESTIMATOR_IDS]
           + [(e, EstimatorOptions(mode="linearized"))
@@ -67,7 +70,8 @@ def cohorts(draw):
 
 def roster_text(ds, config) -> list[str]:
     """Each roster entry's result as text, checking that it is a finite
-    estimate or an EstimatorError and that no warning was raised."""
+    estimate or an EstimatorError, that a converged full-EIC solver met its
+    threshold and that no warning was raised."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, out = run_roster(ds, ROSTER, config)
@@ -75,6 +79,8 @@ def roster_text(ds, config) -> list[str]:
     for (e, options), (res, _) in zip(ROSTER, out):
         if isinstance(res, EstimateResult):
             assert np.isfinite([res.psi_hat, res.se]).all(), (e, options, res)
+            if e in FULL_EIC_SOLVERS and res.converged:
+                assert res.eic_mean_abs <= res.s_n, (e, options, res)
             texts.append(repr(res))
         else:
             assert isinstance(res, EstimatorError), (e, options, res)
@@ -85,6 +91,8 @@ def roster_text(ds, config) -> list[str]:
 @settings(max_examples=200, deadline=None)
 @given(case=cohorts())
 @example(case=(compounding_rake_cohort(), None))
+@example(case=tiny_known_pi_case())  # eee once reported converged here
+@example(case=(separated_outcome_cohort(), None))  # and quasi_tmle here
 def test_every_entry_is_a_finite_estimate_or_a_named_failure(case):
     ds, config = case
     assert roster_text(ds, config) == roster_text(ds, config)

@@ -46,20 +46,30 @@ def test_uncovered_lists_the_statements_no_test_ran(tmp_path):
     ]
 
 
+def _nudge(tmp_path, name: str, line: str, nudged: str) -> None:
+    """Replace the one occurrence of line in the copied module name."""
+    module = tmp_path / "src" / "twophase_ate" / name
+    text = module.read_text(encoding="utf-8")
+    assert text.count(line) == 1
+    module.write_text(text.replace(line, nudged), encoding="utf-8")
+
+
 def test_identity_names_the_one_estimator_a_last_bit_change_moves(tmp_path):
+    # and the census values alone when census_psi moves by one bit
     shutil.copytree(SRC / "twophase_ate", tmp_path / "src" / "twophase_ate",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    module = tmp_path / "src" / "twophase_ate" / "estimators.py"
-    text = module.read_text(encoding="utf-8")
-    line = "    psi = float(np.mean(mbar_star))\n"
-    assert text.count(line) == 1
-    module.write_text(text.replace(line, "    psi = float(np.nextafter(np.mean(mbar_star), 1.0))\n"),
-                      encoding="utf-8")
+    _nudge(tmp_path, "estimators.py", "    psi = float(np.mean(mbar_star))\n",
+           "    psi = float(np.nextafter(np.mean(mbar_star), 1.0))\n")
+    _nudge(tmp_path, "sim.py", "    return float(np.mean(contrast))\n",
+           "    return float(np.nextafter(np.mean(contrast), 1.0))\n")
     proc = run_python(str(TOOLS / "identity.py"), "--baseline", str(tmp_path))
     assert proc.returncode == 1, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[-1] == "differ: eee"
-    assert lines[:-1] and all(" eee mode=" in line for line in lines[:-1])
+    assert lines[-1] == "differ: census_psi, eee"
+    census = [line for line in lines[:-1] if " census_psi: value " in line]
+    assert len(census) == 6
+    runs = [line for line in lines[:-1] if line not in census]
+    assert runs and all(" eee mode=" in line for line in runs)
 
 
 def test_identity_names_raking_on_the_wide_edge_cohorts_only(tmp_path):
@@ -67,12 +77,9 @@ def test_identity_names_raking_on_the_wide_edge_cohorts_only(tmp_path):
     # synthetic cohorts with 6 or 7 w2 columns reach that branch
     shutil.copytree(SRC / "twophase_ate", tmp_path / "src" / "twophase_ate",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    module = tmp_path / "src" / "twophase_ate" / "estimators.py"
-    text = module.read_text(encoding="utf-8")
-    line = "        return designs, np.ones(1), np.zeros((1, ds.d_w2))\n"
-    assert text.count(line) == 1
-    module.write_text(text.replace(line, "        return designs, np.nextafter(np.ones(1), 2.0), "
-                                         "np.zeros((1, ds.d_w2))\n"), encoding="utf-8")
+    _nudge(tmp_path, "estimators.py",
+           "        return designs, np.ones(1), np.zeros((1, ds.d_w2))\n",
+           "        return designs, np.nextafter(np.ones(1), 2.0), np.zeros((1, ds.d_w2))\n")
     proc = run_python(str(TOOLS / "identity.py"), "--baseline", str(tmp_path))
     assert proc.returncode == 1, proc.stderr
     lines = proc.stdout.splitlines()

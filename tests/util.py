@@ -22,7 +22,7 @@ import numpy as np
 from twophase_ate.data_model import CsvSchema, DataError, Dataset, default_bounds
 from twophase_ate.estimators import _GH_MAX_DIM, _GH_NODES, _GH_WEIGHTS
 from twophase_ate.glm import P_MIN, _cho_solve, _factor_spd, expit, fit_fluctuation, fit_glm, logit
-from twophase_ate.nuisance import fit_mbar
+from twophase_ate.nuisance import NuisanceConfig, fit_mbar
 from twophase_ate.sim import DgpSpec, generate
 
 
@@ -67,6 +67,30 @@ def compounding_rake_cohort() -> Dataset:
     return Dataset(w1=np.array([[7.0], [7.0], [-9.0], [-14.0], [12.0], [-16.0], [1.0]]),
                    a=np.array([0, 1, 0, 0, 0, 1, 0]), y=np.array([1.0, 1, 0, 0, 1, 0, 1]),
                    delta=np.array([0, 1, 0, 1, 0, 1, 1]), w2=np.empty((7, 0)))
+
+
+def tiny_known_pi_case() -> tuple[Dataset, NuisanceConfig]:
+    """Four binary records, all in phase 2, with y = 1 - a and known pi
+    from 6.8e-4 down to 2.4e-13 under a 1e-300 lower bound: eee's closed
+    form leaves |P_n D| at 2.1e-6 against s_n = 9.9e-7."""
+    ds = Dataset(w1=np.zeros((4, 2)), a=np.array([1, 1, 0, 0]), y=np.array([0.0, 0, 1, 1]),
+                 delta=np.ones(4, dtype=int), w2=np.empty((4, 0)))
+    return ds, NuisanceConfig(
+        trunc_pi=(1e-300, 1.0),
+        known_pi=np.array([0.0006766941333451992, 3.7982372913023957e-07,
+                           1.4501937638950195e-06, 2.416135127883627e-13]),
+        known_g=np.array([0.8943617896206444, 0.6846719904755205,
+                          0.8340013634973542, 0.4935694934315722]))
+
+
+def separated_outcome_cohort() -> Dataset:
+    """Seven binary records, four in phase 2, where y = 1 - a on the phase-2
+    rows: with estimated nuisances, quasi_tmle's root leaves |P_n D| at
+    1.7e-11 against s_n = 4.7e-16."""
+    return Dataset(w1=np.array([[5.0], [1110.0], [-1018.0], [-3308.0], [-1689.0], [-3683.0],
+                                [223.0]]),
+                   a=np.array([0, 1, 1, 1, 1, 1, 0]), y=np.array([1.0, 0, 1, 0, 0, 0, 1]),
+                   delta=np.array([1, 0, 0, 1, 0, 1, 1]), w2=np.empty((7, 0)))
 
 
 def make_twophase_dataset(rng: np.random.Generator, n: int = 300) -> Dataset:

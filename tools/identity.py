@@ -3,8 +3,8 @@
 Runs every roster entry below on every dataset of the grid, once with the
 package of this checkout and once with the package of a baseline checkout,
 each in its own interpreter and both at once, then compares the `repr` of
-every result field (or the error text of a failed run) and a SHA-256 of
-each generated dataset's arrays:
+every result field (or the error text of a failed run), SHA-256 digests
+of each generated dataset and the population values of each dataset spec:
 
     python tools/identity.py --baseline DIR
 
@@ -27,11 +27,18 @@ max_outer_iter 0, 1 and 2 for the three loop estimators.
   pi, and its all-phase-2 copy (no censored rows) with pi pinned at 1:
   1,920 runs.
 
-It uses only `generate`, `Dataset`, `NuisanceConfig` and `run_roster`, so
-both trees need nothing newer.
+Each dataset of the grid is recorded three times: a digest of its arrays,
+a digest of its `write_csv` -> `load_csv` round trip (the file's bytes
+and the arrays read back) and a digest of its phase-2 index. Each of the
+6 dataset specs at seed 1 also records `reference_psi`, and `census_psi`
+and `true_psi` at 20,000 Monte-Carlo draws.
 
-`--emit SRC` is the worker half: it prints the grid of the package below
-SRC as JSON lines.
+It uses only `generate`, `census_psi`, `true_psi`, `reference_psi`,
+`Dataset`, `CsvSchema`, `write_csv`, `load_csv`, `NuisanceConfig` and
+`run_roster`, so both trees need nothing newer.
+
+`--emit SRC CSV` is the worker half: it prints the grid of the package
+below SRC as JSON lines, writing the round trips to the file CSV.
 """
 
 from __future__ import annotations
@@ -55,6 +62,10 @@ LOOPS = ("ipcw_tmle_target_pi", "ipcw_tmle_rake_pi", "tmle_alt")
 EDGE_D2 = (0, 1, 6, 7)
 EDGE_SIZES = (40, 300)
 EDGE_SEEDS = (1, 2)
+N_MC = 20_000  # Monte-Carlo draws of census_psi and true_psi
+# the records of a dataset and of a dataset spec; every other record is a run
+DATASET_PARTS = ("arrays", "csv round trip", "phase2")
+VALUE_PARTS = ("reference_psi", "census_psi", "true_psi")
 
 
 def edge_cohort(d2: int, y_kind: str, n: int, seed: int):
@@ -77,29 +88,50 @@ def edge_cohort(d2: int, y_kind: str, n: int, seed: int):
             dict(common, delta=np.ones(n, dtype=int), w2=w[:, 1:]))
 
 
-def emit() -> None:
-    """Print one JSON line per generated dataset and per run of the grid:
-    {"key": label, "estimator": id (None for a dataset), "fields": {name:
-    repr}} or the same with "error": text in place of "fields"."""
-    from twophase_ate.data_model import DataError, Dataset
+def emit(csv_path: Path) -> None:
+    """Print one JSON line per record of the grid: {"key": label, "part":
+    the estimator id of a run, else one of DATASET_PARTS or VALUE_PARTS,
+    "fields": {name: repr}} or the same with "error": text in place of
+    "fields"."""
+    from twophase_ate.data_model import CsvSchema, DataError, Dataset, load_csv, write_csv
     from twophase_ate.estimators import ESTIMATOR_IDS, OPTIONS_READ, EstimatorOptions, run_roster
     from twophase_ate.nuisance import NuisanceConfig
-    from twophase_ate.sim import DgpSpec, generate
+    from twophase_ate.sim import DgpSpec, census_psi, generate, reference_psi, true_psi
 
     roster = ([(e, EstimatorOptions()) for e in ESTIMATOR_IDS]
               + [(e, EstimatorOptions(mode="linearized"))
                  for e in ESTIMATOR_IDS if "mode" in OPTIONS_READ[e]]
               + [(e, EstimatorOptions(max_outer_iter=k)) for e in LOOPS for k in (0, 1, 2)])
 
-    def line(key: str, estimator: str | None, **record) -> None:
-        print(json.dumps({"key": key, "estimator": estimator, **record}))
+    def line(key: str, part: str, **record) -> None:
+        print(json.dumps({"key": key, "part": part, **record}))
 
     def digest(*arrays) -> dict:
         sha = hashlib.sha256()
         for arr in arrays:
             sha.update(repr((arr.dtype.str, arr.shape)).encode())
             sha.update(arr.tobytes())
-        return {"arrays": sha.hexdigest()}
+        return {"sha256": sha.hexdigest()}
+
+    def unusable(name: str, exc: Exception) -> None:
+        for part in DATASET_PARTS:
+            line(f"{name} {part}", part, error=f"unusable draw: {exc}")
+
+    def dataset(name: str, ds, *extra) -> None:
+        """The records of ds; extra arrays join the digest of its arrays."""
+        line(f"{name} arrays", "arrays",
+             fields=digest(ds.w1, ds.a, ds.y, ds.delta, ds.w2, *extra))
+        schema = CsvSchema(treatment="a", outcome="y", delta="delta",
+                           w1=tuple(f"w1_{j}" for j in range(ds.d_w1)),
+                           w2=tuple(f"w2_{j}" for j in range(ds.d_w2)),
+                           y_kind=ds.y_kind, y_bounds=ds.y_bounds)
+        write_csv(ds, csv_path, schema)
+        back = load_csv(csv_path, schema)
+        line(f"{name} csv round trip", "csv round trip",
+             fields=digest(np.frombuffer(csv_path.read_bytes(), dtype=np.uint8),
+                           back.w1, back.a, back.y, back.delta, back.w2,
+                           np.array(back.y_bounds)))
+        line(f"{name} phase2", "phase2", fields=digest(ds.phase2))
 
     def run(name: str, ds, configs) -> None:
         """The roster on ds (None for an unusable draw) under each
@@ -121,6 +153,14 @@ def emit() -> None:
                                          for f in dataclasses.fields(res)})
 
     for dgp, params in DATASETS:
+        spec = DgpSpec(dgp, n=SIZES[0], seed=1, **params)
+        name = " ".join([dgp, *(f"{k}={v}" for k, v in params.items())])
+        for part, value in (("reference_psi", reference_psi(spec)),
+                            ("census_psi", census_psi(spec, n_mc=N_MC)),
+                            ("true_psi", true_psi(spec, n_mc=N_MC))):
+            line(f"{name} {part}", part, fields={"value": repr(value)})
+
+    for dgp, params in DATASETS:
         for n in SIZES:
             for seed in SEEDS:
                 name = " ".join([dgp, *(f"{k}={v}" for k, v in params.items()),
@@ -129,10 +169,9 @@ def emit() -> None:
                     ds, truth = generate(DgpSpec(dgp, n=n, seed=seed, **params))
                 except DataError as exc:
                     ds = truth = None
-                    line(name, None, error=f"unusable draw: {exc}")
+                    unusable(name, exc)
                 else:
-                    line(name, None, fields=digest(ds.w1, ds.a, ds.y, ds.delta, ds.w2,
-                                                   truth.pi0, truth.g0))
+                    dataset(name, ds, truth.pi0, truth.g0)
                 known = NuisanceConfig(known_pi=None if truth is None else truth.pi0)
                 run(name, ds, [("estimated", NuisanceConfig()), ("known", known)])
 
@@ -151,10 +190,9 @@ def emit() -> None:
                             ds = Dataset(**args)
                         except DataError as exc:
                             ds = None
-                            line(label, None, error=f"unusable draw: {exc}")
+                            unusable(label, exc)
                         else:
-                            line(label, None, fields=digest(ds.w1, ds.a, ds.y, ds.delta,
-                                                            ds.w2, pi))
+                            dataset(label, ds, pi)
                         run(label, ds, configs)
 
 
@@ -171,9 +209,9 @@ def first_difference(ours: dict, theirs: dict) -> str | None:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) == 2 and argv[0] == "--emit":
+    if len(argv) == 3 and argv[0] == "--emit":
         sys.path.insert(0, str(Path(argv[1]).resolve()))
-        emit()
+        emit(Path(argv[2]))
         return 0
     if len(argv) != 2 or argv[0] != "--baseline":
         print(f"usage: {sys.argv[0]} --baseline DIR", file=sys.stderr)
@@ -191,7 +229,8 @@ def main(argv: list[str]) -> int:
         for label, tree in trees.items():
             with open(outputs[label], "w") as out:
                 procs[label] = subprocess.Popen(
-                    [sys.executable, __file__, "--emit", str(tree / "src")], stdout=out)
+                    [sys.executable, __file__, "--emit", str(tree / "src"),
+                     str(outputs[label].with_suffix(".csv"))], stdout=out)
         for proc in procs.values():
             proc.wait()
         for label, proc in procs.items():
@@ -209,13 +248,15 @@ def main(argv: list[str]) -> int:
         diff = first_difference(mine, base)
         if diff is not None:
             print(f"{mine['key']}: {diff}")
-            differing.add(mine["estimator"] or "dataset arrays")
-    runs = [r for r in ours if r["estimator"] is not None]
+            differing.add(mine["part"])
+    runs = [r for r in ours if r["part"] not in DATASET_PARTS + VALUE_PARTS]
     if differing:
         print(f"differ: {', '.join(sorted(differing))}")
         return 1
+    datasets = sum(r["part"] == "arrays" for r in ours)
+    values = sum(r["part"] in VALUE_PARTS for r in ours)
     print(f"identical: {len(runs)} runs, {sum('error' in r for r in runs)} of them errors, "
-          f"on {len(ours) - len(runs)} datasets")
+          f"on {datasets} datasets, and {values} population values")
     return 0
 
 
