@@ -150,6 +150,11 @@ class Dataset:
     def n_phase2(self) -> int:
         return int(self.delta.sum())
 
+    def __reduce__(self):
+        # a copy or an unpickled Dataset is rebuilt by the constructor,
+        # which write-protects its arrays again
+        return Dataset, (self.w1, self.a, self.y, self.delta, self.w2, self.y_kind, self.y_bounds)
+
     def replace_y(self, y: np.ndarray, y_kind: str, y_bounds: tuple[float, float]) -> "Dataset":
         return Dataset(w1=self.w1, a=self.a, y=y, delta=self.delta, w2=self.w2,
                        y_kind=y_kind, y_bounds=y_bounds)

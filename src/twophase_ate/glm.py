@@ -153,8 +153,9 @@ def fit_glm(X, y, w=None, family: str = "gaussian") -> GlmFit:
 
     gaussian: closed-form weighted least squares; without weights it forms
     X'X directly, with no weighted copy of X. bernoulli: Newton/IRLS with
-    probability clipping; a singular weighted Gram matrix triggers one ridge
-    retry (ridge = 1e-8 * trace/dim) before failing.
+    probability clipping, which multiplies w in only when given; a singular
+    weighted Gram matrix triggers one ridge retry (ridge = 1e-8 * trace/dim)
+    before failing.
     """
     X, y, w = _validate_inputs(X, y, w)
     p_dim = X.shape[1]
@@ -172,25 +173,27 @@ def fit_glm(X, y, w=None, family: str = "gaussian") -> GlmFit:
         raise GlmError(f"unknown family {family!r}")
     if y.min() < 0.0 or y.max() > 1.0:
         raise GlmError("bernoulli responses must lie in [0, 1]")
-    if w is None:
-        w = np.ones(len(y))
+
+    def weighted(v):
+        # unit weights are left out, not multiplied in: 1.0 * v == v
+        return v if w is None else w * v
 
     beta = np.zeros(p_dim)
     n_iter = 0
     score_norm = np.inf
     for n_iter in range(1, MAX_ITER + 1):
         p = np.clip(expit(X @ beta), P_MIN, 1.0 - P_MIN)
-        score = X.T @ (w * (y - p))
+        score = X.T @ weighted(y - p)
         score_norm = float(np.max(np.abs(score)))
         if score_norm <= SCORE_TOL:
             break
-        H = (X * (w * p * (1.0 - p))[:, None]).T @ X
+        H = (X * (weighted(p) * (1.0 - p))[:, None]).T @ X
         factor, _ = _factor_spd(H)
         step = _cho_solve(factor, score)
         beta = beta + step
         if np.max(np.abs(step)) <= COEF_TOL:
             p = np.clip(expit(X @ beta), P_MIN, 1.0 - P_MIN)
-            score_norm = float(np.max(np.abs(X.T @ (w * (y - p)))))
+            score_norm = float(np.max(np.abs(X.T @ weighted(y - p))))
             break
     converged = score_norm <= SCORE_TOL
     return GlmFit(beta, "bernoulli", bool(converged), n_iter, p_dim)

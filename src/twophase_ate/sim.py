@@ -140,15 +140,13 @@ NEAR_POSITIVITY_EFFECT = 0.5
 # ---------------------------------------------------------------------------
 
 
-def _kang_latents(rng, n):
-    z = rng.standard_normal((n, 4))
-    w = np.column_stack([
+def _kang_covariates(z):
+    return np.column_stack([
         np.exp(z[:, 0] / 2.0),
         z[:, 1] ** 3,
         (z[:, 3] * z[:, 2] / 25.0 + 0.6) ** 3,
         (z[:, 2] + z[:, 3] + 20.0) ** 2,
     ])
-    return z, w
 
 
 def _kang_g(z):
@@ -171,25 +169,25 @@ def _mr_g(w, strength=1.0):
 
 
 class _Law(NamedTuple):
-    """One DGP drawn on n units: covariates w = [w1 | w2], treatment
-    probability g0, outcome mean q(a), sampling probability pi(y) and the
-    outcome kind."""
+    """One DGP on a block of units, as functions evaluated on call: the
+    covariates w = [w1 | w2], the treatment probability g0, the outcome mean
+    q(a) and the sampling probability pi(y); and the outcome kind."""
 
-    w: np.ndarray
-    g0: np.ndarray
+    w: Callable[[], np.ndarray]
+    g0: Callable[[], np.ndarray]
     q: Callable[[np.ndarray | int], np.ndarray]
     pi: Callable[[np.ndarray], np.ndarray]
     y_kind: str
 
 
-def _law(spec: DgpSpec, rng: np.random.Generator, n: int) -> _Law:
-    """Draw spec's covariates for n units from rng. The only place where
-    the four DGPs differ; the datasets, the census population and the
-    Monte-Carlo truth all draw through it."""
+def _law(spec: DgpSpec, z: np.ndarray) -> _Law:
+    """spec's law on the units whose four latent standard normals are the
+    rows of z. The only place where the four DGPs differ; the datasets, the
+    census population and the Monte-Carlo truth all draw through it."""
     if spec.dgp_id == "kang_dr":
-        z, w = _kang_latents(rng, n)
-        return _Law(w, _kang_g(z), lambda a: _kang_q(z, a), lambda y: _kang_pi(z), "binary")
-    w = rng.standard_normal((n, 4)) + 1.0
+        return _Law(lambda: _kang_covariates(z), lambda: _kang_g(z), lambda a: _kang_q(z, a),
+                    lambda y: _kang_pi(z), "binary")
+    w = z + 1.0
     if spec.dgp_id == "missing_rate":
         def q(a):
             return expit(0.1 * w[:, 0] ** 2 - 0.01 * w[:, 1] ** 3 + 0.2 * w[:, 2]
@@ -199,64 +197,112 @@ def _law(spec: DgpSpec, rng: np.random.Generator, n: int) -> _Law:
         def pi(y):
             return expit(spec.missing_intercept + 0.2 * w[:, 0] + 0.2 * y)
 
-        return _Law(w, _mr_g(w), q, pi, "binary")
-    qlin = -0.3 + 0.4 * w[:, 0] - 0.4 * w[:, 1] + 0.2 * w[:, 2] - 0.1 * w[:, 3]
+        return _Law(lambda: w, lambda: _mr_g(w), q, pi, "binary")
+
+    def qlin():
+        return -0.3 + 0.4 * w[:, 0] - 0.4 * w[:, 1] + 0.2 * w[:, 2] - 0.1 * w[:, 3]
 
     def pi(y):
         return expit(0.5 * w[:, 0])
 
     if spec.dgp_id == "near_positivity":
-        return _Law(w, _mr_g(w, strength=3.0),
-                    lambda a: qlin + NEAR_POSITIVITY_EFFECT * a, pi, "continuous")
-    het = 2.5 * (w[:, 1] > 1.0) - 2.5 * (w[:, 1] < 0.0) + 2.0 * np.sin(w[:, 0])
-    return _Law(w, _mr_g(w), lambda a: qlin + spec.gamma * a * het, pi, "continuous")
+        return _Law(lambda: w, lambda: _mr_g(w, strength=3.0),
+                    lambda a: qlin() + NEAR_POSITIVITY_EFFECT * a, pi, "continuous")
+
+    def q(a):
+        het = 2.5 * (w[:, 1] > 1.0) - 2.5 * (w[:, 1] < 0.0) + 2.0 * np.sin(w[:, 0])
+        return qlin() + spec.gamma * a * het
+
+    return _Law(lambda: w, lambda: _mr_g(w), q, pi, "continuous")
 
 
-def _treat_and_respond(law: _Law, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the treatment from g0, then the outcome around q(a)."""
-    n = len(law.g0)
-    a = (rng.random(n) < law.g0).astype(int)
-    q_a = law.q(a)
-    if law.y_kind == "binary":
-        return a, (rng.random(n) < q_a).astype(float)
-    return a, q_a + rng.standard_normal(n)
+# rows per block when a population is drawn and when census_psi predicts
+_CENSUS_CHUNK = 1 << 16
+
+
+def _blocks(n: int) -> list[tuple[int, int]]:
+    return [(lo, min(lo + _CENSUS_CHUNK, n)) for lo in range(0, n, _CENSUS_CHUNK)]
+
+
+def _draw(spec: DgpSpec, rng: np.random.Generator, x: np.ndarray, a: np.ndarray,
+          y: np.ndarray, truth: TruthRecord | None = None, delta: np.ndarray | None = None) -> str:
+    """Draw spec's population into preallocated arrays: the covariates into
+    x (n, 4), the treatment into a and the outcome into y; given truth and
+    delta, also the per-row mechanisms into truth's arrays and the phase-2
+    flag into delta. Returns the outcome kind.
+
+    rng is read in the order of one full-length draw of each kind: the
+    latent normals of every row, then the treatment uniforms, the outcome
+    draws and the phase-2 uniforms. Each kind is drawn, and each formula
+    evaluated, one block of rows at a time, with x holding the latents until
+    the last pass turns them into covariates; so no full-length array exists
+    besides the outputs, and a draw gives the same bits at any block size.
+    """
+    blocks = _blocks(len(y))
+    for lo, hi in blocks:
+        x[lo:hi] = rng.standard_normal((hi - lo, 4))
+    for lo, hi in blocks:
+        g0 = _law(spec, x[lo:hi]).g0()
+        a[lo:hi] = rng.random(hi - lo) < g0
+        if truth is not None:
+            truth.g0[lo:hi] = g0
+    for lo, hi in blocks:
+        law = _law(spec, x[lo:hi])
+        q_a = law.q(a[lo:hi])
+        if law.y_kind == "binary":
+            y[lo:hi] = rng.random(hi - lo) < q_a
+        else:
+            y[lo:hi] = q_a + rng.standard_normal(hi - lo)
+    if truth is not None:
+        for lo, hi in blocks:
+            truth.pi0[lo:hi] = _law(spec, x[lo:hi]).pi(y[lo:hi])
+            delta[lo:hi] = rng.random(hi - lo) < truth.pi0[lo:hi]
+    for lo, hi in blocks:
+        x[lo:hi] = _law(spec, x[lo:hi]).w()
+    return law.y_kind
 
 
 def generate(spec: DgpSpec) -> tuple[Dataset, TruthRecord]:
     """Draw one dataset. Draw order is fixed (covariates, treatment, outcome,
     phase-2 flag) so that a given spec is byte-reproducible."""
-    rng = _rng(spec.seed)
-    law = _law(spec, rng, spec.n)
-    a, y = _treat_and_respond(law, rng)
-    pi0 = law.pi(y)
-    delta = (rng.random(spec.n) < pi0).astype(int)
-    w2 = law.w[:, 2:].copy()
+    n = spec.n
+    w, y, truth = np.empty((n, 4)), np.empty(n), TruthRecord(np.empty(n), np.empty(n))
+    a, delta = np.empty(n, dtype=int), np.empty(n, dtype=int)
+    y_kind = _draw(spec, _rng(spec.seed), w, a, y, truth, delta)
+    w2 = w[:, 2:].copy()
     w2[delta == 0] = np.nan
-    bounds = (0.0, 1.0) if law.y_kind == "binary" else default_bounds(y)
-    ds = Dataset(w1=law.w[:, :2], a=a, y=y, delta=delta, w2=w2,
-                 y_kind=law.y_kind, y_bounds=bounds)
-    return ds, TruthRecord(pi0, law.g0)
+    bounds = (0.0, 1.0) if y_kind == "binary" else default_bounds(y)
+    ds = Dataset(w1=w[:, :2], a=a, y=y, delta=delta, w2=w2, y_kind=y_kind, y_bounds=bounds)
+    return ds, truth
+
+
+def _check_draws(n_mc, seed) -> tuple[int, int]:
+    """A Monte-Carlo population's size and seed as Python ints, or a
+    ValueError naming the argument."""
+    return _as_integer("n_mc", n_mc, 1), _as_integer("seed", seed, 0, _SEED_MAX)
 
 
 def true_psi(spec: DgpSpec, n_mc: int = 1_000_000, seed: int = 77_000_001) -> float:
-    """Monte-Carlo mean of the true outcome contrast under the covariate law."""
-    law = _law(spec, _rng(seed), n_mc)
-    return float(np.mean(law.q(1) - law.q(0)))
+    """Monte-Carlo mean of the true outcome contrast under the covariate law,
+    drawn and evaluated one block of rows at a time."""
+    n_mc, seed = _check_draws(n_mc, seed)
+    rng = _rng(seed)
+    effect = np.empty(n_mc)
+    for lo, hi in _blocks(n_mc):
+        law = _law(spec, rng.standard_normal((hi - lo, 4)))
+        effect[lo:hi] = law.q(1) - law.q(0)
+    return float(np.mean(effect))
 
 
 def _census_draw(spec: DgpSpec, n_mc: int, seed: int) -> tuple[np.ndarray, np.ndarray, str]:
     """The uncensored population behind census_psi: the main-term design
-    [1, a, w], the outcome and the working-model family. Only these outlive
-    the call; the latents and per-row truths are freed on return."""
-    rng = _rng(seed)
-    law = _law(spec, rng, n_mc)
-    a, y = _treat_and_respond(law, rng)
-    family = "bernoulli" if law.y_kind == "binary" else "gaussian"
-    return np.column_stack([np.ones(n_mc), a, law.w]), y, family
-
-
-# rows per block when census_psi predicts the treatment contrast
-_CENSUS_CHUNK = 1 << 16
+    [1, a, w], the outcome and the working-model family. The treatment and
+    covariates are drawn straight into the design."""
+    X = np.empty((n_mc, 6))
+    X[:, 0] = 1.0
+    y = np.empty(n_mc)
+    y_kind = _draw(spec, _rng(seed), X[:, 2:], X[:, 1], y)
+    return X, y, "bernoulli" if y_kind == "binary" else "gaussian"
 
 
 def census_psi(spec: DgpSpec, n_mc: int = 1_000_000, seed: int = 77_000_002) -> float:
@@ -264,19 +310,22 @@ def census_psi(spec: DgpSpec, n_mc: int = 1_000_000, seed: int = 77_000_002) -> 
 
     Full data are drawn without censoring, the working model (logistic for
     binary outcomes, linear otherwise) is fit unweighted, and the fitted
-    contrast is averaged over the draw. The a=1 and a=0 predictions are made
-    block by block, so beyond the fit itself the call holds one extra
-    n_mc-vector, not two more copies of the design.
+    contrast is averaged over the draw. The population is drawn and the
+    a=1 and a=0 predictions made block by block, so besides the design, the
+    outcome and the fit's own work arrays the call holds one n_mc-vector.
     """
+    n_mc, seed = _check_draws(n_mc, seed)
     X, y, family = _census_draw(spec, n_mc, seed)
     fit = fit_glm(X, y, family=family)
     contrast = np.empty(n_mc)
-    for lo in range(0, n_mc, _CENSUS_CHUNK):
-        block = X[lo:lo + _CENSUS_CHUNK].copy()
-        block[:, 1] = 1.0
-        q1 = fit.predict(block)
-        block[:, 1] = 0.0
-        contrast[lo:lo + _CENSUS_CHUNK] = q1 - fit.predict(block)
+    block = np.empty((min(n_mc, _CENSUS_CHUNK), X.shape[1]))
+    for lo, hi in _blocks(n_mc):
+        b = block[:hi - lo]
+        b[:] = X[lo:hi]
+        b[:, 1] = 1.0
+        q1 = fit.predict(b)
+        b[:, 1] = 0.0
+        contrast[lo:hi] = q1 - fit.predict(b)
     return float(np.mean(contrast))
 
 

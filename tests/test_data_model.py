@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -130,6 +132,17 @@ class TestDatasetValidation:
         ds = toy_dataset()
         with pytest.raises(ValueError):
             ds.y[0] = 5.0
+
+    def test_pickled_dataset_stays_write_protected(self):
+        ds = toy_dataset().replace_y(np.array([0.5, 2.0, 1.5, -1.0]), "continuous", (-2.0, 3.0))
+        ds.phase2  # cached before pickling
+        back = pickle.loads(pickle.dumps(ds))
+        assert (back.y_kind, back.y_bounds) == ("continuous", (-2.0, 3.0))
+        for name in ("w1", "a", "y", "delta", "w2", "phase2"):
+            arr = getattr(back, name)
+            np.testing.assert_array_equal(arr, getattr(ds, name))
+            assert arr.dtype == getattr(ds, name).dtype
+            assert not arr.flags.writeable, name
 
 
 class TestScaleOutcome:

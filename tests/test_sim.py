@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import tracemalloc
@@ -136,10 +137,15 @@ class TestCensusInBoundedMemory:
         full = float(np.mean(fit.predict(X1) - fit.predict(X0)))
         assert census_psi(spec, n_mc=n_mc, seed=5) == full
 
+    # traced peak bytes a row: the design and the outcome take 56, and the
+    # logistic fit's weighted copy of the design 48 more
+    PEAK_BYTES_PER_ROW = {"kang_dr": 128, "missing_rate": 128,
+                          "raking_gap": 96, "near_positivity": 96}
+
     @pytest.mark.parametrize("dgp", DGP_IDS)
     def test_peak_traced_memory_per_row(self, dgp):
-        # the draw, the fit and the contrast together stay under 160 bytes
-        # a row; two full copies of the 6-column design would add 96
+        # the draw, the fit and the contrast together; one more full copy of
+        # the 6-column design would add 48
         n_mc = 200_000
         tracing = tracemalloc.is_tracing()
         if not tracing:
@@ -152,7 +158,84 @@ class TestCensusInBoundedMemory:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak / n_mc <= 160
+        assert peak / n_mc <= self.PEAK_BYTES_PER_ROW[dgp]
+
+
+
+def _dataset_digest(ds, truth) -> str:
+    sha = hashlib.sha256()
+    for arr in (ds.w1, ds.a, ds.y, ds.delta, ds.w2, truth.pi0, truth.g0):
+        sha.update(repr((arr.dtype.str, arr.shape)).encode())
+        sha.update(arr.tobytes())
+    return sha.hexdigest()[:16]
+
+
+class TestStreamOrderAcrossBlocks:
+    """Populations are drawn one block of rows at a time, in the stream
+    order of one full-length draw per kind (latents, treatment, outcome,
+    phase-2 flag). Pinned from a tree that drew every kind in one call:
+    census_psi at seed 4 and true_psi at seed 5 on n rows, and the digest
+    of generate's arrays at seed 3. Any change of draw order moves them."""
+
+    B = 256  # block size while these run, so that the edges are cheap to reach
+    PINS = {
+        ("kang_dr", 255): (0.24348043704141187, 0.24304847797833992, "dd05bd9b1f44e1a8"),
+        ("kang_dr", 256): (0.2364023485571125, 0.2431444387610866, "576abf55382d7733"),
+        ("kang_dr", 257): (0.2689302858931421, 0.24319801114341164, "231c7cb7a79d8b9d"),
+        ("kang_dr", 635): (0.17051976595356386, 0.24286187703743362, "2a2082995f363bc6"),
+        ("missing_rate", 255): (0.18708953761163435, 0.2540724880085589, "19273c1abf3a66fc"),
+        ("missing_rate", 256): (0.2137293143925808, 0.25437812254554504, "8b591cd5ba18b3d2"),
+        ("missing_rate", 257): (0.24098985108305776, 0.2537736606961292, "d42c0a3be55def7b"),
+        ("missing_rate", 635): (0.24349281557915692, 0.2630094163298594, "39c40009b648e854"),
+        ("raking_gap", 255): (1.4819523490807256, 1.720997040910055, "368eaac30d0df562"),
+        ("raking_gap", 256): (2.084477693517211, 1.7297372780622267, "c73100a006b2c6d5"),
+        ("raking_gap", 257): (1.2465673369621812, 1.7213283885845474, "cc510b72fbbe911d"),
+        ("raking_gap", 635): (1.3809391223192442, 1.8527222844425804, "93384d7f8cdc78e7"),
+        ("near_positivity", 255): (-0.07465247030835616, 0.5, "0d2bc9d22ef9fac9"),
+        ("near_positivity", 256): (0.25631086715160223, 0.5, "661f4b0262b3d871"),
+        ("near_positivity", 257): (0.529437860218251, 0.5, "3b35eda4c12f9266"),
+        ("near_positivity", 635): (0.3352710450741946, 0.5, "5239c65fb0ebd266"),
+    }
+    # generate's digest on 2 * _CENSUS_CHUNK + 123 rows at seed 3, at the
+    # block size the package ships with
+    FULL_SIZE_DIGESTS = {"kang_dr": "ac96ebfea9a1a20c", "missing_rate": "dc238300ad63d29e",
+                         "raking_gap": "13baab68735f858b", "near_positivity": "44f6982d04e72460"}
+
+    @pytest.mark.parametrize("dgp", DGP_IDS)
+    def test_values_at_block_edges_are_pinned(self, dgp, monkeypatch):
+        monkeypatch.setattr(sim, "_CENSUS_CHUNK", self.B)
+        for n in (self.B - 1, self.B, self.B + 1, 2 * self.B + 123):
+            spec = DgpSpec(dgp, n=n, seed=3)
+            got = (census_psi(spec, n_mc=n, seed=4), true_psi(spec, n_mc=n, seed=5),
+                   _dataset_digest(*generate(spec)))
+            assert got == self.PINS[dgp, n], n
+
+    @pytest.mark.parametrize("dgp", DGP_IDS)
+    def test_dataset_over_three_full_blocks_is_pinned(self, dgp):
+        spec = DgpSpec(dgp, n=2 * _CENSUS_CHUNK + 123, seed=3)
+        assert _dataset_digest(*generate(spec)) == self.FULL_SIZE_DIGESTS[dgp]
+
+
+class TestPopulationArguments:
+    @pytest.mark.parametrize("population", [census_psi, true_psi])
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"n_mc": 0}, "n_mc must be >= 1, got 0"),
+        ({"n_mc": -5}, "n_mc must be >= 1, got -5"),
+        ({"n_mc": 1000.0}, "n_mc must be an integer, got 1000.0"),
+        ({"n_mc": True}, "n_mc must be an integer, got True"),
+        ({"seed": -1}, r"seed must be in \[0, 18446744073709551615\], got -1"),
+        ({"seed": 2**64}, r"seed must be in \[0, 18446744073709551615\], got 18446744073709551616"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ])
+    def test_bad_argument_is_named(self, population, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            population(DgpSpec("raking_gap", n=1, seed=0), **kwargs)
+
+    @pytest.mark.parametrize("population", [census_psi, true_psi])
+    def test_numpy_integers_accepted(self, population):
+        spec = DgpSpec("missing_rate", n=1, seed=0)
+        assert (population(spec, n_mc=np.int64(500), seed=np.uint64(2**64 - 1))
+                == population(spec, n_mc=500, seed=2**64 - 1))
 
 
 def synthetic_outcomes(rng, n_runs, ref, sd):

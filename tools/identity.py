@@ -31,7 +31,8 @@ Each dataset of the grid is recorded three times: a digest of its arrays,
 a digest of its `write_csv` -> `load_csv` round trip (the file's bytes
 and the arrays read back) and a digest of its phase-2 index. Each of the
 6 dataset specs at seed 1 also records `reference_psi`, and `census_psi`
-and `true_psi` at 20,000 Monte-Carlo draws.
+and `true_psi` at 20,000 Monte-Carlo draws (one block of the population
+draw) and at 2 * 2^16 + 123 draws (three blocks, the last one partial).
 
 It uses only `generate`, `census_psi`, `true_psi`, `reference_psi`,
 `Dataset`, `CsvSchema`, `write_csv`, `load_csv`, `NuisanceConfig` and
@@ -62,7 +63,9 @@ LOOPS = ("ipcw_tmle_target_pi", "ipcw_tmle_rake_pi", "tmle_alt")
 EDGE_D2 = (0, 1, 6, 7)
 EDGE_SIZES = (40, 300)
 EDGE_SEEDS = (1, 2)
-N_MC = 20_000  # Monte-Carlo draws of census_psi and true_psi
+# Monte-Carlo draws of census_psi and true_psi: within one block of
+# sim._CENSUS_CHUNK (2^16) rows, and across three
+N_MC = (20_000, 2 * (1 << 16) + 123)
 # the records of a dataset and of a dataset spec; every other record is a run
 DATASET_PARTS = ("arrays", "csv round trip", "phase2")
 VALUE_PARTS = ("reference_psi", "census_psi", "true_psi")
@@ -155,10 +158,12 @@ def emit(csv_path: Path) -> None:
     for dgp, params in DATASETS:
         spec = DgpSpec(dgp, n=SIZES[0], seed=1, **params)
         name = " ".join([dgp, *(f"{k}={v}" for k, v in params.items())])
-        for part, value in (("reference_psi", reference_psi(spec)),
-                            ("census_psi", census_psi(spec, n_mc=N_MC)),
-                            ("true_psi", true_psi(spec, n_mc=N_MC))):
-            line(f"{name} {part}", part, fields={"value": repr(value)})
+        line(f"{name} reference_psi", "reference_psi",
+             fields={"value": repr(reference_psi(spec))})
+        for n_mc in N_MC:
+            for part, population in (("census_psi", census_psi), ("true_psi", true_psi)):
+                line(f"{name} n_mc={n_mc} {part}", part,
+                     fields={"value": repr(population(spec, n_mc=n_mc))})
 
     for dgp, params in DATASETS:
         for n in SIZES:
