@@ -86,6 +86,22 @@ def _cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dpotrs(factor, b, lower=0)[0]
 
 
+# an overflowed product, or an inf in y meeting a zero of X, is rejected
+# by name below, not warned about
+@np.errstate(over="ignore", invalid="ignore")
+def _least_squares(X: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """(Weighted) least-squares coefficients from the normal equations,
+    forming X'X directly when unweighted. X and y are not scanned: a
+    non-finite Gram matrix fails in `_factor_spd`, and a non-finite Xw'y (a
+    NaN or inf in y reaches it through the intercept) fails here."""
+    Xw = X if w is None else X * w[:, None]
+    factor, _ = _factor_spd(Xw.T @ X)
+    rhs = Xw.T @ y
+    if not np.isfinite(rhs).all():
+        raise GlmError("non-finite X'y: the outcome is not finite or too large in magnitude")
+    return _cho_solve(factor, rhs)
+
+
 @dataclass(frozen=True)
 class GlmFit:
     """A fitted weighted GLM on a fixed design.
@@ -151,19 +167,16 @@ def _validate_inputs(X, y, w):
 def fit_glm(X, y, w=None, family: str = "gaussian") -> GlmFit:
     """Weighted GLM via IRLS on the design X (caller supplies the intercept).
 
-    gaussian: closed-form weighted least squares; without weights it forms
-    X'X directly, with no weighted copy of X. bernoulli: Newton/IRLS with
-    probability clipping, which multiplies w in only when given; a singular
-    weighted Gram matrix triggers one ridge retry (ridge = 1e-8 * trace/dim)
-    before failing.
+    gaussian: closed-form weighted least squares (`_least_squares`).
+    bernoulli: Newton/IRLS with probability clipping, which multiplies w in
+    only when given; a singular weighted Gram matrix triggers one ridge
+    retry (ridge = 1e-8 * trace/dim) before failing.
     """
     X, y, w = _validate_inputs(X, y, w)
     p_dim = X.shape[1]
 
     if family == "gaussian":
-        Xw = X if w is None else X * w[:, None]
-        factor, _ = _factor_spd(Xw.T @ X)
-        beta = _cho_solve(factor, Xw.T @ y)
+        beta = _least_squares(X, y, w)
         resid = y - X @ beta
         score = X.T @ (resid if w is None else w * resid)
         converged = bool(np.max(np.abs(score)) <= SCORE_TOL) if p_dim else True

@@ -45,7 +45,7 @@ from .estimators import (
     EstimatorOptions,
     run_roster,
 )
-from .glm import fit_glm
+from .glm import _least_squares, fit_glm
 from .nuisance import TRUNC_G_DEFAULT, TRUNC_PI_DEFAULT, NuisanceConfig, check_truncation
 
 __all__ = [
@@ -311,21 +311,29 @@ def census_psi(spec: DgpSpec, n_mc: int = 1_000_000, seed: int = 77_000_002) -> 
     Full data are drawn without censoring, the working model (logistic for
     binary outcomes, linear otherwise) is fit unweighted, and the fitted
     contrast is averaged over the draw. The population is drawn and the
-    a=1 and a=0 predictions made block by block, so besides the design, the
-    outcome and the fit's own work arrays the call holds one n_mc-vector.
+    a=1 and a=0 predictions made block by block, the contrast into the
+    outcome's buffer once the fit has read it. The linear model is solved
+    from its normal equations, so it holds nothing of full length besides
+    the design and the outcome.
     """
     n_mc, seed = _check_draws(n_mc, seed)
     X, y, family = _census_draw(spec, n_mc, seed)
-    fit = fit_glm(X, y, family=family)
-    contrast = np.empty(n_mc)
+    if family == "gaussian":
+        beta = _least_squares(X, y)  # the gaussian mean is the linear predictor
+
+        def predict(b):
+            return b @ beta
+    else:
+        predict = fit_glm(X, y, family=family).predict
+    contrast = y  # nothing reads the outcome again
     block = np.empty((min(n_mc, _CENSUS_CHUNK), X.shape[1]))
     for lo, hi in _blocks(n_mc):
         b = block[:hi - lo]
         b[:] = X[lo:hi]
         b[:, 1] = 1.0
-        q1 = fit.predict(b)
+        q1 = predict(b)
         b[:, 1] = 0.0
-        contrast[lo:hi] = q1 - fit.predict(b)
+        contrast[lo:hi] = q1 - predict(b)
     return float(np.mean(contrast))
 
 
@@ -360,6 +368,10 @@ class StudyEstimator:
                     and name not in OPTIONS_READ[self.estimator_id]):
                 raise ValueError(f"{self.estimator_id} has no {name!r} option")
         object.__setattr__(self, "max_outer_iter", options.max_outer_iter)  # as a Python int
+        # report.csv writes the label as one unquoted field of one line
+        if any(c in self.label for c in ',"\r\n'):
+            raise ValueError(f"estimator label {self.label!r} holds a comma, a quote or a "
+                             f"line break, which report.csv cannot hold")
         if not self.label:
             label = self.estimator_id
             if self.mode != DEFAULT_OPTIONS.mode:

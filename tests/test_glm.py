@@ -10,6 +10,7 @@ from twophase_ate.glm import (
     P_MIN,
     _cho_solve,
     _factor_spd,
+    _least_squares,
     expit,
     fit_fluctuation,
     fit_glm,
@@ -178,6 +179,37 @@ class TestCholeskyKernels:
     def test_empty_design_gives_empty_fit(self):
         fit = fit_glm(np.zeros((3, 0)), [1.0, 2.0, 3.0], family="gaussian")
         assert fit.coefficients.shape == (0,) and fit.converged
+
+
+class TestLeastSquares:
+    """The one least-squares solve: fit_glm's gaussian family and the
+    linear census both call it."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_solves_the_normal_equations_bit_for_bit(self, weighted):
+        rng = np.random.default_rng(9)
+        X = np.column_stack([np.ones(60), rng.normal(size=(60, 3))])
+        y = rng.normal(size=60)
+        w = rng.uniform(0.1, 2.0, size=60) if weighted else None
+        Xw = X if w is None else X * w[:, None]
+        ref = _cho_solve(_factor_spd(Xw.T @ X)[0], Xw.T @ y)
+        assert np.array_equal(_least_squares(X, y, w), ref)
+        assert np.array_equal(fit_glm(X, y, w, family="gaussian").coefficients, ref)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_outcome_named(self, bad):
+        # the helper does not scan y; the intercept column carries it into X'y
+        X = np.column_stack([np.ones(5), [0.0, 1.0, 0.0, 1.0, 1.0]])
+        y = np.arange(5.0)
+        y[2] = bad
+        with pytest.raises(GlmError, match="non-finite X'y"):
+            _least_squares(X, y)
+
+    def test_overflowing_outcome_names_its_cause(self):
+        # finite values whose X'y overflows gave NaN coefficients, not an error
+        X = np.column_stack([np.ones(3), [0.0, 1.0, 2.0]])
+        with pytest.raises(GlmError, match="non-finite X'y"):
+            fit_glm(X, [1e308, 1e308, 1e308], family="gaussian")
 
 
 class TestFitFluctuation:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -122,7 +123,13 @@ class TestTruths:
 
     def test_missing_rate_census_value(self):
         v = census_psi(DgpSpec("missing_rate", n=1, seed=0), n_mc=1_000_000)
-        assert v == pytest.approx(0.2413, abs=0.003)
+        assert v == 0.24268986174605986
+
+    @pytest.mark.parametrize("dgp, value", [("raking_gap", 1.6315027660746542),
+                                            ("near_positivity", 0.49934282618104014)])
+    def test_linear_census_at_study_size_is_pinned(self, dgp, value):
+        # the draw size and seed of every census study's reference
+        assert census_psi(DgpSpec(dgp, n=1, seed=0)) == value
 
 
 class TestCensusInBoundedMemory:
@@ -137,15 +144,18 @@ class TestCensusInBoundedMemory:
         full = float(np.mean(fit.predict(X1) - fit.predict(X0)))
         assert census_psi(spec, n_mc=n_mc, seed=5) == full
 
-    # traced peak bytes a row: the design and the outcome take 56, and the
-    # logistic fit's weighted copy of the design 48 more
+    # traced peak bytes a row at 200,000 draws: the design and the outcome
+    # take 56, and the contrast is written over the outcome. The linear fit
+    # adds nothing of full length, and the draw's per-block temporaries
+    # about 24 (80 in all); the logistic fit's weighted copy of the design
+    # adds 48 more
     PEAK_BYTES_PER_ROW = {"kang_dr": 128, "missing_rate": 128,
-                          "raking_gap": 96, "near_positivity": 96}
+                          "raking_gap": 84, "near_positivity": 84}
 
     @pytest.mark.parametrize("dgp", DGP_IDS)
     def test_peak_traced_memory_per_row(self, dgp):
-        # the draw, the fit and the contrast together; one more full copy of
-        # the 6-column design would add 48
+        # the draw, the fit and the contrast together; one more full-length
+        # vector would add 8
         n_mc = 200_000
         tracing = tracemalloc.is_tracing()
         if not tracing:
@@ -511,6 +521,24 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="'(aipcw|quasi_tmle)' appears more than once"):
             StudySpec(dgp=DgpSpec("missing_rate", n=100, seed=0), estimators=roster,
                       n_runs=1, base_seed=0)
+
+    @pytest.mark.parametrize("label", ["raking, census", 'raking "census"', "a\nb", "a\rb"])
+    def test_label_report_csv_cannot_hold_rejected(self, label):
+        # report.csv joins unquoted fields: a comma wrote 13 fields under the
+        # 12-field header, and a line break split the row in two
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            StudyEstimator("raking", label=label)
+
+    def test_other_labels_write_one_row_of_twelve_fields(self, tmp_path):
+        labels = ("raking: census ref", "aipcw (known pi)", "eee;1")
+        rows = tuple(sim.EstimatorRow(StudyEstimator("raking", label=label).label, "raking",
+                                      "refit", 1, 0, 0, 0.5, 0.0, 0.1, 0.0, 1.0, 1.0, 0.01)
+                     for label in labels)
+        report = sim.SimReport(rows, 0.5, "census", 1, DgpSpec("raking_gap", n=10, seed=0), 0, 0.0)
+        write_report_csv(report, tmp_path / "report.csv")
+        lines = (tmp_path / "report.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == list(labels)
+        assert {line.count(",") for line in lines} == {11}
 
     @pytest.mark.parametrize("field, value, message", [
         # 2.5 drew seed 2's dataset, and -3 or 2^64 overflowed in generate

@@ -70,6 +70,8 @@ def test_identity_names_the_one_estimator_a_last_bit_change_moves(tmp_path):
     assert len(census) == 12
     runs = [line for line in lines[:-1] if line not in census]
     assert runs and all(" eee mode=" in line for line in runs)
+    # the grid ends with the bundled cohort under its estimate-mode schema
+    assert runs[-1].startswith("bundled cohort pi=estimated eee ")
 
 
 def test_identity_names_raking_on_the_wide_edge_cohorts_only(tmp_path):

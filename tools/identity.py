@@ -26,6 +26,9 @@ max_outer_iter 0, 1 and 2 for the three loop estimators.
   Philox stream keyed by the seed. Each runs with estimated and with known
   pi, and its all-phase-2 copy (no censored rows) with pi pinned at 1:
   1,920 runs.
+* The bundled cohort: `repro/example_cohort.csv` of this checkout, read
+  by each tree under the schema of `repro/example_estimate.cfg`, with
+  estimated pi: 20 runs.
 
 Each dataset of the grid is recorded three times: a digest of its arrays,
 a digest of its `write_csv` -> `load_csv` round trip (the file's bytes
@@ -66,6 +69,8 @@ EDGE_SEEDS = (1, 2)
 # Monte-Carlo draws of census_psi and true_psi: within one block of
 # sim._CENSUS_CHUNK (2^16) rows, and across three
 N_MC = (20_000, 2 * (1 << 16) + 123)
+# the bundled estimate-mode cohort, read as repro/example_estimate.cfg reads it
+COHORT = ROOT / "repro" / "example_cohort.csv"
 # the records of a dataset and of a dataset spec; every other record is a run
 DATASET_PARTS = ("arrays", "csv round trip", "phase2")
 VALUE_PARTS = ("reference_psi", "census_psi", "true_psi")
@@ -120,14 +125,16 @@ def emit(csv_path: Path) -> None:
         for part in DATASET_PARTS:
             line(f"{name} {part}", part, error=f"unusable draw: {exc}")
 
-    def dataset(name: str, ds, *extra) -> None:
-        """The records of ds; extra arrays join the digest of its arrays."""
+    def dataset(name: str, ds, *extra, schema=None) -> None:
+        """The records of ds, its round trip under schema (by default one
+        naming its columns by position); extra arrays join the digest of
+        its arrays."""
         line(f"{name} arrays", "arrays",
              fields=digest(ds.w1, ds.a, ds.y, ds.delta, ds.w2, *extra))
-        schema = CsvSchema(treatment="a", outcome="y", delta="delta",
-                           w1=tuple(f"w1_{j}" for j in range(ds.d_w1)),
-                           w2=tuple(f"w2_{j}" for j in range(ds.d_w2)),
-                           y_kind=ds.y_kind, y_bounds=ds.y_bounds)
+        schema = schema or CsvSchema(treatment="a", outcome="y", delta="delta",
+                                     w1=tuple(f"w1_{j}" for j in range(ds.d_w1)),
+                                     w2=tuple(f"w2_{j}" for j in range(ds.d_w2)),
+                                     y_kind=ds.y_kind, y_bounds=ds.y_bounds)
         write_csv(ds, csv_path, schema)
         back = load_csv(csv_path, schema)
         line(f"{name} csv round trip", "csv round trip",
@@ -199,6 +206,16 @@ def emit(csv_path: Path) -> None:
                         else:
                             dataset(label, ds, pi)
                         run(label, ds, configs)
+
+    schema = CsvSchema(treatment="a", outcome="y", delta="delta", w1=("x1",), w2=("z1", "z2"))
+    try:
+        ds = load_csv(COHORT, schema)
+    except DataError as exc:
+        ds = None
+        unusable("bundled cohort", exc)
+    else:
+        dataset("bundled cohort", ds, schema=schema)
+    run("bundled cohort", ds, [("estimated", NuisanceConfig())])
 
 
 def first_difference(ours: dict, theirs: dict) -> str | None:
