@@ -10,11 +10,13 @@ is influence-curve based.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.special import expit
 
 from .roots import bisect, newton
 
@@ -22,7 +24,10 @@ __all__ = [
     "GlmError",
     "GlmFit",
     "FluctuationFit",
+    "dpotrf",
+    "dpotrs",
     "expit",
+    "ndtr",
     "logit",
     "fit_glm",
     "fit_fluctuation",
@@ -42,6 +47,50 @@ SCORE_TOL = 1e-8
 RIDGE_SCALE = 1e-8
 FLUCT_TOL = 1e-10
 FLUCT_BRACKET = 20.0
+
+
+def _scipy_kernels(compiled: str, public: str, names: tuple[str, ...],
+                   locations=None) -> tuple:
+    """The functions `names` of scipy's compiled module `scipy.<compiled>`.
+
+    The module is loaded from its file, and the package inits on the way
+    are not run: those of `scipy.linalg` and `scipy.special` load scipy's
+    array-API layer and with it numpy.f2py, numpy.testing and unittest,
+    about two thirds of the package's import time, which every CLI call
+    pays. The functions are the objects scipy itself hands out (a later
+    `import scipy.special` finds the loaded module), so every result is the
+    same. A module already imported is reused. The public module `public`
+    is imported instead when the file is not under `locations` (scipy's own
+    directories by default), does not load, or lacks a name: older scipy
+    releases keep expit in `_ufuncs`, which loads only through its package.
+    """
+    name = f"scipy.{compiled}"
+    module = sys.modules.get(name)
+    if module is None:
+        if locations is None:
+            # no scipy at all: the public import below raises by name
+            spec = importlib.util.find_spec("scipy")
+            locations = spec.submodule_search_locations if spec else []
+        stem = compiled.replace(".", os.sep)
+        paths = [os.path.join(root, stem + suffix) for root in locations
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is not None:
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            try:
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(name, path, loader=loader))
+                loader.exec_module(module)
+            except (ImportError, OSError):
+                module = None
+    if module is None or not all(hasattr(module, attr) for attr in names):
+        module = importlib.import_module(public)
+    return tuple(getattr(module, attr) for attr in names)
+
+
+# LAPACK's Cholesky factor and solve, and the logistic and normal CDFs
+dpotrf, dpotrs = _scipy_kernels("linalg._flapack", "scipy.linalg.lapack", ("dpotrf", "dpotrs"))
+expit, ndtr = _scipy_kernels("special._special_ufuncs", "scipy.special", ("expit", "ndtr"))
 
 
 class GlmError(RuntimeError):

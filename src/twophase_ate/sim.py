@@ -34,7 +34,6 @@ from dataclasses import asdict, dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, ndtr
 
 from .data_model import DataError, Dataset, _as_integer, default_bounds
 from .estimators import (
@@ -45,7 +44,7 @@ from .estimators import (
     EstimatorOptions,
     run_roster,
 )
-from .glm import _least_squares, fit_glm
+from .glm import _least_squares, expit, fit_glm, ndtr
 from .nuisance import TRUNC_G_DEFAULT, TRUNC_PI_DEFAULT, NuisanceConfig, check_truncation
 
 __all__ = [

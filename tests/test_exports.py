@@ -107,30 +107,53 @@ def test_every_roster_names_the_estimator_table(monkeypatch):
     assert sorted(_bench_module("run", monkeypatch).ALL_ESTIMATORS) == ids
 
 
-# the scipy subpackages whose routines the package calls: LAPACK's
-# dpotrf/dpotrs, and expit/ndtr
-SCIPY_SUBPACKAGES = {"linalg", "special"}
+# glm loads LAPACK's dpotrf/dpotrs and expit/ndtr from scipy's compiled
+# modules, so the import runs no scipy package __init__: those of
+# scipy.linalg and scipy.special load scipy's array-API layer, which brought
+# in these modules that the package never uses
+UNUSED_MODULES = {"numpy.f2py", "numpy.testing", "unittest"}
 
-_LIST_SCIPY_SUBPACKAGES = """
+_LIST_IMPORTS = f"""
 import sys
 import twophase_ate, twophase_ate.cli
 for name, module in sorted(sys.modules.items()):
-    parts = name.split(".")
-    if (len(parts) == 2 and parts[0] == "scipy" and not parts[1].startswith("_")
-            and hasattr(module, "__path__")):
-        print(parts[1])
+    if (name.split(".")[0] == "scipy" and hasattr(module, "__path__")
+            or name in {sorted(UNUSED_MODULES)}):
+        print(name)
 """
 
 
 def test_import_loads_only_the_scipy_subpackages_it_calls():
-    # every CLI call is a fresh process, so each subpackage imported at
-    # load time is paid again on every call
-    proc = run_python("-c", _LIST_SCIPY_SUBPACKAGES)
+    # every CLI call is a fresh process, so each module imported at load
+    # time is paid again on every call
+    proc = run_python("-c", _LIST_IMPORTS)
     assert proc.returncode == 0, proc.stderr
-    extra = sorted(set(proc.stdout.split()) - SCIPY_SUBPACKAGES)
+    extra = proc.stdout.split()
     assert extra == [], (
-        f"importing twophase_ate.cli loads {', '.join(f'scipy.{m}' for m in extra)}; "
+        f"importing twophase_ate.cli loads {', '.join(extra)}; "
         "find the importer with: python -X importtime -c 'import twophase_ate.cli'")
+
+
+_SAME_KERNELS = """
+import sys
+if sys.argv[1] == "scipy first":
+    import scipy.linalg.lapack, scipy.special
+import twophase_ate.cli
+import scipy.linalg.lapack, scipy.special
+from twophase_ate import glm
+public = {"dpotrf": scipy.linalg.lapack, "dpotrs": scipy.linalg.lapack,
+          "expit": scipy.special, "ndtr": scipy.special}
+print(" ".join(name for name, module in public.items()
+               if getattr(glm, name) is not getattr(module, name)))
+"""
+
+
+@pytest.mark.parametrize("order", ["package first", "scipy first"])
+def test_kernels_are_scipys_own_objects_in_either_import_order(order):
+    # the same function objects, so the same results bit for bit
+    proc = run_python("-c", _SAME_KERNELS, order)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 _FAILING_PROPERTY = """

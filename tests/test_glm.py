@@ -1,6 +1,11 @@
+import importlib.machinery
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -11,6 +16,7 @@ from twophase_ate.glm import (
     _cho_solve,
     _factor_spd,
     _least_squares,
+    _scipy_kernels,
     expit,
     fit_fluctuation,
     fit_glm,
@@ -179,6 +185,37 @@ class TestCholeskyKernels:
     def test_empty_design_gives_empty_fit(self):
         fit = fit_glm(np.zeros((3, 0)), [1.0, 2.0, 3.0], family="gaussian")
         assert fit.coefficients.shape == (0,) and fit.converged
+
+
+class TestScipyKernels:
+    """`_scipy_kernels` loads a compiled scipy module from its file and
+    falls back to the public module whenever that does not work."""
+
+    LAPACK = ("linalg._flapack", "scipy.linalg.lapack", ("dpotrf", "dpotrs"))
+
+    def test_a_module_not_yet_imported_is_loaded_from_its_file(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.special._special_ufuncs")
+        got = _scipy_kernels("special._special_ufuncs", "scipy.special", ("expit", "ndtr"))
+        assert got[0] is scipy.special.expit and got[1] is scipy.special.ndtr
+
+    def test_no_file_falls_back_to_the_public_module(self, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        got = _scipy_kernels(*self.LAPACK, locations=[str(tmp_path)])
+        assert got[0] is scipy.linalg.lapack.dpotrf and got[1] is scipy.linalg.lapack.dpotrs
+
+    def test_a_file_that_does_not_load_falls_back_to_the_public_module(self, monkeypatch,
+                                                                       tmp_path):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        (tmp_path / "linalg").mkdir()
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        (tmp_path / "linalg" / f"_flapack{suffix}").write_bytes(b"not a shared object")
+        got = _scipy_kernels(*self.LAPACK, locations=[str(tmp_path)])
+        assert got[0] is scipy.linalg.lapack.dpotrf and got[1] is scipy.linalg.lapack.dpotrs
+
+    def test_a_missing_name_falls_back_to_the_public_module(self):
+        # logsumexp is Python code in scipy.special, not in the compiled module
+        got = _scipy_kernels("special._special_ufuncs", "scipy.special", ("expit", "logsumexp"))
+        assert got[0] is scipy.special.expit and got[1] is scipy.special.logsumexp
 
 
 class TestLeastSquares:
