@@ -99,13 +99,29 @@ class EicVariance:
     ci_hi: float
 
 
-def eic_variance(d_obs: np.ndarray, psi: float) -> EicVariance:
+def _moments(d: np.ndarray) -> tuple[float, float]:
+    """The mean and the sample variance (ddof=1) of the 1-d float array d.
+
+    Bit for bit np.mean(d) and np.var(d, ddof=1): the same pairwise sums
+    (np.add.reduce) divided by the same counts, taken once and without
+    numpy's Python wrappers. np.std(d, ddof=1) is the square root of the
+    variance.
+    """
+    n = len(d)
+    mean = np.add.reduce(d) / n
+    x = d - mean
+    return float(mean), float(np.add.reduce(np.multiply(x, x, out=x)) / (n - 1))
+
+
+def eic_variance(d_obs: np.ndarray, psi: float, *, sigma2: float | None = None) -> EicVariance:
     """Wald machinery: sample variance of the influence values, the implied
-    standard error, and the 95% interval around psi."""
+    standard error, and the 95% interval around psi. A caller that has the
+    sample variance of d_obs already passes it as sigma2."""
     d = np.asarray(d_obs, dtype=float).ravel()
     n = len(d)
     if n < 2:
         raise ValueError("need at least 2 influence values for a variance")
-    sigma2 = float(np.var(d, ddof=1))
+    if sigma2 is None:
+        sigma2 = _moments(d)[1]
     se = float(np.sqrt(sigma2 / n))
     return EicVariance(sigma2=sigma2, se=se, ci_lo=psi - 1.96 * se, ci_hi=psi + 1.96 * se)

@@ -22,12 +22,13 @@ import itertools
 import time
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .data_model import Dataset, _as_integer, scale_outcome
 from .eic import (
+    _moments,
     clever_covariate,
     eic_components,
     eic_variance,
@@ -36,7 +37,17 @@ from .eic import (
     linearized_slope_values,
     observed_eic,
 )
-from .glm import P_MIN, GlmError, _cho_solve, _factor_spd, expit, fit_fluctuation, fit_glm, logit
+from .glm import (
+    P_MIN,
+    GlmError,
+    _cho_solve,
+    _clip,
+    _factor_spd,
+    expit,
+    fit_fluctuation,
+    fit_glm,
+    logit,
+)
 from .nuisance import (
     TRUNC_PI_DEFAULT,
     NuisanceConfig,
@@ -45,7 +56,7 @@ from .nuisance import (
     fit_mbar,
     fit_nuisances,
 )
-from .roots import bisect, newton, secant
+from .roots import _last_value, bisect, newton, secant
 
 __all__ = [
     "EstimatorError",
@@ -104,33 +115,45 @@ class EstimateResult:
     s_n: float  # convergence threshold sigma_n/(sqrt(n) log n) at the final fit
 
 
-def _result(ctx: FittedContext, estimator_id, psi, d_obs, n_outer, converged) -> EstimateResult:
+class _Eic(NamedTuple):
+    """Influence values d on all records with their mean, sample variance
+    and the threshold s_n = sigma_n / (sqrt(n) log n), each taken once."""
+
+    d: np.ndarray
+    mean: float
+    var: float
+    s_n: float
+
+    @property
+    def solved(self) -> bool:
+        """Whether |P_n D| <= s_n: the convergence test of every estimator
+        that solves the full EIC equation."""
+        return abs(self.mean) <= self.s_n
+
+
+def _eic(d: np.ndarray) -> _Eic:
+    n = len(d)
+    mean, var = _moments(d)
+    # np.std(d, ddof=1) is the square root of np.var(d, ddof=1)
+    return _Eic(d, mean, var, float(np.sqrt(var) / (np.sqrt(n) * np.log(n))))
+
+
+def _result(ctx: FittedContext, estimator_id, psi, eic: _Eic, n_outer, converged) -> EstimateResult:
     """The reported values of an estimate made on ctx's scaled outcome, on
     the raw outcome scale. The ATE is a difference of outcome means, so
     only the outcome span enters the back-transformation."""
-    var = eic_variance(d_obs, psi)
+    var = eic_variance(eic.d, psi, sigma2=eic.var)
     s = ctx.scale.span
     return EstimateResult(
         estimator_id=estimator_id,
         psi_hat=float(psi) * s,
         se=var.se * s,
         ci95=(var.ci_lo * s, var.ci_hi * s),
-        eic_mean_abs=float(abs(np.mean(d_obs))) * s,
+        eic_mean_abs=abs(eic.mean) * s,
         n_outer_iterations=int(n_outer),
         converged=bool(converged),
-        s_n=_threshold(d_obs) * s,
+        s_n=eic.s_n * s,
     )
-
-
-def _threshold(d_obs: np.ndarray) -> float:
-    n = len(d_obs)
-    return float(np.std(d_obs, ddof=1) / (np.sqrt(n) * np.log(n)))
-
-
-def _solved(d_obs: np.ndarray) -> bool:
-    """Whether |P_n D| <= s_n: the convergence test of every estimator that
-    solves the full EIC equation."""
-    return bool(abs(np.mean(d_obs)) <= _threshold(d_obs))
 
 
 def _read_only(*values) -> tuple:
@@ -219,8 +242,12 @@ class FittedContext:
         dbar2 = self.dbar(q_a, q1, q0)
         return self.hajek_plugin(q1, q0, pi), dbar2, self.mbar_all(dbar2)
 
+    def ipw(self, pi) -> np.ndarray:
+        """1/pi on the phase-2 rows; at pi0 the context's wts0."""
+        return self.wts0 if pi is self.pi0 else 1.0 / pi[self.p2]
+
     def hajek_plugin(self, q1, q0, pi) -> float:
-        w = 1.0 / pi[self.p2]
+        w = self.ipw(pi)
         return float((w @ (q1 - q0)) / w.sum())
 
     def mbar_all(self, values2: np.ndarray) -> np.ndarray:
@@ -230,7 +257,7 @@ class FittedContext:
     def fluctuate_q(self, q_a, q1, q0, pi):
         """One weighted logistic targeting step of the outcome regression."""
         lq_a = logit(q_a, P_MIN)
-        fit = fit_fluctuation(self.y2, lq_a, self.h2, w=1.0 / pi[self.p2])
+        fit = fit_fluctuation(self.y2, lq_a, self.h2, w=self.ipw(pi))
         eps = fit.epsilon
         if eps != 0.0:
             q_a = expit(lq_a + eps * self.h2)
@@ -245,7 +272,7 @@ class FittedContext:
         lpi = logit(pi, P_MIN)
         fit = fit_fluctuation(self.delta, lpi, cov)
         lo, hi = self.trunc_pi
-        return np.clip(expit(lpi + fit.epsilon * cov), lo, hi)
+        return _clip(expit(lpi + fit.epsilon * cov), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +327,15 @@ def rake_weights(mbar: np.ndarray, pi: np.ndarray, delta: np.ndarray,
     w0 = 1.0 / pi[p2]
     target = float(m.sum()) if target is None else float(target)
 
-    def tilt(lam: float) -> np.ndarray:
-        return np.exp(np.clip(-lam * m2, -700.0, 700.0))
+    # F and dF at one lam share one tilt
+    tilt = _last_value(lambda lam: np.exp(_clip(-lam * m2, -700.0, 700.0)))
+    w0m2sq = w0 * m2**2
 
     def F(lam: float) -> float:
         return float(w0 @ (tilt(lam) * m2) - target)
 
     def dF(lam: float) -> float:
-        g = float(-(w0 * m2**2) @ tilt(lam))
+        g = float(-w0m2sq @ tilt(lam))
         if abs(g) < 1e-14:
             raise EstimatorError(
                 "raking solver stalled: vanishing gradient with unsatisfied constraint"
@@ -315,7 +343,7 @@ def rake_weights(mbar: np.ndarray, pi: np.ndarray, delta: np.ndarray,
         return g
 
     def solution(lam: float, n_iter: int, converged: bool) -> RakeSolution:
-        a = np.exp(np.clip(-lam * m, -700.0, 700.0))
+        a = np.exp(_clip(-lam * m, -700.0, 700.0))
         pi_star = pi / a
         return RakeSolution(lam=float(lam), a=a, pi_star=pi_star, constraint_residual=F(lam),
                             n_iter=n_iter, converged=converged and _usable(pi_star))
@@ -355,8 +383,8 @@ def estimate_aipcw(ctx: FittedContext,
         np.sum(dbar2 / pi[ctx.p2]) / ctx.n
         - np.sum(mbar * (ctx.delta - pi) / pi) / ctx.n
     )
-    d = observed_eic(dbar2, mbar, pi, psi, ctx.p2, ctx.delta)
-    return _result(ctx, "aipcw", psi, d, 0, _solved(d))
+    eic = _eic(observed_eic(dbar2, mbar, pi, psi, ctx.p2, ctx.delta))
+    return _result(ctx, "aipcw", psi, eic, 0, eic.solved)
 
 
 def estimate_eee(ctx: FittedContext,
@@ -367,8 +395,8 @@ def estimate_eee(ctx: FittedContext,
     zeta = float((ctx.wts0 @ (dbar2 - mbar[ctx.p2])) / ctx.wts0.sum())
     mbar_star = mbar + zeta
     psi = float(np.mean(mbar_star))
-    d = observed_eic(dbar2, mbar_star, ctx.pi0, psi, ctx.p2, ctx.delta)
-    return _result(ctx, "eee", psi, d, 0, _solved(d))
+    eic = _eic(observed_eic(dbar2, mbar_star, ctx.pi0, psi, ctx.p2, ctx.delta))
+    return _result(ctx, "eee", psi, eic, 0, eic.solved)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +408,8 @@ def estimate_ipcw_tmle(ctx: FittedContext,
                        options: EstimatorOptions = DEFAULT_OPTIONS) -> EstimateResult:
     """Single weighted logistic targeting of the outcome regression."""
     psi, dbar2, mbar = ctx.first_eic
-    d = observed_eic(dbar2, mbar, ctx.pi0, psi, ctx.p2, ctx.delta)
-    return _result(ctx, "ipcw_tmle", psi, d, 1, ctx.first_q[3].converged)
+    eic = _eic(observed_eic(dbar2, mbar, ctx.pi0, psi, ctx.p2, ctx.delta))
+    return _result(ctx, "ipcw_tmle", psi, eic, 1, ctx.first_q[3].converged)
 
 
 def _target(state, monitor, step, max_iter: int):
@@ -392,21 +420,21 @@ def _target(state, monitor, step, max_iter: int):
     next state, or None when the update failed, which ends the loop. The
     first pass steps whatever |P_n D| is: the threshold governs iteration,
     not whether to target at all. At most max_iter steps are taken. Returns
-    the last pass's (state, psi, d), the stepped pass with the smallest
-    |P_n D| (None if no step was taken), the number of steps taken and
-    whether the threshold was met.
+    the last pass's (state, psi, eic), eic the `_Eic` of d, the stepped
+    pass with the smallest |P_n D| (None if no step was taken), the number
+    of steps taken and whether the threshold was met.
     """
-    best, best_pnd = None, None
+    best = None
     for k in itertools.count():
         psi, d = monitor(state)
-        pnd = float(abs(np.mean(d)))
-        if k > 0 and (best is None or pnd < best_pnd):
-            best, best_pnd = (state, psi, d), pnd
-        if k > 0 and pnd <= _threshold(d):
-            return (state, psi, d), best, k, True
+        eic = _eic(d)
+        if k > 0 and (best is None or abs(eic.mean) < abs(best[2].mean)):
+            best = state, psi, eic
+        if k > 0 and eic.solved:
+            return (state, psi, eic), best, k, True
         nxt = step(state) if k < max_iter else None
         if nxt is None:
-            return (state, psi, d), best, k, False
+            return (state, psi, eic), best, k, False
         state = nxt
 
 
@@ -457,8 +485,8 @@ def _iterative_ipcw_tmle(ctx, options, use_raking: bool, estimator_id: str) -> E
 
     start = (ctx.q_a0, ctx.q10, ctx.q00, ctx.pi0, *ctx.start)
     last, best, n_outer, converged = _target(start, monitor, step, options.max_outer_iter)
-    _, psi, d = last if converged or best is None else best
-    return _result(ctx, estimator_id, psi, d, n_outer, converged)
+    _, psi, eic = last if converged or best is None else best
+    return _result(ctx, estimator_id, psi, eic, n_outer, converged)
 
 
 def estimate_ipcw_tmle_target_pi(ctx: FittedContext,
@@ -585,7 +613,8 @@ def estimate_raking(ctx: FittedContext,
     wts1 = 1.0 / pi_star2
 
     fit, psi, u = _working_model(ctx, censored, imputed, wts1, family)
-    return _result(ctx, "raking", psi, u - psi, rake.n_iter, rake.converged and fit.converged)
+    return _result(ctx, "raking", psi, _eic(u - psi), rake.n_iter,
+                   rake.converged and fit.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +675,8 @@ def estimate_quasi_tmle(ctx: FittedContext,
     _, (dbar2, m_all, psi, gamma) = model_at(eps)
     mbar_star = m_all.copy()
     mbar_star[ctx.p2] += gamma * ctx.wts0
-    d = observed_eic(dbar2, mbar_star, ctx.pi0, psi, ctx.p2, ctx.delta)
-    return _result(ctx, "quasi_tmle", psi, d, n_evals, _solved(d))
+    eic = _eic(observed_eic(dbar2, mbar_star, ctx.pi0, psi, ctx.p2, ctx.delta))
+    return _result(ctx, "quasi_tmle", psi, eic, n_evals, eic.solved)
 
 
 # ---------------------------------------------------------------------------
@@ -697,21 +726,21 @@ def estimate_tmle_alt(ctx: FittedContext,
         inv_pi = 1.0 / pi
         m_star = {}
         for arm, q_arm in ((1, q1), (0, q0)):
-            resp = np.clip(q_arm, P_MIN, 1.0 - P_MIN)
+            resp = _clip(q_arm, P_MIN, 1.0 - P_MIN)
             m_all = fit_glm(ctx.design.x2, resp, family="bernoulli").predict(ctx.design.x_all)
-            gfit = fit_fluctuation(resp, logit(m_all[ctx.p2], P_MIN), inv_pi[ctx.p2])
-            m_star[arm] = expit(logit(m_all, P_MIN) + gfit.epsilon * inv_pi)
+            lm_all = logit(m_all, P_MIN)
+            gfit = fit_fluctuation(resp, lm_all[ctx.p2], inv_pi[ctx.p2])
+            m_star[arm] = expit(lm_all + gfit.epsilon * inv_pi)
         contrast_all = m_star[1] - m_star[0]
         psi = float(np.mean(contrast_all))
 
         d_q, d_pi, d_gamma, d_pv = eic_components(resid2, r_all, q1 - q0, contrast_all,
                                                   pi, psi, ctx.p2, ctx.delta)
-        d = d_q + d_pi + d_gamma + d_pv
-        converged = _solved(d)
-        if converged or met or steps == 0:  # only a capped round can move the state
+        eic = _eic(d_q + d_pi + d_gamma + d_pv)
+        if eic.solved or met or steps == 0:  # only a capped round can move the state
             break
 
-    return _result(ctx, "tmle_alt", psi, d, n_outer, converged)
+    return _result(ctx, "tmle_alt", psi, eic, n_outer, eic.solved)
 
 
 # ---------------------------------------------------------------------------

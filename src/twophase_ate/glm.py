@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .roots import bisect, newton
+from .roots import _last_value, bisect, newton
 
 __all__ = [
     "GlmError",
@@ -97,8 +97,18 @@ class GlmError(RuntimeError):
     """A regression could not be fit (degenerate design or response)."""
 
 
+def _clip(x, lo, hi):
+    """np.clip(x, lo, hi) without its Python wrapper, for the per-iteration
+    kernels. Bit for bit np.clip's result when neither bound is zero: NaN
+    stays NaN, lo > hi gives hi, and an x equal to a nonzero bound has its
+    bits. (At a zero bound, np.clip keeps the sign of a zero x.)"""
+    x = np.maximum(x, lo)
+    # in place on the new array: np.clip's peak memory, one result array
+    return np.minimum(x, hi, out=x) if x.ndim else np.minimum(x, hi)
+
+
 def logit(p, eps: float = LOGIT_CLIP):
-    p = np.clip(p, eps, 1.0 - eps)
+    p = _clip(p, eps, 1.0 - eps)
     return np.log(p) - np.log1p(-p)
 
 
@@ -178,7 +188,7 @@ class GlmFit:
         """The fitted mean at linear predictor eta (inverse link, clipped)."""
         if self.family == "gaussian":
             return eta
-        return np.clip(expit(eta), PRED_CLIP, 1.0 - PRED_CLIP)
+        return _clip(expit(eta), PRED_CLIP, 1.0 - PRED_CLIP)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.mean(self.linear_predictor(X))
@@ -228,7 +238,7 @@ def fit_glm(X, y, w=None, family: str = "gaussian") -> GlmFit:
         beta = _least_squares(X, y, w)
         resid = y - X @ beta
         score = X.T @ (resid if w is None else w * resid)
-        converged = bool(np.max(np.abs(score)) <= SCORE_TOL) if p_dim else True
+        converged = bool(np.abs(score).max() <= SCORE_TOL) if p_dim else True
         return GlmFit(beta, "gaussian", converged, 1, p_dim)
 
     if family != "bernoulli":
@@ -244,18 +254,18 @@ def fit_glm(X, y, w=None, family: str = "gaussian") -> GlmFit:
     n_iter = 0
     score_norm = np.inf
     for n_iter in range(1, MAX_ITER + 1):
-        p = np.clip(expit(X @ beta), P_MIN, 1.0 - P_MIN)
+        p = _clip(expit(X @ beta), P_MIN, 1.0 - P_MIN)
         score = X.T @ weighted(y - p)
-        score_norm = float(np.max(np.abs(score)))
+        score_norm = float(np.abs(score).max())
         if score_norm <= SCORE_TOL:
             break
         H = (X * (weighted(p) * (1.0 - p))[:, None]).T @ X
         factor, _ = _factor_spd(H)
         step = _cho_solve(factor, score)
         beta = beta + step
-        if np.max(np.abs(step)) <= COEF_TOL:
-            p = np.clip(expit(X @ beta), P_MIN, 1.0 - P_MIN)
-            score_norm = float(np.max(np.abs(X.T @ weighted(y - p))))
+        if np.abs(step).max() <= COEF_TOL:
+            p = _clip(expit(X @ beta), P_MIN, 1.0 - P_MIN)
+            score_norm = float(np.abs(X.T @ weighted(y - p)).max())
             break
     converged = score_norm <= SCORE_TOL
     return GlmFit(beta, "bernoulli", bool(converged), n_iter, p_dim)
@@ -280,7 +290,9 @@ def fit_fluctuation(y, offset_logit, h, w=None, tol: float = FLUCT_TOL) -> Fluct
     Returns eps=0 immediately when the score at zero is already below tol
     (this covers h identically zero). Huge weights or covariates can take
     the score or its slope past the floats: Newton stops at a slope that is
-    not finite, and a score with no sign change is a named GlmError.
+    not finite, and a score with no sign change is a named GlmError, which
+    names a non-finite y, h or w when one is the cause. The score and its
+    slope at one eps share one fitted mean.
     """
     y = np.asarray(y, dtype=float).ravel()
     offset = np.asarray(offset_logit, dtype=float).ravel()
@@ -293,13 +305,15 @@ def fit_fluctuation(y, offset_logit, h, w=None, tol: float = FLUCT_TOL) -> Fluct
     if np.any(w < 0):
         raise GlmError("negative weights in fluctuation fit")
     wh = w * h
+    whh = wh * h
+    mean = _last_value(lambda eps: expit(offset + eps * h))
 
     def score(eps: float) -> float:
-        return float(wh @ (y - expit(offset + eps * h)))
+        return float(wh @ (y - mean(eps)))
 
     def dscore(eps: float) -> float:
-        p = expit(offset + eps * h)
-        return float(-(wh * h) @ (p * (1.0 - p)))
+        p = mean(eps)
+        return float(-whh @ (p * (1.0 - p)))
 
     s0 = score(0.0)
     if abs(s0) <= tol:
@@ -309,6 +323,11 @@ def fit_fluctuation(y, offset_logit, h, w=None, tol: float = FLUCT_TOL) -> Fluct
     if not res.converged:
         res = bisect(score, (-FLUCT_BRACKET, FLUCT_BRACKET), tol)
         if res is None:
+            # a NaN anywhere makes the score NaN at every eps; checked only
+            # here, so a call that converges pays nothing for it
+            for name, values in (("y", y), ("h", h), ("w", w)):
+                if not np.isfinite(values).all():
+                    raise GlmError(f"non-finite {name} in fluctuation fit")
             raise GlmError(
                 "degenerate fluctuation: score has no sign change on "
                 f"[-{FLUCT_BRACKET}, {FLUCT_BRACKET}]"

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import Dataset
-from .glm import GlmError, GlmFit, _cho_solve, _factor_spd, fit_glm
+from .glm import GlmError, GlmFit, _cho_solve, _clip, _factor_spd, fit_glm
 
 __all__ = [
     "NuisanceError",
@@ -110,7 +110,7 @@ def fit_pi(design: MbarDesign, delta: np.ndarray,
     if delta.min() == delta.max():
         raise NuisanceError("phase-2 indicator is constant: sampling mechanism unidentifiable")
     fit = fit_glm(design.x_all, delta.astype(float), family="bernoulli")
-    return np.clip(fit.predict(design.x_all), trunc[0], trunc[1])
+    return _clip(fit.predict(design.x_all), trunc[0], trunc[1])
 
 
 def fit_q_ipcw(ds: Dataset, X: np.ndarray, wts2: np.ndarray) -> GlmFit:
@@ -142,7 +142,7 @@ def fit_g_ipcw(ds: Dataset, wts2: np.ndarray,
             raise NuisanceError(f"fewer than 2 phase-2 records with a={arm}: g unidentifiable")
     X = _add_intercept(w_features(ds, p2))
     fit = fit_glm(X, a2, w=wts2, family="bernoulli")
-    return np.clip(fit.predict(X), trunc[0], trunc[1])
+    return _clip(fit.predict(X), trunc[0], trunc[1])
 
 
 def fit_mbar(design: MbarDesign, values: np.ndarray) -> np.ndarray:
@@ -176,7 +176,7 @@ def fit_mbar(design: MbarDesign, values: np.ndarray) -> np.ndarray:
 def check_truncation(trunc_pi: tuple[float, float], trunc_g: tuple[float, float]) -> None:
     """Require 0 < lo < hi <= 1 for pi and 0 < lo < hi < 1 for g.
 
-    np.clip with lo > hi silently maps every value to hi, so a reversed
+    Clipping with lo > hi silently maps every value to hi, so a reversed
     pair would otherwise give a wrong answer without any error.
     """
     lo, hi = trunc_pi
@@ -215,7 +215,7 @@ def _known(values, bounds: tuple[float, float], n: int, name: str) -> np.ndarray
         raise NuisanceError(f"{name} must be a finite 1-D array with one value per record ({n})")
     if values.min() < 0.0 or values.max() > 1.0:
         raise NuisanceError(f"{name} must lie in [0, 1]")
-    return np.clip(values, bounds[0], bounds[1])
+    return _clip(values, bounds[0], bounds[1])
 
 
 def fit_nuisances(ds: Dataset, config: NuisanceConfig | None = None) -> tuple:

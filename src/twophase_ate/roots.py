@@ -24,6 +24,26 @@ class RootResult:
     converged: bool
 
 
+def _last_value(fn: Callable[[float], object]) -> Callable[[float], object]:
+    """fn, evaluated once for a run of calls at the same point.
+
+    `newton` reads df at the point where it last read f, so a solver whose
+    f and df are built from one vector at x (a fitted mean, a tilt) gets
+    that vector from here and computes it once per point. The point is
+    compared as (x, sign of x): a zero of the other sign is a new point, so
+    a reused value is always the one fn gives at bit-identical input.
+    """
+    last: list = [None, None]
+
+    def at(x: float):
+        key = (x, math.copysign(1.0, x))
+        if key != last[0]:
+            last[:] = key, fn(x)
+        return last[1]
+
+    return at
+
+
 def newton(f: Callable[[float], float], df: Callable[[float], float], f0: float,
            tol: float, max_iter: int, bound: float = math.inf) -> RootResult:
     """Newton's method from x = 0, where f0 = f(0) is already known.

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twophase_ate.data_model import Dataset
 from twophase_ate.eic import (
+    _moments,
     clever_covariate,
     eic_components,
     eic_variance,
@@ -207,3 +210,34 @@ class TestEicVariance:
     def test_requires_two_values(self):
         with pytest.raises(ValueError):
             eic_variance(np.array([1.0]), psi=0.0)
+
+    def test_a_given_variance_is_used(self):
+        d = np.random.default_rng(9).standard_normal(50)
+        assert eic_variance(d, 0.1, sigma2=_moments(d)[1]) == eic_variance(d, 0.1)
+        assert eic_variance(d, 0.1, sigma2=2.0).se == np.sqrt(2.0 / 50)
+
+
+class TestMoments:
+    """_moments is np.mean and np.var(ddof=1) bit for bit, np.std its root.
+
+    Lengths cross the block edges of numpy's pairwise summation (8-way
+    unrolled blocks of 128), so a numpy release that sums differently, or
+    computes the variance another way, fails here by name."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.one_of(st.integers(2, 5_000),
+                       st.sampled_from([2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 130, 255, 256,
+                                        257, 1_000, 1_024, 1_025, 5_000])),
+           seed=st.integers(0, 2**32 - 1), loc=st.floats(-1e6, 1e6),
+           log_scale=st.floats(-30.0, 30.0))
+    def test_matches_numpy(self, n, seed, loc, log_scale):
+        d = loc + 10.0**log_scale * np.random.default_rng(seed).standard_normal(n)
+        mean, var = _moments(d)
+        assert np.float64(mean).tobytes() == np.mean(d).tobytes()
+        assert np.float64(var).tobytes() == np.var(d, ddof=1).tobytes()
+        assert np.sqrt(var).tobytes() == np.std(d, ddof=1).tobytes()
+
+    def test_leaves_its_input_as_it_was(self):
+        d = np.arange(10.0)
+        d.flags.writeable = False
+        assert _moments(d) == (4.5, np.var(np.arange(10.0), ddof=1))

@@ -151,6 +151,25 @@ class TestRakeWeights:
         assert fallback.n_iter > 1
         assert fallback.lam == pytest.approx(newton_only.lam, abs=1e-8)
 
+    def test_one_tilt_per_lambda(self, monkeypatch):
+        # Newton reads the constraint and its slope at each lambda; both come
+        # from one exp of the phase-2 tilt, so a solve of k steps takes k + 1
+        # of them (and one more exp, of all n rows, for the scale factors)
+        ds, _ = generate(DgpSpec("missing_rate", n=300, seed=1))
+        ctx = FittedContext(ds)
+        psi, _, mbar = ctx.first_eic
+        sizes, exp = [], np.exp
+
+        def spy(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", spy)
+        sol = rake_weights(mbar - psi, ctx.pi0, ctx.delta)
+        monkeypatch.undo()
+        assert sol.converged and sol.n_iter >= 2
+        assert sizes == [len(ctx.p2)] * (1 + sol.n_iter) + [ds.n]
+
     def test_equation_rescaling_leaves_lambda_unchanged(self):
         rng = np.random.default_rng(42)
         m = rng.normal(size=30)
@@ -481,9 +500,9 @@ def scripted(means):
 
 class TestTargetLoop:
     def target(self, means, max_iter=10):
-        (state, psi, d), best, steps, converged = estimators._target(
+        (state, psi, eic), best, steps, converged = estimators._target(
             0, *scripted(means), max_iter)
-        assert psi == state and np.mean(d) == means[state]
+        assert psi == state and eic.mean == np.mean(eic.d) == means[state]
         return state, None if best is None else best[0], steps, converged
 
     def test_first_pass_is_mandatory(self):

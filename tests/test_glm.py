@@ -10,10 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from twophase_ate import glm
 from twophase_ate.glm import (
+    LOGIT_CLIP,
+    PRED_CLIP,
     GlmError,
     P_MIN,
     _cho_solve,
+    _clip,
     _factor_spd,
     _least_squares,
     _scipy_kernels,
@@ -43,6 +47,33 @@ class TestExpitLogit:
 
     def test_logit_clips_boundary(self):
         assert np.isfinite(logit(0.0)) and np.isfinite(logit(1.0))
+
+
+# the edge values np.clip and its stand-in must agree on, each bound among them
+_EDGES = [np.nan, -np.inf, np.inf, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+          1.0, -1.0]
+
+
+class TestClip:
+    """glm._clip is np.clip, bit for bit, at every bound the package clips to."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(bound=st.sampled_from([P_MIN, PRED_CLIP, LOGIT_CLIP]),
+           x=arrays(np.float64, st.integers(0, 40),
+                    elements=st.one_of(st.floats(allow_subnormal=True, width=64),
+                                       st.sampled_from(_EDGES + [P_MIN, PRED_CLIP, LOGIT_CLIP,
+                                                                 1.0 - P_MIN, 1.0 - PRED_CLIP,
+                                                                 1.0 - LOGIT_CLIP]))))
+    def test_matches_np_clip(self, bound, x):
+        lo, hi = bound, 1.0 - bound
+        assert _clip(x, lo, hi).tobytes() == np.clip(x, lo, hi).tobytes()
+        # and elementwise on a scalar, as logit is called on scalars too
+        for v in x[:3]:
+            assert np.float64(_clip(v, lo, hi)).tobytes() == np.float64(np.clip(v, lo, hi)).tobytes()
+
+    def test_reversed_bounds_give_the_upper_one(self):
+        x = np.array(_EDGES)
+        assert _clip(x, 0.9, 0.1).tobytes() == np.clip(x, 0.9, 0.1).tobytes()
 
 
 class TestFitGlm:
@@ -310,3 +341,33 @@ class TestFitFluctuation:
         h = np.ones(10)
         with pytest.raises(GlmError, match="degenerate"):
             fit_fluctuation(y, np.zeros(10), h)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("row", range(4))
+    @pytest.mark.parametrize("name", ["y", "h", "w"])
+    def test_non_finite_input_is_named(self, name, row, bad):
+        # a NaN or inf leaves the score without a sign change, which is not
+        # the cause worth naming
+        args = {"y": np.array([0.0, 1.0, 1.0, 0.0]), "h": np.array([1.0, 2.0, -1.0, 0.5]),
+                "w": np.array([1.0, 2.0, 0.5, 1.0])}
+        args[name][row] = bad
+        with pytest.raises(GlmError, match=f"^non-finite {name} in fluctuation fit$"):
+            fit_fluctuation(args["y"], np.array([0.1, -0.2, 0.3, 0.0]), args["h"], args["w"])
+
+    def test_one_fitted_mean_per_epsilon(self, monkeypatch):
+        # Newton reads the score and its slope at each eps; both come from
+        # one expit pass, so a solve of k steps makes k + 1 of them
+        calls = []
+
+        def spy(x):
+            calls.append(x)
+            return expit(x)
+
+        rng = np.random.default_rng(3)
+        offset = rng.normal(scale=0.8, size=200)
+        h = rng.normal(size=200)
+        y = (rng.random(200) < expit(offset + 0.7 * h)).astype(float)
+        monkeypatch.setattr(glm, "expit", spy)
+        fit = fit_fluctuation(y, offset, h, rng.uniform(0.5, 2.0, size=200))
+        assert fit.converged and fit.n_iter >= 2
+        assert len(calls) == 1 + fit.n_iter

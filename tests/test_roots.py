@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from twophase_ate.estimators import rake_weights
-from twophase_ate.roots import BISECT_MAX_ITER, SECANT_MAX_ITER, RootResult, bisect, newton, secant
+from twophase_ate.roots import (
+    BISECT_MAX_ITER,
+    SECANT_MAX_ITER,
+    RootResult,
+    _last_value,
+    bisect,
+    newton,
+    secant,
+)
 
 
 def cubic(x):
@@ -29,6 +37,26 @@ class TestNewton:
         res = newton(lambda x: 1.0 - 0.5 * x - x**2, lambda x: -0.5 - 2.0 * x, 1.0,
                      1e-12, max_iter=50, bound=1.0)
         assert not res.converged and res.n_iter == 0 and res.x == 0.0
+
+
+class TestLastValue:
+    def test_one_evaluation_per_run_of_equal_points(self):
+        seen = []
+        at = _last_value(lambda x: seen.append(x) or [x])
+        assert [at(x) for x in (0.0, 0.0, 1.5, 1.5, 1.5, 0.0)] == [[0.0]] * 2 + [[1.5]] * 3 + [[0.0]]
+        assert seen == [0.0, 1.5, 0.0]
+
+    def test_a_zero_of_the_other_sign_is_a_new_point(self):
+        seen = []
+        at = _last_value(seen.append)
+        at(0.0), at(-0.0), at(-0.0)
+        assert [math.copysign(1.0, x) for x in seen] == [1.0, -1.0]
+
+    def test_a_new_nan_is_a_new_point(self):
+        seen = []
+        at = _last_value(seen.append)
+        at(float("nan")), at(float("nan"))
+        assert len(seen) == 2
 
 
 class TestBisect:
