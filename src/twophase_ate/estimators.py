@@ -56,7 +56,7 @@ from .nuisance import (
     fit_mbar,
     fit_nuisances,
 )
-from .roots import _last_value, bisect, newton, secant
+from .roots import _last_value, bracketed, newton, secant
 
 __all__ = [
     "EstimatorError",
@@ -258,7 +258,7 @@ class FittedContext:
         """One weighted logistic targeting step of the outcome regression."""
         lq_a = logit(q_a, P_MIN)
         fit = fit_fluctuation(self.y2, lq_a, self.h2, w=self.ipw(pi))
-        eps = fit.epsilon
+        eps = fit.x
         if eps != 0.0:
             q_a = expit(lq_a + eps * self.h2)
             q1 = expit(logit(q1, P_MIN) + eps * self.h1)
@@ -272,7 +272,7 @@ class FittedContext:
         lpi = logit(pi, P_MIN)
         fit = fit_fluctuation(self.delta, lpi, cov)
         lo, hi = self.trunc_pi
-        return _clip(expit(lpi + fit.epsilon * cov), lo, hi)
+        return _clip(expit(lpi + fit.x * cov), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +302,10 @@ def _usable(pi: np.ndarray) -> bool:
     """Whether every pi is positive and both pi and 1/pi are finite."""
     with np.errstate(divide="ignore", over="ignore"):
         return bool(np.isfinite(pi).all() and np.isfinite(1.0 / pi).all() and (pi > 0).all())
+
+
+# -2^59, ..., -1, 1, ..., 2^59: raking's bisection grid, in units of max(1, |lam|)
+_DOUBLING = np.concatenate([-2.0 ** np.arange(59, -1, -1), 2.0 ** np.arange(60)])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -342,31 +346,20 @@ def rake_weights(mbar: np.ndarray, pi: np.ndarray, delta: np.ndarray,
             )
         return g
 
-    def solution(lam: float, n_iter: int, converged: bool) -> RakeSolution:
-        a = np.exp(_clip(-lam * m, -700.0, 700.0))
-        pi_star = pi / a
-        return RakeSolution(lam=float(lam), a=a, pi_star=pi_star, constraint_residual=F(lam),
-                            n_iter=n_iter, converged=converged and _usable(pi_star))
-
     f0 = F(0.0)
-    if abs(f0) <= tol:
-        return solution(0.0, 0, True)
-    if np.all(m2 == 0.0):
+    if abs(f0) > tol and np.all(m2 == 0.0):
         raise EstimatorError(
             "raking constraint infeasible: calibration variable vanishes on "
             "phase-2 rows but the full-sample total is nonzero"
         )
-
     res = newton(F, dF, f0, tol, max_iter)
-    if res.converged:
-        return solution(res.x, res.n_iter, True)
     # F is strictly decreasing, so its root is the one sign change on a
     # symmetric doubling grid wide enough to hold it
-    steps = max(1.0, abs(res.x)) * 2.0 ** np.arange(60)
-    fallback = bisect(F, np.concatenate([-steps[::-1], steps]), tol)
-    if fallback is None:
-        return solution(res.x, res.n_iter, False)
-    return solution(fallback.x, res.n_iter + fallback.n_iter, fallback.converged)
+    res = bracketed(F, res, lambda x: max(1.0, abs(x)) * _DOUBLING, tol) or res
+    a = np.exp(_clip(-res.x * m, -700.0, 700.0))
+    pi_star = pi / a
+    return RakeSolution(lam=float(res.x), a=a, pi_star=pi_star, constraint_residual=F(res.x),
+                        n_iter=res.n_iter, converged=res.converged and _usable(pi_star))
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +465,7 @@ def _iterative_ipcw_tmle(ctx, options, use_raking: bool, estimator_id: str) -> E
             psi, dbar2, m_dbar = ctx.eic_at(q_a, q1, q0, pi)
         # refit mode moves pi along the regression of dbar2; the linearized
         # step only approximates it, and the next pass needs it in both modes
-        m_new = m_level + fit.epsilon * m_slope if linearized else m_dbar
+        m_new = m_level + fit.x * m_slope if linearized else m_dbar
         # sampling-mechanism targeting
         if use_raking:
             rake = rake_weights(m_new - psi, pi, ctx.delta)
@@ -640,11 +633,10 @@ def estimate_quasi_tmle(ctx: FittedContext,
     linearized = options.mode == "linearized"
     if linearized:
         (_, m_level), m_slope = ctx.start, ctx.start_slope
-    n_evals = 0
+    n_reads = 0
 
+    @_last_value
     def model_at(eps: float):
-        nonlocal n_evals
-        n_evals += 1
         q_a = expit(lq_a + eps * ctx.h2)
         q1 = expit(lq1 + eps * ctx.h1)
         q0 = expit(lq0 + eps * ctx.h0)
@@ -659,24 +651,25 @@ def estimate_quasi_tmle(ctx: FittedContext,
         return score, (dbar2, m_all, psi_plug, gamma)
 
     def score_fn(eps: float) -> float:
+        nonlocal n_reads
+        n_reads += 1
         return model_at(eps)[0]
 
     # warm start from the plain weighted fluctuation, the context's first step
-    warm = ctx.first_q[3]
-    x1 = warm.epsilon if warm.epsilon != 0.0 else 1e-3
-    res = secant(score_fn, 0.0, x1, ROOT_TOL)
-    if not res.converged:
-        res = bisect(score_fn, np.linspace(-10.0, 10.0, 81), ROOT_TOL)
-        if res is None or not res.converged:
-            raise EstimatorError("plug-in fluctuation solve failed: no root in [-10, 10]")
+    warm = ctx.first_q[3].x
+    res = secant(score_fn, 0.0, warm if warm != 0.0 else 1e-3, ROOT_TOL)
+    res = bracketed(score_fn, res, lambda _: np.linspace(-10.0, 10.0, 81), ROOT_TOL)
+    if res is None or not res.converged:
+        raise EstimatorError("plug-in fluctuation solve failed: no root in [-10, 10]")
 
-    eps = float(res.x)
-    # psi is the plug-in, which P_n of the targeted regression equals
-    _, (dbar2, m_all, psi, gamma) = model_at(eps)
+    # psi is the plug-in, which P_n of the targeted regression equals; the
+    # solver as a rule evaluated the model last at the root, so this read is
+    # free, and n_iter counts it with the solver's reads
+    _, (dbar2, m_all, psi, gamma) = model_at(float(res.x))
     mbar_star = m_all.copy()
     mbar_star[ctx.p2] += gamma * ctx.wts0
     eic = _eic(observed_eic(dbar2, mbar_star, ctx.pi0, psi, ctx.p2, ctx.delta))
-    return _result(ctx, "quasi_tmle", psi, eic, n_evals, eic.solved)
+    return _result(ctx, "quasi_tmle", psi, eic, n_reads + 1, eic.solved)
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +723,7 @@ def estimate_tmle_alt(ctx: FittedContext,
             m_all = fit_glm(ctx.design.x2, resp, family="bernoulli").predict(ctx.design.x_all)
             lm_all = logit(m_all, P_MIN)
             gfit = fit_fluctuation(resp, lm_all[ctx.p2], inv_pi[ctx.p2])
-            m_star[arm] = expit(lm_all + gfit.epsilon * inv_pi)
+            m_star[arm] = expit(lm_all + gfit.x * inv_pi)
         contrast_all = m_star[1] - m_star[0]
         psi = float(np.mean(contrast_all))
 

@@ -18,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .roots import _last_value, bisect, newton
+from .roots import RootResult, _last_value, bracketed, newton
 
 __all__ = [
     "GlmError",
     "GlmFit",
-    "FluctuationFit",
     "dpotrf",
     "dpotrs",
     "expit",
@@ -271,28 +270,18 @@ def fit_glm(X, y, w=None, family: str = "gaussian") -> GlmFit:
     return GlmFit(beta, "bernoulli", bool(converged), n_iter, p_dim)
 
 
-@dataclass(frozen=True)
-class FluctuationFit:
-    """Solution of the weighted univariate offset-logistic score equation."""
-
-    epsilon: float
-    score: float
-    n_iter: int
-    converged: bool
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def fit_fluctuation(y, offset_logit, h, w=None, tol: float = FLUCT_TOL) -> FluctuationFit:
+def fit_fluctuation(y, offset_logit, h, w=None) -> RootResult:
     """Solve sum_i w_i h_i (y_i - expit(offset_i + eps * h_i)) = 0 for eps.
 
     The score is monotone non-increasing in eps: Newton's method within
-    +-FLUCT_BRACKET solves it, with a bisection fallback on that interval.
-    Returns eps=0 immediately when the score at zero is already below tol
-    (this covers h identically zero). Huge weights or covariates can take
-    the score or its slope past the floats: Newton stops at a slope that is
-    not finite, and a score with no sign change is a named GlmError, which
-    names a non-finite y, h or w when one is the cause. The score and its
-    slope at one eps share one fitted mean.
+    +-FLUCT_BRACKET solves it, with a bisection fallback on that interval
+    (`roots.bracketed`); the result's x is eps, 0 when |score(0)| <= FLUCT_TOL
+    (as when h is zero). Huge weights or covariates can take the score or its
+    slope past the floats: Newton stops at a slope that is not finite, and a
+    score with no sign change is a named GlmError, which names a non-finite
+    y, h or w when one is the cause. The score and its slope at one eps
+    share one fitted mean.
     """
     y = np.asarray(y, dtype=float).ravel()
     offset = np.asarray(offset_logit, dtype=float).ravel()
@@ -315,21 +304,16 @@ def fit_fluctuation(y, offset_logit, h, w=None, tol: float = FLUCT_TOL) -> Fluct
         p = mean(eps)
         return float(-whh @ (p * (1.0 - p)))
 
-    s0 = score(0.0)
-    if abs(s0) <= tol:
-        return FluctuationFit(0.0, s0, 0, True)
-
-    res = newton(score, dscore, s0, tol, max_iter=30, bound=FLUCT_BRACKET)
-    if not res.converged:
-        res = bisect(score, (-FLUCT_BRACKET, FLUCT_BRACKET), tol)
-        if res is None:
-            # a NaN anywhere makes the score NaN at every eps; checked only
-            # here, so a call that converges pays nothing for it
-            for name, values in (("y", y), ("h", h), ("w", w)):
-                if not np.isfinite(values).all():
-                    raise GlmError(f"non-finite {name} in fluctuation fit")
-            raise GlmError(
-                "degenerate fluctuation: score has no sign change on "
-                f"[-{FLUCT_BRACKET}, {FLUCT_BRACKET}]"
-            )
-    return FluctuationFit(res.x, res.f, res.n_iter, res.converged)
+    res = newton(score, dscore, score(0.0), FLUCT_TOL, max_iter=30, bound=FLUCT_BRACKET)
+    res = bracketed(score, res, lambda _: (-FLUCT_BRACKET, FLUCT_BRACKET), FLUCT_TOL)
+    if res is None:
+        # a NaN anywhere makes the score NaN at every eps; checked only
+        # here, so a call that converges pays nothing for it
+        for name, values in (("y", y), ("h", h), ("w", w)):
+            if not np.isfinite(values).all():
+                raise GlmError(f"non-finite {name} in fluctuation fit")
+        raise GlmError(
+            "degenerate fluctuation: score has no sign change on "
+            f"[-{FLUCT_BRACKET}, {FLUCT_BRACKET}]"
+        )
+    return res

@@ -1,16 +1,16 @@
 """Scalar root finding used by the fluctuation, raking, and plug-in solvers.
 
 Every solve runs an open iteration (`newton` or `secant`) and, when that
-fails, falls back to `bisect` on a grid the caller chooses.
+fails, falls back to `bisect` on a grid the caller chooses (`bracketed`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-__all__ = ["RootResult", "newton", "bisect", "secant"]
+__all__ = ["RootResult", "newton", "bisect", "secant", "bracketed"]
 
 BISECT_MAX_ITER = 200
 SECANT_MAX_ITER = 100
@@ -48,12 +48,15 @@ def newton(f: Callable[[float], float], df: Callable[[float], float], f0: float,
            tol: float, max_iter: int, bound: float = math.inf) -> RootResult:
     """Newton's method from x = 0, where f0 = f(0) is already known.
 
-    Stops converged once |f(x)| <= tol. Stops unconverged after max_iter
-    steps, or as soon as the derivative is zero or not finite, or a step is
-    not finite or leaves [-bound, bound]; the result then holds the last
-    iterate and the number of steps taken to reach it.
+    Returns x = 0 at once, without reading df, when |f0| <= tol, and
+    otherwise stops converged once |f(x)| <= tol. Stops unconverged after
+    max_iter steps, or as soon as the derivative is zero or not finite, or
+    a step is not finite or leaves [-bound, bound]; the result then holds
+    the last iterate and the number of steps taken to reach it.
     """
     x, fx = 0.0, f0
+    if abs(fx) <= tol:
+        return RootResult(x, fx, 0, True)
     for it in range(1, max_iter + 1):
         d = df(x)
         if d == 0.0 or not math.isfinite(d):
@@ -102,6 +105,12 @@ def bisect(f: Callable[[float], float], grid: Sequence[float], tol: float) -> Ro
 
 
 def secant(f: Callable[[float], float], x0: float, x1: float, tol: float) -> RootResult:
+    """The secant method from x0 and x1: f is evaluated at both before any
+    test, and x0 is returned with no step when |f(x0)| <= tol. Stops
+    converged once |f| <= tol at the newest point, and unconverged when the
+    last two values of f are equal or after SECANT_MAX_ITER steps. n_iter
+    counts the steps, each one evaluation of f after the first two.
+    """
     f0, f1 = f(x0), f(x1)
     if abs(f0) <= tol:
         return RootResult(x0, f0, 0, True)
@@ -115,3 +124,14 @@ def secant(f: Callable[[float], float], x0: float, x1: float, tol: float) -> Roo
         x0, f0, x1 = x1, f1, x2
         f1 = f(x1)
     return RootResult(x1, f1, SECANT_MAX_ITER, abs(f1) <= tol)
+
+
+def bracketed(f: Callable[[float], float], res: RootResult,
+              grid: Callable[[float], Sequence[float]], tol: float) -> RootResult | None:
+    """res, an open iteration's result on f, if it converged; else `bisect`
+    on grid(res.x), its n_iter the open steps plus the halvings, or None
+    when f has no zero and no sign change on that grid."""
+    if res.converged:
+        return res
+    fallback = bisect(f, grid(res.x), tol)
+    return None if fallback is None else replace(fallback, n_iter=res.n_iter + fallback.n_iter)

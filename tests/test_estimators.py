@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twophase_ate import estimators
+from twophase_ate import estimators, roots
 from twophase_ate.data_model import Dataset
 from twophase_ate.estimators import (
     ESTIMATOR_IDS,
@@ -39,16 +39,16 @@ from util import (
 PI_ONE = lambda ds: NuisanceConfig(known_pi=np.ones(ds.n))
 
 
-def record(monkeypatch, name):
-    """Spy on estimators.<name>: the list it returns gains (args, kwargs,
+def record(monkeypatch, name, module=estimators):
+    """Spy on module.<name>: the list it returns gains (args, kwargs,
     result) for every call."""
-    original, calls = getattr(estimators, name), []
+    original, calls = getattr(module, name), []
 
     def spy(*args, **kwargs):
         calls.append((args, kwargs, original(*args, **kwargs)))
         return calls[-1][2]
 
-    monkeypatch.setattr(estimators, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return calls
 
 
@@ -247,13 +247,13 @@ class TestFixedPoints:
         fits = record(monkeypatch, "fit_fluctuation")
         r = run_estimator(ds, "ipcw_tmle")
         (_, _, fit), = fits  # its one fluctuation
-        assert fit.epsilon == 0.0
+        assert fit.x == 0.0
         assert r.psi_hat == pytest.approx(0.0, abs=1e-10)
 
     def test_quasi_tmle_fixed_point_matches_eee(self, monkeypatch):
         ds = constant_outcome_dataset(np.random.default_rng(9))
         ctx = FittedContext(ds)
-        secants, bisects = record(monkeypatch, "secant"), record(monkeypatch, "bisect")
+        secants, bisects = record(monkeypatch, "secant"), record(monkeypatch, "bisect", roots)
         r_q = run_estimator(ds, "quasi_tmle", ctx)
         r_e = run_estimator(ds, "eee", ctx)
         eps = quasi_fluctuation(secants, bisects)
@@ -420,7 +420,7 @@ class TestFailuresOnRealDraws:
         with pytest.raises(EstimatorError, match="raking solver stalled: vanishing gradient"):
             run_estimator(ds, "raking")
         ctx = FittedContext(ds)
-        secants, bisects = record(monkeypatch, "secant"), record(monkeypatch, "bisect")
+        secants, bisects = record(monkeypatch, "secant"), record(monkeypatch, "bisect", roots)
         r = run_estimator(ds, "quasi_tmle", ctx)
         (_, _, fallback), = bisects
         assert fallback.converged and not secants[0][2].converged  # the secant failed
@@ -545,7 +545,7 @@ class TestPlugInProperty:
     def test_quasi_tmle_plugin_identity(self, monkeypatch):
         ds = make_twophase_dataset(np.random.default_rng(13))
         ctx = FittedContext(ds)
-        secants, bisects = record(monkeypatch, "secant"), record(monkeypatch, "bisect")
+        secants, bisects = record(monkeypatch, "secant"), record(monkeypatch, "bisect", roots)
         r = run_estimator(ds, "quasi_tmle", ctx)
         psi, _ = quasi_plugin(ctx, quasi_fluctuation(secants, bisects))
         assert r.psi_hat == pytest.approx(psi * ctx.scale.span, abs=1e-10)
@@ -561,7 +561,7 @@ class TestPlugInProperty:
         for q_arm in (ctx.q10, ctx.q00):
             resp = np.clip(q_arm, P_MIN, 1.0 - P_MIN)
             m_all = fit_glm(ctx.design.x2, resp, family="bernoulli").predict(ctx.design.x_all)
-            eps = fit_fluctuation(resp, logit(m_all[ctx.p2], P_MIN), inv_pi[ctx.p2]).epsilon
+            eps = fit_fluctuation(resp, logit(m_all[ctx.p2], P_MIN), inv_pi[ctx.p2]).x
             m_star.append(expit(logit(m_all, P_MIN) + eps * inv_pi))
         plug = float(np.mean(m_star[0] - m_star[1])) * ctx.scale.span
         assert r.psi_hat == pytest.approx(plug, abs=1e-10)

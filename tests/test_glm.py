@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from twophase_ate import glm
+from twophase_ate import glm, roots
 from twophase_ate.glm import (
     LOGIT_CLIP,
     PRED_CLIP,
@@ -27,7 +27,7 @@ from twophase_ate.glm import (
     logit,
 )
 
-from util import bisect_oracle
+from util import bisect_oracle, fit_fluctuation_at
 
 
 class TestExpitLogit:
@@ -287,12 +287,12 @@ class TestFitFluctuation:
         h = rng.normal(size=50)
         y = expit(offset)  # score at 0 vanishes exactly
         fit = fit_fluctuation(y, offset, h)
-        assert fit.epsilon == 0.0 and fit.converged
+        assert fit.x == 0.0 and fit.converged
 
     def test_zero_covariate_gives_zero(self):
         y = np.array([0.0, 1.0, 1.0])
         fit = fit_fluctuation(y, np.zeros(3), np.zeros(3))
-        assert fit.epsilon == 0.0 and fit.converged
+        assert fit.x == 0.0 and fit.converged
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -311,9 +311,9 @@ class TestFitFluctuation:
             with pytest.raises(GlmError):
                 fit_fluctuation(y, offset, h, w)
             return
-        fit = fit_fluctuation(y, offset, h, w, tol=1e-12)
+        fit = fit_fluctuation_at(1e-12, y, offset, h, w)
         eps_ref = bisect_oracle(score, -20.0, 20.0)
-        assert fit.epsilon == pytest.approx(eps_ref, abs=1e-8)
+        assert fit.x == pytest.approx(eps_ref, abs=1e-8)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000), c=st.floats(0.2, 5.0))
@@ -329,11 +329,11 @@ class TestFitFluctuation:
 
         if score(-20) * score(20) > 0:
             return
-        f1 = fit_fluctuation(y, offset, h, tol=1e-13)
-        f2 = fit_fluctuation(y, offset, c * h, tol=1e-13)
-        assert f2.epsilon == pytest.approx(f1.epsilon / c, abs=1e-8)
-        np.testing.assert_allclose(expit(offset + f1.epsilon * h),
-                                   expit(offset + f2.epsilon * (c * h)), atol=1e-8)
+        f1 = fit_fluctuation_at(1e-13, y, offset, h)
+        f2 = fit_fluctuation_at(1e-13, y, offset, c * h)
+        assert f2.x == pytest.approx(f1.x / c, abs=1e-8)
+        np.testing.assert_allclose(expit(offset + f1.x * h),
+                                   expit(offset + f2.x * (c * h)), atol=1e-8)
 
     def test_degenerate_score_raises(self):
         # all responses 1 with positive covariate: score never changes sign
@@ -353,6 +353,23 @@ class TestFitFluctuation:
         args[name][row] = bad
         with pytest.raises(GlmError, match=f"^non-finite {name} in fluctuation fit$"):
             fit_fluctuation(args["y"], np.array([0.1, -0.2, 0.3, 0.0]), args["h"], args["w"])
+
+    def test_n_iter_counts_newton_steps_and_halvings(self, monkeypatch):
+        # from 0, Newton takes two steps to eps = 1.86 and its third leaves
+        # [-20, 20]; bisection on that interval then finds the root near -1.78
+        spied = {}
+        for module, name in ((glm, "newton"), (roots, "bisect")):
+            def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+                spied[_name] = _real(*args, **kwargs)
+                return spied[_name]
+            monkeypatch.setattr(module, name, spy)
+        fit = fit_fluctuation([1.0, 1.0, 0.0], [-2.3, -1.8, -0.9], [-2.0, -0.2, -0.9])
+        newton, fallback = spied["newton"], spied["bisect"]
+        assert (newton.n_iter, newton.converged) == (2, False)
+        assert fallback.converged and fit.converged
+        assert (fit.x, fit.f) == (fallback.x, fallback.f)
+        assert fit.n_iter == 2 + fallback.n_iter
+        assert fit.x == pytest.approx(-1.78228391, abs=1e-8)
 
     def test_one_fitted_mean_per_epsilon(self, monkeypatch):
         # Newton reads the score and its slope at each eps; both come from

@@ -10,6 +10,7 @@ from twophase_ate.roots import (
     RootResult,
     _last_value,
     bisect,
+    bracketed,
     newton,
     secant,
 )
@@ -37,6 +38,14 @@ class TestNewton:
         res = newton(lambda x: 1.0 - 0.5 * x - x**2, lambda x: -0.5 - 2.0 * x, 1.0,
                      1e-12, max_iter=50, bound=1.0)
         assert not res.converged and res.n_iter == 0 and res.x == 0.0
+
+
+    def test_solved_at_zero_returns_without_reading_f_or_df(self):
+        def unread(x):
+            raise AssertionError(f"read at {x}")
+
+        res = newton(unread, unread, -1e-13, 1e-12, max_iter=50)
+        assert res == RootResult(0.0, -1e-13, 0, True)
 
 
 class TestLastValue:
@@ -96,6 +105,44 @@ class TestSecant:
     def test_cap_without_a_root(self):
         res = secant(lambda x: x * x + 1.0, 0.0, 0.5, 1e-12)
         assert not res.converged and res.n_iter == SECANT_MAX_ITER
+
+
+class TestBracketed:
+    def test_converged_result_is_returned_untouched(self):
+        res = RootResult(0.5, 1e-14, 3, True)
+        grids = []
+        assert bracketed(lambda x: x - 0.5, res, grids.append, 1e-12) is res
+        assert grids == []
+
+    def test_n_iter_adds_open_steps_and_halvings(self):
+        # Newton on the arctan, whose root is at 0.5, steps from 0 to 3.57
+        # and then leaves [-5, 5]
+        def f(x):
+            return math.atan(10.0 * (0.5 - x))
+
+        res = newton(f, lambda x: -10.0 / (1.0 + (10.0 * (0.5 - x)) ** 2), f(0.0), 1e-12,
+                     max_iter=50, bound=5.0)
+        assert (res.n_iter, res.converged) == (1, False)
+        fallback = bisect(f, (-5.0, 5.0), 1e-12)
+        got = bracketed(f, res, lambda x: (-5.0, 5.0), 1e-12)
+        assert got == RootResult(fallback.x, fallback.f, res.n_iter + fallback.n_iter, True)
+        assert got.x == pytest.approx(0.5, abs=1e-12)
+
+    def test_no_sign_change_gives_none(self):
+        res = RootResult(0.0, 1.0, 4, False)
+        assert bracketed(lambda x: x * x + 1.0, res, lambda x: (-1.0, 1.0), 1e-12) is None
+
+    def test_grid_receives_the_last_iterate(self):
+        seen = []
+
+        def grid(x):
+            seen.append(x)
+            return (x - 1.0, x + 1.0)
+
+        res = bracketed(lambda x: x - 2.5, RootResult(2.0, -0.5, 7, False), grid, 1e-12)
+        # the halvings go to 2 and then to the root at 2.5
+        assert seen == [2.0]
+        assert res == RootResult(2.5, 0.0, 7 + 2, True)
 
 
 def test_raking_without_a_sign_change_returns_unconverged():

@@ -16,9 +16,11 @@ import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 
+from twophase_ate import glm
 from twophase_ate.data_model import CsvSchema, DataError, Dataset, default_bounds
 from twophase_ate.estimators import _GH_MAX_DIM, _GH_NODES, _GH_WEIGHTS
 from twophase_ate.glm import P_MIN, _cho_solve, _factor_spd, expit, fit_fluctuation, fit_glm, logit
@@ -137,10 +139,16 @@ def fulldata_onestep(ds: Dataset) -> float:
 def fulldata_tmle(ds: Dataset) -> float:
     q_a, q1, q0, g1 = _fulldata_fits(ds)
     h = ds.a / g1 - (1 - ds.a) / (1 - g1)
-    fl = fit_fluctuation(ds.y, logit(q_a, P_MIN), h, tol=1e-12)
-    q1s = expit(logit(q1, P_MIN) + fl.epsilon / g1)
-    q0s = expit(logit(q0, P_MIN) - fl.epsilon / (1 - g1))
+    eps = fit_fluctuation_at(1e-12, ds.y, logit(q_a, P_MIN), h).x
+    q1s = expit(logit(q1, P_MIN) + eps / g1)
+    q0s = expit(logit(q0, P_MIN) - eps / (1 - g1))
     return float(np.mean(q1s - q0s))
+
+
+def fit_fluctuation_at(tol: float, *args):
+    """fit_fluctuation(*args) solved to |score| <= tol in place of glm.FLUCT_TOL."""
+    with mock.patch.object(glm, "FLUCT_TOL", tol):
+        return fit_fluctuation(*args)
 
 
 def fulldata_gcomp(ds: Dataset) -> float:

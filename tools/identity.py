@@ -26,6 +26,12 @@ max_outer_iter 0, 1 and 2 for the three loop estimators.
   Philox stream keyed by the seed. Each runs with estimated and with known
   pi, and its all-phase-2 copy (no censored rows) with pi pinned at 1:
   1,920 runs.
+* Tiny pi bounds: missing_rate n=300 at sampling intercept -2.5, seed 20
+  with estimated pi bounded below by 1e-300, and seed 1 with known pi of
+  1e-9 times the truth bounded below by 1e-12. 1/pi reaches 1e12 or more,
+  so the fluctuation, raking and plug-in solves leave the floats or fall
+  back to bisection, which returns a root in some solves and not in
+  others: 40 runs.
 * The bundled cohort: `repro/example_cohort.csv` of this checkout, read
   by each tree under the schema of `repro/example_estimate.cfg`, with
   estimated pi: 20 runs.
@@ -69,6 +75,9 @@ EDGE_SEEDS = (1, 2)
 # Monte-Carlo draws of census_psi and true_psi: within one block of
 # sim._CENSUS_CHUNK (2^16) rows, and across three
 N_MC = (20_000, 2 * (1 << 16) + 123)
+# tiny pi bounds: (seed, known pi as a multiple of the truth, or None for
+# estimated pi, and the pi bounds)
+TINY_PI = ((20, None, (1e-300, 1.0)), (1, 1e-9, (1e-12, 1.0)))
 # the bundled estimate-mode cohort, read as repro/example_estimate.cfg reads it
 COHORT = ROOT / "repro" / "example_cohort.csv"
 # the records of a dataset and of a dataset spec; every other record is a run
@@ -206,6 +215,16 @@ def emit(csv_path: Path) -> None:
                         else:
                             dataset(label, ds, pi)
                         run(label, ds, configs)
+
+    for seed, scale, trunc_pi in TINY_PI:
+        name = f"missing_rate missing_intercept=-2.5 n=300 seed={seed} trunc_pi={trunc_pi}"
+        ds, truth = generate(DgpSpec("missing_rate", n=300, seed=seed, missing_intercept=-2.5))
+        dataset(name, ds, truth.pi0, truth.g0)
+        if scale is None:
+            run(name, ds, [("estimated", NuisanceConfig(trunc_pi=trunc_pi))])
+        else:
+            run(name, ds, [(f"known x {scale}",
+                            NuisanceConfig(known_pi=truth.pi0 * scale, trunc_pi=trunc_pi))])
 
     schema = CsvSchema(treatment="a", outcome="y", delta="delta", w1=("x1",), w2=("z1", "z2"))
     try:
