@@ -30,6 +30,11 @@ __all__ = [
 # Relative margin used when continuous-outcome bounds are derived from data.
 BOUNDS_MARGIN = 1e-6
 
+# rows per block of a full-length pass taken in pieces (a population draw,
+# the census predictions, writing a CSV file): a block's few float columns
+# fit in a core's L2 cache
+_ROW_BLOCK = 1 << 13
+
 
 class DataError(ValueError):
     """A dataset or CSV file violates the two-phase data contract."""
@@ -378,16 +383,20 @@ def _fmt_column(col: np.ndarray) -> list[str]:
 
 
 def write_csv(ds: Dataset, path, schema: CsvSchema) -> None:
-    """Write a dataset using the schema's column order; inverse of load_csv."""
+    """Write a dataset using the schema's column order; inverse of load_csv.
+    Rows are formatted and written one block at a time, so no cell text of
+    more than one block is held at once."""
     if len(schema.w1) != ds.d_w1 or len(schema.w2) != ds.d_w2:
         raise DataError("schema dimensions do not match dataset")
-    phase2 = (ds.delta == 1).tolist()
-    columns = [_fmt_column(ds.w1[:, j]) for j in range(ds.d_w1)]
-    columns += [[cell if keep else "" for cell, keep in zip(_fmt_column(ds.w2[:, j]), phase2)]
-                for j in range(ds.d_w2)]
-    columns += [list(map(str, ds.a.tolist())), _fmt_column(ds.y),
-                list(map(str, ds.delta.tolist()))]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(schema.columns)
-        writer.writerows(zip(*columns))
+        for lo in range(0, ds.n, _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            phase2 = (ds.delta[rows] == 1).tolist()
+            columns = [_fmt_column(ds.w1[rows, j]) for j in range(ds.d_w1)]
+            columns += [[cell if keep else "" for cell, keep in
+                         zip(_fmt_column(ds.w2[rows, j]), phase2)] for j in range(ds.d_w2)]
+            columns += [list(map(str, ds.a[rows].tolist())), _fmt_column(ds.y[rows]),
+                        list(map(str, ds.delta[rows].tolist()))]
+            writer.writerows(zip(*columns))

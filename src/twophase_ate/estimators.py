@@ -504,6 +504,10 @@ _GH_NODES = np.array([-np.sqrt(3.0), 0.0, np.sqrt(3.0)])
 _GH_WEIGHTS = np.array([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0])
 # tensor grids grow as 3^d; beyond this, collapse to mean-only imputation
 _GH_MAX_DIM = 5
+# node-row elements per block of the quadrature's (nodes x censored)
+# arrays, so their memory stays bounded as the nodes grow as 3^d (one node
+# a block when a node alone has more rows)
+_GH_BLOCK = 1 << 16
 
 
 def _imputation(ctx: FittedContext, censored: np.ndarray):
@@ -562,7 +566,7 @@ def _working_model(ctx: FittedContext, censored: np.ndarray, imputed,
     # a node moves w2 by one shift on every censored row, so it moves each
     # linear predictor by one scalar: the designs are built once, at the
     # imputation mean, and every node is evaluated as one row of a
-    # (nodes x censored) block
+    # (nodes x censored) block of at most _GH_BLOCK elements
     (X, X1, X0), weights, shifts = imputed
     beta = fit.coefficients
     w2 = slice(2 + ds.d_w1, None)
@@ -570,9 +574,21 @@ def _working_model(ctx: FittedContext, censored: np.ndarray, imputed,
     # product would round differently
     sb = np.array([[shift @ beta[w2]] for shift in shifts])
     sa = np.array([[shift @ alpha[w2]] for shift in shifts])
-    q_a, q1, q0 = (fit.mean(Z @ beta + sb) for Z in (X, X1, X0))
-    terms = weights[:, None] * ((X @ alpha + sa) * (ds.y[censored] - q_a) + (q1 - q0))
-    u[censored] = np.add.reduce(terms, axis=0)  # node by node, in node order
+    etas = [Z @ beta for Z in (X, X1, X0)]
+    xa, y_c = X @ alpha, ds.y[censored]
+    step = max(1, _GH_BLOCK // max(1, len(censored)))
+    for k in range(0, len(weights), step):
+        nodes = slice(k, k + step)
+        q_a, q1, q0 = (fit.mean(eta + sb[nodes]) for eta in etas)
+        terms = weights[nodes, None] * ((xa + sa[nodes]) * (y_c - q_a) + (q1 - q0))
+        # node by node, in node order: the first block's reduce adds its
+        # rows in turn, and each later node is added after them
+        if k == 0:
+            total = np.add.reduce(terms, axis=0)
+        else:
+            for term in terms:
+                total += term
+    u[censored] = total
     return fit, float(wn @ (q12 - q02)), u
 
 

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data_model import DataError, Dataset, _as_integer, default_bounds
+from .data_model import _ROW_BLOCK, DataError, Dataset, _as_integer, default_bounds
 from .estimators import (
     DEFAULT_OPTIONS,
     ESTIMATOR_IDS,
@@ -216,7 +216,7 @@ def _law(spec: DgpSpec, z: np.ndarray) -> _Law:
 
 
 # rows per block when a population is drawn and when census_psi predicts
-_CENSUS_CHUNK = 1 << 16
+_CENSUS_CHUNK = _ROW_BLOCK
 
 
 def _blocks(n: int) -> list[tuple[int, int]]:
@@ -310,10 +310,11 @@ def census_psi(spec: DgpSpec, n_mc: int = 1_000_000, seed: int = 77_000_002) -> 
     Full data are drawn without censoring, the working model (logistic for
     binary outcomes, linear otherwise) is fit unweighted, and the fitted
     contrast is averaged over the draw. The population is drawn and the
-    a=1 and a=0 predictions made block by block, the contrast into the
-    outcome's buffer once the fit has read it. The linear model is solved
-    from its normal equations, so it holds nothing of full length besides
-    the design and the outcome.
+    a=1 and a=0 predictions made block by block, in place: once the fit
+    has read them, each block of the design has its treatment column set
+    to 1, then to 0, and the contrast goes into the outcome's buffer. The
+    linear model is solved from its normal equations, so it holds nothing
+    of full length besides the design and the outcome.
     """
     n_mc, seed = _check_draws(n_mc, seed)
     X, y, family = _census_draw(spec, n_mc, seed)
@@ -324,11 +325,9 @@ def census_psi(spec: DgpSpec, n_mc: int = 1_000_000, seed: int = 77_000_002) -> 
             return b @ beta
     else:
         predict = fit_glm(X, y, family=family).predict
-    contrast = y  # nothing reads the outcome again
-    block = np.empty((min(n_mc, _CENSUS_CHUNK), X.shape[1]))
+    contrast = y  # nothing reads the outcome, or the design, again
     for lo, hi in _blocks(n_mc):
-        b = block[:hi - lo]
-        b[:] = X[lo:hi]
+        b = X[lo:hi]
         b[:, 1] = 1.0
         q1 = predict(b)
         b[:, 1] = 0.0

@@ -1,4 +1,5 @@
 import importlib.machinery
+import re
 import sys
 
 import numpy as np
@@ -169,6 +170,56 @@ class TestFitGlm:
     def test_nan_rejected(self):
         with pytest.raises(GlmError):
             fit_glm(np.array([[1.0], [np.nan]]), [0.0, 1.0], family="gaussian")
+
+
+class TestNamedErrors:
+    """Each input a fit cannot use fails with a GlmError that names it."""
+
+    X = np.column_stack([np.ones(4), [0.0, 1.0, 2.0, 3.0]])
+    Y = np.array([0.0, 1.0, 1.0, 0.0])
+
+    def test_ridge_retry_that_still_fails(self):
+        # indefinite: eigenvalues 3 and -1, and the ridge adds only 1e-8
+        with pytest.raises(GlmError, match="^singular weighted Gram matrix even after ridge"):
+            _factor_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("design, width", [(np.ones((3, 3)), "3"), (np.ones(2), "?")])
+    def test_design_of_the_wrong_width(self, design, width):
+        fit = fit_glm(self.X, self.Y, family="gaussian")
+        with pytest.raises(GlmError, match=f"^design has {re.escape(width)} columns, "
+                                           f"fit expects 2$"):
+            fit.predict(design)
+
+    @pytest.mark.parametrize("X, y, w, message", [
+        (np.ones(4), Y, None, "design matrix must be 2-d"),
+        (X[:3], Y, None, "X, y, w lengths disagree"),
+        (np.ones((0, 2)), np.ones(0), None, "empty design"),
+        (X, [0.0, np.inf, 1.0, 0.0], None, "non-finite values in X, y or w"),
+        (X, Y, np.ones(3), "X, y, w lengths disagree"),
+        (X, Y, [1.0, np.nan, 1.0, 1.0], "non-finite values in X, y or w"),
+        (X, Y, [1.0, -0.5, 1.0, 1.0], "negative weights"),
+    ])
+    def test_unusable_input_rejected(self, X, y, w, message):
+        with pytest.raises(GlmError, match=f"^{re.escape(message)}$"):
+            fit_glm(X, y, w, family="gaussian")
+
+    def test_unknown_family(self):
+        with pytest.raises(GlmError, match="^unknown family 'poisson'$"):
+            fit_glm(self.X, self.Y, family="poisson")
+
+    @pytest.mark.parametrize("bad", [-0.5, 2.0])
+    def test_bernoulli_response_outside_the_unit_interval(self, bad):
+        with pytest.raises(GlmError, match=r"^bernoulli responses must lie in \[0, 1\]$"):
+            fit_glm(self.X, [0.0, 1.0, bad, 0.0], family="bernoulli")
+
+    @pytest.mark.parametrize("offset, w, message", [
+        (np.zeros(3), None, "fluctuation inputs disagree in length"),
+        ([0.0, np.nan, 0.0, 0.0], None, "non-finite offset in fluctuation fit"),
+        (np.zeros(4), [1.0, -1.0, 1.0, 1.0], "negative weights in fluctuation fit"),
+    ])
+    def test_unusable_fluctuation_input_rejected(self, offset, w, message):
+        with pytest.raises(GlmError, match=f"^{message}$"):
+            fit_fluctuation(self.Y, offset, np.ones(4), w)
 
 
 @st.composite

@@ -2,7 +2,6 @@ import hashlib
 import math
 import os
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +26,8 @@ from twophase_ate.sim import (
     true_psi,
     write_report_csv,
 )
+
+from util import traced_peak
 
 
 class TestGenerate:
@@ -146,28 +147,19 @@ class TestCensusInBoundedMemory:
 
     # traced peak bytes a row at 200,000 draws: the design and the outcome
     # take 56, and the contrast is written over the outcome. The linear fit
-    # adds nothing of full length, and the draw's per-block temporaries
-    # about 24 (80 in all); the logistic fit's weighted copy of the design
-    # adds 48 more
+    # adds nothing of full length, and the 2^13-row blocks' temporaries
+    # about 3.4 (59.4 in all, against 80 at 2^16-row blocks that copied the
+    # design); the logistic fit's weighted copy of the design adds 48 more,
+    # and its IRLS vectors the rest
     PEAK_BYTES_PER_ROW = {"kang_dr": 128, "missing_rate": 128,
-                          "raking_gap": 84, "near_positivity": 84}
+                          "raking_gap": 60, "near_positivity": 60}
 
     @pytest.mark.parametrize("dgp", DGP_IDS)
     def test_peak_traced_memory_per_row(self, dgp):
         # the draw, the fit and the contrast together; one more full-length
         # vector would add 8
         n_mc = 200_000
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            census_psi(DgpSpec(dgp, n=1, seed=0), n_mc=n_mc)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        peak = traced_peak(lambda: census_psi(DgpSpec(dgp, n=1, seed=0), n_mc=n_mc))
         assert peak / n_mc <= self.PEAK_BYTES_PER_ROW[dgp]
 
 
@@ -206,10 +198,15 @@ class TestStreamOrderAcrossBlocks:
         ("near_positivity", 257): (0.529437860218251, 0.5, "3b35eda4c12f9266"),
         ("near_positivity", 635): (0.3352710450741946, 0.5, "5239c65fb0ebd266"),
     }
-    # generate's digest on 2 * _CENSUS_CHUNK + 123 rows at seed 3, at the
-    # block size the package ships with
-    FULL_SIZE_DIGESTS = {"kang_dr": "ac96ebfea9a1a20c", "missing_rate": "dc238300ad63d29e",
-                         "raking_gap": "13baab68735f858b", "near_positivity": "44f6982d04e72460"}
+    # generate's digest at seed 3 on 2 * 2^16 + 123 rows and on
+    # 2 * 2^13 + 123: three blocks at the former block size and at the one
+    # the package ships with. Both were pinned from 2^16-row blocks
+    FULL_SIZE_DIGESTS = {
+        131_195: {"kang_dr": "ac96ebfea9a1a20c", "missing_rate": "dc238300ad63d29e",
+                  "raking_gap": "13baab68735f858b", "near_positivity": "44f6982d04e72460"},
+        16_507: {"kang_dr": "f9ebc35bee6b99c3", "missing_rate": "1f2192e7dfd2208d",
+                 "raking_gap": "49ce164117e27cde", "near_positivity": "4dd33ec6189a4e8d"},
+    }
 
     @pytest.mark.parametrize("dgp", DGP_IDS)
     def test_values_at_block_edges_are_pinned(self, dgp, monkeypatch):
@@ -222,8 +219,9 @@ class TestStreamOrderAcrossBlocks:
 
     @pytest.mark.parametrize("dgp", DGP_IDS)
     def test_dataset_over_three_full_blocks_is_pinned(self, dgp):
-        spec = DgpSpec(dgp, n=2 * _CENSUS_CHUNK + 123, seed=3)
-        assert _dataset_digest(*generate(spec)) == self.FULL_SIZE_DIGESTS[dgp]
+        for n, digests in self.FULL_SIZE_DIGESTS.items():
+            spec = DgpSpec(dgp, n=n, seed=3)
+            assert _dataset_digest(*generate(spec)) == digests[dgp], n
 
 
 class TestPopulationArguments:

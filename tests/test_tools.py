@@ -67,7 +67,7 @@ def test_identity_names_the_one_estimator_a_last_bit_change_moves(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[-1] == "differ: census_psi, eee"
     census = [line for line in lines[:-1] if " census_psi: value " in line]
-    assert len(census) == 12
+    assert len(census) == 18  # 6 dataset specs x 3 draw sizes
     runs = [line for line in lines[:-1] if line not in census]
     assert runs and all(" eee mode=" in line for line in runs)
     # the grid ends with the bundled cohort under its estimate-mode schema

@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -38,6 +39,22 @@ def run_python(*args: str, cwd=None) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def traced_peak(call) -> int:
+    """The traced peak bytes allocated by call() above what was allocated
+    before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def make_full_dataset(rng: np.random.Generator, n: int = 200, d2: int = 2) -> Dataset:

@@ -13,7 +13,7 @@ for example a `git archive` of the parent commit. For each run that differs
 the first differing field is printed; the exit status is 1 if anything
 differs, else 0.
 
-The grid has two parts, and every dataset of it runs the same roster: all
+The grid has four parts, and every dataset of it runs the same roster: all
 eight estimators, the linearized mode of the three that read it and
 max_outer_iter 0, 1 and 2 for the three loop estimators.
 
@@ -21,11 +21,12 @@ max_outer_iter 0, 1 and 2 for the three loop estimators.
   intercept -0.5 and raking_gap at gamma 0) x n in {20, 30, 40, 300, 1000}
   x seeds 1-3 x estimated or known pi: 3,600 runs.
 * Synthetic edge cases: cohorts with one w1 column and d2 in {0, 1, 6, 7}
-  w2 columns (none, one, and both sides of raking's quadrature limit) x a
-  binary or continuous outcome x n in {40, 300} x seeds 1-2, drawn from a
-  Philox stream keyed by the seed. Each runs with estimated and with known
-  pi, and its all-phase-2 copy (no censored rows) with pi pinned at 1:
-  1,920 runs.
+  w2 columns (none, one, and both sides of raking's quadrature limit) at
+  n in {40, 300}, and with d2 = 5 at n = 2000, whose ~900 censored rows
+  take raking's 243 quadrature nodes in four blocks; each x a binary or
+  continuous outcome x seeds 1-2, drawn from a Philox stream keyed by the
+  seed. Each runs with estimated and with known pi, and its all-phase-2
+  copy (no censored rows) with pi pinned at 1: 2,160 runs.
 * Tiny pi bounds: missing_rate n=300 at sampling intercept -2.5, seed 20
   with estimated pi bounded below by 1e-300, and seed 1 with known pi of
   1e-9 times the truth bounded below by 1e-12. 1/pi reaches 1e12 or more,
@@ -40,8 +41,9 @@ Each dataset of the grid is recorded three times: a digest of its arrays,
 a digest of its `write_csv` -> `load_csv` round trip (the file's bytes
 and the arrays read back) and a digest of its phase-2 index. Each of the
 6 dataset specs at seed 1 also records `reference_psi`, and `census_psi`
-and `true_psi` at 20,000 Monte-Carlo draws (one block of the population
-draw) and at 2 * 2^16 + 123 draws (three blocks, the last one partial).
+and `true_psi` at 5,000 Monte-Carlo draws (one block of the population
+draw), 20,000 (three blocks, the last one partial) and 2 * 2^16 + 123
+(seventeen).
 
 It uses only `generate`, `census_psi`, `true_psi`, `reference_psi`,
 `Dataset`, `CsvSchema`, `write_csv`, `load_csv`, `NuisanceConfig` and
@@ -69,12 +71,14 @@ DATASETS = [("kang_dr", {}), ("missing_rate", {}), ("raking_gap", {}), ("near_po
 SIZES = (20, 30, 40, 300, 1000)
 SEEDS = (1, 2, 3)
 LOOPS = ("ipcw_tmle_target_pi", "ipcw_tmle_rake_pi", "tmle_alt")
-EDGE_D2 = (0, 1, 6, 7)
-EDGE_SIZES = (40, 300)
+# (d2, n) of the synthetic cohorts: d2 = 5 at n = 2000 is the widest
+# quadrature, over enough censored rows to take its nodes in several blocks
+EDGE_COHORTS = [(d2, n) for d2 in (0, 1, 6, 7) for n in (40, 300)] + [(5, 2000)]
 EDGE_SEEDS = (1, 2)
 # Monte-Carlo draws of census_psi and true_psi: within one block of
-# sim._CENSUS_CHUNK (2^16) rows, and across three
-N_MC = (20_000, 2 * (1 << 16) + 123)
+# sim._CENSUS_CHUNK (2^13) rows, across three, the last one partial, and
+# across seventeen
+N_MC = (5_000, 20_000, 2 * (1 << 16) + 123)
 # tiny pi bounds: (seed, known pi as a multiple of the truth, or None for
 # estimated pi, and the pi bounds)
 TINY_PI = ((20, None, (1e-300, 1.0)), (1, 1e-9, (1e-12, 1.0)))
@@ -196,25 +200,24 @@ def emit(csv_path: Path) -> None:
                 known = NuisanceConfig(known_pi=None if truth is None else truth.pi0)
                 run(name, ds, [("estimated", NuisanceConfig()), ("known", known)])
 
-    for d2 in EDGE_D2:
+    for d2, n in EDGE_COHORTS:
         for y_kind in ("binary", "continuous"):
-            for n in EDGE_SIZES:
-                for seed in EDGE_SEEDS:
-                    name = f"synthetic d2={d2} y={y_kind} n={n} seed={seed}"
-                    cohort, pi, full = edge_cohort(d2, y_kind, n, seed)
-                    for label, args, configs in (
-                            (name, cohort, [("estimated", NuisanceConfig()),
-                                            ("known", NuisanceConfig(known_pi=pi))]),
-                            (f"{name} all-phase-2", full,
-                             [("pinned", NuisanceConfig(known_pi=np.ones(n)))])):
-                        try:
-                            ds = Dataset(**args)
-                        except DataError as exc:
-                            ds = None
-                            unusable(label, exc)
-                        else:
-                            dataset(label, ds, pi)
-                        run(label, ds, configs)
+            for seed in EDGE_SEEDS:
+                name = f"synthetic d2={d2} y={y_kind} n={n} seed={seed}"
+                cohort, pi, full = edge_cohort(d2, y_kind, n, seed)
+                for label, args, configs in (
+                        (name, cohort, [("estimated", NuisanceConfig()),
+                                        ("known", NuisanceConfig(known_pi=pi))]),
+                        (f"{name} all-phase-2", full,
+                         [("pinned", NuisanceConfig(known_pi=np.ones(n)))])):
+                    try:
+                        ds = Dataset(**args)
+                    except DataError as exc:
+                        ds = None
+                        unusable(label, exc)
+                    else:
+                        dataset(label, ds, pi)
+                    run(label, ds, configs)
 
     for seed, scale, trunc_pi in TINY_PI:
         name = f"missing_rate missing_intercept=-2.5 n=300 seed={seed} trunc_pi={trunc_pi}"
