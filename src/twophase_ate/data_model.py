@@ -12,7 +12,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -252,17 +252,24 @@ _FINITE = (np.isfinite, "finite")
 _BINARY = (lambda v: (v == 0.0) | (v == 1.0), "0/1")
 
 
-def _parse_column(cells, name: str, rules, errors: list, rownums=None,
+def _parse_column(cells: list[str], name: str, rules, errors: list, rownums=None,
                   blank: str | None = None) -> np.ndarray:
     """The trimmed cells of one column as floats. The first bad cell, if any,
     adds (its row index, through rownums if given; a message) to errors: the
     blank message if the cell is blank and there is one, else that float()
     cannot parse it, else the first rule that its value fails."""
-    cells = list(map(str.strip, cells))
+    if _BINARY in rules and cells.count("0") + cells.count("1") == len(cells):
+        # every cell reads exactly 0 or 1, which passes every rule: read the
+        # joined text, one character a cell, with no float() per cell
+        return (np.frombuffer("".join(cells).encode(), dtype=np.uint8) == ord("1")).astype(float)
     unparsed = np.zeros(len(cells), dtype=bool)
     try:
+        # float() skips the whitespace around a number that strip() trims,
+        # but for the separators \x1c-\x1f in ASCII text: a cell padded with
+        # those is parsed trimmed, below, as every cell is if one fails
         values = np.array(cells, dtype=float)
     except ValueError:  # find the cells that do not parse
+        cells = list(map(str.strip, cells))
         values = np.full(len(cells), np.nan)
         for i, cell in enumerate(cells):
             try:
@@ -275,7 +282,7 @@ def _parse_column(cells, name: str, rules, errors: list, rownums=None,
     if ok.all():
         return values
     i = int(np.argmin(ok))
-    cell = cells[i]
+    cell = cells[i].strip()
     if blank is not None and cell == "":
         message = blank
     elif unparsed[i]:
@@ -287,18 +294,19 @@ def _parse_column(cells, name: str, rules, errors: list, rownums=None,
     return values
 
 
-def _parse_columns(rows: list[list[str]], width: int, col_idx: dict[str, int],
-                   schema: CsvSchema):
-    """Parse the schema columns of all rows, one vectorised pass per column,
-    and return (w1, a, y, delta, w2); or raise the DataError that load_csv
-    describes. Only the rows before the first row of the wrong width are
-    parsed, and of the w2 cells only those of delta=1 rows.
+def _parse_columns(cells: list[str], widths: list[int], width: int, first_row: int,
+                   col_idx: dict[str, int], schema: CsvSchema):
+    """Parse the schema columns of one block of data rows, given as the cells
+    of its rows in order and the number of cells of each row, one vectorised
+    pass per column, and return (w1, a, y, delta, w2); or raise the DataError
+    that load_csv describes, counting rows from first_row. Only the rows
+    before the first row of the wrong width are parsed, and of the w2 cells
+    only those of delta=1 rows.
     """
-    n = len(rows)  # the rows before the first of the wrong width
-    if set(map(len, rows)) != {width}:
-        n = next(i for i, cells in enumerate(rows) if len(cells) != width)
-    columns = list(zip(*rows[:n])) or [()] * width
-    cols = {name: columns[col_idx[name]] for name in schema.columns}
+    n = len(widths)  # the rows before the first of the wrong width
+    if widths.count(width) != n:
+        n = next(i for i, w in enumerate(widths) if w != width)
+    cols = {name: cells[col_idx[name]:n * width:width] for name in schema.columns}
     errors: list[tuple[int, str]] = []  # (row index, message), in cell order
     delta = _parse_column(cols[schema.delta], schema.delta, (_BINARY,), errors)
     a = _parse_column(cols[schema.treatment], schema.treatment, (_BINARY,), errors)
@@ -317,17 +325,107 @@ def _parse_columns(rows: list[list[str]], width: int, col_idx: dict[str, int],
     p2_rows = np.flatnonzero(p2)
     w2 = np.full((n, len(schema.w2)), np.nan)
     for j, name in enumerate(schema.w2):
-        w2[p2, j] = _parse_column(compress(cols[name], in_p2), name, (_FINITE,), errors,
-                                  p2_rows, blank=f"delta=1 but {name} is missing")
-        if "".join(map(str.strip, compress(cols[name], out_p2))):
+        w2[p2, j] = _parse_column(list(compress(cols[name], in_p2)), name, (_FINITE,),
+                                  errors, p2_rows, blank=f"delta=1 but {name} is missing")
+        # the joined cells hold a non-blank character if and only if one cell does
+        if "".join(compress(cols[name], out_p2)).strip():
             i = next(i for i in np.flatnonzero(~p2).tolist() if cols[name][i].strip())
             errors.append((i, f"delta=0 row has a value in phase-2 column {name}"))
-    if n < len(rows):
-        errors.append((n, f"expected {width} cells, got {len(rows[n])}"))
+    if n < len(widths):
+        errors.append((n, f"expected {width} cells, got {widths[n]}"))
     if errors:
         row, message = min(errors, key=lambda error: error[0])  # the first in cell order
-        raise DataError(f"row {row + 1}: {message}")
+        raise DataError(f"row {first_row + row + 1}: {message}")
     return w1, a.astype(np.int64), y, delta.astype(np.int64), w2
+
+
+def _split_lines(text: str, n: int) -> tuple[list[str], list[int]]:
+    """(cells, widths) of text, n lines each ended by CRLF, CR or LF but the
+    last, which may have no line end, and no NUL: the cells of its lines in
+    order, split at each comma, and the number of cells of each line, none
+    of an empty line."""
+    # with each line end made a NUL cell of its own, one split at each comma
+    # gives the cells; if the n - 1 NULs fall after every width-th cell,
+    # every line has that width. Deleting every CR takes a CRLF for an LF,
+    # and runs a line ended by a lone CR into the next, which leaves too few
+    # NULs for this test unless that line is the last.
+    tokens = (text.replace("\r", "") if "\r" in text else text).removesuffix("\n")
+    tokens = tokens.replace("\n", ",\0,").split(",")
+    width = (len(tokens) + 1) // n - 1
+    if (width > 1 and len(tokens) == n * (width + 1) - 1
+            and tokens[width::width + 1] == ["\0"] * (n - 1)):
+        del tokens[width::width + 1]
+        return tokens, [width] * n
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
+    cells = ",".join(filter(None, lines))
+    return (cells.split(",") if cells else []), [line.count(",") + 1 if line else 0
+                                                  for line in lines]
+
+
+def _reader_blocks(lines, lines_before: int):
+    """(cells, widths) of the records that csv.reader reads from lines,
+    _ROW_BLOCK records at a time; its parse error raises DataError, naming
+    the line as the file counts it, lines_before lines having gone before."""
+    reader = csv.reader(lines)
+    try:
+        while rows := list(islice(reader, _ROW_BLOCK)):
+            yield list(chain.from_iterable(rows)), list(map(len, rows))
+    except csv.Error as exc:
+        raise DataError(f"cannot parse CSV line {lines_before + reader.line_num}: {exc}") from None
+
+
+def _record_blocks(fh):
+    """The records of the open CSV file fh, _ROW_BLOCK lines at a time, each
+    block as (cells, widths): the cells of its records in order, and the
+    number of cells of each record.
+
+    A block whose lines hold no quote character and no NUL, and none longer
+    than csv.field_size_limit() with its line end, is split at its commas:
+    csv.reader would read each such line as its comma-separated cells, an
+    empty line as a record of no cells. From the first block with any other
+    line on, csv.reader reads the rest of the file.
+    """
+    lines_before = 0
+    # a file opened with newline="" leaves each line its own line end, CRLF,
+    # CR or LF, which appears nowhere else in the line
+    while raw := list(islice(fh, _ROW_BLOCK)):
+        text = "".join(raw)
+        if '"' in text or "\0" in text or max(map(len, raw)) > csv.field_size_limit():
+            yield from _reader_blocks(chain(raw, fh), lines_before)
+            return
+        yield _split_lines(text, len(raw))
+        lines_before += len(raw)
+
+
+def _read_columns(blocks, schema: CsvSchema):
+    """(w1, a, y, delta, w2) of the record blocks of a CSV file, each block
+    parsed as it is read, so that the cell text of the whole file is never
+    held at once; or the DataError that load_csv describes."""
+    cells, widths = next(blocks, ([], []))
+    if not widths:
+        raise DataError("empty CSV file")
+    header = cells[:widths[0]]
+    col_idx = {name: i for i, name in enumerate(header)}
+    for name in schema.columns:
+        if name not in col_idx:
+            raise DataError(f"CSV is missing required column {name!r}")
+    for name in schema.columns:
+        if header.count(name) > 1:
+            raise DataError(f"CSV header names column {name!r} more than once")
+    parts = [_parse_columns(cells[widths[0]:], widths[1:], len(header), 0, col_idx, schema)]
+    n = len(widths) - 1
+    for cells, widths in blocks:
+        parts.append(_parse_columns(cells, widths, len(header), n, col_idx, schema))
+        n += len(widths)
+    if not n:
+        raise DataError("CSV contains a header but no data rows")
+    columns = [list(pieces) for pieces in zip(*parts)]
+    parts.clear()
+    out = []
+    while columns:  # one column at a time, its blocks' pieces dropped once copied
+        pieces = columns.pop(0)
+        out.append(pieces[0] if len(pieces) == 1 else np.concatenate(pieces))
+    return out
 
 
 def load_csv(path, schema: CsvSchema) -> Dataset:
@@ -349,28 +447,19 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
+            blocks = _record_blocks(fh)
             try:
-                rows = list(reader)
-            except csv.Error as exc:
-                raise DataError(f"cannot parse CSV line {reader.line_num}: {exc}") from None
+                w1, a, y, delta, w2 = _read_columns(blocks, schema)
+            except DataError:
+                # a file that cannot be read or tokenized is reported as
+                # such, whatever its earlier rows hold
+                for _ in blocks:
+                    pass
+                raise
     except OSError as exc:
         raise DataError(f"cannot read CSV file: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"CSV file is not valid UTF-8: {exc}") from None
-    if not rows:
-        raise DataError("empty CSV file")
-    header, rows = rows[0], rows[1:]
-    col_idx = {name: i for i, name in enumerate(header)}
-    for name in schema.columns:
-        if name not in col_idx:
-            raise DataError(f"CSV is missing required column {name!r}")
-    for name in schema.columns:
-        if header.count(name) > 1:
-            raise DataError(f"CSV header names column {name!r} more than once")
-    if not rows:
-        raise DataError("CSV contains a header but no data rows")
-    w1, a, y, delta, w2 = _parse_columns(rows, len(header), col_idx, schema)
     y_bounds = schema.y_bounds or (default_bounds(y) if schema.y_kind == "continuous"
                                    else (0.0, 1.0))
     return Dataset(w1=w1, a=a, y=y, delta=delta, w2=w2, y_kind=schema.y_kind,
@@ -385,18 +474,23 @@ def _fmt_column(col: np.ndarray) -> list[str]:
 def write_csv(ds: Dataset, path, schema: CsvSchema) -> None:
     """Write a dataset using the schema's column order; inverse of load_csv.
     Rows are formatted and written one block at a time, so no cell text of
-    more than one block is held at once."""
+    more than one block is held at once. csv.writer writes the header; a
+    data cell is a formatted number or empty, which never needs quoting, so
+    a data row is its cells joined with commas and ended with CRLF, as
+    csv.writer writes it."""
     if len(schema.w1) != ds.d_w1 or len(schema.w2) != ds.d_w2:
         raise DataError("schema dimensions do not match dataset")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(schema.columns)
+        csv.writer(fh).writerow(schema.columns)
         for lo in range(0, ds.n, _ROW_BLOCK):
             rows = slice(lo, lo + _ROW_BLOCK)
-            phase2 = (ds.delta[rows] == 1).tolist()
+            phase2 = ds.delta[rows] == 1
             columns = [_fmt_column(ds.w1[rows, j]) for j in range(ds.d_w1)]
-            columns += [[cell if keep else "" for cell, keep in
-                         zip(_fmt_column(ds.w2[rows, j]), phase2)] for j in range(ds.d_w2)]
+            for j in range(ds.d_w2):  # formatted on delta=1 rows only, empty elsewhere
+                cells = np.full(len(phase2), "", dtype=object)
+                cells[phase2] = _fmt_column(ds.w2[rows, j][phase2])
+                columns.append(cells.tolist())
+            # delta, the last cell of a row, carries its line end
             columns += [list(map(str, ds.a[rows].tolist())), _fmt_column(ds.y[rows]),
-                        list(map(str, ds.delta[rows].tolist()))]
-            writer.writerows(zip(*columns))
+                        list(map(("0\r\n", "1\r\n").__getitem__, ds.delta[rows].tolist()))]
+            fh.writelines(map(",".join, zip(*columns)))

@@ -1,4 +1,6 @@
+import csv
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -129,6 +131,32 @@ class TestDatasetValidation:
             Dataset(w1=np.zeros((2, 1)), a=[0, 1], y=[0.0, 1.0], delta=[1, 1],
                     w2=np.ones((2, 1)), y_kind="continuous", y_bounds=bounds)
 
+    def test_columns_of_different_lengths_rejected(self):
+        with pytest.raises(DataError, match="^column lengths disagree$"):
+            Dataset(w1=np.zeros((2, 1)), a=[0, 1], y=[0.0, 1.0, 1.0], delta=[1, 1],
+                    w2=np.ones((2, 1)))
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(DataError, match="^dataset is empty$"):
+            Dataset(w1=np.zeros((0, 1)), a=[], y=[], delta=[], w2=np.zeros((0, 1)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_w1_rejected(self, value):
+        with pytest.raises(DataError, match="^w1 contains non-finite values$"):
+            Dataset(w1=np.array([[0.0], [value]]), a=[0, 1], y=[0.0, 1.0], delta=[1, 1],
+                    w2=np.ones((2, 1)))
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_outcome_rejected(self, value):
+        with pytest.raises(DataError, match="^y contains non-finite values$"):
+            Dataset(w1=np.zeros((2, 1)), a=[0, 1], y=[0.0, value], delta=[1, 1],
+                    w2=np.ones((2, 1)), y_kind="continuous", y_bounds=(0.0, 1.0))
+
+    def test_unknown_outcome_kind_rejected(self):
+        with pytest.raises(DataError, match="^unknown y_kind 'count'$"):
+            Dataset(w1=np.zeros((2, 1)), a=[0, 1], y=[0.0, 1.0], delta=[1, 1],
+                    w2=np.ones((2, 1)), y_kind="count")
+
     def test_arrays_are_write_protected(self):
         ds = toy_dataset()
         with pytest.raises(ValueError):
@@ -171,6 +199,11 @@ class TestScaleOutcome:
         scaled, scale = scale_outcome(ds)
         np.testing.assert_allclose(scaled.y * scale.span + scale.lo, y, atol=1e-12)
 
+    @pytest.mark.parametrize("value, span", [(0.0, 1.0), (3.0, 3.0), (-250.0, 250.0)])
+    def test_default_bounds_of_a_constant_outcome(self, value, span):
+        # a zero range is widened by the margin of a span of max(1, |value|)
+        assert default_bounds(np.full(4, value)) == (value - 1e-6 * span, value + 1e-6 * span)
+
     def test_default_bounds_cover_data(self):
         y = np.array([-1.0, 4.0])
         lo, hi = default_bounds(y)
@@ -184,6 +217,26 @@ SCHEMA = CsvSchema(treatment="a", outcome="y", delta="delta",
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n")
+
+
+class TestCsvSchema:
+    def test_schema_without_w1_rejected(self):
+        with pytest.raises(DataError, match="^schema needs at least one w1 column$"):
+            CsvSchema(treatment="a", outcome="y", delta="delta", w1=())
+
+    @pytest.mark.parametrize("roles", [{"outcome": "a"}, {"w2": ("x1",)}, {"w1": ("x1", "x1")}])
+    def test_column_with_two_roles_rejected(self, roles):
+        fields = {"treatment": "a", "outcome": "y", "delta": "delta", "w1": ("x1",)}
+        with pytest.raises(DataError, match="^schema assigns one column to several roles$"):
+            CsvSchema(**{**fields, **roles})
+
+    @pytest.mark.parametrize("w1, w2", [(("x1", "x2"), ("z1",)), (("x1",), ()),
+                                        (("x1",), ("z1", "z2"))])
+    def test_write_with_schema_of_wrong_width_rejected(self, w1, w2, tmp_path):
+        schema = CsvSchema(treatment="a", outcome="y", delta="delta", w1=w1, w2=w2)
+        with pytest.raises(DataError, match="^schema dimensions do not match dataset$"):
+            write_csv(toy_dataset(), tmp_path / "d.csv", schema)
+        assert not (tmp_path / "d.csv").exists()
 
 
 class TestCsv:
@@ -254,6 +307,48 @@ class TestCsv:
         with pytest.raises(DataError, match="x2"):
             load_csv(f, SCHEMA)
 
+    @pytest.mark.parametrize("late, message", [
+        (b"0.5,1.5,0,0,\xff1", "CSV file is not valid UTF-8: 'utf-8' codec can't decode"),
+        (b"0.5,1.5,0,0," + b"1" * (csv.field_size_limit() + 1),
+         "cannot parse CSV line 5: field larger than field limit"),
+    ])
+    def test_read_error_comes_before_an_earlier_bad_cell(self, late, message, tmp_path,
+                                                         monkeypatch):
+        # the whole file is read before any cell is judged: a file that
+        # cannot be decoded or tokenized is reported as such, even when its
+        # first bad cell lies blocks before the fault
+        monkeypatch.setattr(data_model, "_ROW_BLOCK", 2)
+        f = tmp_path / "d.csv"
+        f.write_bytes(b"x1,x2,a,y,delta\n0.1,1.5,0,0,2\n0.2,,1,1,0\n0.3,2.5,1,0,1\n"
+                      + late + b"\n0.4,,0,1,0\n")
+        with pytest.raises(DataError, match="^" + message):
+            load_csv(f, SCHEMA)
+
+    def test_csv_reader_reads_only_what_splitting_cannot(self, tmp_path, monkeypatch):
+        # CR, CRLF and LF line ends, an empty line, a byte-order mark and no
+        # last line end are all split; a quote hands the rest to csv.reader
+        calls = []
+        reader = csv.reader
+        monkeypatch.setattr(csv, "reader", lambda lines: calls.append(1) or reader(lines))
+        f = tmp_path / "d.csv"
+        f.write_bytes("\ufeffx1,x2,a,y,delta\r0.1,1.5,0,0,1\r\n\n0.2,,1,1,0".encode())
+        with pytest.raises(DataError, match="^row 2: expected 5 cells, got 0$"):
+            load_csv(f, SCHEMA)
+        f.write_bytes(b"x1,x2,a,y,delta\r0.1,1.5,0,0,1\r\n0.2,,1,1,0")
+        assert load_csv(f, SCHEMA).n == 2 and not calls
+        f.write_bytes(b'x1,x2,a,y,delta\n0.1,1.5,0,0,1\n"0.2",,1,1,0\n')
+        assert load_csv(f, SCHEMA).w1[1, 0] == 0.2 and calls == [1]
+
+    def test_peak_traced_memory_per_row(self, tmp_path):
+        # the output arrays, 40 bytes a row, and the cell text of about one
+        # block of rows at a time: 60.0 traced bytes a row at 200,000 rows
+        # of five columns, against 355 when csv.reader's rows of the whole
+        # file were held before the first cell was parsed
+        ds, schema = big_cohort()
+        write_csv(ds, tmp_path / "big.csv", schema)
+        peak = traced_peak(lambda: load_csv(tmp_path / "big.csv", schema))
+        assert peak / ds.n <= 96
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_round_trip_random_datasets(self, seed, tmp_path_factory):
@@ -317,13 +412,38 @@ def csv_cases(draw):
             del row[draw(st.integers(0, len(row) - 1)):]
         else:
             row.append(draw(FUZZ_MUTANTS))
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
-    text = eol.join(",".join(r) for r in [header, *rows]) + eol
-    return text, y_kind, bounds
+    # every line end that a file opened with newline="" keeps, the same on
+    # every line or drawn for each, a last line with or without one, and a
+    # byte-order mark or none
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r", None]))
+    lines = [",".join(r) for r in [header, *rows]]
+    ends = [eol or draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    ends[-1] = draw(st.sampled_from([ends[-1], ""]))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return draw(st.sampled_from(["", "\ufeff"])) + text, y_kind, bounds
 
 
 FUZZ_TEXT = ",".join(FUZZ_HEADER) + "\n{}\n{}\n"
 P2_ROW = "0.1,0.2,0.3,0.4,1,0,1,n"
+P1_ROW = "0.1,0.2,,,1,0,0,n"
+# rows over three blocks of data_model._ROW_BLOCK (2^13) lines, the last one partial
+N_BLOCKS_ROWS = 2 * (1 << 13) + 123
+
+
+def blocks_text(row: int | None = None, cells: str = "") -> str:
+    """A cohort of N_BLOCKS_ROWS rows, alternately in and out of phase 2; the
+    0-based data row `row`, if given, reads `cells`."""
+    rows = [P2_ROW if i % 2 else P1_ROW for i in range(N_BLOCKS_ROWS)]
+    if row is not None:
+        rows[row] = cells
+    return "\n".join([",".join(FUZZ_HEADER), *rows]) + "\n"
+
+
+def long_cell_text() -> str:
+    """A note cell exactly as long as csv.field_size_limit(), so its line is
+    longer than the limit, and csv.reader reads it."""
+    note = "n" * csv.field_size_limit()
+    return FUZZ_TEXT.format(P2_ROW, P1_ROW[:-1] + note)
 
 
 def _load_or_message(loader, path, schema):
@@ -349,23 +469,62 @@ class TestCsvMatchesReference:
                    "binary", None))
     @example(case=(FUZZ_TEXT.format(P2_ROW, "0.1,0.2,0.3,0.4,1,1e301,1,n"), "continuous",
                    (-1e300, 1e300)))  # an outcome outside the declared bounds
+    # the edges of the split tokenizer: quotes, which csv.reader reads...
+    @example(case=(FUZZ_TEXT.format(P2_ROW, P1_ROW[:-1] + '"n"'), "binary", None))
+    @example(case=(FUZZ_TEXT.format(P2_ROW, P1_ROW[:-1] + '"a,b"'), "binary", None))
+    @example(case=(FUZZ_TEXT.format('"0.1",0.2,0.3,0.4,1,0,1,n', P1_ROW), "binary", None))
+    @example(case=(FUZZ_TEXT.format(P2_ROW, '"0.1,0.2,,,1,0,0,n'), "binary", None))
+    # ...line ends, a missing last one, an empty line...
+    @example(case=(FUZZ_TEXT.format(P2_ROW, P1_ROW).replace("\n", "\r"), "binary", None))
+    @example(case=(FUZZ_TEXT.format(P2_ROW, P1_ROW).replace("\n", "\r\n"), "binary", None))
+    @example(case=(FUZZ_TEXT.format(P2_ROW, P1_ROW).rstrip("\n"), "binary", None))
+    @example(case=(FUZZ_TEXT.format(P2_ROW, "\n" + P1_ROW), "binary", None))
+    @example(case=(FUZZ_TEXT.format(P2_ROW, P1_ROW) + "\r\n", "binary", None))
+    # ...a byte-order mark, a NUL and a line longer than the field-size limit...
+    @example(case=("\ufeff" + FUZZ_TEXT.format(P2_ROW, P1_ROW), "binary", None))
+    @example(case=(FUZZ_TEXT.format(P2_ROW, P1_ROW[:-1] + "n\x00"), "binary", None))
+    @example(case=(FUZZ_TEXT.format("0.1\x00" + P2_ROW[3:], P1_ROW), "binary", None))
+    @example(case=(long_cell_text(), "binary", None))
+    # ...and three blocks of rows: none bad, the first bad cell in the last
+    # block, the first row of the wrong width in the second, and a quote that
+    # hands the rest of the file to csv.reader in the third
+    @example(case=(blocks_text(), "binary", None))
+    @example(case=(blocks_text(N_BLOCKS_ROWS - 60, "0.1,0.2,0.3,abc,1,0,1,n"), "binary", None))
+    @example(case=(blocks_text(9000, "0.1,0.2,,,1,0,0"), "binary", None))
+    @example(case=(blocks_text(2 * (1 << 13) + 5, '"0.1",0.2,0.3,0.4,1,0,1,n'), "binary", None))
     def test_same_dataset_or_same_error(self, case, tmp_path_factory):
-        text, y_kind, bounds = case
-        schema = CsvSchema(treatment="a", outcome="y", delta="delta", w1=("x1", "x2"),
-                           w2=("z1", "z2"), y_kind=y_kind, y_bounds=bounds)
-        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
-        path.write_bytes(text.encode("utf-8"))
-        got = _load_or_message(load_csv, path, schema)
-        want = _load_or_message(reference_load_csv, path, schema)
-        if isinstance(want, str):
-            assert got == want
-            return
-        assert isinstance(got, Dataset), got
-        for name in ("w1", "a", "y", "delta", "w2"):
-            g, w = getattr(got, name), getattr(want, name)
-            assert g.dtype == w.dtype and g.shape == w.shape
-            assert g.tobytes() == w.tobytes(), name  # NaN positions and signed zeros too
-        assert got.y_kind == want.y_kind and got.y_bounds == want.y_bounds
+        assert_same_load(case, tmp_path_factory.getbasetemp() / "fuzz.csv")
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=csv_cases(), block=st.integers(1, 3))
+    # a block of one empty line, and one of an empty line and a line of one cell
+    @example(case=(FUZZ_TEXT.format(P2_ROW, ""), "binary", None), block=1)
+    @example(case=(FUZZ_TEXT.format(P2_ROW, "\n0.1"), "binary", None), block=2)
+    def test_same_dataset_or_same_error_at_any_row_block(self, case, block, tmp_path_factory):
+        # lines are read a block at a time; from the first block with a quote
+        # or a NUL on, csv.reader reads the rest of the file
+        with mock.patch.object(data_model, "_ROW_BLOCK", block):
+            assert_same_load(case, tmp_path_factory.getbasetemp() / "fuzz.csv")
+
+
+def assert_same_load(case, path):
+    """load_csv and reference_load_csv give the same Dataset, bit for bit,
+    or the same DataError message on the text of case."""
+    text, y_kind, bounds = case
+    schema = CsvSchema(treatment="a", outcome="y", delta="delta", w1=("x1", "x2"),
+                       w2=("z1", "z2"), y_kind=y_kind, y_bounds=bounds)
+    path.write_bytes(text.encode("utf-8"))
+    got = _load_or_message(load_csv, path, schema)
+    want = _load_or_message(reference_load_csv, path, schema)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert isinstance(got, Dataset), got
+    for name in ("w1", "a", "y", "delta", "w2"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes(), name  # NaN positions and signed zeros too
+    assert got.y_kind == want.y_kind and got.y_bounds == want.y_bounds
 
 
 # signed zeros, subnormals and the float extremes, then any finite double
@@ -427,15 +586,20 @@ class TestWriteCsvMatchesReference:
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     def test_peak_traced_memory_per_row(self, tmp_path):
-        # the cell text of one block of rows at a time: 15.8 traced bytes a
+        # the cell text of one block of rows at a time: 13.1 traced bytes a
         # row at 200,000 rows of five columns, against 266 when every cell
         # was formatted before the first row was written
-        n = 200_000
-        rng = np.random.default_rng(1)
-        delta = (rng.random(n) < 0.6).astype(int)
-        w2 = np.where(delta[:, None] == 1, rng.normal(size=(n, 1)), np.nan)
-        ds = Dataset(w1=rng.normal(size=(n, 1)), a=(rng.random(n) < 0.5).astype(int),
-                     y=(rng.random(n) < 0.5).astype(float), delta=delta, w2=w2)
-        schema = CsvSchema(treatment="a", outcome="y", delta="d", w1=("u0",), w2=("v0",))
+        ds, schema = big_cohort()
         peak = traced_peak(lambda: write_csv(ds, tmp_path / "big.csv", schema))
-        assert peak / n <= 24
+        assert peak / ds.n <= 24
+
+
+def big_cohort() -> tuple[Dataset, CsvSchema]:
+    """200,000 rows of five columns, 60% of them in phase 2."""
+    n = 200_000
+    rng = np.random.default_rng(1)
+    delta = (rng.random(n) < 0.6).astype(int)
+    w2 = np.where(delta[:, None] == 1, rng.normal(size=(n, 1)), np.nan)
+    ds = Dataset(w1=rng.normal(size=(n, 1)), a=(rng.random(n) < 0.5).astype(int),
+                 y=(rng.random(n) < 0.5).astype(float), delta=delta, w2=w2)
+    return ds, CsvSchema(treatment="a", outcome="y", delta="d", w1=("u0",), w2=("v0",))

@@ -88,3 +88,19 @@ def test_identity_names_raking_on_the_wide_edge_cohorts_only(tmp_path):
     assert lines[-1] == "differ: raking"
     assert lines[:-1] and all(" raking mode=" in line for line in lines[:-1])
     assert all(line.startswith(("synthetic d2=6 ", "synthetic d2=7 ")) for line in lines[:-1])
+
+
+def test_identity_names_the_loader_texts_a_tokenizer_change_moves(tmp_path):
+    # a split tokenizer that took quoted text for plain text would misread
+    # every loader text whose quotes guard a comma or a number
+    shutil.copytree(SRC / "twophase_ate", tmp_path / "src" / "twophase_ate",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    _nudge(tmp_path, "data_model.py", """        if '"' in text or "\\0" in text""",
+           """        if "\\0" in text""")
+    proc = run_python(str(TOOLS / "identity.py"), "--baseline", str(tmp_path))
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "differ: load_csv"
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        "load_csv quoted comma", "load_csv quoted number", "load_csv unclosed quote",
+        "load_csv three blocks, quote in the third"]

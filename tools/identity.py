@@ -36,6 +36,14 @@ max_outer_iter 0, 1 and 2 for the three loop estimators.
 * The bundled cohort: `repro/example_cohort.csv` of this checkout, read
   by each tree under the schema of `repro/example_estimate.cfg`, with
   estimated pi: 20 runs.
+* Loader texts: `load_csv` on fixed CSV texts at the edges of its
+  tokenizer (quoted cells, CR, CRLF and missing line ends, an empty line,
+  a byte-order mark, a NUL, a line and a cell longer than
+  `csv.field_size_limit()`, a header alone) and on cohorts of
+  2 * 2^13 + 123 rows (three blocks of lines) that read cleanly, hold their
+  first bad cell in the last block, their first row of the wrong width in
+  the second, a quote in the third, or a byte that is not UTF-8 after a
+  bad cell: the digest of the Dataset read, or the DataError text.
 
 Each dataset of the grid is recorded three times: a digest of its arrays,
 a digest of its `write_csv` -> `load_csv` round trip (the file's bytes
@@ -55,6 +63,7 @@ below SRC as JSON lines, writing the round trips to the file CSV.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -84,9 +93,57 @@ N_MC = (5_000, 20_000, 2 * (1 << 16) + 123)
 TINY_PI = ((20, None, (1e-300, 1.0)), (1, 1e-9, (1e-12, 1.0)))
 # the bundled estimate-mode cohort, read as repro/example_estimate.cfg reads it
 COHORT = ROOT / "repro" / "example_cohort.csv"
-# the records of a dataset and of a dataset spec; every other record is a run
+# the records of a dataset, of a dataset spec and of a loader text; every
+# other record is a run
 DATASET_PARTS = ("arrays", "csv round trip", "phase2")
 VALUE_PARTS = ("reference_psi", "census_psi", "true_psi")
+LOADER_PART = "load_csv"
+# the loader texts: header, a row in phase 2 and one out of it, and the rows
+# of three blocks of 2^13 lines, the last one partial
+LOADER_HEADER = "x1,x2,z1,z2,a,y,delta,note"
+P2_ROW, P1_ROW = "0.1,0.2,0.3,0.4,1,0,1,n", "0.1,0.2,,,1,0,0,n"
+N_BLOCKS_ROWS = 2 * (1 << 13) + 123
+
+
+def loader_texts() -> list[tuple[str, bytes]]:
+    """(label, file bytes) of each loader text; the schema reads x1, x2 as
+    w1, z1, z2 as w2, a, y (binary) and delta, and leaves note unread."""
+
+    def text(*rows: str, eol: str = "\n", last: str | None = None) -> bytes:
+        return (eol.join([LOADER_HEADER, *rows]) + (eol if last is None else last)).encode()
+
+    def blocks(row: int | None = None, cells: str = "", tail: bytes = b"") -> bytes:
+        rows = [P2_ROW if i % 2 else P1_ROW for i in range(N_BLOCKS_ROWS)]
+        if row is not None:
+            rows[row] = cells
+        return text(*rows) + tail
+
+    limit = csv.field_size_limit()
+    return [
+        ("plain", text(P2_ROW, P1_ROW)),
+        ("quoted cell", text(P2_ROW, P1_ROW[:-1] + '"n"')),
+        ("quoted comma", text(P2_ROW, P1_ROW[:-1] + '"a,b"')),
+        ("quoted number", text('"0.1"' + P2_ROW[3:], P1_ROW)),
+        ("unclosed quote", text(P2_ROW, '"' + P1_ROW)),
+        ("CR line ends", text(P2_ROW, P1_ROW, eol="\r")),
+        ("CRLF line ends", text(P2_ROW, P1_ROW, eol="\r\n")),
+        ("no last line end", text(P2_ROW, P1_ROW, last="")),
+        ("empty line", text(P2_ROW, "", P1_ROW)),
+        ("empty last line", text(P2_ROW, P1_ROW, last="\n\n")),
+        ("byte-order mark", b"\xef\xbb\xbf" + text(P2_ROW, P1_ROW)),
+        ("NUL in an unread cell", text(P2_ROW, P1_ROW + "\0")),
+        ("NUL in a number", text("0.1\0" + P2_ROW[3:], P1_ROW)),
+        ("line longer than the field limit", text(P2_ROW, P1_ROW[:-1] + "n" * limit)),
+        ("cell longer than the field limit", text(P2_ROW, P1_ROW[:-1] + "n" * (limit + 1))),
+        ("header alone", text()),
+        ("three blocks", blocks()),
+        ("three blocks, bad cell in the last",
+         blocks(N_BLOCKS_ROWS - 60, "0.1,0.2,0.3,abc,1,0,1,n")),
+        ("three blocks, short row in the second", blocks(9000, P1_ROW[:-2])),
+        ("three blocks, quote in the third", blocks(2 * (1 << 13) + 5, '"0.1"' + P2_ROW[3:])),
+        ("three blocks, not UTF-8 after a bad cell",
+         blocks(5, "0.1,0.2,,,1,0,2,n", tail=b"0.1,\xff,,,1,0,0,n\n")),
+    ]
 
 
 def edge_cohort(d2: int, y_kind: str, n: int, seed: int):
@@ -239,6 +296,19 @@ def emit(csv_path: Path) -> None:
         dataset("bundled cohort", ds, schema=schema)
     run("bundled cohort", ds, [("estimated", NuisanceConfig())])
 
+    schema = CsvSchema(treatment="a", outcome="y", delta="delta", w1=("x1", "x2"),
+                       w2=("z1", "z2"))
+    loader_csv = csv_path.with_suffix(".loader.csv")
+    for label, data in loader_texts():
+        loader_csv.write_bytes(data)
+        try:
+            ds = load_csv(loader_csv, schema)
+        except DataError as exc:
+            line(f"load_csv {label}", LOADER_PART, error=str(exc))
+        else:
+            line(f"load_csv {label}", LOADER_PART,
+                 fields=digest(ds.w1, ds.a, ds.y, ds.delta, ds.w2, np.array(ds.y_bounds)))
+
 
 def first_difference(ours: dict, theirs: dict) -> str | None:
     """The first differing field of two records, as text, or None."""
@@ -293,14 +363,16 @@ def main(argv: list[str]) -> int:
         if diff is not None:
             print(f"{mine['key']}: {diff}")
             differing.add(mine["part"])
-    runs = [r for r in ours if r["part"] not in DATASET_PARTS + VALUE_PARTS]
+    runs = [r for r in ours if r["part"] not in DATASET_PARTS + VALUE_PARTS + (LOADER_PART,)]
     if differing:
         print(f"differ: {', '.join(sorted(differing))}")
         return 1
     datasets = sum(r["part"] == "arrays" for r in ours)
     values = sum(r["part"] in VALUE_PARTS for r in ours)
+    texts = [r for r in ours if r["part"] == LOADER_PART]
     print(f"identical: {len(runs)} runs, {sum('error' in r for r in runs)} of them errors, "
-          f"on {datasets} datasets, and {values} population values")
+          f"on {datasets} datasets, {values} population values and {len(texts)} loader "
+          f"texts, {sum('error' in r for r in texts)} of them errors")
     return 0
 
 
