@@ -339,11 +339,16 @@ def _parse_columns(cells: list[str], widths: list[int], width: int, first_row: i
     return w1, a.astype(np.int64), y, delta.astype(np.int64), w2
 
 
-def _split_lines(text: str, n: int) -> tuple[list[str], list[int]]:
-    """(cells, widths) of text, n lines each ended by CRLF, CR or LF but the
-    last, which may have no line end, and no NUL: the cells of its lines in
-    order, split at each comma, and the number of cells of each line, none
-    of an empty line."""
+def _split_lines(raw: list[str]) -> tuple[list[str], list[int]] | None:
+    """(cells, widths) of the lines raw, each ended by CRLF, CR or LF but the
+    last, which may have no line end, as csv.reader would read them: the
+    cells of the lines in order, split at each comma, and the number of
+    cells of each line. None unless every line has the same number of cells,
+    more than one, and no line holds a quote character or a NUL or is longer
+    than csv.field_size_limit() with its line end."""
+    text = "".join(raw)
+    if '"' in text or "\0" in text or max(map(len, raw)) > csv.field_size_limit():
+        return None
     # with each line end made a NUL cell of its own, one split at each comma
     # gives the cells; if the n - 1 NULs fall after every width-th cell,
     # every line has that width. Deleting every CR takes a CRLF for an LF,
@@ -351,15 +356,13 @@ def _split_lines(text: str, n: int) -> tuple[list[str], list[int]]:
     # NULs for this test unless that line is the last.
     tokens = (text.replace("\r", "") if "\r" in text else text).removesuffix("\n")
     tokens = tokens.replace("\n", ",\0,").split(",")
+    n = len(raw)
     width = (len(tokens) + 1) // n - 1
     if (width > 1 and len(tokens) == n * (width + 1) - 1
             and tokens[width::width + 1] == ["\0"] * (n - 1)):
         del tokens[width::width + 1]
         return tokens, [width] * n
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
-    cells = ",".join(filter(None, lines))
-    return (cells.split(",") if cells else []), [line.count(",") + 1 if line else 0
-                                                  for line in lines]
+    return None
 
 
 def _reader_blocks(lines, lines_before: int):
@@ -379,21 +382,20 @@ def _record_blocks(fh):
     block as (cells, widths): the cells of its records in order, and the
     number of cells of each record.
 
-    A block whose lines hold no quote character and no NUL, and none longer
-    than csv.field_size_limit() with its line end, is split at its commas:
-    csv.reader would read each such line as its comma-separated cells, an
-    empty line as a record of no cells. From the first block with any other
-    line on, csv.reader reads the rest of the file.
+    A block that `_split_lines` reads is split at its commas. From the first
+    block that it does not (a quote, a NUL, a line longer than the field
+    limit, an empty line, a line of another width, a lone CR ending any line
+    but the block's last), csv.reader reads the rest of the file.
     """
     lines_before = 0
     # a file opened with newline="" leaves each line its own line end, CRLF,
     # CR or LF, which appears nowhere else in the line
     while raw := list(islice(fh, _ROW_BLOCK)):
-        text = "".join(raw)
-        if '"' in text or "\0" in text or max(map(len, raw)) > csv.field_size_limit():
+        split = _split_lines(raw)
+        if split is None:
             yield from _reader_blocks(chain(raw, fh), lines_before)
             return
-        yield _split_lines(text, len(raw))
+        yield split
         lines_before += len(raw)
 
 

@@ -93,7 +93,6 @@ def linearized_slope_values(h_a, h1, h0, q_a, q1, q0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EicVariance:
-    sigma2: float
     se: float
     ci_lo: float
     ci_hi: float
@@ -113,15 +112,11 @@ def _moments(d: np.ndarray) -> tuple[float, float]:
     return float(mean), float(np.add.reduce(np.multiply(x, x, out=x)) / (n - 1))
 
 
-def eic_variance(d_obs: np.ndarray, psi: float, *, sigma2: float | None = None) -> EicVariance:
-    """Wald machinery: sample variance of the influence values, the implied
-    standard error, and the 95% interval around psi. A caller that has the
-    sample variance of d_obs already passes it as sigma2."""
-    d = np.asarray(d_obs, dtype=float).ravel()
-    n = len(d)
+def eic_variance(d_obs: np.ndarray, psi: float, *, sigma2: float) -> EicVariance:
+    """Wald machinery: the standard error implied by sigma2, the sample
+    variance of the influence values d_obs, and the 95% interval around psi."""
+    n = len(d_obs)
     if n < 2:
         raise ValueError("need at least 2 influence values for a variance")
-    if sigma2 is None:
-        sigma2 = _moments(d)[1]
     se = float(np.sqrt(sigma2 / n))
-    return EicVariance(sigma2=sigma2, se=se, ci_lo=psi - 1.96 * se, ci_hi=psi + 1.96 * se)
+    return EicVariance(se=se, ci_lo=psi - 1.96 * se, ci_hi=psi + 1.96 * se)

@@ -81,6 +81,8 @@ __all__ = [
 ]
 
 ROOT_TOL = 1e-10  # quasi_tmle's plug-in root solve
+RAKE_TOL = 1e-8  # raking's constraint residual
+RAKE_MAX_ITER = 100  # raking's Newton steps before its bisection fallback
 _EIC_MODES = ("refit", "linearized")  # handling of the EIC regression; the first is the default
 
 
@@ -284,14 +286,12 @@ class FittedContext:
 class RakeSolution:
     """Exponential-tilting calibration of inverse-probability weights.
 
-    a holds per-record scale factors exp(-lambda * m_i) (positive by
-    construction); pi_star = pi / a is the calibrated sampling mechanism.
+    pi_star = pi / exp(-lam * m_i) is the calibrated sampling mechanism.
     A solve whose pi_star or 1/pi_star leaves the positive floats (raking an
     already raked pi can overflow or underflow) is not converged.
     """
 
     lam: float
-    a: np.ndarray
     pi_star: np.ndarray
     constraint_residual: float
     n_iter: int
@@ -309,16 +309,12 @@ _DOUBLING = np.concatenate([-2.0 ** np.arange(59, -1, -1), 2.0 ** np.arange(60)]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def rake_weights(mbar: np.ndarray, pi: np.ndarray, delta: np.ndarray,
-                 tol: float = 1e-8, max_iter: int = 100,
-                 target: float | None = None) -> RakeSolution:
+def rake_weights(mbar: np.ndarray, pi: np.ndarray, delta: np.ndarray) -> RakeSolution:
     """Calibrate weights 1/pi on phase-2 rows to reproduce the full-sample
     total of mbar, by Newton-Raphson on the scalar dual.
 
-    Solves 0 = sum_{delta=1} exp(-lam*m_i)*m_i/pi_i - target starting from
-    lam=0, stopping when the constraint residual drops below tol. The
-    default target is sum_all m_i; rescaling the weights and the target by
-    a common factor rescales the whole equation and leaves lam unchanged.
+    Solves 0 = sum_{delta=1} exp(-lam*m_i)*m_i/pi_i - sum_all m_i starting
+    from lam=0, stopping when the constraint residual drops below RAKE_TOL.
     Tiny pi can take the constraint or its slope past the floats; Newton
     stops there, and the bisection fallback finds no root where the
     constraint is not a number, so such a solve is not converged.
@@ -329,7 +325,7 @@ def rake_weights(mbar: np.ndarray, pi: np.ndarray, delta: np.ndarray,
     p2 = np.flatnonzero(delta == 1)
     m2 = m[p2]
     w0 = 1.0 / pi[p2]
-    target = float(m.sum()) if target is None else float(target)
+    target = float(m.sum())
 
     # F and dF at one lam share one tilt
     tilt = _last_value(lambda lam: np.exp(_clip(-lam * m2, -700.0, 700.0)))
@@ -347,18 +343,17 @@ def rake_weights(mbar: np.ndarray, pi: np.ndarray, delta: np.ndarray,
         return g
 
     f0 = F(0.0)
-    if abs(f0) > tol and np.all(m2 == 0.0):
+    if abs(f0) > RAKE_TOL and np.all(m2 == 0.0):
         raise EstimatorError(
             "raking constraint infeasible: calibration variable vanishes on "
             "phase-2 rows but the full-sample total is nonzero"
         )
-    res = newton(F, dF, f0, tol, max_iter)
+    res = newton(F, dF, f0, RAKE_TOL, RAKE_MAX_ITER)
     # F is strictly decreasing, so its root is the one sign change on a
     # symmetric doubling grid wide enough to hold it
-    res = bracketed(F, res, lambda x: max(1.0, abs(x)) * _DOUBLING, tol) or res
-    a = np.exp(_clip(-res.x * m, -700.0, 700.0))
-    pi_star = pi / a
-    return RakeSolution(lam=float(res.x), a=a, pi_star=pi_star, constraint_residual=F(res.x),
+    res = bracketed(F, res, lambda x: max(1.0, abs(x)) * _DOUBLING, RAKE_TOL) or res
+    pi_star = pi / np.exp(_clip(-res.x * m, -700.0, 700.0))
+    return RakeSolution(lam=float(res.x), pi_star=pi_star, constraint_residual=F(res.x),
                         n_iter=res.n_iter, converged=res.converged and _usable(pi_star))
 
 

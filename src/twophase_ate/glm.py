@@ -23,8 +23,6 @@ from .roots import RootResult, _last_value, bracketed, newton
 __all__ = [
     "GlmError",
     "GlmFit",
-    "dpotrf",
-    "dpotrs",
     "expit",
     "ndtr",
     "logit",
@@ -172,14 +170,13 @@ class GlmFit:
     family: str
     converged: bool
     n_iter: int
-    feature_dim: int
 
     def linear_predictor(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.feature_dim:
+        if X.ndim != 2 or X.shape[1] != len(self.coefficients):
             raise GlmError(
                 f"design has {X.shape[-1] if X.ndim == 2 else '?'} columns, "
-                f"fit expects {self.feature_dim}"
+                f"fit expects {len(self.coefficients)}"
             )
         return X @ self.coefficients
 
@@ -238,7 +235,7 @@ def fit_glm(X, y, w=None, family: str = "gaussian") -> GlmFit:
         resid = y - X @ beta
         score = X.T @ (resid if w is None else w * resid)
         converged = bool(np.abs(score).max() <= SCORE_TOL) if p_dim else True
-        return GlmFit(beta, "gaussian", converged, 1, p_dim)
+        return GlmFit(beta, "gaussian", converged, 1)
 
     if family != "bernoulli":
         raise GlmError(f"unknown family {family!r}")
@@ -267,7 +264,7 @@ def fit_glm(X, y, w=None, family: str = "gaussian") -> GlmFit:
             score_norm = float(np.abs(X.T @ weighted(y - p)).max())
             break
     converged = score_norm <= SCORE_TOL
-    return GlmFit(beta, "bernoulli", bool(converged), n_iter, p_dim)
+    return GlmFit(beta, "bernoulli", bool(converged), n_iter)
 
 
 @np.errstate(over="ignore", invalid="ignore")

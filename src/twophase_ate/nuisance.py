@@ -32,8 +32,6 @@ __all__ = [
     "check_truncation",
     "TRUNC_PI_DEFAULT",
     "TRUNC_G_DEFAULT",
-    "v_features",
-    "w_features",
     "aw_designs",
     "MbarDesign",
     "fit_pi",
@@ -58,16 +56,6 @@ class NuisanceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def v_features(ds: Dataset) -> np.ndarray:
-    """Phase-1 feature rows (w1, a, y) of every record."""
-    return np.column_stack([ds.w1, ds.a.astype(float), ds.y])
-
-
-def w_features(ds: Dataset, rows: np.ndarray) -> np.ndarray:
-    """Full covariate rows (w1, w2); valid on phase-2 rows only."""
-    return np.column_stack([ds.w1[rows], ds.w2[rows]])
-
-
 def aw_designs(ds: Dataset, rows: np.ndarray,
                w2: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The outcome design [1, a, w1, w2] of `rows` at the observed arm, at
@@ -78,10 +66,6 @@ def aw_designs(ds: Dataset, rows: np.ndarray,
     X1[:, 1] = 1.0
     X0[:, 1] = 0.0
     return X, X1, X0
-
-
-def _add_intercept(X: np.ndarray) -> np.ndarray:
-    return np.column_stack([np.ones(X.shape[0]), X])
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +82,7 @@ class MbarDesign:
     """
 
     def __init__(self, ds: Dataset):
-        self.x_all = _add_intercept(v_features(ds))
+        self.x_all = np.column_stack([np.ones(ds.n), ds.w1, ds.a.astype(float), ds.y])
         self.x2 = self.x_all[ds.phase2]
         self._factor: np.ndarray | None = None
 
@@ -140,7 +124,7 @@ def fit_g_ipcw(ds: Dataset, wts2: np.ndarray,
     for arm in (0, 1):
         if np.sum(a2 == arm) < 2:
             raise NuisanceError(f"fewer than 2 phase-2 records with a={arm}: g unidentifiable")
-    X = _add_intercept(w_features(ds, p2))
+    X = np.column_stack([np.ones(len(p2)), ds.w1[p2], ds.w2[p2]])
     fit = fit_glm(X, a2, w=wts2, family="bernoulli")
     return _clip(fit.predict(X), trunc[0], trunc[1])
 

@@ -31,6 +31,7 @@ import subprocess
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -215,12 +216,9 @@ def _law(spec: DgpSpec, z: np.ndarray) -> _Law:
     return _Law(lambda: w, lambda: _mr_g(w), q, pi, "continuous")
 
 
-# rows per block when a population is drawn and when census_psi predicts
-_CENSUS_CHUNK = _ROW_BLOCK
-
-
 def _blocks(n: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + _CENSUS_CHUNK, n)) for lo in range(0, n, _CENSUS_CHUNK)]
+    """The row ranges in which a population is drawn and census_psi predicts."""
+    return [(lo, min(lo + _ROW_BLOCK, n)) for lo in range(0, n, _ROW_BLOCK)]
 
 
 def _draw(spec: DgpSpec, rng: np.random.Generator, x: np.ndarray, a: np.ndarray,
@@ -576,13 +574,20 @@ def write_report_csv(report: SimReport, path) -> None:
 
 
 def _git_hash() -> str:
+    """The commit of the checkout whose src/ holds this package, or "unknown":
+    a copy installed inside another repository (a venv in a project) does
+    not record that repository's commit."""
+    package = Path(__file__).resolve().parent
     try:
-        # ask the checkout this package lives in, not the caller's directory
-        out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
-                             text=True, timeout=5, cwd=os.path.dirname(os.path.abspath(__file__)))
-        return out.stdout.strip() if out.returncode == 0 else "unknown"
+        out = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"],
+                             capture_output=True, text=True, timeout=5, cwd=package)
     except (OSError, subprocess.SubprocessError):
         return "unknown"
+    lines = out.stdout.splitlines()
+    if (out.returncode != 0 or len(lines) != 2
+            or Path(lines[0]).resolve() / "src" / "twophase_ate" != package):
+        return "unknown"
+    return lines[1]
 
 
 def write_sidecar(report: SimReport, study: StudySpec, path, wall_time: float) -> None:

@@ -170,7 +170,7 @@ def test_c05_raking_kkt():
         sol = rake_weights(m, pi, delta)
         assert sol.converged, seed
         p2 = delta == 1
-        cal = abs(np.sum(sol.a[p2] / pi[p2] * m[p2]) - m.sum())
+        cal = abs(np.sum(m[p2] / sol.pi_star[p2]) - m.sum())
         worst_cal = max(worst_cal, cal)
 
         def F(lam):
@@ -182,7 +182,7 @@ def test_c05_raking_kkt():
         worst_lam = max(worst_lam, abs(sol.lam - bisect_oracle(F, lo, hi)))
     # identity case: constraint already satisfied at lambda zero
     ident = rake_weights(np.array([1.0, -2.0]), np.ones(2), np.ones(2, dtype=int))
-    assert ident.lam == 0.0 and np.all(ident.a == 1.0)
+    assert ident.lam == 0.0 and np.all(ident.pi_star == 1.0)
     ok = worst_cal <= 1e-8 and worst_lam <= 1e-8
     report("criterion 5 (raking KKT)", ok,
            f"100 instances: max calibration residual {worst_cal:.2e}, "

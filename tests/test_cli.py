@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from twophase_ate import cli
+from twophase_ate import cli, sim
 from twophase_ate.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_ESTIMATOR_FAILURE,
@@ -27,6 +27,7 @@ from twophase_ate.estimators import (
     EstimatorOptions,
     run_roster,
 )
+from twophase_ate.glm import GlmError
 from twophase_ate.nuisance import NuisanceConfig
 from twophase_ate.sim import DgpSpec, generate
 
@@ -702,6 +703,24 @@ class TestEverySourceParsed:
         self.exit_two(capsys, ["--config", cfg, "--out", str(tmp_path / "out"), flag, value],
                       flag)
 
+    @pytest.mark.parametrize("mode, line, message", [
+        ("estimate", "out =", "out: expected a value"),
+        ("estimate", "data.y_lo = abc", "data.y_lo: expected a number, got 'abc'"),
+        ("estimate", "nuisance.known_pi = 1.5",
+         "nuisance.known_pi: expected a probability in (0, 1], got '1.5'"),
+        ("simulate", "nuisance.known_g = maybe",
+         "nuisance.known_g: expected a boolean, got 'maybe'"),
+        ("simulate", "estimators = aipcw, bogus", "estimators: unknown estimator 'bogus'"),
+        ("simulate", "no equals sign", "run.cfg:5: expected 'key = value', got 'no equals sign'"),
+        ("simulate", " = 3", "run.cfg:5: empty key"),
+    ])
+    def test_malformed_line(self, tmp_path, capsys, no_work, mode, line, message):
+        cfg = self.config(tmp_path, mode, line)
+        code = main(["--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG_ERROR
+        assert err.endswith(f"{message}\n") and err.count("\n") == 1, err
+
 
 class TestWorkerCount:
     """A flag beats the config, which beats TWOPHASE_THREADS; a count of 0
@@ -731,6 +750,59 @@ class TestWorkerCount:
         with pytest.raises(TestBundledConfigs.Reached):
             main(["--config", cfg, "--out", str(tmp_path / "out"), *argv])
         assert seen == [expected]
+
+
+class TestEveryMessage:
+    """A boolean known mechanism, each verbose line and a failed estimate,
+    through main: its exit code and its output."""
+
+    @pytest.mark.parametrize("raw, known", [("false", False), ("No", False), ("yes", True)])
+    def test_boolean_known_mechanism(self, tmp_path, monkeypatch, raw, known):
+        seen = []
+
+        def record(study):
+            seen.append((study.known_pi, study.known_g))
+            raise TestBundledConfigs.Reached
+
+        monkeypatch.setattr(cli, "run_study", record)
+        cfg = write_cfg(tmp_path / "run.cfg", [*SIMULATE_LINES, f"nuisance.known_pi = {raw}"])
+        with pytest.raises(TestBundledConfigs.Reached):
+            main(["--config", cfg, "--out", str(tmp_path / "out")])
+        assert seen == [(known, False)]
+
+    def test_verbose_estimate(self, tmp_path, capsys):
+        ds = make_twophase_dataset(np.random.default_rng(0), n=120)
+        data = tmp_path / "toy.csv"
+        write_csv(ds, data, SCHEMA)
+        cfg = write_cfg(tmp_path / "run.cfg", [
+            "mode = estimate", f"data.path = {data}", *SCHEMA_LINES, "estimators = aipcw"])
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "--verbose"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            f"loaded 120 records ({ds.n_phase2} phase-2) from {data}\n"
+            f"wrote {out / 'estimates.csv'}\n")
+
+    def test_verbose_simulate(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "run.cfg", [*SIMULATE_LINES[:3], "sim.n_runs = 1",
+                                                "estimators = aipcw"])
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "--parallelism", "1",
+                     "--verbose"]) == EXIT_OK
+        assert re.fullmatch(rf"wrote {re.escape(str(out / 'report.csv'))} \(\d+\.\ds\)\n",
+                            capsys.readouterr().out)
+
+    def test_census_that_cannot_be_fit(self, tmp_path, capsys, monkeypatch):
+        def unfit(spec):
+            raise GlmError("singular weighted Gram matrix even after ridge retry")
+
+        monkeypatch.setattr(sim, "census_psi", unfit)
+        cfg = write_cfg(tmp_path / "run.cfg", [
+            "mode = simulate", "sim.dgp = raking_gap", "sim.n = 200", "sim.n_runs = 1",
+            "sim.reference = census", "estimators = aipcw"])
+        code = main(["--config", cfg, "--out", str(tmp_path / "out"), "--parallelism", "1"])
+        assert code == EXIT_ESTIMATOR_FAILURE
+        assert capsys.readouterr().err == (
+            "estimation failed: singular weighted Gram matrix even after ridge retry\n")
 
 
 class TestReadme:

@@ -162,18 +162,26 @@ class TestSharedSteps:
         assert counts == {"fit_fluctuation": 5, "fit_mbar": 11, "fit_glm": 6}
 
     def test_roster_builds_each_design_and_weight_once(self, monkeypatch):
-        # every module of the package that binds a design function counts
-        calls = {"aw_designs": [], "v_features": []}
-        for name, rows in calls.items():
-            original = getattr(nuisance_mod, name)
+        # every module of the package that binds aw_designs counts, and so
+        # does every build of the V-design, wherever it is made
+        rows = []
+        aw_designs = nuisance_mod.aw_designs
 
-            def counting(ds, *args, _rows=rows, _original=original, **kwargs):
-                _rows.append(tuple(args[0]) if args else None)
-                return _original(ds, *args, **kwargs)
+        def counting(ds, *args, **kwargs):
+            rows.append(tuple(args[0]))
+            return aw_designs(ds, *args, **kwargs)
 
-            for key, module in list(sys.modules.items()):
-                if key.startswith("twophase_ate.") and hasattr(module, name):
-                    monkeypatch.setattr(module, name, counting)
+        for key, module in list(sys.modules.items()):
+            if key.startswith("twophase_ate.") and hasattr(module, "aw_designs"):
+                monkeypatch.setattr(module, "aw_designs", counting)
+        builds = []
+        init = nuisance_mod.MbarDesign.__init__
+
+        def building(self, ds):
+            builds.append(ds)
+            init(self, ds)
+
+        monkeypatch.setattr(nuisance_mod.MbarDesign, "__init__", building)
         fits = []
         fit_glm = nuisance_mod.fit_glm
 
@@ -187,8 +195,8 @@ class TestSharedSteps:
         results = [run_estimator(ds, e, ctx) for e in ESTIMATOR_IDS]
         assert all(isinstance(res, EstimateResult) for res in results)
         censored = tuple(np.flatnonzero(ds.delta == 0))
-        assert sorted(calls["aw_designs"]) == sorted([tuple(ctx.p2), censored])
-        assert calls["v_features"] == [None]
+        assert sorted(rows) == sorted([tuple(ctx.p2), censored])
+        assert len(builds) == 1 and builds[0] is ds
         # the shared arrays are the ones the fits read
         ((q_design, q_weights),) = [(X, w) for X, w, fit in fits if fit is ctx.q]
         assert q_design is ctx.designs2[0] and q_weights is ctx.wts0

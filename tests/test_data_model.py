@@ -324,20 +324,44 @@ class TestCsv:
         with pytest.raises(DataError, match="^" + message):
             load_csv(f, SCHEMA)
 
+    def test_csv_reader_names_a_line_as_the_file_counts_it(self, tmp_path):
+        # an empty line in the second block hands the rest of the file to
+        # csv.reader, which fails on a cell longer than the field-size limit
+        # in the third; this is not compared with reference_load_csv, which
+        # stops at the empty line's row
+        f = tmp_path / "d.csv"
+        long_row = P1_ROW[:-1] + "n" * (csv.field_size_limit() + 1)
+        f.write_text(blocks_text((9000, ""), (2 * (1 << 13) + 5, long_row)))
+        with pytest.raises(DataError, match="^cannot parse CSV line 16391: field larger than "
+                                            "field limit"):
+            load_csv(f, CsvSchema(treatment="a", outcome="y", delta="delta", w1=("x1", "x2"),
+                                  w2=("z1", "z2")))
+
     def test_csv_reader_reads_only_what_splitting_cannot(self, tmp_path, monkeypatch):
-        # CR, CRLF and LF line ends, an empty line, a byte-order mark and no
-        # last line end are all split; a quote hands the rest to csv.reader
+        # CRLF and LF line ends, a byte-order mark, no last line end and a
+        # lone CR ending the last line are all split; a lone CR ending any
+        # other line, an empty line, a row of another width and a quote each
+        # hand the rest of the file to csv.reader
         calls = []
         reader = csv.reader
         monkeypatch.setattr(csv, "reader", lambda lines: calls.append(1) or reader(lines))
         f = tmp_path / "d.csv"
-        f.write_bytes("\ufeffx1,x2,a,y,delta\r0.1,1.5,0,0,1\r\n\n0.2,,1,1,0".encode())
-        with pytest.raises(DataError, match="^row 2: expected 5 cells, got 0$"):
-            load_csv(f, SCHEMA)
-        f.write_bytes(b"x1,x2,a,y,delta\r0.1,1.5,0,0,1\r\n0.2,,1,1,0")
-        assert load_csv(f, SCHEMA).n == 2 and not calls
+        for data in (b"x1,x2,a,y,delta\r\n0.1,1.5,0,0,1\n0.2,,1,1,0",
+                     "\ufeffx1,x2,a,y,delta\n0.1,1.5,0,0,1\r\n0.2,,1,1,0\r".encode()):
+            f.write_bytes(data)
+            assert load_csv(f, SCHEMA).n == 2 and not calls
+        f.write_bytes(b"x1,x2,a,y,delta\r0.1,1.5,0,0,1\r\n0.2,,1,1,0\n")
+        assert load_csv(f, SCHEMA).n == 2 and calls == [1]
+        for data, message in ((b"x1,x2,a,y,delta\n0.1,1.5,0,0,1\n\n0.2,,1,1,0\n",
+                               "row 2: expected 5 cells, got 0"),
+                              (b"x1,x2,a,y,delta\n0.1,1.5,0,0,1,7\n0.2,,1,1,0\n",
+                               "row 1: expected 5 cells, got 6")):
+            f.write_bytes(data)
+            with pytest.raises(DataError, match=f"^{message}$"):
+                load_csv(f, SCHEMA)
+        assert calls == [1, 1, 1]
         f.write_bytes(b'x1,x2,a,y,delta\n0.1,1.5,0,0,1\n"0.2",,1,1,0\n')
-        assert load_csv(f, SCHEMA).w1[1, 0] == 0.2 and calls == [1]
+        assert load_csv(f, SCHEMA).w1[1, 0] == 0.2 and calls == [1, 1, 1, 1]
 
     def test_peak_traced_memory_per_row(self, tmp_path):
         # the output arrays, 40 bytes a row, and the cell text of about one
@@ -430,11 +454,11 @@ P1_ROW = "0.1,0.2,,,1,0,0,n"
 N_BLOCKS_ROWS = 2 * (1 << 13) + 123
 
 
-def blocks_text(row: int | None = None, cells: str = "") -> str:
-    """A cohort of N_BLOCKS_ROWS rows, alternately in and out of phase 2; the
-    0-based data row `row`, if given, reads `cells`."""
+def blocks_text(*edits: tuple[int, str]) -> str:
+    """A cohort of N_BLOCKS_ROWS rows, alternately in and out of phase 2; for
+    each (row, cells) of edits, the 0-based data row `row` reads `cells`."""
     rows = [P2_ROW if i % 2 else P1_ROW for i in range(N_BLOCKS_ROWS)]
-    if row is not None:
+    for row, cells in edits:
         rows[row] = cells
     return "\n".join([",".join(FUZZ_HEADER), *rows]) + "\n"
 
@@ -486,12 +510,16 @@ class TestCsvMatchesReference:
     @example(case=(FUZZ_TEXT.format("0.1\x00" + P2_ROW[3:], P1_ROW), "binary", None))
     @example(case=(long_cell_text(), "binary", None))
     # ...and three blocks of rows: none bad, the first bad cell in the last
-    # block, the first row of the wrong width in the second, and a quote that
-    # hands the rest of the file to csv.reader in the third
+    # block, the first row of the wrong width in the second, a quote that
+    # hands the rest of the file to csv.reader in the third, and an empty line
+    # that hands it over in the second, where csv.reader then meets an
+    # unclosed quote in the third
     @example(case=(blocks_text(), "binary", None))
-    @example(case=(blocks_text(N_BLOCKS_ROWS - 60, "0.1,0.2,0.3,abc,1,0,1,n"), "binary", None))
-    @example(case=(blocks_text(9000, "0.1,0.2,,,1,0,0"), "binary", None))
-    @example(case=(blocks_text(2 * (1 << 13) + 5, '"0.1",0.2,0.3,0.4,1,0,1,n'), "binary", None))
+    @example(case=(blocks_text((N_BLOCKS_ROWS - 60, "0.1,0.2,0.3,abc,1,0,1,n")), "binary", None))
+    @example(case=(blocks_text((9000, "0.1,0.2,,,1,0,0")), "binary", None))
+    @example(case=(blocks_text((2 * (1 << 13) + 5, '"0.1",0.2,0.3,0.4,1,0,1,n')), "binary",
+                   None))
+    @example(case=(blocks_text((9000, ""), (2 * (1 << 13) + 5, '"' + P1_ROW)), "binary", None))
     def test_same_dataset_or_same_error(self, case, tmp_path_factory):
         assert_same_load(case, tmp_path_factory.getbasetemp() / "fuzz.csv")
 
@@ -501,8 +529,8 @@ class TestCsvMatchesReference:
     @example(case=(FUZZ_TEXT.format(P2_ROW, ""), "binary", None), block=1)
     @example(case=(FUZZ_TEXT.format(P2_ROW, "\n0.1"), "binary", None), block=2)
     def test_same_dataset_or_same_error_at_any_row_block(self, case, block, tmp_path_factory):
-        # lines are read a block at a time; from the first block with a quote
-        # or a NUL on, csv.reader reads the rest of the file
+        # lines are read a block at a time; from the first block that cannot
+        # be split at its commas on, csv.reader reads the rest of the file
         with mock.patch.object(data_model, "_ROW_BLOCK", block):
             assert_same_load(case, tmp_path_factory.getbasetemp() / "fuzz.csv")
 

@@ -193,28 +193,32 @@ class TestLinearizedSlope:
 
 class TestEicVariance:
     def test_constant_values_degenerate(self):
-        v = eic_variance(np.full(10, 2.0), psi=0.4)
-        assert v.sigma2 == 0.0 and v.ci_lo == v.ci_hi == 0.4
+        d = np.full(10, 2.0)
+        v = eic_variance(d, psi=0.4, sigma2=_moments(d)[1])
+        assert v.se == 0.0 and v.ci_lo == v.ci_hi == 0.4
 
     def test_two_point(self):
-        v = eic_variance(np.array([-1.0, 1.0]), psi=0.0)
-        assert v.sigma2 == pytest.approx(2.0)
+        d = np.array([-1.0, 1.0])
+        v = eic_variance(d, psi=0.0, sigma2=_moments(d)[1])
         assert v.se == pytest.approx(1.0)
         assert v.ci_hi == pytest.approx(1.96)
 
     def test_standard_normal_unit_variance(self):
         d = np.random.default_rng(8).standard_normal(10_000)
-        v = eic_variance(d, psi=0.0)
-        assert v.sigma2 == pytest.approx(1.0, abs=0.05)
+        v = eic_variance(d, psi=0.0, sigma2=_moments(d)[1])
+        assert v.se == pytest.approx(0.01, rel=0.03)
 
     def test_requires_two_values(self):
         with pytest.raises(ValueError):
-            eic_variance(np.array([1.0]), psi=0.0)
+            eic_variance(np.array([1.0]), psi=0.0, sigma2=0.0)
 
     def test_a_given_variance_is_used(self):
         d = np.random.default_rng(9).standard_normal(50)
-        assert eic_variance(d, 0.1, sigma2=_moments(d)[1]) == eic_variance(d, 0.1)
-        assert eic_variance(d, 0.1, sigma2=2.0).se == np.sqrt(2.0 / 50)
+        v = eic_variance(d, 0.1, sigma2=2.0)
+        assert v.se == np.sqrt(2.0 / 50)
+        assert (v.ci_lo, v.ci_hi) == (0.1 - 1.96 * v.se, 0.1 + 1.96 * v.se)
+        with pytest.raises(TypeError):
+            eic_variance(d, 0.1)  # no variance of its own
 
 
 class TestMoments:

@@ -79,14 +79,13 @@ class TestRakeWeights:
         m = np.array([0.5, -1.0, 2.0])
         sol = rake_weights(m, pi=np.ones(3), delta=np.ones(3, dtype=int))
         assert sol.lam == 0.0
-        np.testing.assert_array_equal(sol.a, 1.0)
         np.testing.assert_array_equal(sol.pi_star, np.ones(3))
 
     def test_zero_calibration_variable(self):
         sol = rake_weights(np.zeros(5), pi=np.full(5, 0.5),
                            delta=np.array([1, 0, 1, 0, 1]))
         assert sol.lam == 0.0 and sol.converged
-        np.testing.assert_array_equal(sol.a, 1.0)
+        np.testing.assert_array_equal(sol.pi_star, 0.5)
 
     def test_three_row_hand_instance_matches_bisection(self):
         m = np.array([1.0, -0.5, 0.8])
@@ -102,8 +101,7 @@ class TestRakeWeights:
         sol = rake_weights(m, pi, delta)
         assert sol.converged
         assert sol.lam == pytest.approx(lam_ref, abs=1e-8)
-        np.testing.assert_allclose(sol.a, np.exp(-sol.lam * m), atol=1e-12)
-        np.testing.assert_allclose(sol.pi_star, pi / sol.a, atol=1e-12)
+        np.testing.assert_allclose(sol.pi_star, pi / np.exp(-sol.lam * m), atol=1e-12)
 
     def test_infeasible_constraint_raises(self):
         m = np.array([0.0, 1.0])  # phase-2 value is zero, total is 1
@@ -124,9 +122,9 @@ class TestRakeWeights:
         sol = rake_weights(m, pi, delta)
         assert sol.converged
         p2 = delta == 1
-        cal = np.sum(sol.a[p2] / pi[p2] * m[p2]) - m.sum()
+        cal = np.sum(m[p2] / sol.pi_star[p2]) - m.sum()
         assert abs(cal) <= 1e-8
-        assert np.all(sol.a > 0)
+        assert np.all(sol.pi_star > 0)
 
         def F(lam):
             return float(np.sum(np.exp(-lam * m[p2]) * m[p2] / pi[p2]) - m.sum())
@@ -140,7 +138,7 @@ class TestRakeWeights:
         lam_ref = bisect_oracle(F, lo, hi)
         assert sol.lam == pytest.approx(lam_ref, abs=1e-8)
 
-    def test_grid_fallback_matches_newton(self):
+    def test_grid_fallback_matches_newton(self, monkeypatch):
         rng = np.random.default_rng(43)
         m = rng.normal(size=40)
         pi = rng.uniform(0.2, 0.9, size=40)
@@ -148,7 +146,8 @@ class TestRakeWeights:
         delta[[np.argmax(m), np.argmin(m)]] = 1
         newton_only = rake_weights(m, pi, delta)
         # one Newton step cannot meet the tolerance, so the bracket fallback runs
-        fallback = rake_weights(m, pi, delta, max_iter=1)
+        monkeypatch.setattr(estimators, "RAKE_MAX_ITER", 1)
+        fallback = rake_weights(m, pi, delta)
         assert newton_only.converged and fallback.converged
         assert fallback.n_iter > 1
         assert fallback.lam == pytest.approx(newton_only.lam, abs=1e-8)
@@ -156,7 +155,7 @@ class TestRakeWeights:
     def test_one_tilt_per_lambda(self, monkeypatch):
         # Newton reads the constraint and its slope at each lambda; both come
         # from one exp of the phase-2 tilt, so a solve of k steps takes k + 1
-        # of them (and one more exp, of all n rows, for the scale factors)
+        # of them (and one more exp, of all n rows, for pi_star)
         ds, _ = generate(DgpSpec("missing_rate", n=300, seed=1))
         ctx = FittedContext(ds)
         psi, _, mbar = ctx.first_eic
@@ -172,17 +171,20 @@ class TestRakeWeights:
         assert sol.converged and sol.n_iter >= 2
         assert sizes == [len(ctx.p2)] * (1 + sol.n_iter) + [ds.n]
 
-    def test_equation_rescaling_leaves_lambda_unchanged(self):
+    def test_rescaled_calibration_variable_divides_lambda(self):
+        # m -> c*m multiplies the constraint by c and its root lambda by 1/c,
+        # which leaves every tilt lambda*m_i, and so pi_star, unchanged
         rng = np.random.default_rng(42)
         m = rng.normal(size=30)
         pi = rng.uniform(0.2, 0.9, size=30)
         delta = (rng.random(30) < 0.5).astype(int)
-        delta[0] = 1
+        delta[[np.argmax(m), np.argmin(m)]] = 1
         base = rake_weights(m, pi, delta)
         for c in (0.25, 4.0):
-            scaled = rake_weights(m, pi / c, delta, target=c * m.sum())
-            assert scaled.lam == pytest.approx(base.lam, abs=1e-8)
-            np.testing.assert_allclose(scaled.a, base.a, atol=1e-8)
+            scaled = rake_weights(c * m, pi, delta)
+            assert scaled.converged
+            assert scaled.lam == pytest.approx(base.lam / c, abs=1e-8)
+            np.testing.assert_allclose(scaled.pi_star, base.pi_star, rtol=1e-8)
 
 
 class TestNoCoarseningOracle:
@@ -276,16 +278,15 @@ class TestFixedPoints:
         solves = record(monkeypatch, "rake_weights")
         run_estimator(ds, "ipcw_tmle_rake_pi")
         assert solves
-        for _, _, rake in solves:
-            np.testing.assert_allclose(rake.a, 1.0, atol=1e-6)
+        for (_, pi, _), _, rake in solves:
+            np.testing.assert_allclose(pi / rake.pi_star, 1.0, atol=1e-6)
 
     def test_unconverged_raking_keeps_previous_pi(self, monkeypatch):
         ds = make_twophase_dataset(np.random.default_rng(12))
         ctx = FittedContext(ds)
 
         def stalled(mbar, pi, delta):
-            a = np.full_like(pi, 0.5)
-            return RakeSolution(lam=1.0, a=a, pi_star=pi / a, constraint_residual=1.0,
+            return RakeSolution(lam=1.0, pi_star=pi / 0.5, constraint_residual=1.0,
                                 n_iter=100, converged=False)
 
         monkeypatch.setattr(estimators, "rake_weights", stalled)

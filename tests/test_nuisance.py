@@ -18,7 +18,6 @@ from twophase_ate.nuisance import (
     fit_nuisances,
     fit_pi,
     fit_q_ipcw,
-    v_features,
 )
 
 from util import make_full_dataset, make_twophase_dataset
@@ -67,7 +66,7 @@ class TestFitPi:
 
     def test_values_are_the_truncated_fit_on_every_record(self):
         ds = make_twophase_dataset(np.random.default_rng(2))
-        X = np.column_stack([np.ones(ds.n), v_features(ds)])
+        X = np.column_stack([np.ones(ds.n), ds.w1, ds.a, ds.y])
         ref = fit_glm(X, ds.delta.astype(float), family="bernoulli").predict(X)
         np.testing.assert_array_equal(pi_fit(ds, trunc=(0.2, 0.8)), np.clip(ref, 0.2, 0.8))
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from twophase_ate import estimators
 from twophase_ate.estimators import rake_weights
 from twophase_ate.roots import (
     BISECT_MAX_ITER,
@@ -145,8 +146,9 @@ class TestBracketed:
         assert res == RootResult(2.5, 0.0, 7 + 2, True)
 
 
-def test_raking_without_a_sign_change_returns_unconverged():
+def test_raking_without_a_sign_change_returns_unconverged(monkeypatch):
     # m = (1, 2) on the phase-2 rows against a total of -7: F > 0 for every
     # lambda, so one Newton step ends at lambda = 2 and bisection finds no cell
-    res = rake_weights([1.0, 2.0, -10.0], np.ones(3), [1, 1, 0], max_iter=1)
+    monkeypatch.setattr(estimators, "RAKE_MAX_ITER", 1)
+    res = rake_weights([1.0, 2.0, -10.0], np.ones(3), [1, 1, 0])
     assert (res.converged, res.lam, res.n_iter) == (False, 2.0, 1)

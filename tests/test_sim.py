@@ -2,15 +2,19 @@ import hashlib
 import math
 import os
 import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from twophase_ate import sim
+from twophase_ate.data_model import _ROW_BLOCK
 from twophase_ate.estimators import ESTIMATOR_IDS, EstimateResult, EstimatorOptions
 from twophase_ate.glm import expit, fit_glm
 from twophase_ate.sim import (
-    _CENSUS_CHUNK,
     DGP_IDS,
     PINNED_PSI,
     RAKING_GAP_HET_MEAN,
@@ -136,7 +140,7 @@ class TestTruths:
 class TestCensusInBoundedMemory:
     @pytest.mark.parametrize("dgp", DGP_IDS)
     def test_block_contrast_equals_full_design_contrast(self, dgp):
-        n_mc = 2 * _CENSUS_CHUNK + 123
+        n_mc = 2 * _ROW_BLOCK + 123
         spec = DgpSpec(dgp, n=1, seed=0)
         X, y, family = _census_draw(spec, n_mc, 5)
         fit = fit_glm(X, y, family=family)
@@ -210,7 +214,7 @@ class TestStreamOrderAcrossBlocks:
 
     @pytest.mark.parametrize("dgp", DGP_IDS)
     def test_values_at_block_edges_are_pinned(self, dgp, monkeypatch):
-        monkeypatch.setattr(sim, "_CENSUS_CHUNK", self.B)
+        monkeypatch.setattr(sim, "_ROW_BLOCK", self.B)
         for n in (self.B - 1, self.B, self.B + 1, 2 * self.B + 123):
             spec = DgpSpec(dgp, n=n, seed=3)
             got = (census_psi(spec, n_mc=n, seed=4), true_psi(spec, n_mc=n, seed=5),
@@ -298,6 +302,13 @@ class TestAggregation:
         assert rep.mean_nuisance_fit == pytest.approx(0.002)
         assert row.first_error == "boom"
         assert not math.isnan(row.psi_mean)
+
+    def test_row_by_label(self):
+        rep = _aggregate(self.study(2), synthetic_outcomes(np.random.default_rng(4), 2, 0.2,
+                                                           0.05), 0.2)
+        assert rep.row("aipcw") is rep.rows[0]
+        with pytest.raises(KeyError):
+            rep.row("raking")
 
 
 class TestRunStudy:
@@ -473,6 +484,10 @@ class TestUnusableDraw:
 
 
 class TestSpecValidation:
+    def test_unknown_estimator_rejected(self):
+        with pytest.raises(ValueError, match="^unknown estimator 'bogus'$"):
+            StudyEstimator("bogus")
+
     def test_negative_max_outer_iter_rejected(self):
         with pytest.raises(ValueError, match="max_outer_iter"):
             StudyEstimator("ipcw_tmle_target_pi", max_outer_iter=-3)
@@ -641,26 +656,56 @@ class TestSidecar:
     def test_git_hash_names_the_package_checkout(self, tmp_path, monkeypatch, other_repo):
         # run from outside the source tree, the hash was "unknown"; run inside
         # another repository, it was that repository's HEAD
-        import shutil
-        import subprocess
-
         git = shutil.which("git")
-        package_dir = os.path.dirname(os.path.abspath(sim.__file__))
+        root = Path(sim.__file__).resolve().parents[2]
         expected = "unknown"
-        if git is not None:
-            out = subprocess.run([git, "rev-parse", "HEAD"], cwd=package_dir,
-                                 capture_output=True, text=True)
-            expected = out.stdout.strip() if out.returncode == 0 else "unknown"
+        if git is not None and (root / ".git").exists():
+            expected = subprocess.run([git, "rev-parse", "HEAD"], cwd=root, check=True,
+                                      capture_output=True, text=True).stdout.strip()
         if other_repo:
             if git is None:
                 pytest.skip("git is not installed")
-            env = {**os.environ, "GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@t",
-                   "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@t"}
-            subprocess.run([git, "init", "-q"], cwd=tmp_path, check=True, env=env)
-            subprocess.run([git, "commit", "-q", "--allow-empty", "-m", "other"],
-                           cwd=tmp_path, check=True, env=env)
-            other_head = subprocess.run([git, "rev-parse", "HEAD"], cwd=tmp_path, check=True,
-                                        capture_output=True, text=True).stdout.strip()
-            assert other_head != expected
+            assert _commit_repo(git, tmp_path) != expected
         monkeypatch.chdir(tmp_path)
         assert sim._git_hash() == expected
+
+    @pytest.mark.parametrize("parent", ["lib", "src"])
+    def test_git_hash_of_a_copy_inside_another_repository(self, tmp_path, monkeypatch,
+                                                          parent):
+        # a copy in outer/lib/ (as in a venv inside a project) is no checkout
+        # of the package and records "unknown", where it recorded outer's
+        # HEAD; a copy in outer/src/ is outer's checkout of it
+        git = shutil.which("git")
+        if git is None:
+            pytest.skip("git is not installed")
+        outer = tmp_path / "outer"
+        outer.mkdir()
+        head = _commit_repo(git, outer)
+        copy = outer / parent / "twophase_ate"
+        shutil.copytree(Path(sim.__file__).parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        expected = head if parent == "src" else "unknown"
+        proc = subprocess.run(
+            [sys.executable, "-c", "from twophase_ate import sim; print(sim._git_hash())"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(outer / parent)},
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected
+        # and in this process, with this module's file taken for the copy's
+        monkeypatch.setattr(sim, "__file__", str(copy / "sim.py"))
+        assert sim._git_hash() == expected
+
+    def test_git_hash_without_git_is_unknown(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PATH", str(tmp_path))  # a directory with no git in it
+        assert sim._git_hash() == "unknown"
+
+
+def _commit_repo(git: str, path: Path) -> str:
+    """Make path a git repository of one empty commit; returns its hash."""
+    env = {**os.environ, "GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@t",
+           "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@t"}
+    subprocess.run([git, "init", "-q"], cwd=path, check=True, env=env)
+    subprocess.run([git, "commit", "-q", "--allow-empty", "-m", "other"],
+                   cwd=path, check=True, env=env)
+    return subprocess.run([git, "rev-parse", "HEAD"], cwd=path, check=True,
+                          capture_output=True, text=True).stdout.strip()

@@ -54,53 +54,41 @@ def _nudge(tmp_path, name: str, line: str, nudged: str) -> None:
     module.write_text(text.replace(line, nudged), encoding="utf-8")
 
 
-def test_identity_names_the_one_estimator_a_last_bit_change_moves(tmp_path):
-    # and the census values alone when census_psi moves by one bit
+def test_identity_names_what_each_nudge_moves(tmp_path):
+    # one copy carries four nudges, each of which moves its own records:
+    # the last bit of eee's estimate, of census_psi and of raking's
+    # imputation beyond the quadrature limit, and a split tokenizer that
+    # takes quoted text for plain text
     shutil.copytree(SRC / "twophase_ate", tmp_path / "src" / "twophase_ate",
                     ignore=shutil.ignore_patterns("__pycache__"))
     _nudge(tmp_path, "estimators.py", "    psi = float(np.mean(mbar_star))\n",
            "    psi = float(np.nextafter(np.mean(mbar_star), 1.0))\n")
     _nudge(tmp_path, "sim.py", "    return float(np.mean(contrast))\n",
            "    return float(np.nextafter(np.mean(contrast), 1.0))\n")
-    proc = run_python(str(TOOLS / "identity.py"), "--baseline", str(tmp_path))
-    assert proc.returncode == 1, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[-1] == "differ: census_psi, eee"
-    census = [line for line in lines[:-1] if " census_psi: value " in line]
-    assert len(census) == 18  # 6 dataset specs x 3 draw sizes
-    runs = [line for line in lines[:-1] if line not in census]
-    assert runs and all(" eee mode=" in line for line in runs)
-    # the grid ends with the bundled cohort under its estimate-mode schema
-    assert runs[-1].startswith("bundled cohort pi=estimated eee ")
-
-
-def test_identity_names_raking_on_the_wide_edge_cohorts_only(tmp_path):
-    # beyond the quadrature limit raking imputes at the mean alone; only the
-    # synthetic cohorts with 6 or 7 w2 columns reach that branch
-    shutil.copytree(SRC / "twophase_ate", tmp_path / "src" / "twophase_ate",
-                    ignore=shutil.ignore_patterns("__pycache__"))
     _nudge(tmp_path, "estimators.py",
            "        return designs, np.ones(1), np.zeros((1, ds.d_w2))\n",
            "        return designs, np.nextafter(np.ones(1), 2.0), np.zeros((1, ds.d_w2))\n")
+    _nudge(tmp_path, "data_model.py", """    if '"' in text or "\\0" in text""",
+           """    if "\\0" in text""")
     proc = run_python(str(TOOLS / "identity.py"), "--baseline", str(tmp_path))
     assert proc.returncode == 1, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[-1] == "differ: raking"
-    assert lines[:-1] and all(" raking mode=" in line for line in lines[:-1])
-    assert all(line.startswith(("synthetic d2=6 ", "synthetic d2=7 ")) for line in lines[:-1])
-
-
-def test_identity_names_the_loader_texts_a_tokenizer_change_moves(tmp_path):
-    # a split tokenizer that took quoted text for plain text would misread
-    # every loader text whose quotes guard a comma or a number
-    shutil.copytree(SRC / "twophase_ate", tmp_path / "src" / "twophase_ate",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    _nudge(tmp_path, "data_model.py", """        if '"' in text or "\\0" in text""",
-           """        if "\\0" in text""")
-    proc = run_python(str(TOOLS / "identity.py"), "--baseline", str(tmp_path))
-    assert proc.returncode == 1, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[-1] == "differ: load_csv"
-    assert [line.split(":")[0] for line in lines[:-1]] == [
-        "load_csv quoted comma", "load_csv quoted number", "load_csv unclosed quote",
+    assert lines[-1] == "differ: census_psi, eee, load_csv, raking"
+    census = [line for line in lines[:-1] if " census_psi: value " in line]
+    assert len(census) == 18  # 6 dataset specs x 3 draw sizes
+    eee = [line for line in lines[:-1] if " eee mode=" in line]
+    # the grid's runs end with the bundled cohort under its estimate-mode schema
+    assert eee and eee[-1].startswith("bundled cohort pi=estimated eee ")
+    # beyond the quadrature limit raking imputes at the mean alone; only the
+    # synthetic cohorts with 6 or 7 w2 columns reach that branch
+    raking = [line for line in lines[:-1] if " raking mode=" in line]
+    assert raking and all(line.startswith(("synthetic d2=6 ", "synthetic d2=7 "))
+                          for line in raking)
+    # the split tokenizer misreads every loader text whose quotes guard a
+    # number; a quoted comma makes its line one of another width, which
+    # csv.reader still reads
+    loader = [line for line in lines[:-1] if line.startswith("load_csv ")]
+    assert [line.split(":")[0] for line in loader] == [
+        "load_csv quoted number", "load_csv unclosed quote",
         "load_csv three blocks, quote in the third"]
+    assert len(census) + len(eee) + len(raking) + len(loader) == len(lines) - 1

@@ -85,7 +85,7 @@ LOOPS = ("ipcw_tmle_target_pi", "ipcw_tmle_rake_pi", "tmle_alt")
 EDGE_COHORTS = [(d2, n) for d2 in (0, 1, 6, 7) for n in (40, 300)] + [(5, 2000)]
 EDGE_SEEDS = (1, 2)
 # Monte-Carlo draws of census_psi and true_psi: within one block of
-# sim._CENSUS_CHUNK (2^13) rows, across three, the last one partial, and
+# data_model._ROW_BLOCK (2^13) rows, across three, the last one partial, and
 # across seventeen
 N_MC = (5_000, 20_000, 2 * (1 << 16) + 123)
 # tiny pi bounds: (seed, known pi as a multiple of the truth, or None for
